@@ -152,11 +152,80 @@ BENCHMARK(BM_ServerMultiClient)->Threads(1)->Threads(4)->Threads(8)
 
 // ------------------------------------------------ cold vs warm JSON -------
 
+// Appends one "serving_tiers" row: the approx tier against the exact tier
+// on uncached windows over `n` white-noise series. n = 512 puts the pair
+// sketch (~200 MB) far past L2: the regime where the jump walk's probes
+// into the prefix rows miss cache unless the walk prefetches them.
+void AppendServingTiersRow(int64_t n, int64_t nb, std::FILE* out) {
+  TimeSeriesMatrix data = BenchData(n, nb, 14);
+  const SlidingQuery query = BenchQuery(nb);
+  // Sketch warm and window cache cold for both sides: the exact tier pays
+  // the full vectorized sweep (every window uncached — a fresh server per
+  // rep, so nothing warms across reps), the approx tier pays the Eq. 2
+  // jumping walk that skips below-threshold stretches. One identical
+  // workload per rep, min per side, so the gated ratio describes a single
+  // query shape. The ratio is the latency headroom a deadline-bound client
+  // buys by accepting jumped windows.
+  double exact_uncached_s = 1e300;
+  double approx_s = 1e300;
+  int64_t cells_jumped = 0;
+  int64_t cells_total = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    DangoronServer tier_server(BenchServerOptions());
+    CHECK(tier_server.AddDataset("d", data).ok());
+    // Warm the sketch outside the timed region with a disjoint family.
+    SlidingQuery prepare_query = query;
+    prepare_query.end = prepare_query.start + prepare_query.window;
+    prepare_query.threshold = 0.95;
+    CHECK(tier_server.Query("d", prepare_query).ok());
+
+    QueryRequest exact_request{"d", query, ServeOptions{}};
+    exact_request.options.tier = ServeTier::kExact;
+    Stopwatch exact_timer;
+    auto exact = tier_server.Query(exact_request);
+    CHECK(exact.ok());
+    CHECK(exact->prepared_from_cache);
+    exact_uncached_s = std::min(exact_uncached_s,
+                                exact_timer.ElapsedSeconds());
+
+    QueryRequest approx_request{"d", query, ServeOptions{}};
+    approx_request.options.tier = ServeTier::kApprox;
+    Stopwatch approx_timer;
+    auto approx = tier_server.Query(approx_request);
+    CHECK(approx.ok());
+    CHECK(approx->tier_used == ServeTier::kApprox);
+    approx_s = std::min(approx_s, approx_timer.ElapsedSeconds());
+    cells_jumped = approx->cells_jumped;  // deterministic: same every rep
+    cells_total = query.NumWindows() * n * (n - 1) / 2;
+  }
+  std::fprintf(out,
+               ",\n  {\"bench\": \"serving_tiers\", \"n_series\": %lld, "
+               "\"num_basic_windows\": %lld, \"basic_window\": %lld,\n"
+               "   \"exact_uncached_ms\": %.3f, \"approx_ms\": %.3f, "
+               "\"approx_speedup\": %.2f, \"jumped_fraction\": %.4f}",
+               static_cast<long long>(n), static_cast<long long>(nb),
+               static_cast<long long>(kBasicWindow),
+               exact_uncached_s * 1e3, approx_s * 1e3,
+               exact_uncached_s / approx_s,
+               cells_total > 0 ? static_cast<double>(cells_jumped) /
+                                     static_cast<double>(cells_total)
+                               : 0.0);
+  std::fprintf(stderr,
+               "serving tiers n=%lld: exact uncached %.3f ms, approx "
+               "%.3f ms (%.2fx), %.1f%% of cells jumped\n",
+               static_cast<long long>(n), exact_uncached_s * 1e3,
+               approx_s * 1e3, exact_uncached_s / approx_s,
+               cells_total > 0 ? 100.0 * static_cast<double>(cells_jumped) /
+                                     static_cast<double>(cells_total)
+                               : 0.0);
+}
+
 // Machine-readable cold/warm comparison mirroring BENCH_kernels.json: the
 // serving layer's acceptance numbers are the warm speedup (prepare
 // amortized across repeat queries) and the streaming path's
-// time-to-first-window as a fraction of full-query latency (both ratios are
-// measured within one run, so they stay comparable across machines).
+// time-to-first-window as a fraction of full-query latency, plus the tier
+// rows of AppendServingTiersRow (all ratios are measured within one run, so
+// they stay comparable across machines).
 void WriteServingComparisonJson(const char* path) {
   std::FILE* out = std::fopen(path, "w");
   if (out == nullptr) {
@@ -217,46 +286,6 @@ void WriteServingComparisonJson(const char* path) {
       warm_s = std::min(warm_s, timer.ElapsedSeconds());
     }
 
-    // Tier comparison, sketch warm and window cache cold for both sides:
-    // the exact tier pays the full vectorized sweep (every window uncached —
-    // a fresh server per rep, so nothing warms across reps), the approx
-    // tier pays the Eq. 2 jumping walk that skips below-threshold
-    // stretches. One identical workload per rep, min per side, so the
-    // gated ratio describes a single query shape. The ratio is the latency
-    // headroom a deadline-bound client buys by accepting jumped windows.
-    double exact_uncached_s = 1e300;
-    double approx_s = 1e300;
-    int64_t cells_jumped = 0;
-    int64_t cells_total = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      DangoronServer tier_server(BenchServerOptions());
-      CHECK(tier_server.AddDataset("d", data).ok());
-      // Warm the sketch outside the timed region with a disjoint family.
-      SlidingQuery prepare_query = query;
-      prepare_query.end = prepare_query.start + prepare_query.window;
-      prepare_query.threshold = 0.95;
-      CHECK(tier_server.Query("d", prepare_query).ok());
-
-      QueryRequest exact_request{"d", query, ServeOptions{}};
-      exact_request.options.tier = ServeTier::kExact;
-      Stopwatch exact_timer;
-      auto exact = tier_server.Query(exact_request);
-      CHECK(exact.ok());
-      CHECK(exact->prepared_from_cache);
-      exact_uncached_s = std::min(exact_uncached_s,
-                                  exact_timer.ElapsedSeconds());
-
-      QueryRequest approx_request{"d", query, ServeOptions{}};
-      approx_request.options.tier = ServeTier::kApprox;
-      Stopwatch approx_timer;
-      auto approx = tier_server.Query(approx_request);
-      CHECK(approx.ok());
-      CHECK(approx->tier_used == ServeTier::kApprox);
-      approx_s = std::min(approx_s, approx_timer.ElapsedSeconds());
-      cells_jumped = approx->cells_jumped;  // deterministic: same every rep
-      cells_total = query.NumWindows() * n * (n - 1) / 2;
-    }
-
     std::fprintf(out,
                  "%s  {\"bench\": \"serving_cold_warm\", \"n_series\": %lld, "
                  "\"num_basic_windows\": %lld, \"basic_window\": %lld,\n"
@@ -267,26 +296,6 @@ void WriteServingComparisonJson(const char* path) {
                  static_cast<long long>(kBasicWindow), cold_s * 1e3,
                  warm_s * 1e3, cold_s / warm_s);
     first = false;
-    std::fprintf(out,
-                 ",\n  {\"bench\": \"serving_tiers\", \"n_series\": %lld, "
-                 "\"num_basic_windows\": %lld, \"basic_window\": %lld,\n"
-                 "   \"exact_uncached_ms\": %.3f, \"approx_ms\": %.3f, "
-                 "\"approx_speedup\": %.2f, \"jumped_fraction\": %.4f}",
-                 static_cast<long long>(n), static_cast<long long>(nb),
-                 static_cast<long long>(kBasicWindow),
-                 exact_uncached_s * 1e3, approx_s * 1e3,
-                 exact_uncached_s / approx_s,
-                 cells_total > 0 ? static_cast<double>(cells_jumped) /
-                                       static_cast<double>(cells_total)
-                                 : 0.0);
-    std::fprintf(stderr,
-                 "serving tiers n=%lld: exact uncached %.3f ms, approx "
-                 "%.3f ms (%.2fx), %.1f%% of cells jumped\n",
-                 static_cast<long long>(n), exact_uncached_s * 1e3,
-                 approx_s * 1e3, exact_uncached_s / approx_s,
-                 cells_total > 0 ? 100.0 * static_cast<double>(cells_jumped) /
-                                       static_cast<double>(cells_total)
-                                 : 0.0);
     if (measure_streaming) {
       std::fprintf(out,
                    ",\n  {\"bench\": \"serving_streaming\", \"n_series\": "
@@ -314,6 +323,10 @@ void WriteServingComparisonJson(const char* path) {
                    static_cast<long long>(n), cold_s * 1e3, warm_s * 1e3,
                    cold_s / warm_s);
     }
+  }
+
+  for (const int64_t n : {32, 128, 512}) {
+    AppendServingTiersRow(n, nb, out);
   }
 
   // Hard-deadline cancellation latency: how long past its deadline a

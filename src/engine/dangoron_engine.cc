@@ -13,6 +13,17 @@ namespace dangoron {
 
 namespace {
 
+// Pairs the jump walk prefetches ahead (ProcessPairBlock). A pair's walk
+// reads the query-range segment of its two prefix rows — about 20 cache
+// lines for 61 windows of 30 basic windows — through the dependent probes
+// of the Eq. 2 binary search, and each pair's rows sit a whole sketch row
+// past the last pair's, so an unprefetched walk waits on memory once per
+// probe. Measured on the climate_approx geometry (N = 512, twelve 90-day
+// ranges, one thread on a 4-vCPU Xeon, -march=cooperlake, results
+// unchanged): the walk took 0.64-0.71x the unprefetched time at distances
+// 1-8, within 2% of each other; 16 was 3% slower.
+constexpr int64_t kJumpPrefetchPairs = 4;
+
 // The scalar exact cell both scalar paths (pair-major loop, window-major
 // pruned leg) share — and whose operation sequence the vectorized sweep
 // kernel mirrors lane for lane: one definition, so the bit-identity
@@ -73,12 +84,21 @@ void ProcessPairBlock(const DangoronOptions& options,
   const TemporalBound bound(&index, ns, m);
   const int64_t P = options.horizontal_pruning ? options.num_pivots : 0;
 
+  // The slots any walk of this query can read: DotRange endpoints up to the
+  // last window's end, jump-search probes up to the last window's start.
+  const int64_t omc_hi = base_w0 + (num_windows - 1) * m;
+  const int64_t dot_hi = omc_hi + ns;
+
   int64_t i = 0;
   int64_t j = 0;
   if (pair_begin < pair_end) {
     BasicWindowIndex::PairFromId(pair_begin, n, &i, &j);
   }
   for (int64_t pair = pair_begin; pair < pair_end; ++pair) {
+    if (pair + kJumpPrefetchPairs < pair_end) {
+      index.PrefetchPairRows(pair + kJumpPrefetchPairs, base_w0, dot_hi,
+                             omc_hi);
+    }
     int64_t k = 0;
     while (k < num_windows) {
       const int64_t w0 = base_w0 + k * m;
@@ -525,10 +545,11 @@ Status DangoronEngine::QueryPreparedToSink(
     stats->jumps += s.jumps;
   }
 
-  // Emit windows in order: deterministic merge in block order, then the
-  // canonical (i, j) sort — per window, so each window leaves as soon as it
-  // is assembled instead of after the whole series is stitched. Pairs are
-  // unique within a window, so the unstable sort is deterministic.
+  // Emit windows in order, each as soon as it is assembled. No sort: blocks
+  // cover ascending, contiguous pair-id ranges and each appends in
+  // ascending pair order (an above-jump fills windows k+1.. for its pair
+  // before the next pair is walked), so the block-order concatenation is
+  // already in EdgeOrder — the SweepEdgeArena::AssembleWindow argument.
   for (int64_t k = 0; k < num_windows; ++k) {
     std::vector<Edge> window;
     if (num_blocks == 1) {
@@ -544,7 +565,7 @@ Status DangoronEngine::QueryPreparedToSink(
         window.insert(window.end(), edges.begin(), edges.end());
       }
     }
-    std::sort(window.begin(), window.end(), EdgeOrder);
+    DCHECK(std::is_sorted(window.begin(), window.end(), EdgeOrder));
     if (!sink->OnWindow(k, std::move(window))) {
       return FinishCancelled(sink, "DangoronEngine", k);
     }

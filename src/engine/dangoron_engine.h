@@ -20,7 +20,11 @@ struct DangoronOptions {
   /// Eq. 2 temporal jumping over below-threshold stretches (the paper's core
   /// optimization, Figure 2). Off = "incremental" mode: every window is
   /// evaluated exactly in O(1) from the sketch prefixes — exact results,
-  /// still far cheaper than TSUBASA's O(ns) recombination.
+  /// still far cheaper than TSUBASA's O(ns) recombination. On, the engine
+  /// walks pair-major (a jump at window k decides whether the pair's later
+  /// windows are evaluated at all) and prefetches each pair's query-range
+  /// prefix rows a few pairs ahead of the walk: past L2 the jump search's
+  /// dependent probes into those rows would otherwise miss one at a time.
   bool enable_jumping = true;
 
   /// Extension (off by default): also skip stretches that provably (under
@@ -79,7 +83,9 @@ class DangoronEngine : public CorrelationEngine {
   /// engine-level streaming, no sub-query chopping needed. With jumping
   /// on, pair blocks sweep every window before any window is final
   /// (jumping couples consecutive windows along a pair), so windows are
-  /// emitted in order only once the sweep completes.
+  /// emitted in order only once the prefetched pair-major walk completes;
+  /// each window is its blocks' edges concatenated in block order, which
+  /// is already EdgeOrder.
   Status QueryToSink(const SlidingQuery& query, WindowSink* sink) override;
 
   const DangoronOptions& options() const { return options_; }

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/failpoint.h"
 #include "serve/window_stream.h"
 
 namespace dangoron {
@@ -674,13 +675,20 @@ void WireServer::CloseConnection(const ConnectionPtr& conn) {
 // --------------------------------------------------------- worker side --
 
 bool WireServer::WriteToConnection(const ConnectionPtr& conn,
-                                   const std::string& bytes) {
+                                   const std::string& bytes,
+                                   bool ends_request) {
   {
     MutexLock lock(conn->mutex);
     while (!conn->closed &&
            static_cast<int64_t>(conn->outbuf.size() - conn->out_offset) >=
                options_.outbuf_high_watermark) {
       conn->writable_cv.Wait(conn->mutex);
+    }
+    if (ends_request) {
+      // Retire the request in the critical section that queues its
+      // terminal frame: the IO thread cannot deliver the frame — so the
+      // client cannot send its next request — while the flag is still set.
+      conn->request_in_flight = false;
     }
     if (conn->closed) {
       return false;
@@ -799,10 +807,9 @@ void WireServer::RunRequest(ConnectionPtr conn, WireRequest request) {
 
   std::string terminal;
   EncodeStatusFrame(status, summary, &terminal);
-  WriteToConnection(conn, terminal);  // best-effort on a closed connection
-
-  MutexLock lock(conn->mutex);
-  conn->request_in_flight = false;
+  // Best-effort on a closed connection.
+  WriteToConnection(conn, terminal, /*ends_request=*/true);
+  DANGORON_FAILPOINT_HIT("wire.status_queued");
 }
 
 }  // namespace dangoron

@@ -165,8 +165,11 @@ class WireServer {
   /// Worker-side body of one request.
   void RunRequest(ConnectionPtr conn, WireRequest request);
   /// Worker-side append to the connection's output buffer; blocks on the
-  /// high watermark; false once the connection is closed.
-  bool WriteToConnection(const ConnectionPtr& conn, const std::string& bytes);
+  /// high watermark; false once the connection is closed. `ends_request`
+  /// marks the terminal Status frame: the request is retired under the same
+  /// lock that queues it, so a client's next request is never pipelined.
+  bool WriteToConnection(const ConnectionPtr& conn, const std::string& bytes,
+                         bool ends_request = false);
   /// Asks the IO thread to flush `conn` (eventfd wake).
   void RequestFlush(const ConnectionPtr& conn);
 

@@ -118,6 +118,21 @@ class BasicWindowIndex {
            pair_one_minus_corr_prefix_[Px(p, lo)];
   }
 
+  /// Software-prefetches prefix slots [lo, dot_hi] of pair `p`'s dot row and
+  /// [lo, omc_hi] of its OneMinusCorrRange row, one prefetch per cache line:
+  /// the pair-major jump walk issues this a few pairs ahead, so its
+  /// dependent binary-search probes into rows a whole sketch row apart hit
+  /// cache instead of missing to DRAM one after another. Slots must lie in
+  /// [0, num_basic_windows()]; no pointer outside them is formed.
+  /// Always inlined: GCC's IPA pass deems an out-of-line function of bare
+  /// prefetches side-effect free and deletes the call.
+  [[gnu::always_inline]] void PrefetchPairRows(int64_t p, int64_t lo,
+                                               int64_t dot_hi,
+                                               int64_t omc_hi) const {
+    PrefetchSlots(pair_dot_prefix_ + Px(p, 0), lo, dot_hi);
+    PrefetchSlots(pair_one_minus_corr_prefix_ + Px(p, 0), lo, omc_hi);
+  }
+
   /// Exact Pearson correlation of pair id `p` over basic windows [lo, hi),
   /// combined from the sketch in O(1) (moment form of Eq. 1). Returns 0 when
   /// either series is constant over the range.
@@ -165,6 +180,15 @@ class BasicWindowIndex {
   static constexpr int64_t kPairRowPad = 7;
   size_t Px(int64_t p, int64_t w) const {
     return static_cast<size_t>(p * pair_row_stride_ + kPairRowPad + w);
+  }
+  /// Prefetches row[lo..hi]: every 8th slot, then `hi` itself, which the
+  /// stride may have stepped over into the next line.
+  [[gnu::always_inline]] static void PrefetchSlots(const double* row,
+                                                   int64_t lo, int64_t hi) {
+    for (int64_t w = lo; w <= hi; w += 8) {
+      __builtin_prefetch(row + w);
+    }
+    __builtin_prefetch(row + hi);
   }
 
   const TimeSeriesMatrix* data_ = nullptr;

@@ -226,6 +226,39 @@ TEST(BlockedIndexBuildTest, ThreadedBuildIsBitIdentical) {
   }
 }
 
+// The Eq. 2 jump search binary-searches OneMinusCorrRange(p, w0, w0 + j·m)
+// over j, so every pair's one-minus-correlation prefix row must be
+// non-decreasing: each basic window adds 1 - c with c clamped to [-1, 1].
+// This is also what lets any probe order of that search return the same
+// jump. Checked for both builds, over more series than one kernel tile and
+// a window count with a partial batch, on data with exactly correlated
+// (c = 1), anti-correlated (c = -1) and degenerate (c = 0) windows.
+TEST(BlockedIndexBuildTest, OneMinusCorrPrefixIsNonDecreasing) {
+  const int64_t n = kCorrTile + 5;
+  const int64_t b = 8;
+  const int64_t nb = 21;
+  TimeSeriesMatrix data = HostileData(n, nb * b, b, 41);
+  for (int64_t t = 0; t < data.length(); ++t) {
+    data.Set(4, t, -data.Get(1, t));  // exactly anti-correlated with 1 and 2
+  }
+  for (const bool blocked : {true, false}) {
+    BasicWindowIndexOptions options;
+    options.basic_window = b;
+    options.use_blocked_kernel = blocked;
+    const auto index = BasicWindowIndex::Build(data, options);
+    ASSERT_TRUE(index.ok());
+    for (int64_t p = 0; p < index->num_pairs(); ++p) {
+      for (int64_t w = 0; w < nb; ++w) {
+        // Slot 0 holds 0.0, so a range from 0 is the prefix slot itself.
+        ASSERT_GE(index->OneMinusCorrRange(p, 0, w + 1),
+                  index->OneMinusCorrRange(p, 0, w))
+            << (blocked ? "blocked" : "scalar") << " build, pair " << p
+            << ", slot " << w + 1;
+      }
+    }
+  }
+}
+
 TEST(ExactCorrelationMatrixTest, MatchesPearsonNaiveOnHostileData) {
   const int64_t n = 61;  // spans two kernel tiles
   const int64_t length = 200;

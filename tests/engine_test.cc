@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "corr/pearson.h"
 #include "engine/dangoron_engine.h"
 #include "engine/naive_engine.h"
@@ -394,6 +400,92 @@ TEST(DangoronThreadingTest, MultiThreadMatchesSingleThread) {
             engine_multi.stats().cells_evaluated);
   EXPECT_EQ(engine_single.stats().cells_jumped,
             engine_multi.stats().cells_jumped);
+}
+
+// The jump walk at scale: pair blocks of hundreds to thousands of pairs,
+// far longer than the walk's prefetch distance, split over 1-4 threads and
+// cut by pair-range restrictions whose bounds fall mid-block. Every run
+// must emit bit-identical windows (a restricted run: the unrestricted
+// run's edges of its pair range), each already in EdgeOrder, since the
+// emission concatenates blocks without sorting.
+TEST(DangoronThreadingTest, JumpWalkIsDeterministicAtScale) {
+  const int64_t n = 320;
+  TimeSeriesMatrix data = SmallClimate(n, 24 * 60, 29);
+  SlidingQuery query;
+  query.start = 24 * 3;
+  query.end = data.length();
+  query.window = 24 * 14;
+  query.step = 24;
+  query.threshold = 0.8;
+
+  DangoronOptions options;
+  options.basic_window = 24;
+  auto index = DangoronEngine::BuildIndex(data, options, nullptr);
+  ASSERT_TRUE(index.ok());
+  const int64_t num_pairs = index->num_pairs();
+
+  // Window k of `series` as (pair id, value bits) tuples.
+  auto cells = [&](const CorrelationMatrixSeries& series, int64_t k) {
+    std::vector<std::pair<int64_t, uint64_t>> out;
+    for (const Edge& e : series.WindowEdges(k)) {
+      out.emplace_back(BasicWindowIndex::PairId(e.i, e.j, n),
+                       std::bit_cast<uint64_t>(e.value));
+    }
+    return out;
+  };
+
+  int64_t below_only_jumped = 0;
+  for (const bool above : {false, true}) {
+    options.enable_above_jumping = above;
+    EngineStats reference_stats;
+    auto reference = DangoronEngine::QueryPrepared(options, *index, query,
+                                                   nullptr, &reference_stats);
+    ASSERT_TRUE(reference.ok());
+    ASSERT_GT(reference->TotalEdges(), 0);
+    if (above) {
+      // Above-jumps fill windows ahead of the walk: make sure some happen.
+      ASSERT_GT(reference_stats.cells_jumped, below_only_jumped);
+    } else {
+      below_only_jumped = reference_stats.cells_jumped;
+      ASSERT_GT(below_only_jumped, 0);
+    }
+
+    for (const int threads : {1, 2, 3, 4}) {
+      ThreadPool pool(threads);
+      for (const auto& [lo, hi] :
+           {std::pair<int64_t, int64_t>{0, 0},
+            {1001, 7777},
+            {12345, 40001},
+            {num_pairs - 2999, num_pairs + 100}}) {
+        SlidingQuery restricted = query;
+        restricted.pair_begin = lo;
+        restricted.pair_end = hi;
+        EngineStats stats;
+        auto result = DangoronEngine::QueryPrepared(options, *index,
+                                                    restricted, &pool, &stats);
+        ASSERT_TRUE(result.ok());
+        const auto [range_lo, range_hi] = restricted.PairRange(num_pairs);
+        ASSERT_EQ(result->num_windows(), reference->num_windows());
+        for (int64_t k = 0; k < result->num_windows(); ++k) {
+          const auto edges = result->WindowEdges(k);
+          ASSERT_TRUE(std::is_sorted(edges.begin(), edges.end(), EdgeOrder))
+              << "window " << k << ", " << threads << " threads, pairs ["
+              << lo << ", " << hi << ")";
+          auto expected = cells(*reference, k);
+          std::erase_if(expected, [&](const auto& cell) {
+            return cell.first < range_lo || cell.first >= range_hi;
+          });
+          ASSERT_EQ(cells(*result, k), expected)
+              << "window " << k << ", above jumping " << above << ", "
+              << threads << " threads, pairs [" << lo << ", " << hi << ")";
+        }
+        if (!restricted.HasPairRestriction()) {
+          EXPECT_EQ(stats.cells_evaluated, reference_stats.cells_evaluated);
+          EXPECT_EQ(stats.cells_jumped, reference_stats.cells_jumped);
+        }
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------- Horizontal pruning --

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/sync.h"
@@ -527,6 +528,59 @@ TEST_F(WireE2ETest, TcpListenerServesARealSocket) {
             (TestQuery().end - TestQuery().window) / TestQuery().step + 1);
   wire.Stop();
   EXPECT_EQ(wire.stats().connections_accepted, 1);
+}
+
+// docs/WIRE_PROTOCOL.md §4 lets a client send its next Request the instant
+// the terminal Status frame arrives. The server must have retired the
+// previous request by then, or it refuses the legal request as pipelined
+// and closes the connection. The `wire.status_queued` delay parks the
+// worker right after it hands the Status frame to the IO thread — the
+// widest that race can be — on a tenth of the requests.
+TEST_F(WireE2ETest, BackToBackRequestsAreNeverRefusedAsPipelined) {
+  WireServerOptions options;
+  options.port = -1;
+  options.worker_threads = 1;
+  WireServer wire(&server_, options);
+  ASSERT_TRUE(wire.Start().ok());
+  auto client = ConnectOverSocketpair(&wire);
+#if DANGORON_FAILPOINTS_ENABLED
+  ASSERT_TRUE(FailpointRegistry::Instance()
+                  .Configure("wire.status_queued=delay:1%10")
+                  .ok());
+#endif
+
+  WireRequest request;
+  request.dataset = "d";
+  request.query = TestQuery();
+  request.query.end = 8 * kBasicWindow;  // five windows: requests are quick
+  constexpr int kRequests = 500;
+  int refused = 0;
+  for (int r = 0; r < kRequests && refused == 0; ++r) {
+    if (!client->Submit(request).ok()) {
+      ++refused;  // the server already hung up on an earlier refusal
+      break;
+    }
+    while (true) {
+      auto window = client->Next();
+      if (!window.ok()) {
+        ++refused;
+        break;
+      }
+      if (!window->has_value()) {
+        if (!client->result_status().ok()) {
+          ++refused;
+        }
+        break;
+      }
+    }
+  }
+#if DANGORON_FAILPOINTS_ENABLED
+  FailpointRegistry::Instance().DisarmAll();
+#endif
+  EXPECT_EQ(refused, 0) << client->result_status().message();
+  wire.Stop();
+  EXPECT_EQ(wire.stats().requests, kRequests);
+  EXPECT_EQ(wire.stats().protocol_errors, 0);
 }
 
 }  // namespace
