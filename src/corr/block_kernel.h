@@ -59,6 +59,21 @@ inline void StreamFence() {
 #endif
 }
 
+/// Software-prefetches the cache lines holding slots first, first + step,
+/// ..., and last of `row` — every line of [first, last] when step <= 8.
+/// Callers keep [first, last] inside the row. Always inlined: GCC's IPA
+/// pass deems an out-of-line function of bare prefetches side-effect free
+/// and deletes the call.
+[[gnu::always_inline]] inline void PrefetchRowSlots(const double* row,
+                                                    int64_t first,
+                                                    int64_t last,
+                                                    int64_t step) {
+  for (int64_t w = first; w <= last; w += step) {
+    __builtin_prefetch(row + w);
+  }
+  __builtin_prefetch(row + last);
+}
+
 /// In-register 8x8 transpose: on return r[j][i] holds the old r[i][j].
 /// Lets producers of 8-wide columns emit full contiguous rows (one cache
 /// line each) without bouncing scalars through a staging buffer — partial

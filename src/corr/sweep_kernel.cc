@@ -8,6 +8,17 @@ namespace dangoron {
 
 namespace {
 
+// 8-pair groups the banded sweep prefetches ahead (SweepRowRunBand). A
+// group's eight dot-prefix rows sit a whole sketch row (~3 KB at a year of
+// basic windows) apart, past what the hardware prefetchers follow, so an
+// unprefetched sweep waits on memory for each row's band lines in turn.
+// Measured on the climate_cold geometry (N = 256, 336 windows of 30 basic
+// windows sliding by one, swept in 16-window passes, one thread on a 4-vCPU
+// Xeon, -march=cooperlake, edges unchanged): the sweep took 0.70-0.76x the
+// unprefetched time at one group ahead; two to four groups ahead were
+// within the host's noise of one.
+constexpr int64_t kSweepPrefetchGroups = 1;
+
 // One fixed-i run of the banded sweep: pairs (i, j) for j in
 // [j_begin, j_end), whose pair ids — and dot-prefix rows — advance
 // contiguously from `pair_begin`; the window loop runs *inside* each 8-pair
@@ -23,6 +34,8 @@ namespace {
 // threshold compare is branch-free per 8-lane group: survivors are appended
 // only when the group mask is non-zero, which on the sparse networks the
 // thresholds of interest produce skips the append branch almost always.
+// Each group first prefetches the band's lo and hi slots of the rows
+// kSweepPrefetchGroups groups ahead, never past the run's end.
 template <bool kAbsolute>
 void SweepRowRunBand(const SweepView& v, int64_t base_w0, int64_t ns,
                      int64_t m, int64_t k_begin, int64_t k_end, int64_t i,
@@ -39,8 +52,22 @@ void SweepRowRunBand(const SweepView& v, int64_t base_w0, int64_t ns,
   const Vec8 vbeta = SplatVec8(beta);
   const Vec8 vneg_beta = SplatVec8(-beta);
 
+  // The band's slots: window k reads lo = base_w0 + k*m and hi = lo + ns.
+  // Prefetching every m-th slot touches each line they sit in when windows
+  // are a line or more apart; closer, every 8th slot covers the range.
+  const int64_t lo_first = base_w0 + k_begin * m;
+  const int64_t lo_last = base_w0 + (k_end - 1) * m;
+  const int64_t slot_step = std::max<int64_t>(m, 8);
+  constexpr int64_t kAhead = 8 * kSweepPrefetchGroups;
+
   int64_t j = j_begin;
   for (; j + 8 <= j_end; j += 8, rows += 8 * stride) {
+    const int64_t ahead_end = std::min(j + kAhead + 8, j_end);
+    for (int64_t a = j + kAhead; a < ahead_end; ++a) {
+      const double* ahead = rows + (a - j) * stride;
+      PrefetchRowSlots(ahead, lo_first, lo_last, slot_step);
+      PrefetchRowSlots(ahead, lo_first + ns, lo_last + ns, slot_step);
+    }
     for (int64_t k = k_begin; k < k_end; ++k) {
       const int64_t lo = base_w0 + k * m;
       const int64_t hi = lo + ns;

@@ -109,9 +109,10 @@ struct ServeOptions {
   // and defaults as serve/window_stream.h).
   /// Capacity of the bounded delivery queue (backpressure bound).
   int64_t queue_capacity = kDefaultStreamQueueCapacity;
-  /// Cap on the contiguous window run one engine pass claims (0 =
-  /// unbounded); bounds the undelivered backlog, claim granularity, and
-  /// cancel latency. Exact tier only — the approx tier takes no claims.
+  /// Cap on the contiguous window run one engine pass claims, rounded up to
+  /// whole kSweepWindowBand sweep bands (0 = unbounded); bounds the
+  /// undelivered backlog and claim granularity in bands. Exact tier only —
+  /// the approx tier takes no claims.
   int64_t max_batch_windows = kDefaultMaxBatchWindows;
 };
 

@@ -10,8 +10,10 @@
 #include <utility>
 
 #include "common/failpoint.h"
+#include "common/math_utils.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "corr/sweep_kernel.h"
 #include "engine/dangoron_engine.h"
 #include "sketch/basic_window_index.h"
 
@@ -835,11 +837,18 @@ Status DangoronServer::RunWindowPlan(
   // no-deadlock invariant of the dedup protocol: joiners wait only on
   // claims whose evaluation is actively running — and at window cadence,
   // since a claim is fulfilled the moment its window lands, not when the
-  // whole run does. The engine's native emission is also what replaced the
-  // old chop-into-`max_batch_windows`-sub-queries workaround: consumers see
-  // the first window after one window's sweep, and each window is published
-  // to the result cache as it lands, so even a cancelled plan leaves a
-  // reusable prefix.
+  // whole run does. Each window is published to the result cache as it
+  // lands, so even a cancelled plan leaves a reusable prefix.
+  //
+  // A nonzero `max_batch_windows` caps a claimed run in whole sweep bands:
+  // the cap rounds up to a multiple of kSweepWindowBand, so one engine pass
+  // streams each pair's dot-prefix lines once per band. A smaller run would
+  // re-stream the whole prefix block once per run — 84 passes instead of 21
+  // for a 336-window query at the default cap of 4.
+  const int64_t run_cap =
+      max_batch_windows > 0
+          ? CeilDiv(max_batch_windows, kSweepWindowBand) * kSweepWindowBand
+          : num_windows;
   int64_t k = 0;
   while (k < num_windows) {
     if (plan_cancelled()) {
@@ -860,7 +869,7 @@ Status DangoronServer::RunWindowPlan(
     }
 
     // Resolve window k under the dedup lock; if it is free, claim the
-    // maximal contiguous free run from k (capped at max_batch_windows).
+    // maximal contiguous free run from k (capped at run_cap).
     WindowClaimPtr join;
     std::vector<WindowClaimPtr> claims;
     {
@@ -872,10 +881,8 @@ Status DangoronServer::RunWindowPlan(
                  it != inflight_windows_.end()) {
         join = it->second;
       } else {
-        const int64_t cap =
-            max_batch_windows > 0 ? max_batch_windows : num_windows;
         int64_t claimed = 1;
-        while (claimed < cap && k + claimed < num_windows) {
+        while (claimed < run_cap && k + claimed < num_windows) {
           const WindowKey key = key_for(k + claimed);
           if (auto cached = result_cache_.Get(key)) {
             // Stash the probe hit so the main loop never re-reads it.

@@ -357,14 +357,16 @@ class DangoronServer {
   /// The exact-tier core of materialized and streaming submissions: walks
   /// the query's windows in order, resolving each from the result cache, a
   /// concurrent query's in-flight claim, or its own evaluation in
-  /// contiguous claimed runs of at most `max_batch_windows` (0 =
-  /// unbounded). Evaluation drives the exact engine's native window
-  /// emission: each window is cache-Put and its claim fulfilled the moment
-  /// the engine emits it — mid-run, not at run end — so joiners and
-  /// overlapping queries see windows at window cadence, and the task never
-  /// holds an unfulfilled claim across a blocking wait (delivery inside a
-  /// run uses non-blocking TryPush; blocking backpressure delivery happens
-  /// only between runs, with no claims held — the no-deadlock invariant).
+  /// contiguous claimed runs of at most `max_batch_windows` rounded up to
+  /// whole kSweepWindowBand bands (0 = unbounded), so one engine pass
+  /// streams the dot-prefix block once per band. Evaluation drives the
+  /// exact engine's native window emission: each window is cache-Put and
+  /// its claim fulfilled the moment the engine emits it — mid-run, not at
+  /// run end — so joiners and overlapping queries see windows at window
+  /// cadence, and the task never holds an unfulfilled claim across a
+  /// blocking wait (delivery inside a run uses non-blocking TryPush;
+  /// blocking backpressure delivery happens only between runs, with no
+  /// claims held — the no-deadlock invariant).
   /// Join waits are cancellable: a streaming plan blocked on another
   /// query's claim wakes on its own stream's Cancel (see WaitForWindowClaim)
   /// instead of waiting out the foreign evaluation. When `stream` is

@@ -23,17 +23,21 @@ struct StreamingSubmitOptions {
   /// of the whole result.
   int64_t queue_capacity = kDefaultStreamQueueCapacity;
 
-  /// Cap on the contiguous window run one engine pass claims and evaluates
-  /// (0 = unbounded). Within a run the exact engine emits natively window
-  /// by window — each window is cached, claim-fulfilled, and delivered
-  /// (non-blocking) the moment it lands — but delivery only *waits* for a
-  /// slow consumer between runs, so the cap is what bounds a stream's
-  /// undelivered backlog at queue_capacity plus one run of windows (0
-  /// trades that bound for maximal sweep-band locality: the whole run is
+  /// Cap on the contiguous window run one engine pass claims and evaluates,
+  /// in whole sweep bands: a nonzero cap rounds up to a multiple of
+  /// kSweepWindowBand (so 1 and 4 both mean one 16-window band), because a
+  /// shorter pass would re-stream the sketch's dot-prefix block once per
+  /// run. 0 = unbounded. Within a run the exact engine emits natively
+  /// window by window — each window is cached, claim-fulfilled, and
+  /// delivered (non-blocking) the moment it lands — but delivery only
+  /// *waits* for a slow consumer between runs, so the rounded cap bounds a
+  /// stream's undelivered backlog at queue_capacity plus one run of windows
+  /// (0 trades that bound for the whole plan in one pass: the run is
   /// evaluated even if the consumer stalls, and the result accumulates
   /// until delivered). It also bounds claim granularity toward concurrent
-  /// identical queries and the stream's cancel latency. Serving evaluates
-  /// exactly (no jumping), so run chopping never changes results.
+  /// identical queries. Cancellation is checked after every emitted window.
+  /// Serving evaluates exactly (no jumping), so run chopping never changes
+  /// results.
   int64_t max_batch_windows = kDefaultMaxBatchWindows;
 };
 

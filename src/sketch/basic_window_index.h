@@ -129,8 +129,8 @@ class BasicWindowIndex {
   [[gnu::always_inline]] void PrefetchPairRows(int64_t p, int64_t lo,
                                                int64_t dot_hi,
                                                int64_t omc_hi) const {
-    PrefetchSlots(pair_dot_prefix_ + Px(p, 0), lo, dot_hi);
-    PrefetchSlots(pair_one_minus_corr_prefix_ + Px(p, 0), lo, omc_hi);
+    PrefetchRowSlots(pair_dot_prefix_ + Px(p, 0), lo, dot_hi, 8);
+    PrefetchRowSlots(pair_one_minus_corr_prefix_ + Px(p, 0), lo, omc_hi, 8);
   }
 
   /// Exact Pearson correlation of pair id `p` over basic windows [lo, hi),
@@ -180,15 +180,6 @@ class BasicWindowIndex {
   static constexpr int64_t kPairRowPad = 7;
   size_t Px(int64_t p, int64_t w) const {
     return static_cast<size_t>(p * pair_row_stride_ + kPairRowPad + w);
-  }
-  /// Prefetches row[lo..hi]: every 8th slot, then `hi` itself, which the
-  /// stride may have stepped over into the next line.
-  [[gnu::always_inline]] static void PrefetchSlots(const double* row,
-                                                   int64_t lo, int64_t hi) {
-    for (int64_t w = lo; w <= hi; w += 8) {
-      __builtin_prefetch(row + w);
-    }
-    __builtin_prefetch(row + hi);
   }
 
   const TimeSeriesMatrix* data_ = nullptr;

@@ -8,6 +8,8 @@
 
 #include "common/failpoint.h"
 #include "common/logging.h"
+#include "common/math_utils.h"
+#include "corr/sweep_kernel.h"
 #include "engine/dangoron_engine.h"
 #include "engine/factory.h"
 #include "engine/naive_engine.h"
@@ -1646,6 +1648,57 @@ TEST_F(ServeFailpointTest, SpuriousPushFailuresNeverDropOrReorderWindows) {
   }
   ASSERT_TRUE(stream->status().ok()) << stream->status().ToString();
   EXPECT_EQ(next_index, query.NumWindows());
+}
+
+// A nonzero max_batch_windows caps a claimed run in whole sweep bands: a
+// cold exact stream costs one engine pass per kSweepWindowBand windows, not
+// one per max_batch_windows windows, so the sketch's dot-prefix block is
+// streamed once per band. The sweep.band failpoint counts the passes.
+TEST_F(ServeFailpointTest, StreamingExactPlanEvaluatesWholeSweepBands) {
+  const int64_t b = 8;
+  const int64_t length = b * 55;
+  const TimeSeriesMatrix data = SmallClimate(5, length, 7009);
+  const SlidingQuery query = MakeQuery(0, length, b * 6, b, 0.6);
+  const int64_t num_windows = query.NumWindows();
+  ASSERT_GE(num_windows, 48);
+  const CorrelationMatrixSeries truth = NaiveTruth(data, query);
+  ASSERT_TRUE(
+      FailpointRegistry::Instance().Configure("sweep.band=delay:0").ok());
+  const Failpoint* band =
+      FailpointRegistry::Instance().GetOrCreate("sweep.band");
+
+  for (const int64_t max_batch : {int64_t{1}, int64_t{4}}) {
+    SCOPED_TRACE(max_batch);
+    DangoronServerOptions options;
+    options.num_threads = 2;
+    options.basic_window = b;
+    DangoronServer server(options);
+    ASSERT_TRUE(server.AddDataset("d", data).ok());
+    QueryRequest request{"d", query, ServeOptions{}};
+    request.options.tier = ServeTier::kExact;
+    request.options.max_batch_windows = max_batch;
+
+    const int64_t hits_before = band->hits();
+    auto stream = server.SubmitStreaming(request);
+    int64_t next_index = 0;
+    while (auto window = stream->Next()) {
+      ASSERT_EQ(window->window_index, next_index);
+      const auto expected = truth.WindowEdges(next_index);
+      ASSERT_EQ(window->edges->size(), expected.size())
+          << "window " << next_index;
+      for (size_t e = 0; e < expected.size(); ++e) {
+        EXPECT_EQ((*window->edges)[e].i, expected[e].i);
+        EXPECT_EQ((*window->edges)[e].j, expected[e].j);
+        EXPECT_NEAR((*window->edges)[e].value, expected[e].value, 1e-8);
+      }
+      ++next_index;
+    }
+    ASSERT_TRUE(stream->status().ok()) << stream->status().ToString();
+    EXPECT_EQ(next_index, num_windows);
+    EXPECT_EQ(stream->summary().windows_computed, num_windows);
+    EXPECT_EQ(band->hits() - hits_before,
+              CeilDiv(num_windows, kSweepWindowBand));
+  }
 }
 
 // A consumer that cancels and drains concurrently with server destruction:

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -19,6 +20,7 @@
 #include "engine/dangoron_engine.h"
 #include "engine/naive_engine.h"
 #include "engine/window_sink.h"
+#include "sketch/basic_window_index.h"
 #include "ts/generators.h"
 
 namespace dangoron {
@@ -176,6 +178,65 @@ TEST(SweepKernelTest, TileRemainderPairCountsAndThreadCounts) {
     SCOPED_TRACE(threads);
     const auto sweep = RunDangoron(data, query, /*sweep=*/true, threads);
     ExpectBitIdentical(sweep, scalar);
+  }
+}
+
+// Pair-range restrictions (the sharding primitive) cut the sweep's fixed-i
+// runs at arbitrary pair ids and leave runs shorter than the row prefetch
+// distance; every restricted cell must still be bit-identical to the same
+// cell of the unrestricted scalar pair-major run. Steps of 1, 3 and 9 basic
+// windows cover bands whose slots share, straddle and skip cache lines.
+TEST(SweepKernelTest, PairRangeRestrictionsAreBitIdentical) {
+  for (const int64_t n : {int64_t{9}, int64_t{17}, int64_t{130}}) {
+    const auto pair_id = [n](int64_t i, int64_t j) {
+      return BasicWindowIndex::PairId(i, j, n);
+    };
+    const int64_t num_pairs = n * (n - 1) / 2;
+    const std::vector<std::pair<int64_t, int64_t>> ranges = {
+        {pair_id(0, 3), pair_id(2, 5)},      // mid-run to mid-run
+        {pair_id(1, 4), pair_id(1, 4) + 3},  // inside one run
+        {pair_id(n / 2, n / 2 + 2), pair_id(n - 3, n - 1)},
+        {1, num_pairs},
+    };
+    for (const int64_t m : {int64_t{1}, int64_t{3}, int64_t{9}}) {
+      SlidingQuery query;
+      query.window = kBasicWindow * 5;
+      query.step = kBasicWindow * m;
+      query.start = 0;
+      query.end = query.window + 19 * query.step;  // 20 windows: two bands
+      query.threshold = 0.3;
+      query.absolute = true;
+      const TimeSeriesMatrix data =
+          RandomWalkData(n, query.end, 71010 + static_cast<uint64_t>(n * m));
+      const auto scalar = RunDangoron(data, query, /*sweep=*/false, 1);
+      for (const auto& [pair_begin, pair_end] : ranges) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " m=" << m
+                                        << " pairs [" << pair_begin << ", "
+                                        << pair_end << ")");
+        SlidingQuery restricted = query;
+        restricted.pair_begin = pair_begin;
+        restricted.pair_end = pair_end;
+        for (const int32_t threads : {1, 4}) {
+          const auto sweep = RunDangoron(data, restricted, /*sweep=*/true,
+                                         threads);
+          ASSERT_EQ(sweep.num_windows(), scalar.num_windows());
+          for (int64_t k = 0; k < scalar.num_windows(); ++k) {
+            std::vector<Edge> expected;
+            for (const Edge& edge : scalar.WindowEdges(k)) {
+              const int64_t p = pair_id(edge.i, edge.j);
+              if (p >= pair_begin && p < pair_end) {
+                expected.push_back(edge);
+              }
+            }
+            const auto got = sweep.WindowEdges(k);
+            ASSERT_EQ(got.size(), expected.size()) << "window " << k;
+            for (size_t e = 0; e < expected.size(); ++e) {
+              EXPECT_EQ(got[e], expected[e]) << "window " << k;
+            }
+          }
+        }
+      }
+    }
   }
 }
 
