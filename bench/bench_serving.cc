@@ -173,11 +173,14 @@ void AppendServingTiersRow(int64_t n, int64_t nb, std::FILE* out) {
   for (int rep = 0; rep < 3; ++rep) {
     DangoronServer tier_server(BenchServerOptions());
     CHECK(tier_server.AddDataset("d", data).ok());
-    // Warm the sketch outside the timed region with a disjoint family.
+    // Warm the sketch outside the timed region with a disjoint family —
+    // on the approx tier, the one that builds and caches full sketches.
     SlidingQuery prepare_query = query;
     prepare_query.end = prepare_query.start + prepare_query.window;
     prepare_query.threshold = 0.95;
-    CHECK(tier_server.Query("d", prepare_query).ok());
+    QueryRequest prepare_request{"d", prepare_query, ServeOptions{}};
+    prepare_request.options.tier = ServeTier::kApprox;
+    CHECK(tier_server.Query(prepare_request).ok());
 
     QueryRequest exact_request{"d", query, ServeOptions{}};
     exact_request.options.tier = ServeTier::kExact;

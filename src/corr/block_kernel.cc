@@ -44,12 +44,17 @@ inline WindowZStats ComputeWindowZStats(const double* x, int64_t b) {
 
 NormalizedPanels BuildNormalizedPanels(const TimeSeriesMatrix& data,
                                        int64_t basic_window,
-                                       ThreadPool* pool) {
+                                       ThreadPool* pool,
+                                       int64_t num_windows) {
   CHECK_GT(basic_window, 0);
   NormalizedPanels panels;
   panels.num_series = data.num_series();
   panels.basic_window = basic_window;
   panels.num_windows = data.length() / basic_window;
+  if (num_windows >= 0) {
+    CHECK_LE(num_windows, panels.num_windows);
+    panels.num_windows = num_windows;
+  }
   panels.num_tiles = CeilDiv(panels.num_series, kCorrTile);
 
   const int64_t n = panels.num_series;

@@ -149,12 +149,15 @@ struct NormalizedPanels {
   }
 };
 
-/// Builds the panel form of the per-basic-window normalization. Parallel
-/// over (tile, window-chunk) tasks when a pool is given; identical results
-/// for any thread count.
+/// Builds the panel form of the per-basic-window normalization over the
+/// first `num_windows` basic windows (-1: every full one). Parallel over
+/// series tiles when a pool is given; identical results for any thread
+/// count, and for any window count — a window's panel depends on that
+/// window alone.
 NormalizedPanels BuildNormalizedPanels(const TimeSeriesMatrix& data,
                                        int64_t basic_window,
-                                       ThreadPool* pool = nullptr);
+                                       ThreadPool* pool = nullptr,
+                                       int64_t num_windows = -1);
 
 /// Core blocked kernel: computes the Gram (pairwise dot product) tile of a
 /// time-major buffer `zt` (rows = time steps, each a contiguous vector of

@@ -44,7 +44,7 @@ void SweepRowRunBand(const SweepView& v, int64_t base_w0, int64_t ns,
   const int64_t n = v.num_series;
   const int64_t stride = v.row_stride;
   const double beta = v.threshold;
-  const double* rows = v.dot_prefix + pair_begin * stride;
+  const double* rows = v.dot_prefix + (pair_begin - v.first_pair) * stride;
 
   const Vec8 vic = SplatVec8(v.inv_count);
   const Vec8 vone = SplatVec8(1.0);
@@ -157,6 +157,34 @@ void SweepWindowBandPairRange(const SweepView& view, int64_t base_w0,
       ++i;
       j = i + 1;
     }
+  }
+}
+
+void SweepWindowBandRing(const SweepView& view, int64_t slot_offset,
+                         int64_t base_w0, int64_t ns, int64_t m,
+                         int64_t k_begin, int64_t k_end, int64_t pair_begin,
+                         int64_t pair_end, int64_t i0, int64_t j0,
+                         std::vector<Edge>* out_windows) {
+  const int64_t ring = view.row_stride;
+  auto lo_wraps = [&](int64_t k) {
+    return (base_w0 + k * m + slot_offset) / ring;
+  };
+  auto hi_wraps = [&](int64_t k) {
+    return (base_w0 + k * m + ns + slot_offset) / ring;
+  };
+  int64_t k = k_begin;
+  while (k < k_end) {
+    const int64_t a = lo_wraps(k);
+    const int64_t c = hi_wraps(k);
+    int64_t piece_end = k + 1;
+    while (piece_end < k_end && lo_wraps(piece_end) == a &&
+           hi_wraps(piece_end) == c) {
+      ++piece_end;
+    }
+    SweepWindowBandPairRange(view, base_w0 + slot_offset - a * ring,
+                             ns - (c - a) * ring, m, k, piece_end, pair_begin,
+                             pair_end, i0, j0, out_windows + (k - k_begin));
+    k = piece_end;
   }
 }
 

@@ -29,16 +29,18 @@ inline constexpr int64_t kSweepTilePairs = 1024;
 /// small-N regime (band 1: ~1.3x over scalar at N=256; band 16: ~2.8x).
 inline constexpr int64_t kSweepWindowBand = 16;
 
-/// Immutable per-query view the exact sweep kernel reads: the index's
-/// padded pair dot-prefix block plus the engine's hoisted range moments
-/// (see DangoronEngine::QueryPreparedToSink). Prefix slot w of pair p sits
-/// at `dot_prefix[p * row_stride + w]` (BasicWindowIndex::PairDotPrefix /
-/// PairDotRowStride); `range_sum` / `range_inv_css` are window-major
-/// `[k * num_series + s]` — the query-range sum and reciprocal centered
-/// root-sum-of-squares (0 for degenerate series) of series s in window k.
+/// Immutable per-query view the exact sweep kernel reads: pair dot-prefix
+/// rows plus the engine's hoisted range moments (see
+/// DangoronEngine::QueryPreparedToSink). Column c of pair p's row sits at
+/// `dot_prefix[(p - first_pair) * row_stride + c]` — a resident index's
+/// block or a band-streamed ring slab (sketch/'s PairDotRing);
+/// `range_sum` / `range_inv_css` are window-major `[k * num_series + s]` —
+/// the query-range sum and reciprocal centered root-sum-of-squares (0 for
+/// degenerate series) of series s in window k.
 struct SweepView {
   const double* dot_prefix = nullptr;
   int64_t row_stride = 0;
+  int64_t first_pair = 0;
   const double* range_sum = nullptr;
   const double* range_inv_css = nullptr;
   int64_t num_series = 0;
@@ -50,8 +52,9 @@ struct SweepView {
 
 /// The banded window-major exact sweep: computes the correlations of the
 /// contiguous pair-id range [pair_begin, pair_end) for windows
-/// [k_begin, k_end) — window k covering basic windows
-/// [base_w0 + k*m, base_w0 + k*m + ns) — and appends the edges clearing the
+/// [k_begin, k_end) — window k reading row columns lo = base_w0 + k*m and
+/// hi = lo + ns (ns may be negative: see SweepWindowBandRing) — and
+/// appends the edges clearing the
 /// threshold to `out_windows[k - k_begin]`, each window's survivors in
 /// ascending pair-id order (== the canonical (i, j) edge order, so
 /// concatenating tile outputs in tile order yields sorted windows with no
@@ -73,6 +76,21 @@ void SweepWindowBandPairRange(const SweepView& view, int64_t base_w0,
                               int64_t k_end, int64_t pair_begin,
                               int64_t pair_end, int64_t i0, int64_t j0,
                               std::vector<Edge>* out_windows);
+
+/// SweepWindowBandPairRange over rows in ring addressing: prefix slot s of
+/// each pair sits at column (s + slot_offset) mod view.row_stride. Window k
+/// covers slots [base_w0 + k*m, base_w0 + k*m + ns). The band is cut where
+/// its lo or hi column wraps — at most twice, since one band's slots fit
+/// the ring — and each piece runs the unchanged kernel with
+/// base_w0' = base_w0 + slot_offset − a·R and ns' = ns − (c − a)·R, where a
+/// and c count the wraps of the piece's lo and hi slots. A resident
+/// index's block is the ring as long as its stride, which never wraps:
+/// one piece, the plain kernel call.
+void SweepWindowBandRing(const SweepView& view, int64_t slot_offset,
+                         int64_t base_w0, int64_t ns, int64_t m,
+                         int64_t k_begin, int64_t k_end, int64_t pair_begin,
+                         int64_t pair_end, int64_t i0, int64_t j0,
+                         std::vector<Edge>* out_windows);
 
 /// The survivor arena of the banded window-major sweep: one edge buffer per
 /// (pair tile, band window), cleared — not deallocated — between bands,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "common/failpoint.h"
 #include "common/logging.h"
@@ -177,6 +178,14 @@ void ProcessPairBlock(const DangoronOptions& options,
   }
 }
 
+// Where the window-major sweep reads dot prefixes: a resident index's
+// block, or a band-streamed ring slab advanced before each band (exactly
+// one is set; only a resident index serves the scalar pruned leg).
+struct SweepSource {
+  const BasicWindowIndex* index = nullptr;
+  BandStreamedSketch* stream = nullptr;
+};
+
 // Window-major exact sweep (jumping off): windows advance in bands of
 // kSweepWindowBand; within a band, pair tiles run in parallel through the
 // vectorized sweep kernel (or the scalar pruned cell loop when horizontal
@@ -185,19 +194,21 @@ void ProcessPairBlock(const DangoronOptions& options,
 // OnWindow(0) leaves after band/num_windows of the sweep instead of after
 // all of it, while the band keeps each pair's dot-prefix cache lines hot
 // across its windows (pure per-window order is memory-bound at N >= 256;
-// see kSweepWindowBand). The tile decomposition is fixed (kSweepTilePairs),
-// not thread-derived, and cells are independent, so results are identical
-// for every thread count — and bit-identical to the pair-major scalar loop
-// (the kernel mirrors its per-cell operation sequence exactly).
+// see kSweepWindowBand). A streamed source first advances its build just
+// far enough for the band, so the band reads a cache-sized slab instead of
+// the whole block. The tile decomposition is fixed (kSweepTilePairs), not
+// thread-derived, and cells are independent, so results are identical for
+// every thread count and either source — and bit-identical to the
+// pair-major scalar loop (the kernel mirrors its per-cell operation
+// sequence exactly).
 Status RunWindowMajorSweep(const DangoronOptions& options,
-                           const BasicWindowIndex& index,
+                           const SweepSource& source, int64_t n,
                            const SlidingQuery& query, ThreadPool* pool,
                            EngineStats* stats, WindowSink* sink,
                            int64_t base_w0, int64_t ns, int64_t m,
                            const std::vector<double>& range_sum,
                            const std::vector<double>& range_inv_css,
                            const std::vector<double>& pivot_corrs) {
-  const int64_t n = index.num_series();
   const int64_t num_windows = query.NumWindows();
   const int64_t num_pairs = n * (n - 1) / 2;
   // Pair-range restriction (sharding): tiles cover [pair_lo, pair_hi) only.
@@ -221,9 +232,13 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
     }
   };
 
+  const PairDotRing ring = source.stream != nullptr
+                               ? source.stream->DotRing()
+                               : source.index->DotRing();
   SweepView view;
-  view.dot_prefix = index.PairDotPrefix();
-  view.row_stride = index.PairDotRowStride();
+  view.dot_prefix = ring.rows;
+  view.row_stride = ring.ring_slots;
+  view.first_pair = ring.first_pair;
   view.range_sum = range_sum.data();
   view.range_inv_css = range_inv_css.data();
   view.num_series = n;
@@ -245,6 +260,10 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
     }
     const int64_t band_end =
         std::min(num_windows, band_begin + kSweepWindowBand);
+    if (source.stream != nullptr) {
+      source.stream->AdvanceTo(base_w0 + (band_end - 1) * m + ns, pool);
+      DCHECK_GE(base_w0 + band_begin * m, source.stream->oldest_slot());
+    }
     arena.BeginBand();
 
     auto run_tile = [&](int64_t t) {
@@ -260,8 +279,9 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
       EngineStats* local = &tile_stats[static_cast<size_t>(t)];
       std::vector<Edge>* out_windows = arena.tile_windows(t);
       if (P == 0) {
-        SweepWindowBandPairRange(view, base_w0, ns, m, band_begin, band_end,
-                                 pair_begin, pair_end, i, j, out_windows);
+        SweepWindowBandRing(view, kPairRowPad, base_w0, ns, m, band_begin,
+                            band_end, pair_begin, pair_end, i, j,
+                            out_windows);
         local->cells_evaluated +=
             (pair_end - pair_begin) * (band_end - band_begin);
         return;
@@ -278,7 +298,8 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
             continue;
           }
           const double corr = ExactCellCorrelation(
-              index, pair, base_w0 + k * m, ns, range_sum.data() + k * n,
+              *source.index, pair, base_w0 + k * m, ns,
+              range_sum.data() + k * n,
               range_inv_css.data() + k * n, inv_count, i, j);
           ++local->cells_evaluated;
           if (query.IsEdge(corr)) {
@@ -312,6 +333,114 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
   fold_tile_stats();
   sink->OnFinish(Status::Ok());
   return Status::Ok();
+}
+
+// Rejects what no exact evaluation of `query` against a sketch at
+// `basic_window` over `length` columns can answer: a basic-window
+// mismatch, an invalid range, or geometry off the basic-window grid.
+Status CheckQueryGeometry(const DangoronOptions& options, int64_t basic_window,
+                          int64_t length, const SlidingQuery& query) {
+  const int64_t b = options.basic_window;
+  if (b != basic_window) {
+    return Status::InvalidArgument(
+        "DangoronEngine: options.basic_window ", b,
+        " does not match the sketch's ", basic_window);
+  }
+  RETURN_IF_ERROR(query.Validate(length));
+  if (query.start % b != 0 || query.window % b != 0 || query.step % b != 0) {
+    return Status::InvalidArgument(
+        "DangoronEngine: query start/window/step must be multiples of the "
+        "basic window ",
+        b, " (got start=", query.start, " window=", query.window,
+        " step=", query.step,
+        "); use TsubasaEngine for arbitrary alignment");
+  }
+  return Status::Ok();
+}
+
+// A checked query's geometry in basic windows: window k reads prefix slots
+// base_w0 + k*m and base_w0 + k*m + ns; last_slot is the last window's end.
+struct QueryShape {
+  int64_t num_windows = 0;
+  int64_t base_w0 = 0;
+  int64_t ns = 0;
+  int64_t m = 0;
+  int64_t last_slot = 0;
+  int64_t pair_lo = 0;
+  int64_t pair_hi = 0;
+};
+
+// Also records the evaluated problem size in `stats`. A pair-range
+// restriction shrinks it; stats report the restricted size so shard-local
+// counters add up to the full query's across a sharded deployment.
+QueryShape ShapeOf(const DangoronOptions& options, const SlidingQuery& query,
+                   int64_t num_series, EngineStats* stats) {
+  const int64_t b = options.basic_window;
+  QueryShape shape;
+  shape.num_windows = query.NumWindows();
+  shape.base_w0 = query.start / b;
+  shape.ns = query.window / b;
+  shape.m = query.step / b;
+  shape.last_slot =
+      shape.base_w0 + (shape.num_windows - 1) * shape.m + shape.ns;
+  std::tie(shape.pair_lo, shape.pair_hi) =
+      query.PairRange(num_series * (num_series - 1) / 2);
+  if (stats != nullptr) {
+    stats->num_windows = shape.num_windows;
+    stats->num_pairs = shape.pair_hi - shape.pair_lo;
+    stats->cells_total = shape.num_windows * stats->num_pairs;
+  }
+  return shape;
+}
+
+// Hoisted per-(window, series) range moments, window-major [k * n + s]:
+// the query-range sum and the reciprocal of the centered root sum of
+// squares (0 for a degenerate series, making every correlation with it
+// exactly 0, the PearsonFromMoments guard). Computed once so neither the
+// pivot precomputation nor the pair loop ever divides or square-roots per
+// cell. Parallel over windows; identical for any thread count.
+void HoistRangeMoments(const SeriesPrefixes& prefixes,
+                       const SlidingQuery& query, const QueryShape& shape,
+                       int64_t n, ThreadPool* pool,
+                       std::vector<double>* range_sum,
+                       std::vector<double>* range_inv_css) {
+  const double window_count = static_cast<double>(query.window);
+  range_sum->resize(static_cast<size_t>(shape.num_windows * n));
+  range_inv_css->resize(static_cast<size_t>(shape.num_windows * n));
+  auto fill_window_moments = [&](int64_t k) {
+    const int64_t w0 = shape.base_w0 + k * shape.m;
+    double* sums = range_sum->data() + k * n;
+    double* invs = range_inv_css->data() + k * n;
+    for (int64_t s = 0; s < n; ++s) {
+      const double sum = prefixes.SumRange(s, w0, w0 + shape.ns);
+      const double css =
+          prefixes.SumSqRange(s, w0, w0 + shape.ns) - sum * sum / window_count;
+      sums[s] = sum;
+      invs[s] = css > kMomentVarianceEps ? 1.0 / std::sqrt(css) : 0.0;
+    }
+  };
+  if (pool != nullptr && pool->num_threads() > 1 && shape.num_windows > 1) {
+    pool->ParallelFor(shape.num_windows, fill_window_moments);
+  } else {
+    for (int64_t k = 0; k < shape.num_windows; ++k) {
+      fill_window_moments(k);
+    }
+  }
+}
+
+// The geometry a band-streamed run of `query` needs its stream to cover.
+BandStreamOptions StreamOptionsFor(const DangoronOptions& options,
+                                   const SlidingQuery& query,
+                                   int64_t num_series) {
+  const QueryShape shape = ShapeOf(options, query, num_series, nullptr);
+  const int64_t band = std::min(kSweepWindowBand, shape.num_windows);
+  BandStreamOptions stream;
+  stream.basic_window = options.basic_window;
+  stream.band_slots = (band - 1) * shape.m + shape.ns + 1;
+  stream.last_slot = shape.last_slot;
+  stream.pair_begin = shape.pair_lo;
+  stream.pair_end = shape.pair_hi;
+  return stream;
 }
 
 }  // namespace
@@ -372,21 +501,8 @@ Status DangoronEngine::QueryPreparedToSink(
     const DangoronOptions& options, const BasicWindowIndex& index,
     const SlidingQuery& query, ThreadPool* pool, EngineStats* stats,
     WindowSink* sink, std::vector<int64_t>* pivots_out) {
-  const int64_t b = options.basic_window;
-  if (b != index.basic_window()) {
-    return Status::InvalidArgument(
-        "DangoronEngine: options.basic_window ", b,
-        " does not match the prepared index's ", index.basic_window());
-  }
-  RETURN_IF_ERROR(query.Validate(index.data().length()));
-  if (query.start % b != 0 || query.window % b != 0 || query.step % b != 0) {
-    return Status::InvalidArgument(
-        "DangoronEngine: query start/window/step must be multiples of the "
-        "basic window ",
-        b, " (got start=", query.start, " window=", query.window,
-        " step=", query.step,
-        "); use TsubasaEngine for arbitrary alignment");
-  }
+  RETURN_IF_ERROR(CheckQueryGeometry(options, index.basic_window(),
+                                     index.data().length(), query));
   if (options.horizontal_pruning && options.num_pivots <= 0) {
     return Status::InvalidArgument(
         "DangoronEngine: horizontal pruning needs num_pivots > 0");
@@ -397,59 +513,29 @@ Status DangoronEngine::QueryPreparedToSink(
   }
 
   const int64_t n = index.num_series();
-  const int64_t num_windows = query.NumWindows();
-  const int64_t num_pairs = n * (n - 1) / 2;
-  // A pair-range restriction shrinks the evaluated problem; stats report
-  // the restricted size so shard-local counters add up to the full query's
-  // across a sharded deployment.
-  const auto [pair_lo, pair_hi] = query.PairRange(num_pairs);
+  const QueryShape shape = ShapeOf(options, query, n, stats);
+  const int64_t num_windows = shape.num_windows;
+  const int64_t base_w0 = shape.base_w0;
+  const int64_t ns = shape.ns;
+  const int64_t m = shape.m;
+  const int64_t pair_lo = shape.pair_lo;
+  const int64_t pair_hi = shape.pair_hi;
   const int64_t eval_pairs = pair_hi - pair_lo;
-  const int64_t base_w0 = query.start / b;
-  const int64_t ns = query.window / b;
-  const int64_t m = query.step / b;
-  stats->num_windows = num_windows;
-  stats->num_pairs = eval_pairs;
-  stats->cells_total = num_windows * eval_pairs;
 
   // The last window must be fully covered by indexed basic windows.
-  const int64_t last_needed_bw = base_w0 + (num_windows - 1) * m + ns;
-  if (last_needed_bw > index.num_basic_windows()) {
+  if (shape.last_slot > index.num_basic_windows()) {
     return Status::OutOfRange(
-        "DangoronEngine: query needs basic windows up to ", last_needed_bw,
+        "DangoronEngine: query needs basic windows up to ", shape.last_slot,
         " but only ", index.num_basic_windows(), " are indexed");
   }
   RETURN_IF_ERROR(sink->OnBegin(query, n));
 
   const int num_pool_threads = pool != nullptr ? pool->num_threads() : 1;
-
-  // Hoisted per-(window, series) range moments, window-major [k * n + s]:
-  // the query-range sum and the reciprocal of the centered root sum of
-  // squares (0 for a degenerate series, making every correlation with it
-  // exactly 0, the PearsonFromMoments guard). Computed once so neither the
-  // pivot precomputation nor the pair loop ever divides or square-roots per
-  // cell. Parallel over windows; identical for any thread count.
+  std::vector<double> range_sum;
+  std::vector<double> range_inv_css;
+  HoistRangeMoments(index.series_prefixes(), query, shape, n, pool,
+                    &range_sum, &range_inv_css);
   const double window_count = static_cast<double>(query.window);
-  std::vector<double> range_sum(static_cast<size_t>(num_windows * n));
-  std::vector<double> range_inv_css(static_cast<size_t>(num_windows * n));
-  auto fill_window_moments = [&](int64_t k) {
-    const int64_t w0 = base_w0 + k * m;
-    double* sums = range_sum.data() + k * n;
-    double* invs = range_inv_css.data() + k * n;
-    for (int64_t s = 0; s < n; ++s) {
-      const double sum = index.SumRange(s, w0, w0 + ns);
-      const double css =
-          index.SumSqRange(s, w0, w0 + ns) - sum * sum / window_count;
-      sums[s] = sum;
-      invs[s] = css > kMomentVarianceEps ? 1.0 / std::sqrt(css) : 0.0;
-    }
-  };
-  if (pool != nullptr && num_pool_threads > 1 && num_windows > 1) {
-    pool->ParallelFor(num_windows, fill_window_moments);
-  } else {
-    for (int64_t k = 0; k < num_windows; ++k) {
-      fill_window_moments(k);
-    }
-  }
 
   // Pivot correlations for horizontal pruning: pivot_corrs[k * P * n + p * n
   // + s] = corr(pivot_p, series_s) in window k, computed exactly in O(1)
@@ -502,9 +588,10 @@ Status DangoronEngine::QueryPreparedToSink(
   // k+1.. are even evaluated for that pair — and doubles as the scalar
   // differential oracle when use_sweep_kernel is off.
   if (!options.enable_jumping && options.use_sweep_kernel) {
-    return RunWindowMajorSweep(options, index, query, pool, stats, sink,
-                               base_w0, ns, m, range_sum, range_inv_css,
-                               pivot_corrs);
+    return RunWindowMajorSweep(options,
+                               SweepSource{&index, nullptr},
+                               n, query, pool, stats, sink, base_w0, ns, m,
+                               range_sum, range_inv_css, pivot_corrs);
   }
 
   // Pair-block decomposition: contiguous ranges of pair ids, processed
@@ -572,6 +659,85 @@ Status DangoronEngine::QueryPreparedToSink(
   }
   sink->OnFinish(Status::Ok());
   return Status::Ok();
+}
+
+Result<BandStreamedSketch> DangoronEngine::CreateStream(
+    const TimeSeriesMatrix& data, const DangoronOptions& options,
+    const SlidingQuery& query, ThreadPool* pool) {
+  RETURN_IF_ERROR(
+      CheckQueryGeometry(options, options.basic_window, data.length(), query));
+  return BandStreamedSketch::Create(
+      data, StreamOptionsFor(options, query, data.num_series()), pool);
+}
+
+int64_t DangoronEngine::EstimateStreamBytes(int64_t num_series, int64_t length,
+                                            const DangoronOptions& options,
+                                            const SlidingQuery& query) {
+  if (num_series <= 0 ||
+      !CheckQueryGeometry(options, options.basic_window, length, query).ok()) {
+    return 0;
+  }
+  return BandStreamedSketch::EstimateMemoryBytes(
+      num_series, length, StreamOptionsFor(options, query, num_series));
+}
+
+Status DangoronEngine::QueryStreamedToSink(const DangoronOptions& options,
+                                           BandStreamedSketch* stream,
+                                           const SlidingQuery& query,
+                                           ThreadPool* pool,
+                                           EngineStats* stats,
+                                           WindowSink* sink) {
+  if (options.enable_jumping || !options.use_sweep_kernel ||
+      options.horizontal_pruning) {
+    return Status::InvalidArgument(
+        "DangoronEngine: a band-streamed query runs the exact sweep only "
+        "(jumping, the scalar oracle and horizontal pruning need a "
+        "resident index)");
+  }
+  RETURN_IF_ERROR(CheckQueryGeometry(options, stream->basic_window(),
+                                     stream->length(), query));
+  EngineStats local_stats;
+  if (stats == nullptr) {
+    stats = &local_stats;
+  }
+  const int64_t n = stream->num_series();
+  const QueryShape shape = ShapeOf(options, query, n, stats);
+  const BandStreamOptions& covered = stream->options();
+  const BandStreamOptions needed = StreamOptionsFor(options, query, n);
+  if (shape.last_slot > covered.last_slot ||
+      shape.pair_lo < covered.pair_begin || shape.pair_hi > covered.pair_end ||
+      needed.band_slots > covered.band_slots) {
+    return Status::InvalidArgument(
+        "DangoronEngine: query reaches past its stream (slots up to ",
+        shape.last_slot, ", pairs [", shape.pair_lo, ", ", shape.pair_hi,
+        "), ", needed.band_slots, " slots per band)");
+  }
+  if (shape.base_w0 < stream->oldest_slot()) {
+    return Status::FailedPrecondition(
+        "DangoronEngine: stream already advanced past slot ", shape.base_w0,
+        " (streams only move forward)");
+  }
+  RETURN_IF_ERROR(sink->OnBegin(query, n));
+  std::vector<double> range_sum;
+  std::vector<double> range_inv_css;
+  HoistRangeMoments(stream->series_prefixes(), query, shape, n, pool,
+                    &range_sum, &range_inv_css);
+  return RunWindowMajorSweep(options,
+                             SweepSource{nullptr, stream},
+                             n, query, pool, stats, sink, shape.base_w0,
+                             shape.ns, shape.m, range_sum, range_inv_css,
+                             /*pivot_corrs=*/{});
+}
+
+Status DangoronEngine::QueryStreamedToSink(const DangoronOptions& options,
+                                           const TimeSeriesMatrix& data,
+                                           const SlidingQuery& query,
+                                           ThreadPool* pool,
+                                           EngineStats* stats,
+                                           WindowSink* sink) {
+  ASSIGN_OR_RETURN(BandStreamedSketch stream,
+                   CreateStream(data, options, query, pool));
+  return QueryStreamedToSink(options, &stream, query, pool, stats, sink);
 }
 
 }  // namespace dangoron

@@ -8,6 +8,7 @@
 #include "bound/bounds.h"
 #include "common/thread_pool.h"
 #include "engine/correlation_engine.h"
+#include "sketch/band_streamed_sketch.h"
 #include "sketch/basic_window_index.h"
 
 namespace dangoron {
@@ -119,6 +120,42 @@ class DangoronEngine : public CorrelationEngine {
                                     ThreadPool* pool, EngineStats* stats,
                                     WindowSink* sink,
                                     std::vector<int64_t>* pivots_out = nullptr);
+
+  /// Band-streamed exact evaluation (jumping off, sweep kernel, no
+  /// horizontal pruning): the same window-major sweep, range-moment hoist
+  /// and emission as QueryPreparedToSink, but each band first advances
+  /// `stream`'s blocked build just far enough and reads the band's slots
+  /// from its cache-sized ring slab — no full pair block is ever
+  /// materialized, and the Eq. 2 budget is never computed. Edges are
+  /// bit-identical to QueryPreparedToSink against a blocked index of the
+  /// same data. One stream may serve several calls (the serving layer's
+  /// claimed runs) as long as their windows move forward and stay inside
+  /// the geometry it was created for (CreateStream).
+  static Status QueryStreamedToSink(const DangoronOptions& options,
+                                    BandStreamedSketch* stream,
+                                    const SlidingQuery& query,
+                                    ThreadPool* pool, EngineStats* stats,
+                                    WindowSink* sink);
+  /// One-shot form: creates the stream for `query`, then runs it.
+  static Status QueryStreamedToSink(const DangoronOptions& options,
+                                    const TimeSeriesMatrix& data,
+                                    const SlidingQuery& query,
+                                    ThreadPool* pool, EngineStats* stats,
+                                    WindowSink* sink);
+
+  /// The stream `query` (and any later, forward part of it) runs against:
+  /// its ring sized for the query's band span, its build bounded by the
+  /// query's last slot and its pair range. The stream keeps its own
+  /// normalized copy of `data`, which it does not borrow.
+  static Result<BandStreamedSketch> CreateStream(const TimeSeriesMatrix& data,
+                                                 const DangoronOptions& options,
+                                                 const SlidingQuery& query,
+                                                 ThreadPool* pool);
+  /// CreateStream's MemoryBytes() without building it (0 for a query no
+  /// stream can serve) — the serving layer's transient reservation.
+  static int64_t EstimateStreamBytes(int64_t num_series, int64_t length,
+                                     const DangoronOptions& options,
+                                     const SlidingQuery& query);
 
  private:
   DangoronOptions options_;

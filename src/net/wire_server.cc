@@ -247,7 +247,9 @@ TaskLane WireServer::ClassifyLane(const WireRequest& request) const {
   const bool tight = request.options.deadline_ms.has_value() &&
                      *request.options.deadline_ms > 0 &&
                      *request.options.deadline_ms <= options_.high_lane_deadline_ms;
-  if (tight || server_->HasPreparedSketch(request.dataset)) {
+  if (tight ||
+      server_->StartsWarm(
+          QueryRequest{request.dataset, request.query, request.options})) {
     return TaskLane::kHigh;
   }
   if (request.options.deadline_ms.has_value() &&

@@ -123,9 +123,10 @@ class WireServer {
   WireServerStats stats() const;
 
   /// Lane routing of one request — exposed for tests and the docs:
-  /// - high: deadline <= high_lane_deadline_ms, or the dataset's sketch is
-  ///   resident (warm requests finish fast; serving them first keeps tail
-  ///   latency flat under cold backlog);
+  /// - high: deadline <= high_lane_deadline_ms, or the request starts warm
+  ///   (DangoronServer::StartsWarm: its full sketch is resident or, exact
+  ///   tier, its first window is cached — warm requests finish fast;
+  ///   serving them first keeps tail latency flat under cold backlog);
   /// - medium: cold but deadline-bound;
   /// - low: cold prepares with no deadline — an index build must never
   ///   queue ahead of a microsecond cache hit.

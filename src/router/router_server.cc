@@ -90,10 +90,31 @@ Status RouterServer::AddConnection(int fd) {
   }
   MutexLock lock(mutex_);
   ++stats_.connections_adopted;
+  SpawnConnectionLocked(fd);
+  return Status::Ok();
+}
+
+void RouterServer::SpawnConnectionLocked(int fd) {
+  // Reap with a plain loop, not erase_if: joining is a side effect the
+  // remove_if predicate contract does not allow.
+  std::vector<Connection> live;
+  live.reserve(connections_.size() + 1);
+  for (Connection& connection : connections_) {
+    if (connection.finished->load()) {
+      connection.thread.join();
+    } else {
+      live.push_back(std::move(connection));
+    }
+  }
+  connections_ = std::move(live);
   ++stats_.connections_active;
   open_fds_.push_back(fd);
-  connection_threads_.emplace_back([this, fd] { HandleConnection(fd); });
-  return Status::Ok();
+  auto finished = std::make_shared<std::atomic<bool>>(false);
+  connections_.push_back(Connection{std::thread([this, fd, finished] {
+                                      HandleConnection(fd);
+                                      finished->store(true);
+                                    }),
+                                    finished});
 }
 
 void RouterServer::Stop() {
@@ -115,15 +136,13 @@ void RouterServer::Stop() {
       ::shutdown(fd, SHUT_RDWR);
     }
   }
-  std::vector<std::thread> threads;
+  std::vector<Connection> connections;
   {
     MutexLock lock(mutex_);
-    threads.swap(connection_threads_);
+    connections.swap(connections_);
   }
-  for (std::thread& t : threads) {
-    if (t.joinable()) {
-      t.join();
-    }
+  for (Connection& connection : connections) {
+    connection.thread.join();
   }
 }
 
@@ -153,9 +172,7 @@ void RouterServer::AcceptLoop() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    ++stats_.connections_active;
-    open_fds_.push_back(fd);
-    connection_threads_.emplace_back([this, fd] { HandleConnection(fd); });
+    SpawnConnectionLocked(fd);
   }
 }
 

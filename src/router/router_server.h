@@ -98,7 +98,18 @@ class RouterServer {
     uint64_t fingerprint = 0;
   };
 
+  /// One client connection's thread and its exit flag, set as the thread's
+  /// last act so a set flag means join() returns at once.
+  struct Connection {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> finished;
+  };
+
   void AcceptLoop();
+  /// Registers `fd` and starts its connection thread, first joining the
+  /// threads of connections that already ended: an unjoined finished
+  /// thread keeps its stack mapped until Stop().
+  void SpawnConnectionLocked(int fd) REQUIRES(mutex_);
   void HandleConnection(int fd);
   /// Serves one decoded request on `fd`; returns false when the connection
   /// must close (protocol error or dead socket).
@@ -117,7 +128,7 @@ class RouterServer {
 
   mutable Mutex mutex_;
   std::unordered_map<std::string, DatasetInfo> datasets_ GUARDED_BY(mutex_);
-  std::vector<std::thread> connection_threads_ GUARDED_BY(mutex_);
+  std::vector<Connection> connections_ GUARDED_BY(mutex_);
   std::vector<int> open_fds_ GUARDED_BY(mutex_);
   RouterServerStats stats_ GUARDED_BY(mutex_);
 };

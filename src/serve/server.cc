@@ -265,6 +265,29 @@ bool DangoronServer::HasPreparedSketch(const std::string& dataset) const {
       SketchCacheKey{fingerprint, options_.basic_window});
 }
 
+bool DangoronServer::StartsWarm(const QueryRequest& request) const {
+  if (HasPreparedSketch(request.dataset)) {
+    return true;
+  }
+  if (request.options.tier.value_or(options_.default_tier) ==
+      ServeTier::kApprox) {
+    return false;  // the approx tier never reads the window cache
+  }
+  uint64_t fingerprint = 0;
+  {
+    MutexLock lock(datasets_mutex_);
+    auto it = datasets_.find(request.dataset);
+    if (it == datasets_.end()) {
+      return false;
+    }
+    fingerprint = it->second.fingerprint;
+  }
+  const SlidingQuery& query = request.query;
+  return result_cache_.Contains(QueryWindowKey(
+      fingerprint, options_.basic_window, query, 0,
+      CanonicalThreshold(query.threshold, query.absolute)));
+}
+
 double DangoronServer::CanonicalThreshold(double threshold,
                                           bool absolute) const {
   const int64_t steps = options_.threshold_family_steps;
@@ -400,16 +423,23 @@ Status DangoronServer::CheckQueryAligned(const SlidingQuery& query) const {
   return Status::Ok();
 }
 
-Status DangoronServer::CheckIndexCoverage(const SlidingQuery& query,
-                                          const BasicWindowIndex& index) const {
+int64_t DangoronServer::EstimateStreamBytes(const RequestContext& ctx) const {
+  return DangoronEngine::EstimateStreamBytes(
+      ctx.data->num_series(), ctx.data->length(),
+      ServingEngineOptions(options_.basic_window), ctx.query);
+}
+
+Status DangoronServer::CheckCoverage(const SlidingQuery& query,
+                                     const TimeSeriesMatrix& data) const {
   const int64_t b = options_.basic_window;
   const int64_t last_needed_bw =
       query.start / b + (query.NumWindows() - 1) * (query.step / b) +
       query.window / b;
-  if (last_needed_bw > index.num_basic_windows()) {
+  const int64_t indexed = data.length() / b;
+  if (last_needed_bw > indexed) {
     return Status::OutOfRange(
         "DangoronServer: query needs basic windows up to ", last_needed_bw,
-        " but only ", index.num_basic_windows(), " are indexed");
+        " but only ", indexed, " are indexed");
   }
   return Status::Ok();
 }
@@ -507,6 +537,131 @@ Result<ServeResult> DangoronServer::Query(const std::string& dataset,
   return Submit(dataset, query).get();
 }
 
+Result<bool> DangoronServer::AdmitBuild(
+    int64_t estimate, const SketchCacheKey& key, AdmissionPolicy admission,
+    const DeadlineToken& deadline, WindowStreamState* stream,
+    std::shared_ptr<const PreparedDataset>* landed) {
+  if (admission == AdmissionPolicy::kQueue) {
+    // Reserve budget — reclaiming idle LRU entries, else parking until
+    // evictions or released handles free enough, the deadline passes, or
+    // the stream cancels.
+    const Status admitted = admission_queue_.Admit(
+        estimate, key, deadline.deadline(), stream,
+        [this] {
+          // At park time, not on return: stats must show a request that is
+          // *currently* parked.
+          MutexLock lock(stats_mutex_);
+          ++stats_.prepares_queued;
+        },
+        landed);
+    if (!admitted.ok()) {
+      MutexLock lock(stats_mutex_);
+      if (admitted.code() == StatusCode::kResourceExhausted) {
+        ++stats_.prepares_refused;
+      } else if (admitted.code() == StatusCode::kDeadlineExceeded) {
+        ++stats_.deadline_exceeded;
+      }
+      return admitted;
+    }
+    return *landed == nullptr;
+  }
+  // The refuse policy rejects what can never fit the budget up front from
+  // the closed-form estimate (gated on refuse_oversized_prepares).
+  if (options_.refuse_oversized_prepares &&
+      estimate > sketch_cache_.byte_budget()) {
+    {
+      MutexLock lock(stats_mutex_);
+      ++stats_.prepares_refused;
+    }
+    return Status::ResourceExhausted(
+        "DangoronServer: prepare refused by admission policy — estimated ",
+        estimate, " bytes exceeds the sketch-cache budget of ",
+        sketch_cache_.byte_budget(), " bytes");
+  }
+  return false;
+}
+
+template <typename T>
+Result<T> DangoronServer::BuildWithRetries(
+    uint64_t fingerprint, const DeadlineToken& deadline,
+    WindowStreamState* stream, const std::function<Result<T>()>& build_once) {
+  // The failpoint fires first so injected faults take the same
+  // retry/failure path a real build fault would.
+  auto attempt = [&]() -> Result<T> {
+    DANGORON_FAILPOINT("serve.prepare");
+    return build_once();
+  };
+  Result<T> built = attempt();
+  int retries = 0;
+  // Deterministic jitter: no wall-clock seeding (a per-process counter
+  // varies the stream across requests), and the nominal 1/2/4 ms backoff
+  // is scaled by [0.5, 1.5) then clipped to the remaining deadline.
+  static std::atomic<uint64_t> retry_seq{0};
+  Rng jitter(fingerprint ^ (retry_seq.fetch_add(1) + 0x9e3779b97f4a7c15ull));
+  while (!built.ok() && PrepareRetryable(built.status()) &&
+         retries < kPrepareMaxRetries && !deadline.expired() &&
+         (stream == nullptr || !stream->cancelled())) {
+    ++retries;
+    double backoff_ms = static_cast<double>(int64_t{1} << (retries - 1)) *
+                        (0.5 + jitter.NextDouble());
+    if (deadline.has_deadline()) {
+      backoff_ms = std::min(backoff_ms, std::max(0.0, deadline.remaining_ms()));
+    }
+    std::this_thread::sleep_for(
+        std::chrono::duration<double, std::milli>(backoff_ms));
+    built = attempt();
+  }
+  if (retries > 0) {
+    MutexLock lock(stats_mutex_);
+    stats_.prepare_retries += retries;
+  }
+  return built;
+}
+
+Status DangoronServer::OpenExactSource(const RequestContext& ctx,
+                                       WindowStreamState* stream,
+                                       ExactSource* source, ServeResult* out) {
+  const SketchCacheKey key{ctx.fingerprint, options_.basic_window};
+  // A resident full sketch (built by an approx query) serves the exact
+  // sweep too — the cache state decides, no option does.
+  if (auto cached = sketch_cache_.Get(key)) {
+    source->resident = std::move(cached);
+    MutexLock lock(stats_mutex_);
+    ++stats_.prepares_shared;
+    return Status::Ok();
+  }
+  // Otherwise band-stream: the panels plus the ring slab are a transient
+  // working set, admitted like a build and released when the plan ends.
+  const int64_t estimate = EstimateStreamBytes(ctx);
+  std::shared_ptr<const PreparedDataset> landed;
+  ASSIGN_OR_RETURN(const bool reserved,
+                   AdmitBuild(estimate, key, ctx.admission, ctx.deadline,
+                              stream, &landed));
+  if (landed != nullptr) {
+    source->resident = std::move(landed);
+    MutexLock lock(stats_mutex_);
+    ++stats_.prepares_shared;
+    return Status::Ok();
+  }
+  if (reserved) {
+    source->reservation_queue = &admission_queue_;
+    source->reservation_bytes = estimate;
+  }
+  const DangoronOptions engine_options =
+      ServingEngineOptions(options_.basic_window);
+  Result<BandStreamedSketch> created = BuildWithRetries<BandStreamedSketch>(
+      ctx.fingerprint, ctx.deadline, stream, [&] {
+        return DangoronEngine::CreateStream(*ctx.data, engine_options,
+                                            ctx.query, pool_.get());
+      });
+  RETURN_IF_ERROR(created.status());
+  source->streamed.emplace(std::move(*created));
+  out->prepared_from_cache = false;
+  MutexLock lock(stats_mutex_);
+  ++stats_.prepares_built;
+  return Status::Ok();
+}
+
 Result<std::shared_ptr<const PreparedDataset>> DangoronServer::GetOrPrepare(
     std::shared_ptr<const TimeSeriesMatrix> data, uint64_t fingerprint,
     AdmissionPolicy admission, const DeadlineToken& deadline,
@@ -545,53 +700,19 @@ Result<std::shared_ptr<const PreparedDataset>> DangoronServer::GetOrPrepare(
   // built only to be evicted on insertion (and would flush every warm
   // sketch's LRU position on its way through the build's memory pressure);
   // one that fits the budget but not the currently *free* budget would
-  // thrash warm sketches pinned by in-flight queries. The refuse policy
-  // rejects the former up front from the closed-form estimate (its
-  // historical behavior, gated on refuse_oversized_prepares); the queue
-  // policy reserves budget — reclaiming idle LRU entries, else parking
-  // until evictions or released handles free enough, the deadline passes,
-  // or the stream cancels.
+  // thrash warm sketches pinned by in-flight queries (see AdmitBuild).
   const int64_t estimate = EstimatePrepareBytes(*data);
-  bool queued_reservation = false;
-  if (admission == AdmissionPolicy::kQueue) {
-    std::shared_ptr<const PreparedDataset> landed;
-    const Status admitted = admission_queue_.Admit(
-        estimate, key, deadline.deadline(), stream,
-        [this] {
-          // At park time, not on return: stats must show a request that is
-          // *currently* parked.
-          MutexLock lock(stats_mutex_);
-          ++stats_.prepares_queued;
-        },
-        &landed);
-    if (!admitted.ok()) {
-      MutexLock lock(stats_mutex_);
-      if (admitted.code() == StatusCode::kResourceExhausted) {
-        ++stats_.prepares_refused;
-      } else if (admitted.code() == StatusCode::kDeadlineExceeded) {
-        ++stats_.deadline_exceeded;
-      }
-      return admitted;
-    }
-    if (landed != nullptr) {
-      // A concurrent build published this sketch while we waited; the
-      // queue admitted through the cache with no reservation taken.
-      *shared = true;
-      MutexLock lock(stats_mutex_);
-      ++stats_.prepares_shared;
-      return landed;
-    }
-    queued_reservation = true;
-  } else if (options_.refuse_oversized_prepares &&
-             estimate > sketch_cache_.byte_budget()) {
-    {
-      MutexLock lock(stats_mutex_);
-      ++stats_.prepares_refused;
-    }
-    return Status::ResourceExhausted(
-        "DangoronServer: prepare refused by admission policy — estimated ",
-        estimate, " bytes exceeds the sketch-cache budget of ",
-        sketch_cache_.byte_budget(), " bytes");
+  std::shared_ptr<const PreparedDataset> landed;
+  ASSIGN_OR_RETURN(const bool queued_reservation,
+                   AdmitBuild(estimate, key, admission, deadline, stream,
+                              &landed));
+  if (landed != nullptr) {
+    // A concurrent build published this sketch while we waited; the
+    // queue admitted through the cache with no reservation taken.
+    *shared = true;
+    MutexLock lock(stats_mutex_);
+    ++stats_.prepares_shared;
+    return landed;
   }
   // From here every return path under a queued admission must Release the
   // reservation: once the built entry is Put (its bytes then count against
@@ -626,37 +747,12 @@ Result<std::shared_ptr<const PreparedDataset>> DangoronServer::GetOrPrepare(
     // one failure does not poison every waiter with an opaque error.
   }
 
-  // One build attempt: the failpoint fires first so injected faults take
-  // the same retry/failure path a real build fault would.
-  auto build_once = [&]() -> Result<std::shared_ptr<const PreparedDataset>> {
-    DANGORON_FAILPOINT("serve.prepare");
-    return PreparedDataset::Create(data, options_.basic_window, pool_.get(),
-                                   fingerprint);
-  };
-  auto prepared_or = build_once();
-  int retries = 0;
-  // Deterministic jitter: no wall-clock seeding (a per-process counter
-  // varies the stream across requests), and the nominal 1/2/4 ms backoff
-  // is scaled by [0.5, 1.5) then clipped to the remaining deadline.
-  static std::atomic<uint64_t> retry_seq{0};
-  Rng jitter(fingerprint ^ (retry_seq.fetch_add(1) + 0x9e3779b97f4a7c15ull));
-  while (!prepared_or.ok() && PrepareRetryable(prepared_or.status()) &&
-         retries < kPrepareMaxRetries && !deadline.expired() &&
-         (stream == nullptr || !stream->cancelled())) {
-    ++retries;
-    double backoff_ms = static_cast<double>(int64_t{1} << (retries - 1)) *
-                        (0.5 + jitter.NextDouble());
-    if (deadline.has_deadline()) {
-      backoff_ms = std::min(backoff_ms, std::max(0.0, deadline.remaining_ms()));
-    }
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(backoff_ms));
-    prepared_or = build_once();
-  }
-  if (retries > 0) {
-    MutexLock lock(stats_mutex_);
-    stats_.prepare_retries += retries;
-  }
+  Result<std::shared_ptr<const PreparedDataset>> prepared_or =
+      BuildWithRetries<std::shared_ptr<const PreparedDataset>>(
+          fingerprint, deadline, stream, [&] {
+            return PreparedDataset::Create(data, options_.basic_window,
+                                           pool_.get(), fingerprint);
+          });
   std::shared_ptr<const PreparedDataset> prepared =
       prepared_or.ok() ? *prepared_or : nullptr;
   if (producer) {
@@ -703,16 +799,14 @@ Status DangoronServer::RunWindowPlan(
   RETURN_IF_ERROR(query.Validate(data->length()));
   const int64_t b = options_.basic_window;
   RETURN_IF_ERROR(CheckQueryAligned(query));
-
-  Stopwatch prepare_timer;
-  ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> prepared,
-                   GetOrPrepare(data, fingerprint, ctx.admission,
-                                ctx.deadline, stream,
-                                &out->prepared_from_cache));
+  RETURN_IF_ERROR(CheckCoverage(query, *data));
   if (prepare_seconds_out != nullptr) {
-    *prepare_seconds_out = prepare_timer.ElapsedSeconds();
+    *prepare_seconds_out = 0.0;
   }
-  RETURN_IF_ERROR(CheckIndexCoverage(query, prepared->index()));
+  // Nothing is built until a window must be computed: a plan served from
+  // the window cache and joins pays no build.
+  out->prepared_from_cache = true;
+  ExactSource source;
 
   const int64_t num_windows = query.NumWindows();
 
@@ -826,6 +920,30 @@ Status DangoronServer::RunWindowPlan(
   };
 
   const DangoronOptions engine_options = ServingEngineOptions(b);
+  // Evaluates `sub` (a forward part of the plan's query) against the open
+  // source. Claimed runs and failed-join re-evaluations move strictly
+  // forward through the plan, as a band stream requires.
+  auto evaluate = [&](const SlidingQuery& sub, WindowSink* sink) {
+    if (source.resident != nullptr) {
+      return DangoronEngine::QueryPreparedToSink(
+          engine_options, source.resident->index(), sub, pool_.get(),
+          /*stats=*/nullptr, sink);
+    }
+    return DangoronEngine::QueryStreamedToSink(engine_options,
+                                               &*source.streamed, sub,
+                                               pool_.get(), /*stats=*/nullptr,
+                                               sink);
+  };
+  // Opens the source before any claim is taken: admission may park, and a
+  // parked plan must not hold claims others are joining.
+  auto open_source = [&]() {
+    Stopwatch open_timer;
+    const Status opened = OpenExactSource(ctx, stream, &source, out);
+    if (prepare_seconds_out != nullptr) {
+      *prepare_seconds_out += open_timer.ElapsedSeconds();
+    }
+    return opened;
+  };
 
   // Walk the windows in order, resolving each from the cache, a concurrent
   // query's in-flight claim, or our own evaluation. Claims are taken *per
@@ -869,9 +987,11 @@ Status DangoronServer::RunWindowPlan(
     }
 
     // Resolve window k under the dedup lock; if it is free, claim the
-    // maximal contiguous free run from k (capped at run_cap).
+    // maximal contiguous free run from k (capped at run_cap) — once the
+    // source is open.
     WindowClaimPtr join;
     std::vector<WindowClaimPtr> claims;
+    bool needs_source = false;
     {
       MutexLock lock(inflight_mutex_);
       if (auto cached = result_cache_.Get(key_for(k))) {
@@ -880,6 +1000,8 @@ Status DangoronServer::RunWindowPlan(
       } else if (auto it = inflight_windows_.find(key_for(k));
                  it != inflight_windows_.end()) {
         join = it->second;
+      } else if (!source.open()) {
+        needs_source = true;
       } else {
         int64_t claimed = 1;
         while (claimed < run_cap && k + claimed < num_windows) {
@@ -909,6 +1031,13 @@ Status DangoronServer::RunWindowPlan(
       continue;
     }
 
+    if (needs_source) {
+      if (Status opened = open_source(); !opened.ok()) {
+        return finish_plan(opened);
+      }
+      continue;  // re-resolve window k: it may have landed meanwhile
+    }
+
     if (join != nullptr) {
       // Wait holding no claims — and cancellably: a streaming plan wakes on
       // its own stream's Cancel instead of waiting out the foreign
@@ -928,15 +1057,19 @@ Status DangoronServer::RunWindowPlan(
         return finish_plan(deadline_abort("joining a claimed window"));
       }
       if (edges == nullptr) {
+        if (!source.open()) {
+          if (Status opened = open_source(); !opened.ok()) {
+            return finish_plan(opened);
+          }
+        }
         SlidingQuery sub = eval;
         sub.start = query.start + k * query.step;
         sub.end = sub.start + query.window;
-        auto single_or = DangoronEngine::QueryPrepared(
-            engine_options, prepared->index(), sub, pool_.get(), nullptr);
-        if (!single_or.ok()) {
-          return finish_plan(single_or.status());
+        CollectingWindowSink single_sink;
+        if (Status single = evaluate(sub, &single_sink); !single.ok()) {
+          return finish_plan(single);
         }
-        CorrelationMatrixSeries single = std::move(*single_or);
+        CorrelationMatrixSeries single = single_sink.TakeSeries();
         edges = std::make_shared<std::vector<Edge>>(
             std::move(*single.MutableWindow(0)));
         result_cache_.Put(key_for(k), edges, WindowEdgesBytes(*edges));
@@ -990,9 +1123,7 @@ Status DangoronServer::RunWindowPlan(
     SlidingQuery sub = eval;
     sub.start = query.start + k * query.step;
     sub.end = sub.start + (claimed - 1) * query.step + query.window;
-    const Status eval_status = DangoronEngine::QueryPreparedToSink(
-        engine_options, prepared->index(), sub, pool_.get(),
-        /*stats=*/nullptr, &run_sink);
+    const Status eval_status = evaluate(sub, &run_sink);
     if (!eval_status.ok()) {
       // Engine failure, sink-driven cancellation, or deadline abort
       // mid-run: fulfill the remaining claims with null so joiners
@@ -1054,11 +1185,11 @@ Status DangoronServer::RunApproxPlan(const RequestContext& ctx,
   // exact queries happened to cache), no Put (a jumped window's edge set
   // depends on this query's range; publishing it would poison exact
   // reuse), and no claims (nothing here is joinable).
+  RETURN_IF_ERROR(CheckCoverage(query, *ctx.data));
   ASSIGN_OR_RETURN(std::shared_ptr<const PreparedDataset> prepared,
                    GetOrPrepare(ctx.data, ctx.fingerprint, ctx.admission,
                                 ctx.deadline, stream,
                                 &out->prepared_from_cache));
-  RETURN_IF_ERROR(CheckIndexCoverage(query, prepared->index()));
   const int64_t num_windows = query.NumWindows();
 
   DangoronOptions engine_options = ServingEngineOptions(b);
@@ -1182,8 +1313,8 @@ Result<ServeResult> DangoronServer::RunQuery(const RequestContext& ctx) {
   // elapsed time, and a query that joined or cache-read windows folds
   // foreign evaluation waits into plan_ns while dividing by only its own
   // computed windows — any of which would inflate the sample arbitrarily.
-  // Prepare time — a cold build, an in-flight build join, or an
-  // admission-queue park — is subtracted outright (prepare_seconds).
+  // Opening the source — an admission-queue park or a stream's panel
+  // build — is subtracted outright (prepare_seconds).
   if (plan.ok() && out.windows_computed > 0 && out.windows_joined == 0 &&
       out.windows_from_cache == 0) {
     const int64_t n = ctx.data->num_series();

@@ -3,8 +3,10 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -20,6 +22,7 @@
 #include "serve/sketch_cache.h"
 #include "serve/window_result_cache.h"
 #include "serve/window_stream.h"
+#include "sketch/band_streamed_sketch.h"
 #include "ts/time_series_matrix.h"
 
 namespace dangoron {
@@ -126,8 +129,10 @@ struct ServeResult {
   /// The tier that actually answered (`kAuto` requests resolve to one of
   /// the two before evaluation; never `kAuto` here).
   ServeTier tier_used = ServeTier::kExact;
-  /// The prepared sketch was a cache (or in-flight dedup) hit — this query
-  /// paid no index build.
+  /// This query paid no sketch build: it found the prepared sketch in the
+  /// cache (or joined an in-flight build), or — exact tier — computed no
+  /// window at all. An exact query that computes windows without a
+  /// resident sketch pays its own band-streamed build and reports false.
   bool prepared_from_cache = false;
   int64_t windows_from_cache = 0;  ///< served from the window-result cache
   int64_t windows_computed = 0;    ///< evaluated by this query
@@ -150,9 +155,12 @@ struct DangoronServerStats {
   int64_t queries = 0;
   int64_t streaming_queries = 0;  ///< of which SubmitStreaming
   int64_t queries_approx = 0;      ///< served by the approx (jumping) tier
-  int64_t prepares_built = 0;      ///< index builds actually paid
+  /// Builds actually paid: full sketches (approx tier) plus band streams
+  /// (exact queries that computed windows without a resident sketch).
+  int64_t prepares_built = 0;
   int64_t prepares_shared = 0;     ///< sketch cache or in-flight dedup hits
-  int64_t prepares_refused = 0;    ///< rejected by the admission policy
+  /// Builds (full or streamed) rejected by the admission policy.
+  int64_t prepares_refused = 0;
   int64_t prepares_queued = 0;     ///< parked in the admission queue
   int64_t deadline_exceeded = 0;   ///< requests failed on their deadline
   /// Of `deadline_exceeded`: requests whose deadline fired *mid-evaluation*
@@ -185,13 +193,18 @@ struct DangoronServerStats {
 /// `QueryRequest`s; the server shares everything shareable between them.
 ///
 /// - `PreparedDataset` handles (dataset fingerprint -> built
-///   BasicWindowIndex) are constructed once, deduplicated even across
-///   *concurrent* first queries, held in an LRU sketch cache under a byte
-///   budget, and shared read-only; eviction composes with the sketch
-///   storage recycler (see SketchCache). Admission control handles prepares
-///   that do not fit the budget: refused outright, or parked in a bounded
-///   deadline-aware queue (see PrepareAdmissionQueue and
-///   `ServeOptions::admission`).
+///   BasicWindowIndex, dot prefix plus the Eq. 2 budget) are built by the
+///   jumping (approx) tier once, deduplicated even across *concurrent*
+///   first queries, held in an LRU sketch cache under a byte budget, and
+///   shared read-only by both tiers; eviction composes with the sketch
+///   storage recycler (see SketchCache). An exact query that finds no
+///   resident sketch never builds one: it band-streams its own dot
+///   prefixes (BandStreamedSketch) — a cache-sized ring slab built band by
+///   band ahead of the sweep — and drops them when its plan ends.
+///   Admission control handles builds that do not fit the budget (a full
+///   sketch, or a stream's transient working set): refused outright, or
+///   parked in a bounded deadline-aware queue (see PrepareAdmissionQueue
+///   and `ServeOptions::admission`).
 /// - Per-window edge sets are cached and deduplicated: overlapping queries
 ///   (same dataset / basic window / threshold family, overlapping ranges)
 ///   reuse each other's windows instead of re-walking pair blocks, and N
@@ -257,6 +270,14 @@ class DangoronServer {
   /// network front end's lane classifier uses it to route warm requests to
   /// the high-priority lane and cold prepares to the low one.
   bool HasPreparedSketch(const std::string& dataset) const;
+
+  /// True when `request` will start without a build: its dataset's full
+  /// sketch is resident (HasPreparedSketch), or — exact tier — the window
+  /// cache holds its first window at its threshold family. Exact queries
+  /// cache windows, not sketches, so this is what makes a repeated exact
+  /// request warm. A pure peek, like HasPreparedSketch; the network front
+  /// end's lane classifier uses it.
+  bool StartsWarm(const QueryRequest& request) const;
 
   /// Submits a request; returns immediately. The future resolves on a pool
   /// thread once the result is assembled. The request carries the service
@@ -339,20 +360,82 @@ class DangoronServer {
   /// the running ns/cell estimate (learned from warm materialized exact
   /// queries, pessimistically seeded — see kExactCostSeedNsPerCell).
   /// Windows already in the result cache are discounted — a warm range is
-  /// a near-free exact answer. Excludes prepare cost: both tiers share the
-  /// prepared sketch, so it cannot differentiate them.
+  /// a near-free exact answer. Excludes opening the plan's source (a
+  /// cache lookup or a stream's panels); a band-streamed plan's per-band
+  /// build advances are part of the rate it learns.
   double EstimateExactCostMs(const RequestContext& ctx) const;
 
   /// The closed-form admission estimate of preparing `data`: index bytes
   /// plus the data matrix — the same number the sketch cache is charged.
   int64_t EstimatePrepareBytes(const TimeSeriesMatrix& data) const;
 
+  /// The admission estimate of band-streaming `ctx`'s exact plan: the
+  /// stream's panels, series prefixes, accumulators and ring slab —
+  /// exactly the BandStreamedSketch::MemoryBytes() of the stream it opens.
+  int64_t EstimateStreamBytes(const RequestContext& ctx) const;
+
   /// The query preconditions both tiers share — and must keep rejecting
-  /// identically: basic-window alignment (checked before any prepare is
-  /// paid) and, once prepared, coverage of the indexed basic windows.
+  /// identically: basic-window alignment and coverage of the data's full
+  /// basic windows, both checked before any build is paid.
   Status CheckQueryAligned(const SlidingQuery& query) const;
-  Status CheckIndexCoverage(const SlidingQuery& query,
-                            const BasicWindowIndex& index) const;
+  Status CheckCoverage(const SlidingQuery& query,
+                       const TimeSeriesMatrix& data) const;
+
+  /// Admission control of one build of `estimate` bytes for `key`'s data:
+  /// under `AdmissionPolicy::kQueue` reserves the bytes against the
+  /// sketch-cache budget, parking until they fit, the deadline passes or
+  /// `stream` cancels (returns true: the caller must Release the
+  /// reservation) — or returns false with `*landed` set when `key`'s full
+  /// sketch reached the cache meanwhile; under `kRefuse` rejects estimates
+  /// above the budget when `refuse_oversized_prepares` is on. Counts
+  /// prepares_queued / prepares_refused / deadline_exceeded.
+  Result<bool> AdmitBuild(int64_t estimate, const SketchCacheKey& key,
+                          AdmissionPolicy admission,
+                          const DeadlineToken& deadline,
+                          WindowStreamState* stream,
+                          std::shared_ptr<const PreparedDataset>* landed);
+
+  /// Runs `build_once` under the `serve.prepare` failpoint, retrying
+  /// transient failures (IoError, Internal) up to kPrepareMaxRetries times
+  /// with jittered exponential backoff bounded by the deadline; counts
+  /// prepare_retries. Both builds — full sketches and band streams — go
+  /// through it.
+  template <typename T>
+  Result<T> BuildWithRetries(uint64_t fingerprint,
+                             const DeadlineToken& deadline,
+                             WindowStreamState* stream,
+                             const std::function<Result<T>()>& build_once);
+
+  /// The dot-prefix source of an exact plan, opened at its first computed
+  /// window: the resident full sketch, or the plan's own band stream plus
+  /// its transient admission reservation (released after the stream is
+  /// freed, when the source goes out of scope).
+  struct ExactSource {
+    std::shared_ptr<const PreparedDataset> resident;
+    std::optional<BandStreamedSketch> streamed;
+    PrepareAdmissionQueue* reservation_queue = nullptr;
+    int64_t reservation_bytes = 0;
+
+    ExactSource() = default;
+    ExactSource(const ExactSource&) = delete;
+    ExactSource& operator=(const ExactSource&) = delete;
+    ~ExactSource() {
+      streamed.reset();
+      if (reservation_queue != nullptr) {
+        reservation_queue->Release(reservation_bytes);
+      }
+    }
+    bool open() const { return resident != nullptr || streamed.has_value(); }
+  };
+
+  /// Opens `source` for `ctx`'s exact plan: the resident full sketch when
+  /// the sketch cache holds one (prepares_shared; `prepared_from_cache`
+  /// stays true), else a band stream over the plan's whole query, admitted
+  /// through AdmitBuild as a transient reservation and created under
+  /// BuildWithRetries (prepares_built; `prepared_from_cache` = false).
+  /// Must be called holding no window claims: admission may park.
+  Status OpenExactSource(const RequestContext& ctx, WindowStreamState* stream,
+                         ExactSource* source, ServeResult* out);
 
   /// The exact-tier core of materialized and streaming submissions: walks
   /// the query's windows in order, resolving each from the result cache, a
@@ -378,10 +461,17 @@ class DangoronServer {
   /// on the family grid (no assembly filtering needed). Returns Cancelled
   /// when the stream cancels mid-plan; cached windows computed before that
   /// remain reusable.
-  /// `prepare_seconds_out` (optional) reports the time spent inside
-  /// GetOrPrepare — including any in-flight build join or admission-queue
-  /// park — so the caller's cost-model sample can subtract waits that are
-  /// not evaluation. The request's deadline is enforced *mid-plan*: the
+  /// Dot prefixes come from the resident full sketch when the sketch cache
+  /// holds one (built by an approx query), else from the plan's own band
+  /// stream, opened lazily at the first window the plan must compute and
+  /// fed by every later claimed run and failed-join re-evaluation (see
+  /// OpenExactSource); a plan served wholly from the window cache and
+  /// joins builds nothing. The exact tier never builds or caches a full
+  /// sketch.
+  /// `prepare_seconds_out` (optional) reports the time spent opening the
+  /// source — admission-queue parks and the stream's panel build, not its
+  /// per-band advances, which are evaluation — so the caller's cost-model
+  /// sample can subtract waits that are not evaluation. The request's deadline is enforced *mid-plan*: the
   /// walk checks it per window, claimed-run evaluation checks it at the
   /// engine's band cadence, and claim joins / backpressure delivery time
   /// out on it — a blown deadline aborts with DeadlineExceeded after

@@ -1,0 +1,110 @@
+#ifndef DANGORON_SKETCH_BAND_STREAMED_SKETCH_H_
+#define DANGORON_SKETCH_BAND_STREAMED_SKETCH_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "common/status.h"
+#include "common/thread_pool.h"
+#include "corr/block_kernel.h"
+#include "sketch/basic_window_index.h"
+#include "sketch/pair_prefix_build.h"
+#include "ts/time_series_matrix.h"
+
+namespace dangoron {
+
+/// What one band-streamed exact query reads: the geometry that sizes its
+/// ring and bounds its build.
+struct BandStreamOptions {
+  int64_t basic_window = 24;
+  /// Prefix slots one sweep band reads, first through last: (band − 1)·m +
+  /// ns + 1 for a band of `band` windows of ns basic windows stepping m.
+  int64_t band_slots = 1;
+  /// Highest prefix slot the query reads (its last window's end).
+  int64_t last_slot = 1;
+  /// Pair ids whose slots are kept: a shard's [pair_begin, pair_end).
+  int64_t pair_begin = 0;
+  int64_t pair_end = 0;
+};
+
+/// The dot-prefix half of a BasicWindowIndex, produced band by band for
+/// one exact query instead of materialized whole (TSUBASA's real-time mode
+/// keeps basic-window statistics only for the live window; this keeps the
+/// live band's). It holds the NormalizedPanels, the per-series prefixes,
+/// one running dot accumulator block per series-tile pair, and a *ring
+/// slab* of R slots per stored pair:
+///
+///   R = roundup8(band_slots + 8), capped at the full row stride,
+///
+/// so one band's slots plus the 8-slot batch the build advances in always
+/// fit. Slot s of pair p sits at column (s + kPairRowPad) mod R of row
+/// p − pair_begin (DotRing). AdvanceTo(slot) folds whole 8-window batches —
+/// on the full build's global batch grid, from window 0 — until `slot` is
+/// written, overwriting the ring's oldest slots; the fold is the full
+/// build's own (AdvanceTilePair), so every slot is bit-identical to the
+/// resident index's. The Eq. 2 budget is never computed: only exact sweeps
+/// read a stream.
+///
+/// At N = 256 over a year (366 slots, 30-window queries sliding by one)
+/// R = 56: the slab is 14.6 MB against the index's 2 x 95 MB. The slab is
+/// SketchBlock storage, recycled across queries. Not thread-safe:
+/// AdvanceTo must not race a reader.
+class BandStreamedSketch {
+ public:
+  /// Builds the panels and series prefixes and writes slot 0. Fails like
+  /// BasicWindowIndex::Build on empty, short or NaN-bearing data, and with
+  /// OutOfRange when `last_slot` lies past the indexed basic windows.
+  static Result<BandStreamedSketch> Create(const TimeSeriesMatrix& data,
+                                           const BandStreamOptions& options,
+                                           ThreadPool* pool = nullptr);
+
+  /// Bytes a stream over a `num_series x length` matrix with `options`
+  /// holds, without building it — the serving layer's transient admission
+  /// reservation. Matches MemoryBytes() of the created stream exactly.
+  static int64_t EstimateMemoryBytes(int64_t num_series, int64_t length,
+                                     const BandStreamOptions& options);
+  /// Panels, series prefixes, accumulators and ring slab.
+  int64_t MemoryBytes() const;
+
+  /// Folds basic windows until prefix slot `slot` is in the ring (no-op
+  /// when it already is). Monotone: slots older than oldest_slot() are
+  /// gone for good. Parallel over tile pairs when a pool is given;
+  /// identical slots for any thread count.
+  void AdvanceTo(int64_t slot, ThreadPool* pool = nullptr);
+
+  int64_t basic_window() const { return options_.basic_window; }
+  int64_t num_series() const { return num_series_; }
+  /// Columns of the streamed matrix.
+  int64_t length() const { return length_; }
+  const BandStreamOptions& options() const { return options_; }
+
+  /// Valid for slots [0, options().last_slot].
+  const SeriesPrefixes& series_prefixes() const { return series_; }
+
+  /// The slab; slots [oldest_slot(), newest_slot()] are readable.
+  PairDotRing DotRing() const {
+    return PairDotRing{ring_.data(), ring_slots_, options_.pair_begin};
+  }
+  int64_t newest_slot() const { return windows_folded_; }
+  int64_t oldest_slot() const {
+    return windows_folded_ >= ring_slots_ ? windows_folded_ - ring_slots_ + 1
+                                          : 0;
+  }
+
+ private:
+  BandStreamedSketch() = default;
+
+  BandStreamOptions options_;
+  int64_t num_series_ = 0;
+  int64_t length_ = 0;
+  NormalizedPanels panels_;
+  SeriesPrefixes series_;
+  std::vector<TilePairState> tiles_;
+  SketchBlock ring_;
+  int64_t ring_slots_ = 0;
+  int64_t windows_folded_ = 0;
+};
+
+}  // namespace dangoron
+
+#endif  // DANGORON_SKETCH_BAND_STREAMED_SKETCH_H_

@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "corr/block_kernel.h"
+#include "sketch/pair_prefix_build.h"
 #include "ts/time_series_matrix.h"
 
 namespace dangoron {
@@ -31,6 +32,55 @@ struct BasicWindowIndexOptions {
   bool use_blocked_kernel = true;
 };
 
+/// Per-series basic-window prefix sums: slot w of series s holds the sum
+/// (and the sum of squares) of the series over basic windows [0, w), so any
+/// aligned range statistic is two loads and a subtract.
+struct SeriesPrefixes {
+  int64_t num_windows = 0;  ///< nb: each series row holds nb + 1 slots
+  std::vector<double> sum;
+  std::vector<double> sumsq;
+
+  /// Sum of series `s` over basic windows [lo, hi).
+  double SumRange(int64_t s, int64_t lo, int64_t hi) const {
+    return sum[Sx(s, hi)] - sum[Sx(s, lo)];
+  }
+  /// Sum of squares of series `s` over basic windows [lo, hi).
+  double SumSqRange(int64_t s, int64_t lo, int64_t hi) const {
+    return sumsq[Sx(s, hi)] - sumsq[Sx(s, lo)];
+  }
+  int64_t MemoryBytes() const {
+    return static_cast<int64_t>((sum.size() + sumsq.size()) * sizeof(double));
+  }
+
+  /// Folds the prefixes from the panel normalization's window stats
+  /// (window sum = b * mean, window sum of squares = b * (sd^2 + mean^2),
+  /// exact up to one rounding) instead of re-scanning the raw matrix — the
+  /// blocked build's fold, whose roundings every pair-sketch producer
+  /// shares.
+  static SeriesPrefixes FromPanels(const NormalizedPanels& panels,
+                                   ThreadPool* pool);
+  /// Folds the prefixes from a raw scan of `data`'s full basic windows
+  /// (rounds differently from FromPanels).
+  static SeriesPrefixes FromRaw(const TimeSeriesMatrix& data,
+                                int64_t basic_window, ThreadPool* pool);
+
+ private:
+  size_t Sx(int64_t s, int64_t w) const {
+    return static_cast<size_t>(s * (num_windows + 1) + w);
+  }
+};
+
+/// Read view of pair dot-prefix rows in ring addressing: prefix slot s of
+/// pair p sits at `rows[(p - first_pair) * ring_slots +
+/// (s + kPairRowPad) % ring_slots]`. A resident index's block is the ring
+/// as long as its row stride — it never wraps — while a BandStreamedSketch
+/// slab holds only the newest ring_slots slots of each row.
+struct PairDotRing {
+  const double* rows = nullptr;
+  int64_t ring_slots = 0;
+  int64_t first_pair = 0;
+};
+
 /// The basic-window sketch of the paper (Section 3): per-series and per-pair
 /// statistics at basic-window granularity, with prefix sums along the
 /// basic-window axis so any *aligned* range statistic is O(1).
@@ -46,21 +96,11 @@ class BasicWindowIndex {
   /// Builds the index over all columns of `data`. When `pool` is non-null,
   /// pair sketches are built in parallel. Fails when the matrix is empty,
   /// contains NaN (interpolate first), or is shorter than one basic window.
+  /// The pair blocks live in SketchBlocks, so a destroyed or reassigned
+  /// index returns its storage to the process-wide recycler.
   static Result<BasicWindowIndex> Build(
       const TimeSeriesMatrix& data, const BasicWindowIndexOptions& options,
       ThreadPool* pool = nullptr);
-
-  /// Returns sketch storage to the process-wide recycler (see .cc): a
-  /// rebuild-heavy workload re-faulting hundreds of MB of freshly mmapped
-  /// pages per build would otherwise spend more time in the kernel's page
-  /// zeroing than in the kernels.
-  ~BasicWindowIndex();
-  BasicWindowIndex(BasicWindowIndex&&) noexcept = default;
-  /// Recycles the assignee's previous sketch storage before taking over
-  /// `other`'s — a defaulted move would free it through plain unique_ptr
-  /// deletion, silently bypassing the recycler in the engine re-Prepare
-  /// loop it exists for.
-  BasicWindowIndex& operator=(BasicWindowIndex&& other) noexcept;
 
   int64_t basic_window() const { return basic_window_; }
   int64_t num_basic_windows() const { return num_basic_windows_; }
@@ -80,12 +120,13 @@ class BasicWindowIndex {
 
   /// Sum of series `s` over basic windows [lo, hi).
   double SumRange(int64_t s, int64_t lo, int64_t hi) const {
-    return series_sum_prefix_[Sx(s, hi)] - series_sum_prefix_[Sx(s, lo)];
+    return series_.SumRange(s, lo, hi);
   }
   /// Sum of squares of series `s` over basic windows [lo, hi).
   double SumSqRange(int64_t s, int64_t lo, int64_t hi) const {
-    return series_sumsq_prefix_[Sx(s, hi)] - series_sumsq_prefix_[Sx(s, lo)];
+    return series_.SumSqRange(s, lo, hi);
   }
+  const SeriesPrefixes& series_prefixes() const { return series_; }
 
   /// Mean of series `s` within basic window `w` (for Eq. 1).
   double WindowMean(int64_t s, int64_t w) const;
@@ -99,13 +140,13 @@ class BasicWindowIndex {
     return pair_dot_prefix_[Px(p, hi)] - pair_dot_prefix_[Px(p, lo)];
   }
 
-  /// Raw view of the pair dot-prefix block for the window-major sweep
-  /// kernel (corr/sweep_kernel.h): prefix slot w of pair p sits at
-  /// `PairDotPrefix()[p * PairDotRowStride() + w]`, so DotRange(p, lo, hi)
-  /// is the hi/lo slot difference. Requires pair sketches; valid while the
-  /// index is alive.
-  const double* PairDotPrefix() const { return pair_dot_prefix_ + kPairRowPad; }
-  int64_t PairDotRowStride() const { return pair_row_stride_; }
+  /// Ring view of the pair dot-prefix block for the window-major sweep
+  /// (corr/sweep_kernel.h): the ring is the whole row stride, so it never
+  /// wraps, and DotRange(p, lo, hi) is the hi/lo slot difference. Requires
+  /// pair sketches; valid while the index is alive.
+  PairDotRing DotRing() const {
+    return PairDotRing{pair_dot_prefix_, pair_row_stride_, 0};
+  }
 
   /// Pearson correlation of the pair within basic window `w` (the `c_i` of
   /// Eq. 1 / Eq. 2); 0 when either side is constant in the window.
@@ -170,14 +211,8 @@ class BasicWindowIndex {
   /// The seed's scalar per-pair reference build of the same sketches.
   void BuildPairSketchesScalar(const TimeSeriesMatrix& data, ThreadPool* pool);
 
-  size_t Sx(int64_t s, int64_t w) const {
-    return static_cast<size_t>(s * (num_basic_windows_ + 1) + w);
-  }
-  /// Pair rows are padded: kPairRowPad leading slack doubles put prefix
-  /// slot w = 8k + 1 on a 64-byte boundary (with the 64-byte-aligned base
-  /// and the 8-multiple row stride), so the build's batched 8-window runs
-  /// land as full aligned cache lines eligible for non-temporal stores.
-  static constexpr int64_t kPairRowPad = 7;
+  /// Pair rows are padded (kPairRowPad), so the build's batched 8-window
+  /// runs land as full aligned cache lines.
   size_t Px(int64_t p, int64_t w) const {
     return static_cast<size_t>(p * pair_row_stride_ + kPairRowPad + w);
   }
@@ -189,33 +224,19 @@ class BasicWindowIndex {
   int64_t num_pairs_ = 0;
   bool has_pair_sketches_ = false;
 
-  // Prefix arrays, one row per series/pair. Series rows have nb + 1
-  // entries; pair rows are padded to pair_row_stride_ (see kPairRowPad).
-  // The pair arrays are allocated *uninitialized* (every slot is written
-  // during the build): at scale they are the dominant allocation, and the
-  // redundant zeroing pass costs a full sweep of memory bandwidth. The
-  // storage members own the memory; the aligned pointers index it.
-  std::vector<double> series_sum_prefix_;
-  std::vector<double> series_sumsq_prefix_;
-  std::unique_ptr<double[]> pair_dot_storage_;
-  std::unique_ptr<double[]> pair_omc_storage_;
+  // Prefix arrays, one row per series/pair. Pair rows are padded to
+  // pair_row_stride_ (see kPairRowPad). The pair blocks are allocated
+  // *uninitialized* (every slot is written during the build): at scale
+  // they are the dominant allocation, and the redundant zeroing pass costs
+  // a full sweep of memory bandwidth. The blocks own the memory; the
+  // pointers index it.
+  SeriesPrefixes series_;
+  SketchBlock pair_dot_block_;
+  SketchBlock pair_omc_block_;
   double* pair_dot_prefix_ = nullptr;
   double* pair_one_minus_corr_prefix_ = nullptr;
   int64_t pair_row_stride_ = 0;
-  size_t pair_prefix_size_ = 0;
-  size_t pair_storage_size_ = 0;
 };
-
-/// Bytes currently parked in the process-wide sketch storage recycler (the
-/// retired pair-prefix blocks destroyed indexes leave behind for the next
-/// build). Observability hook for the serving layer's cache accounting and
-/// for tests of the eviction → recycler → rebuild composition.
-int64_t SketchRecyclerRetainedBytes();
-
-/// Drops every block the recycler retains, returning the memory to the
-/// allocator — e.g. after a serving layer mass-evicts sketches it does not
-/// expect to rebuild.
-void TrimSketchRecycler();
 
 }  // namespace dangoron
 

@@ -176,10 +176,23 @@ TEST_F(WireE2ETest, ClassifyLaneRoutesByDeadlineAndWarmth) {
   request.options.deadline_ms = 100;
   EXPECT_EQ(wire.ClassifyLane(request), TaskLane::kHigh);
 
-  // Warm the sketch; now even deadline-less requests are high-lane.
+  // An exact query caches its windows, not a sketch: the same request now
+  // starts from the window cache and rides high even without a deadline.
   ASSERT_TRUE(server_.Query("d", TestQuery()).ok());
-  ASSERT_TRUE(server_.HasPreparedSketch("d"));
+  EXPECT_FALSE(server_.HasPreparedSketch("d"));
   request.options.deadline_ms.reset();
+  EXPECT_EQ(wire.ClassifyLane(request), TaskLane::kHigh);
+
+  // Another threshold family has no cached windows: cold again.
+  request.query.threshold = 0.6;
+  EXPECT_EQ(wire.ClassifyLane(request), TaskLane::kLow);
+
+  // Warm the sketch (the approx tier builds and caches full sketches);
+  // now every request on the dataset is high-lane.
+  QueryRequest warm{"d", TestQuery(), ServeOptions{}};
+  warm.options.tier = ServeTier::kApprox;
+  ASSERT_TRUE(server_.Query(warm).ok());
+  ASSERT_TRUE(server_.HasPreparedSketch("d"));
   EXPECT_EQ(wire.ClassifyLane(request), TaskLane::kHigh);
 }
 

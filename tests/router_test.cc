@@ -9,6 +9,7 @@
 #include <arpa/inet.h>
 #include <dirent.h>
 #include <netinet/in.h>
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -1442,6 +1444,73 @@ TEST_F(RouterE2ETest, RouterServerDisconnectCancelsEveryShard) {
         << "a shard leaked window claims after the client disconnect";
   }
   front.Stop();
+}
+
+// Bytes of this process's virtual address space (VmSize).
+int64_t VmSizeBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoll(line.substr(7)) * 1024;
+    }
+  }
+  return -1;
+}
+
+// A finished connection's thread is joined when the next connection
+// arrives, not at Stop(): an unjoined thread keeps its stack mapped, so a
+// long-lived router used to grow by one stack per connection it had ever
+// served.
+TEST_F(RouterE2ETest, RouterServerReapsFinishedConnectionThreads) {
+  StartShards(1);
+  ShardRouter router(RouterOptions());
+  RouterServerOptions options;
+  options.port = -1;
+  RouterServer front(&router, options);
+  front.RegisterDataset("d", kNumSeries, data_->ContentFingerprint());
+  ASSERT_TRUE(front.Start().ok());
+
+  // One request per connection (an unknown dataset: answered without a
+  // shard fan-out), then the client hangs up.
+  auto one_request_connection = [&] {
+    int fds[2];
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    ASSERT_TRUE(front.AddConnection(fds[0]).ok());
+    auto client = WireClient::Adopt(fds[1]);
+    WireRequest request = TestRequest();
+    request.dataset = "nope";
+    ASSERT_TRUE(client->Submit(request).ok());
+    auto window = client->Next();
+    ASSERT_TRUE(window.ok());
+    EXPECT_FALSE(window->has_value());
+    EXPECT_EQ(client->result_status().code(), StatusCode::kNotFound);
+  };
+  auto until_idle = [&] {
+    return PollFor([&] { return front.stats().connections_active == 0; });
+  };
+  for (int c = 0; c < 20; ++c) {  // settle allocator arenas
+    one_request_connection();
+    ASSERT_TRUE(until_idle());
+  }
+  pthread_attr_t attr;
+  size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  pthread_attr_destroy(&attr);
+  const int64_t before = VmSizeBytes();
+  ASSERT_GT(before, 0);
+  constexpr int kConnections = 300;
+  for (int c = 0; c < kConnections; ++c) {
+    one_request_connection();
+    ASSERT_TRUE(until_idle());
+  }
+  const int64_t growth = VmSizeBytes() - before;
+  EXPECT_LT(growth, 10 * static_cast<int64_t>(stack_bytes))
+      << "address space grew " << growth << " bytes over " << kConnections
+      << " connections (thread stack: " << stack_bytes << " bytes)";
+  front.Stop();
+  EXPECT_EQ(front.stats().connections_adopted, 20 + kConnections);
 }
 
 }  // namespace

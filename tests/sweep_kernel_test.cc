@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -16,6 +17,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "corr/sweep_kernel.h"
 #include "engine/dangoron_engine.h"
 #include "engine/naive_engine.h"
@@ -336,6 +338,136 @@ TEST(SweepKernelTest, ExactModeDeliversFirstWindowBeforeFullSweep) {
   const int64_t pairs = n * (n - 1) / 2;
   EXPECT_EQ(engine.stats().cells_evaluated, pairs * kSweepWindowBand);
   EXPECT_LT(engine.stats().cells_evaluated, engine.stats().cells_total);
+}
+
+// ------------------------------------------------------ band streaming --
+
+// Value bits, not just operator== (which equates -0.0 and 0.0).
+void ExpectSameBits(const CorrelationMatrixSeries& got,
+                    const CorrelationMatrixSeries& want) {
+  ASSERT_EQ(got.num_windows(), want.num_windows());
+  for (int64_t k = 0; k < got.num_windows(); ++k) {
+    const auto a = got.WindowEdges(k);
+    const auto b = want.WindowEdges(k);
+    ASSERT_EQ(a.size(), b.size()) << "window " << k;
+    for (size_t e = 0; e < a.size(); ++e) {
+      ASSERT_EQ(a[e].i, b[e].i) << "window " << k << " edge " << e;
+      ASSERT_EQ(a[e].j, b[e].j) << "window " << k << " edge " << e;
+      ASSERT_EQ(std::bit_cast<uint64_t>(a[e].value),
+                std::bit_cast<uint64_t>(b[e].value))
+          << "window " << k << " edge " << e;
+    }
+  }
+}
+
+// A band-streamed query reads its slots from a ring slab the blocked
+// build fills band by band; every edge must carry the exact bits of the
+// same query against the resident index. The geometry makes the ring wrap
+// many times (nb = 157 basic windows against rings of 32-104 slots), ends
+// the data on a ragged 5-window batch, starts off the 8-window batch grid,
+// and cuts pair ranges through tile pairs (N = 100 is three series tiles).
+TEST(SweepKernelTest, BandStreamedQueriesAreBitIdenticalToResident) {
+  constexpr int64_t kStreamBasicWindow = 4;
+  const int64_t n = 100;
+  const int64_t nb = 157;
+  const TimeSeriesMatrix data =
+      RandomWalkData(n, kStreamBasicWindow * nb + 3, 71010);
+  const int64_t num_pairs = n * (n - 1) / 2;
+  DangoronOptions options;
+  options.basic_window = kStreamBasicWindow;
+  options.enable_jumping = false;
+  auto index = DangoronEngine::BuildIndex(data, options, nullptr);
+  ASSERT_TRUE(index.ok());
+
+  for (const int threads : {1, 4}) {
+    ThreadPool pool(threads);
+    ThreadPool* pool_arg = threads > 1 ? &pool : nullptr;
+    for (const int64_t m : {1, 3}) {
+      for (const int64_t ns : {5, 30, 45}) {
+        for (const bool absolute : {false, true}) {
+          SlidingQuery query;
+          query.start = 11 * kStreamBasicWindow;  // neither 0 nor 8-aligned
+          query.window = ns * kStreamBasicWindow;
+          query.step = m * kStreamBasicWindow;
+          query.end = nb * kStreamBasicWindow;  // reaches the ragged batch
+          query.threshold = absolute ? 0.5 : 0.6;
+          query.absolute = absolute;
+          for (const auto& [pb, pe] :
+               std::vector<std::pair<int64_t, int64_t>>{
+                   {0, 0}, {1000, 3333}, {4700, num_pairs}}) {
+            SCOPED_TRACE(testing::Message()
+                         << "threads=" << threads << " m=" << m
+                         << " ns=" << ns << " absolute=" << absolute
+                         << " pairs=[" << pb << ", " << pe << ")");
+            query.pair_begin = pb;
+            query.pair_end = pe;
+            auto resident = DangoronEngine::QueryPrepared(
+                options, *index, query, pool_arg, nullptr);
+            ASSERT_TRUE(resident.ok());
+            CollectingWindowSink sink;
+            ASSERT_TRUE(DangoronEngine::QueryStreamedToSink(
+                            options, data, query, pool_arg, nullptr, &sink)
+                            .ok());
+            ExpectSameBits(sink.TakeSeries(), *resident);
+            if (threads == 1 && !absolute && pb == 0 && pe == 0) {
+              ExpectMatchesNaive(*resident, data, query);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The serving layer feeds one stream through several forward runs of a
+// query (its claimed runs, and single windows after a failed join): each
+// run's edges equal the resident index's, and a run behind the ring fails
+// instead of reading overwritten slots.
+TEST(SweepKernelTest, OneStreamServesForwardRunsOfAQuery) {
+  const int64_t n = 57;
+  const int64_t nb = 120;
+  const TimeSeriesMatrix data = RandomWalkData(n, kBasicWindow * nb, 71011);
+  DangoronOptions options;
+  options.basic_window = kBasicWindow;
+  options.enable_jumping = false;
+  auto index = DangoronEngine::BuildIndex(data, options, nullptr);
+  ASSERT_TRUE(index.ok());
+
+  SlidingQuery query;
+  query.start = 3 * kBasicWindow;
+  query.window = 9 * kBasicWindow;
+  query.step = 2 * kBasicWindow;
+  query.end = nb * kBasicWindow;
+  query.threshold = 0.4;
+  auto stream = DangoronEngine::CreateStream(data, options, query, nullptr);
+  ASSERT_TRUE(stream.ok());
+  EXPECT_EQ(stream->MemoryBytes(),
+            DangoronEngine::EstimateStreamBytes(n, data.length(), options,
+                                                query));
+  EXPECT_LT(stream->DotRing().ring_slots, nb);  // the ring really wraps
+
+  // Runs [0, 5), [5, 21), window 30 alone, then the rest.
+  const int64_t num_windows = query.NumWindows();
+  for (const auto& [k0, k1] : std::vector<std::pair<int64_t, int64_t>>{
+           {0, 5}, {5, 21}, {30, 31}, {31, num_windows}}) {
+    SCOPED_TRACE(testing::Message() << "run [" << k0 << ", " << k1 << ")");
+    SlidingQuery run = query;
+    run.start = query.start + k0 * query.step;
+    run.end = run.start + (k1 - k0 - 1) * query.step + query.window;
+    auto resident =
+        DangoronEngine::QueryPrepared(options, *index, run, nullptr, nullptr);
+    ASSERT_TRUE(resident.ok());
+    CollectingWindowSink sink;
+    ASSERT_TRUE(DangoronEngine::QueryStreamedToSink(options, &*stream, run,
+                                                    nullptr, nullptr, &sink)
+                    .ok());
+    ExpectSameBits(sink.TakeSeries(), *resident);
+  }
+  CollectingWindowSink sink;
+  EXPECT_EQ(DangoronEngine::QueryStreamedToSink(options, &*stream, query,
+                                                nullptr, nullptr, &sink)
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace
