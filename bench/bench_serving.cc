@@ -40,6 +40,11 @@ SlidingQuery BenchQuery(int64_t num_basic_windows) {
   return query;
 }
 
+// A default request (server-default tier, no deadline) for dataset "d".
+QueryRequest BenchRequest(const SlidingQuery& query) {
+  return QueryRequest{"d", query, ServeOptions{}};
+}
+
 DangoronServerOptions BenchServerOptions() {
   DangoronServerOptions options;
   options.num_threads = 0;  // hardware concurrency
@@ -59,7 +64,7 @@ void BM_ServerColdQuery(benchmark::State& state) {
     DangoronServer server(BenchServerOptions());
     benchmark::DoNotOptimize(server.AddDataset("d", data).ok());
     state.ResumeTiming();
-    auto result = server.Query("d", query);
+    auto result = server.Query(BenchRequest(query));
     benchmark::DoNotOptimize(result.ok());
   }
 }
@@ -74,9 +79,10 @@ void BM_ServerWarmQuery(benchmark::State& state) {
   DangoronServer server(BenchServerOptions());
   benchmark::DoNotOptimize(server.AddDataset("d", BenchData(n, nb, 11)).ok());
   const SlidingQuery query = BenchQuery(nb);
-  benchmark::DoNotOptimize(server.Query("d", query).ok());  // fill caches
+  // Fill the caches.
+  benchmark::DoNotOptimize(server.Query(BenchRequest(query)).ok());
   for (auto _ : state) {
-    auto result = server.Query("d", query);
+    auto result = server.Query(BenchRequest(query));
     benchmark::DoNotOptimize(result.ok());
   }
 }
@@ -91,12 +97,12 @@ void BM_ServerWarmOverlapQuery(benchmark::State& state) {
   DangoronServer server(BenchServerOptions());
   benchmark::DoNotOptimize(server.AddDataset("d", BenchData(n, nb, 12)).ok());
   SlidingQuery query = BenchQuery(nb);
-  benchmark::DoNotOptimize(server.Query("d", query).ok());
+  benchmark::DoNotOptimize(server.Query(BenchRequest(query)).ok());
   int64_t shift = 0;
   for (auto _ : state) {
     SlidingQuery shifted = query;
     shifted.start = shift * kBasicWindow;
-    auto result = server.Query("d", shifted);
+    auto result = server.Query(BenchRequest(shifted));
     benchmark::DoNotOptimize(result.ok());
     shift = (shift + 7) % 60;
   }
@@ -113,9 +119,10 @@ void BM_ServerStreamingWarmDrain(benchmark::State& state) {
   DangoronServer server(BenchServerOptions());
   benchmark::DoNotOptimize(server.AddDataset("d", BenchData(n, nb, 11)).ok());
   const SlidingQuery query = BenchQuery(nb);
-  benchmark::DoNotOptimize(server.Query("d", query).ok());  // fill caches
+  // Fill the caches.
+  benchmark::DoNotOptimize(server.Query(BenchRequest(query)).ok());
   for (auto _ : state) {
-    auto stream = server.SubmitStreaming("d", query);
+    auto stream = server.SubmitStreaming(BenchRequest(query));
     int64_t windows = 0;
     while (auto window = stream->Next()) {
       benchmark::DoNotOptimize(window->edges->size());
@@ -141,7 +148,7 @@ void BM_ServerMultiClient(benchmark::State& state) {
   for (auto _ : state) {
     SlidingQuery query = base;
     query.start = (shift % 60) * kBasicWindow;
-    auto result = server->Query("d", query);
+    auto result = server->Query(BenchRequest(query));
     benchmark::DoNotOptimize(result.ok());
     shift += 7;
   }
@@ -247,7 +254,7 @@ void WriteServingComparisonJson(const char* path) {
       DangoronServer server(BenchServerOptions());
       CHECK(server.AddDataset("d", data).ok());
       Stopwatch timer;
-      CHECK(server.Query("d", query).ok());
+      CHECK(server.Query(BenchRequest(query)).ok());
       cold_s = std::min(cold_s, timer.ElapsedSeconds());
     }
 
@@ -266,7 +273,7 @@ void WriteServingComparisonJson(const char* path) {
       DangoronServer server(BenchServerOptions());
       CHECK(server.AddDataset("d", data).ok());
       Stopwatch timer;
-      auto stream = server.SubmitStreaming("d", query);
+      auto stream = server.SubmitStreaming(BenchRequest(query));
       auto head = stream->Next();
       CHECK(head.has_value());
       ttfw_s = std::min(ttfw_s, timer.ElapsedSeconds());
@@ -281,11 +288,11 @@ void WriteServingComparisonJson(const char* path) {
 
     DangoronServer server(BenchServerOptions());
     CHECK(server.AddDataset("d", data).ok());
-    CHECK(server.Query("d", query).ok());
+    CHECK(server.Query(BenchRequest(query)).ok());
     double warm_s = 1e300;
     for (int rep = 0; rep < 5; ++rep) {
       Stopwatch timer;
-      CHECK(server.Query("d", query).ok());
+      CHECK(server.Query(BenchRequest(query)).ok());
       warm_s = std::min(warm_s, timer.ElapsedSeconds());
     }
 
@@ -358,7 +365,7 @@ void WriteServingComparisonJson(const char* path) {
       SlidingQuery prepare_query = query;
       prepare_query.end = prepare_query.start + prepare_query.window;
       prepare_query.threshold = 0.95;
-      CHECK(server.Query("d", prepare_query).ok());
+      CHECK(server.Query(BenchRequest(prepare_query)).ok());
 
       CHECK(FailpointRegistry::Instance()
                 .Configure("sweep.band=delay:" +

@@ -318,7 +318,8 @@ int RunBench(int connections, int requests, int shards, bool write_json) {
       kNumSeries, kNumBasicWindows * kBasicWindow, &rng));
   CHECK(server.AddDataset("d", data).ok());
   const SlidingQuery query = BenchQuery();
-  auto warm = server.Query("d", query);  // sketch + every window cached
+  // Every window cached.
+  auto warm = server.Query(QueryRequest{"d", query, ServeOptions{}});
   CHECK(warm.ok());
   const int64_t expected_windows = warm->series.num_windows();
 

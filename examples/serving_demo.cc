@@ -9,7 +9,8 @@
 //      queries over streamed data start warm.
 //   5. Stream a query's windows as they are evaluated (SubmitStreaming):
 //      the first window arrives at time-to-first-window, far before the
-//      materialized result would.
+//      collected result would. Submit/Query run the same pipeline and
+//      collect its stream into a series.
 //   6. Speak the full QueryRequest surface: an approx-tier request (Eq. 2
 //      jumping, bypassing the shared window cache), an auto-tier request
 //      under a deadline, and the tier/jump accounting they report.
@@ -84,6 +85,10 @@ int main(int argc, char** argv) {
   query.window = 24 * 30;  // 30-day windows
   query.step = 24;         // sliding daily
   query.threshold = 0.85;
+  // Every call takes a QueryRequest: the dataset, the question, and how to
+  // serve it (default ServeOptions: the server's default tier, no
+  // deadline).
+  const QueryRequest request{"climate", query, ServeOptions{}};
 
   auto describe = [](const char* who, const ServeResult& result) {
     std::printf(
@@ -101,7 +106,7 @@ int main(int argc, char** argv) {
   // flight rather than duplicating it.
   std::vector<std::future<Result<ServeResult>>> clients;
   for (int c = 0; c < 3; ++c) {
-    clients.push_back(server.Submit("climate", query));
+    clients.push_back(server.Submit(request));
   }
   for (size_t c = 0; c < clients.size(); ++c) {
     auto result = clients[c].get();
@@ -116,7 +121,7 @@ int main(int argc, char** argv) {
   }
 
   // 3b. A repeat of the same query is pure cache: no build, no evaluation.
-  auto repeat = server.Query("climate", query);
+  auto repeat = server.Query(request);
   if (!repeat.ok()) {
     return 1;
   }
@@ -124,9 +129,9 @@ int main(int argc, char** argv) {
 
   // 3c. An overlapping range reuses every shared window and evaluates only
   // the new tail.
-  SlidingQuery shifted = query;
-  shifted.start = 24 * 30;
-  auto overlap = server.Query("climate", shifted);
+  QueryRequest overlap_request = request;
+  overlap_request.query.start = 24 * 30;
+  auto overlap = server.Query(overlap_request);
   if (!overlap.ok()) {
     return 1;
   }
@@ -151,9 +156,9 @@ int main(int argc, char** argv) {
   if (!builder->AppendColumns(data, 0, data.length()).ok()) {
     return 1;
   }
-  SlidingQuery at_stream_threshold = query;
-  at_stream_threshold.threshold = 0.9;
-  auto warm = server.Query("climate", at_stream_threshold);
+  QueryRequest at_stream_threshold = request;
+  at_stream_threshold.query.threshold = 0.9;
+  auto warm = server.Query(at_stream_threshold);
   if (!warm.ok()) {
     return 1;
   }
@@ -170,12 +175,12 @@ int main(int argc, char** argv) {
       !server.AddDataset("climate-live", std::move(cold->data)).ok()) {
     return 1;
   }
-  StreamingSubmitOptions stream_submit;
-  stream_submit.queue_capacity = 8;
-  stream_submit.max_batch_windows = 4;
+  QueryRequest live_request = request;
+  live_request.dataset = "climate-live";
+  live_request.options.queue_capacity = 8;
+  live_request.options.max_batch_windows = 4;
   Stopwatch ttfw_timer;
-  auto window_stream =
-      server.SubmitStreaming("climate-live", query, stream_submit);
+  auto window_stream = server.SubmitStreaming(live_request);
   double ttfw_ms = 0.0;
   int64_t streamed = 0;
   while (auto window = window_stream->Next()) {
@@ -202,9 +207,7 @@ int main(int argc, char** argv) {
   // request's range, so they must never be published). An auto-tier
   // request with a deadline lets the server pick: approx when the deadline
   // is tighter than its exact-cost estimate.
-  QueryRequest approx_request;
-  approx_request.dataset = "climate-live";
-  approx_request.query = query;
+  QueryRequest approx_request = live_request;
   approx_request.options.tier = ServeTier::kApprox;
   Stopwatch approx_timer;
   auto approx = server.Query(approx_request);
@@ -227,21 +230,23 @@ int main(int argc, char** argv) {
   // Auto under a tight deadline, twice: the streamed range above left every
   // window of this query cached, so the cost estimate discounts them all
   // and the server stays exact even at 1 ms — while an uncached threshold
-  // family prices a full sweep above the deadline and routes to approx.
+  // family prices a full sweep above the deadline and routes to approx,
+  // whose walk the deadline bounds at window cadence: it answers in time or
+  // fails with DeadlineExceeded, never late.
+  auto describe_auto = [](const char* who, const Result<ServeResult>& result) {
+    if (result.ok()) {
+      std::printf("%-28s served by the %s tier\n", who,
+                  std::string(ServeTierName(result->tier_used)).c_str());
+    } else {
+      std::printf("%-28s %s\n", who, result.status().ToString().c_str());
+    }
+  };
   QueryRequest auto_request = approx_request;
   auto_request.options.tier = ServeTier::kAuto;
   auto_request.options.deadline_ms = 1;
-  auto warm_auto = server.Query(auto_request);
-  if (warm_auto.ok()) {
-    std::printf("auto, 1 ms deadline, warm:   served by the %s tier\n",
-                std::string(ServeTierName(warm_auto->tier_used)).c_str());
-  }
+  describe_auto("auto, 1 ms deadline, warm:", server.Query(auto_request));
   auto_request.query.threshold = 0.8;  // an uncached threshold family
-  auto cold_auto = server.Query(auto_request);
-  if (cold_auto.ok()) {
-    std::printf("auto, 1 ms deadline, cold:   served by the %s tier\n",
-                std::string(ServeTierName(cold_auto->tier_used)).c_str());
-  }
+  describe_auto("auto, 1 ms deadline, cold:", server.Query(auto_request));
 
   const DangoronServerStats stats = server.stats();
   std::printf(

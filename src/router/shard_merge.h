@@ -104,7 +104,7 @@ struct ShardMergeOptions {
   int64_t max_skew_windows = 8;
 
   /// Capacity of the merged stream's bounded delivery queue (the same knob
-  /// as StreamingSubmitOptions::queue_capacity).
+  /// as ServeOptions::queue_capacity).
   int64_t queue_capacity = kDefaultStreamQueueCapacity;
 
   /// How many mid-stream shard deaths the merge may ride out by

@@ -70,10 +70,8 @@ Result<ServeTier> ParseServeTier(const std::string& text);
 Result<AdmissionPolicy> ParseAdmissionPolicy(const std::string& text);
 Result<DegradePolicy> ParseDegradePolicy(const std::string& text);
 
-/// Canonical defaults of the per-stream delivery knobs — the single source
-/// of truth both `ServeOptions` here and the legacy
-/// `StreamingSubmitOptions` (serve/window_stream.h) default from, so the
-/// two submission surfaces cannot silently diverge.
+/// Canonical defaults of the delivery knobs of `ServeOptions` (the
+/// router's merged stream defaults its queue from the same capacity).
 inline constexpr int64_t kDefaultStreamQueueCapacity = 8;
 inline constexpr int64_t kDefaultMaxBatchWindows = 4;
 
@@ -90,10 +88,12 @@ struct ServeOptions {
   /// deadline governs admission (a queued request is refused with
   /// DeadlineExceeded once it passes; a request whose deadline already
   /// passed when its task starts fails the same way), the `kAuto` tier
-  /// choice, and — since the hard-deadline work — evaluation itself: an
-  /// exact sweep checks the deadline at band/window cadence and aborts
-  /// mid-run with DeadlineExceeded, delivering (and caching) every window
-  /// completed before it.
+  /// choice, and evaluation itself on both tiers and every surface
+  /// (`Submit`, `Query`, `SubmitStreaming`): an exact sweep checks it at
+  /// band/window cadence, an approx walk at window cadence, and either
+  /// aborts mid-run with DeadlineExceeded after delivering every window
+  /// completed before it (exact windows stay cached). A collected request
+  /// then returns only the DeadlineExceeded status.
   std::optional<int64_t> deadline_ms;
 
   /// Admission policy for oversized prepares; unset -> the server's
@@ -104,24 +104,32 @@ struct ServeOptions {
   /// server's `degrade` default (off by default).
   std::optional<DegradePolicy> degrade;
 
-  // Streaming-delivery knobs (SubmitStreaming only; the per-stream
-  // StreamingSubmitOptions folded into the request surface — same meanings
-  // and defaults as serve/window_stream.h).
-  /// Capacity of the bounded delivery queue (backpressure bound).
+  /// Capacity of the bounded delivery queue between the producer and a
+  /// `SubmitStreaming` consumer: when it is full the producer blocks
+  /// (backpressure), so a slow consumer bounds the stream's memory at
+  /// `queue_capacity` windows instead of the whole result. `Submit` /
+  /// `Query` collect into a queue sized to the whole result instead — their
+  /// producer is a pool task that must never block on delivery.
   int64_t queue_capacity = kDefaultStreamQueueCapacity;
-  /// Cap on the contiguous window run one engine pass claims, rounded up to
-  /// whole kSweepWindowBand sweep bands (0 = unbounded); bounds the
-  /// undelivered backlog and claim granularity in bands. Exact tier only —
-  /// the approx tier takes no claims.
+  /// Cap on the contiguous window run one engine pass claims, on every
+  /// surface, rounded up to whole kSweepWindowBand sweep bands (so 1 and 4
+  /// both mean one 16-window band — a shorter pass would re-stream the dot
+  /// prefixes once per run); 0 = unbounded. Within a run the exact engine
+  /// emits window by window — each window is cached, claim-fulfilled and
+  /// delivered (non-blocking) the moment it lands — but delivery only
+  /// *waits* for a slow consumer between runs, so the cap bounds a
+  /// stream's undelivered backlog at queue_capacity plus one run, and
+  /// bounds claim granularity toward concurrent identical queries. Serving
+  /// evaluates exactly, so run chopping never changes results. Exact tier
+  /// only — the approx tier takes no claims.
   int64_t max_batch_windows = kDefaultMaxBatchWindows;
 };
 
 /// One submission against the serving layer: the dataset to query, the
-/// sliding-window question, and how to serve it. This is the server's
-/// primary entry point (`Submit` / `SubmitStreaming` / `Query` all take
-/// one); the bare `(dataset, query)` overloads are thin wrappers building a
-/// default request. Plain data, cheap to copy — and the unit a sharding
-/// router would serialize to fan a query out across server processes.
+/// sliding-window question, and how to serve it. This is the server's one
+/// entry point (`Submit` / `SubmitStreaming` / `Query` all take one). Plain
+/// data, cheap to copy — and the unit a sharding router serializes to fan
+/// a query out across server processes.
 struct QueryRequest {
   std::string dataset;
   SlidingQuery query;

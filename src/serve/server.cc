@@ -36,11 +36,9 @@ WindowEdges WaitForWindowClaim(const WindowClaimPtr& claim,
   if (deadline_hit != nullptr) {
     *deadline_hit = false;
   }
-  if (stream != nullptr) {
-    // Alias the waker to the claim so the registration keeps it alive even
-    // if the claimant retires the claim while we sleep.
-    stream->AddCancelWaker(std::shared_ptr<CancelWaker>(claim, &claim->waker));
-  }
+  // Alias the waker to the claim so the registration keeps it alive even if
+  // the claimant retires the claim while we sleep.
+  stream->AddCancelWaker(std::shared_ptr<CancelWaker>(claim, &claim->waker));
   WindowEdges edges;
   {
     MutexLock lock(claim->waker.m);
@@ -51,7 +49,7 @@ WindowEdges WaitForWindowClaim(const WindowClaimPtr& claim,
     // claimant owes us nothing at our deadline). A WaitUntil timeout breaks
     // out; the classification below still prefers a fulfillment or
     // cancellation that raced in just ahead of it.
-    while (!claim->done && !(stream != nullptr && stream->cancelled())) {
+    while (!claim->done && !stream->cancelled()) {
       if (!deadline.has_deadline()) {
         claim->waker.cv.Wait(claim->waker.m);
       } else if (claim->waker.cv.WaitUntil(claim->waker.m,
@@ -61,7 +59,7 @@ WindowEdges WaitForWindowClaim(const WindowClaimPtr& claim,
     }
     if (claim->done) {
       edges = claim->edges;
-    } else if (stream != nullptr && stream->cancelled()) {
+    } else if (stream->cancelled()) {
       *cancelled = true;
     } else {
       // Neither fulfilled nor cancelled: the deadline bounded the wait.
@@ -70,9 +68,7 @@ WindowEdges WaitForWindowClaim(const WindowClaimPtr& claim,
       }
     }
   }
-  if (stream != nullptr) {
-    stream->RemoveCancelWaker(&claim->waker);
-  }
+  stream->RemoveCancelWaker(&claim->waker);
   return edges;
 }
 
@@ -342,6 +338,7 @@ Result<DangoronServer::RequestContext> DangoronServer::ResolveRequest(
   ctx.admission = request.options.admission.value_or(options_.admission);
   ctx.degrade = request.options.degrade.value_or(options_.degrade);
   ctx.deadline = DeadlineToken(RequestDeadline(request.options));
+  ctx.max_batch_windows = request.options.max_batch_windows;
   return ctx;
 }
 
@@ -448,20 +445,26 @@ std::future<Result<ServeResult>> DangoronServer::Submit(
     const QueryRequest& request) {
   Result<RequestContext> ctx = ResolveRequest(request, "Submit");
   if (!ctx.ok()) {
-    RecordQueryStats(ServeResult{}, /*streaming=*/false);
+    RecordQueryStats(StreamingSummary{});
     std::promise<Result<ServeResult>> failed;
     failed.set_value(ctx.status());
     return failed.get_future();
   }
-  return pool_->Async(
-      [this, ctx = std::move(*ctx)]() -> Result<ServeResult> {
-        return RunQuery(ctx);
-      });
-}
-
-std::future<Result<ServeResult>> DangoronServer::Submit(
-    const std::string& dataset, const SlidingQuery& query) {
-  return Submit(QueryRequest{dataset, query, ServeOptions{}});
+  return pool_->Async([this, ctx = std::move(*ctx)]() -> Result<ServeResult> {
+    // Room for every window, so no push can ever block this compute thread
+    // (and so no consumer pace reaches the pipeline); collected once the
+    // stream finished.
+    WindowStreamState collected(ctx.query.NumWindows());
+    RunStreamingQuery(ctx, &collected);
+    RETURN_IF_ERROR(collected.status());
+    ServeResult result;
+    static_cast<StreamingSummary&>(result) = collected.summary();
+    result.series = CorrelationMatrixSeries(ctx.query, ctx.data->num_series());
+    for (const StreamedWindow& window : collected.TakeAll()) {
+      *result.series.MutableWindow(window.window_index) = *window.edges;
+    }
+    return result;
+  });
 }
 
 std::unique_ptr<WindowStream> DangoronServer::SubmitStreaming(
@@ -470,7 +473,7 @@ std::unique_ptr<WindowStream> DangoronServer::SubmitStreaming(
       request.options.queue_capacity);
   Result<RequestContext> resolved = ResolveRequest(request, "SubmitStreaming");
   if (!resolved.ok()) {
-    RecordQueryStats(ServeResult{}, /*streaming=*/true);
+    RecordQueryStats(StreamingSummary{});
     state->Finish(resolved.status(), StreamingSummary{});
     return std::make_unique<WindowStream>(std::move(state));
   }
@@ -499,7 +502,7 @@ std::unique_ptr<WindowStream> DangoronServer::SubmitStreaming(
     active_streams_ = std::move(live);
     if (static_cast<int64_t>(active_streams_.size()) >=
         options_.max_concurrent_streams) {
-      RecordQueryStats(ServeResult{}, /*streaming=*/true);
+      RecordQueryStats(StreamingSummary{});
       state->Finish(
           Status::ResourceExhausted(
               "SubmitStreaming: ", active_streams_.size(),
@@ -509,32 +512,16 @@ std::unique_ptr<WindowStream> DangoronServer::SubmitStreaming(
           StreamingSummary{});
       return std::make_unique<WindowStream>(std::move(state));
     }
-    std::thread producer([this, ctx = std::move(*resolved),
-                          max_batch = request.options.max_batch_windows,
-                          state]() mutable {
-      RunStreamingQuery(ctx, max_batch, std::move(state));
+    std::thread producer([this, ctx = std::move(*resolved), state] {
+      RunStreamingQuery(ctx, state.get());
     });
     active_streams_.push_back(ActiveStream{std::move(producer), state});
   }
   return std::make_unique<WindowStream>(std::move(state));
 }
 
-std::unique_ptr<WindowStream> DangoronServer::SubmitStreaming(
-    const std::string& dataset, const SlidingQuery& query,
-    const StreamingSubmitOptions& stream_options) {
-  QueryRequest request{dataset, query, ServeOptions{}};
-  request.options.queue_capacity = stream_options.queue_capacity;
-  request.options.max_batch_windows = stream_options.max_batch_windows;
-  return SubmitStreaming(request);
-}
-
 Result<ServeResult> DangoronServer::Query(const QueryRequest& request) {
   return Submit(request).get();
-}
-
-Result<ServeResult> DangoronServer::Query(const std::string& dataset,
-                                          const SlidingQuery& query) {
-  return Submit(dataset, query).get();
 }
 
 Result<bool> DangoronServer::AdmitBuild(
@@ -600,7 +587,7 @@ Result<T> DangoronServer::BuildWithRetries(
   Rng jitter(fingerprint ^ (retry_seq.fetch_add(1) + 0x9e3779b97f4a7c15ull));
   while (!built.ok() && PrepareRetryable(built.status()) &&
          retries < kPrepareMaxRetries && !deadline.expired() &&
-         (stream == nullptr || !stream->cancelled())) {
+         !stream->cancelled()) {
     ++retries;
     double backoff_ms = static_cast<double>(int64_t{1} << (retries - 1)) *
                         (0.5 + jitter.NextDouble());
@@ -620,7 +607,8 @@ Result<T> DangoronServer::BuildWithRetries(
 
 Status DangoronServer::OpenExactSource(const RequestContext& ctx,
                                        WindowStreamState* stream,
-                                       ExactSource* source, ServeResult* out) {
+                                       ExactSource* source,
+                                       StreamingSummary* out) {
   const SketchCacheKey key{ctx.fingerprint, options_.basic_window};
   // A resident full sketch (built by an approx query) serves the exact
   // sweep too — the cache state decides, no option does.
@@ -785,14 +773,11 @@ Result<std::shared_ptr<const PreparedDataset>> DangoronServer::GetOrPrepare(
   return prepared;
 }
 
-Status DangoronServer::RunWindowPlan(
-    const RequestContext& ctx, int64_t max_batch_windows,
-    WindowStreamState* stream, std::vector<WindowEdges>* got_out,
-    ServeResult* out, bool* exact_family_out, double* prepare_seconds_out,
-    int64_t* next_deliver_out) {
-  if (next_deliver_out != nullptr) {
-    *next_deliver_out = 0;
-  }
+Status DangoronServer::RunWindowPlan(const RequestContext& ctx,
+                                     WindowStreamState* stream,
+                                     StreamingSummary* out,
+                                     int64_t* next_deliver_out) {
+  *next_deliver_out = 0;
   const std::shared_ptr<const TimeSeriesMatrix>& data = ctx.data;
   const uint64_t fingerprint = ctx.fingerprint;
   const SlidingQuery& query = ctx.query;
@@ -800,9 +785,6 @@ Status DangoronServer::RunWindowPlan(
   const int64_t b = options_.basic_window;
   RETURN_IF_ERROR(CheckQueryAligned(query));
   RETURN_IF_ERROR(CheckCoverage(query, *data));
-  if (prepare_seconds_out != nullptr) {
-    *prepare_seconds_out = 0.0;
-  }
   // Nothing is built until a window must be computed: a plan served from
   // the window cache and joins pays no build.
   out->prepared_from_cache = true;
@@ -811,13 +793,10 @@ Status DangoronServer::RunWindowPlan(
   const int64_t num_windows = query.NumWindows();
 
   // Threshold-family canonicalization: evaluate/cache at the family
-  // threshold, filter back up to the query's on delivery/assembly.
+  // threshold, filter back up to the query's on delivery.
   const double canonical =
       CanonicalThreshold(query.threshold, query.absolute);
   const bool exact_family = SameThresholdBits(canonical, query.threshold);
-  if (exact_family_out != nullptr) {
-    *exact_family_out = exact_family;
-  }
   SlidingQuery eval = query;
   eval.threshold = canonical;
 
@@ -825,16 +804,16 @@ Status DangoronServer::RunWindowPlan(
     return QueryWindowKey(fingerprint, b, query, k, canonical);
   };
 
-  std::vector<WindowEdges>& got = *got_out;
-  got.assign(static_cast<size_t>(num_windows), nullptr);
+  // Resolved, not yet delivered windows at the family threshold.
+  std::vector<WindowEdges> got(static_cast<size_t>(num_windows));
 
-  // In-order streaming delivery of the contiguous finished prefix.
-  // Filtering from the family threshold to the query's happens here, at the
-  // delivery edge — the cache keeps the family-threshold superset. The
-  // blocking form waits out backpressure and therefore may only run while
-  // this task holds no unfulfilled claims; the non-blocking form runs from
-  // inside the evaluation sink (claims outstanding) and simply stops at a
-  // full queue, leaving the rest for the next blocking edge.
+  // In-order delivery of the contiguous finished prefix. Filtering from the
+  // family threshold to the query's happens here, at the delivery edge —
+  // the cache keeps the family-threshold superset. The blocking form waits
+  // out backpressure and therefore may only run while this task holds no
+  // unfulfilled claims; the non-blocking form runs from inside the
+  // evaluation sink (claims outstanding) and simply stops at a full queue,
+  // leaving the rest for the next blocking edge.
   int64_t next_deliver = 0;
   bool delivery_cancelled = false;
   // Deadline blown while blocked delivering to a slow consumer (the only
@@ -846,7 +825,7 @@ Status DangoronServer::RunWindowPlan(
   int64_t filtered_index = -1;
   WindowEdges filtered_edges;
   auto deliver_ready = [&](bool blocking) {
-    if (stream == nullptr || delivery_cancelled) {
+    if (delivery_cancelled) {
       return;
     }
     while (next_deliver < num_windows &&
@@ -884,22 +863,34 @@ Status DangoronServer::RunWindowPlan(
         }
         return;
       }
-      // Streaming never assembles a series, so drop the plan's reference
-      // once delivered: peak memory is the queue plus the in-flight run,
-      // not the whole result (the cache keeps its own budgeted reference).
+      // Drop the plan's reference once delivered: peak memory is the queue
+      // plus the in-flight run, not the whole result (the cache keeps its
+      // own budgeted reference).
       got[static_cast<size_t>(next_deliver)] = nullptr;
       ++next_deliver;
     }
   };
   auto plan_cancelled = [&]() {
-    return delivery_cancelled || (stream != nullptr && stream->cancelled());
+    return delivery_cancelled || stream->cancelled();
   };
-  // Every return funnels through here so the caller learns the resume
-  // point: for a streaming plan the first undelivered window, for a
-  // materialized one the windows retained in `got` speak for themselves.
+  // The cost-model sample: windows landed by claimed runs and the wall time
+  // of their engine passes.
+  int64_t run_windows = 0;
+  double run_seconds = 0.0;
+  // Every return funnels through here: the caller learns the resume point
+  // (the first undelivered window), and the kAuto cost model learns from
+  // whatever this plan evaluated in claimed runs — one EWMA step per plan.
   auto finish_plan = [&](Status status) {
-    if (next_deliver_out != nullptr) {
-      *next_deliver_out = next_deliver;
+    *next_deliver_out = next_deliver;
+    const int64_t n = data->num_series();
+    const auto [pair_lo, pair_hi] = query.PairRange(n * (n - 1) / 2);
+    const double cells = static_cast<double>(run_windows) *
+                         static_cast<double>(pair_hi - pair_lo);
+    if (cells > 0 && run_seconds > 0) {
+      const double observed = run_seconds * 1e9 / cells;
+      MutexLock lock(stats_mutex_);
+      exact_cell_ns_ = (1.0 - kExactCostAlpha) * exact_cell_ns_ +
+                       kExactCostAlpha * observed;
     }
     return status;
   };
@@ -934,16 +925,6 @@ Status DangoronServer::RunWindowPlan(
                                                pool_.get(), /*stats=*/nullptr,
                                                sink);
   };
-  // Opens the source before any claim is taken: admission may park, and a
-  // parked plan must not hold claims others are joining.
-  auto open_source = [&]() {
-    Stopwatch open_timer;
-    const Status opened = OpenExactSource(ctx, stream, &source, out);
-    if (prepare_seconds_out != nullptr) {
-      *prepare_seconds_out += open_timer.ElapsedSeconds();
-    }
-    return opened;
-  };
 
   // Walk the windows in order, resolving each from the cache, a concurrent
   // query's in-flight claim, or our own evaluation. Claims are taken *per
@@ -964,8 +945,8 @@ Status DangoronServer::RunWindowPlan(
   // re-stream the whole prefix block once per run — 84 passes instead of 21
   // for a 336-window query at the default cap of 4.
   const int64_t run_cap =
-      max_batch_windows > 0
-          ? CeilDiv(max_batch_windows, kSweepWindowBand) * kSweepWindowBand
+      ctx.max_batch_windows > 0
+          ? CeilDiv(ctx.max_batch_windows, kSweepWindowBand) * kSweepWindowBand
           : num_windows;
   int64_t k = 0;
   while (k < num_windows) {
@@ -1031,19 +1012,22 @@ Status DangoronServer::RunWindowPlan(
       continue;
     }
 
+    // Open the source before any claim is taken: admission may park, and a
+    // parked plan must not hold claims others are joining.
     if (needs_source) {
-      if (Status opened = open_source(); !opened.ok()) {
+      if (Status opened = OpenExactSource(ctx, stream, &source, out);
+          !opened.ok()) {
         return finish_plan(opened);
       }
       continue;  // re-resolve window k: it may have landed meanwhile
     }
 
     if (join != nullptr) {
-      // Wait holding no claims — and cancellably: a streaming plan wakes on
-      // its own stream's Cancel instead of waiting out the foreign
-      // evaluation. A null result means the claimant failed (or was
-      // cancelled) after claiming; evaluate the window ourselves rather
-      // than inheriting its error.
+      // Wait holding no claims — and cancellably: the plan wakes on its own
+      // stream's Cancel instead of waiting out the foreign evaluation. A
+      // null result means the claimant failed (or was cancelled) after
+      // claiming; evaluate the window ourselves rather than inheriting its
+      // error.
       bool join_cancelled = false;
       bool join_deadline = false;
       WindowEdges edges = WaitForWindowClaim(join, stream, &join_cancelled,
@@ -1058,7 +1042,8 @@ Status DangoronServer::RunWindowPlan(
       }
       if (edges == nullptr) {
         if (!source.open()) {
-          if (Status opened = open_source(); !opened.ok()) {
+          if (Status opened = OpenExactSource(ctx, stream, &source, out);
+              !opened.ok()) {
             return finish_plan(opened);
           }
         }
@@ -1123,7 +1108,17 @@ Status DangoronServer::RunWindowPlan(
     SlidingQuery sub = eval;
     sub.start = query.start + k * query.step;
     sub.end = sub.start + (claimed - 1) * query.step + query.window;
+    if (source.streamed.has_value()) {
+      // Fold the stream up to the run's first slot before timing it: after
+      // a cached or joined prefix that catch-up covers every window the
+      // run skipped, and charging it to the run's cells would inflate the
+      // cost sample by the prefix's length.
+      source.streamed->AdvanceTo(sub.start / b, pool_.get());
+    }
+    Stopwatch run_timer;
     const Status eval_status = evaluate(sub, &run_sink);
+    run_seconds += run_timer.ElapsedSeconds();
+    run_windows += landed;
     if (!eval_status.ok()) {
       // Engine failure, sink-driven cancellation, or deadline abort
       // mid-run: fulfill the remaining claims with null so joiners
@@ -1155,24 +1150,16 @@ Status DangoronServer::RunWindowPlan(
 
 Status DangoronServer::RunApproxPlan(const RequestContext& ctx,
                                      WindowStreamState* stream,
-                                     ServeResult* out,
-                                     CorrelationMatrixSeries* series_out,
+                                     StreamingSummary* out,
                                      int64_t first_window) {
   const SlidingQuery& full_query = ctx.query;
   RETURN_IF_ERROR(full_query.Validate(ctx.data->length()));
-  const int64_t b = options_.basic_window;
   RETURN_IF_ERROR(CheckQueryAligned(full_query));
   // Degradation continuation: evaluate only the window suffix from
   // `first_window`, delivering under the original indices — the exact plan
-  // already delivered [0, first_window). Streaming only: a materialized
-  // degrade reruns the whole range (its exact prefix was retained, not
-  // delivered, and jumping is range-dependent anyway).
+  // already delivered [0, first_window).
   SlidingQuery query = full_query;
   if (first_window > 0) {
-    if (stream == nullptr) {
-      return Status::Internal(
-          "RunApproxPlan: window-suffix continuation requires a stream");
-    }
     if (first_window >= full_query.NumWindows()) {
       return Status::Ok();  // everything already delivered
     }
@@ -1190,69 +1177,52 @@ Status DangoronServer::RunApproxPlan(const RequestContext& ctx,
                    GetOrPrepare(ctx.data, ctx.fingerprint, ctx.admission,
                                 ctx.deadline, stream,
                                 &out->prepared_from_cache));
-  const int64_t num_windows = query.NumWindows();
 
-  DangoronOptions engine_options = ServingEngineOptions(b);
+  DangoronOptions engine_options = ServingEngineOptions(options_.basic_window);
   engine_options.enable_jumping = true;  // the tier's whole point
 
+  // Blocking delivery is safe here: this path holds no window claims, so a
+  // slow consumer stalls only its own producer — but the request's deadline
+  // still bounds it (PushUntil), and each emitted window re-checks the
+  // clock: the approx tier enforces the hard deadline at window cadence.
   EngineStats engine_stats;
-  Status status;
-  if (stream == nullptr) {
-    CollectingWindowSink sink;
-    status = DangoronEngine::QueryPreparedToSink(
-        engine_options, prepared->index(), query, pool_.get(), &engine_stats,
-        &sink);
-    if (status.ok()) {
-      *series_out = sink.TakeSeries();
-      out->windows_computed = num_windows;
-    }
-  } else {
-    // Blocking delivery is safe here: this path holds no window claims, so
-    // a slow consumer stalls only its own producer thread — but the
-    // request's deadline still bounds it (PushUntil), and each emitted
-    // window re-checks the clock: the approx tier enforces the hard
-    // deadline at window cadence.
-    bool deadline_hit = false;
-    CallbackWindowSink sink([&](int64_t k, std::vector<Edge> edges) {
-      auto shared_edges =
-          std::make_shared<std::vector<Edge>>(std::move(edges));
-      switch (stream->PushUntil(
-          StreamedWindow{first_window + k, std::move(shared_edges)},
-          ctx.deadline.deadline())) {
-        case PushResult::kPushed:
-          break;
-        case PushResult::kCancelled:
-          return false;
-        case PushResult::kDeadlineExceeded:
-          deadline_hit = true;
-          return false;
-      }
-      ++out->windows_computed;
-      if (ctx.deadline.expired()) {
+  bool deadline_hit = false;
+  CallbackWindowSink sink([&](int64_t k, std::vector<Edge> edges) {
+    auto shared_edges = std::make_shared<std::vector<Edge>>(std::move(edges));
+    switch (stream->PushUntil(
+        StreamedWindow{first_window + k, std::move(shared_edges)},
+        ctx.deadline.deadline())) {
+      case PushResult::kPushed:
+        break;
+      case PushResult::kCancelled:
+        return false;
+      case PushResult::kDeadlineExceeded:
         deadline_hit = true;
         return false;
-      }
-      return true;
-    });
-    status = DangoronEngine::QueryPreparedToSink(
-        engine_options, prepared->index(), query, pool_.get(), &engine_stats,
-        &sink);
-    if (deadline_hit) {
-      {
-        MutexLock lock(stats_mutex_);
-        ++stats_.deadline_exceeded;
-        ++stats_.deadline_aborted_mid_run;
-      }
-      out->cells_jumped = engine_stats.cells_jumped;
-      out->jumps = engine_stats.jumps;
-      return Status::DeadlineExceeded(
-          "DangoronServer: deadline expired mid-approx-plan — delivered ",
-          out->windows_computed, " of ",
-          full_query.NumWindows() - first_window, " windows");
     }
-  }
+    ++out->windows_computed;
+    if (ctx.deadline.expired()) {
+      deadline_hit = true;
+      return false;
+    }
+    return true;
+  });
+  const Status status = DangoronEngine::QueryPreparedToSink(
+      engine_options, prepared->index(), query, pool_.get(), &engine_stats,
+      &sink);
   out->cells_jumped = engine_stats.cells_jumped;
   out->jumps = engine_stats.jumps;
+  if (deadline_hit) {
+    {
+      MutexLock lock(stats_mutex_);
+      ++stats_.deadline_exceeded;
+      ++stats_.deadline_aborted_mid_run;
+    }
+    return Status::DeadlineExceeded(
+        "DangoronServer: deadline expired mid-approx-plan — delivered ",
+        out->windows_computed, " of ",
+        full_query.NumWindows() - first_window, " windows");
+  }
   if (status.code() == StatusCode::kCancelled) {
     return Status::Cancelled(
         "DangoronServer: stream cancelled mid-approx-plan");
@@ -1260,121 +1230,9 @@ Status DangoronServer::RunApproxPlan(const RequestContext& ctx,
   return status;
 }
 
-Result<ServeResult> DangoronServer::RunQuery(const RequestContext& ctx) {
-  if (ctx.deadline.expired()) {
-    // Attribute the failure to the tier that would have served it, so
-    // per-tier deadline accounting stays truthful.
-    ServeResult failed;
-    failed.tier_used = ResolveTier(ctx);
-    RecordQueryStats(failed, /*streaming=*/false);
-    MutexLock lock(stats_mutex_);
-    ++stats_.deadline_exceeded;
-    return Status::DeadlineExceeded(
-        "DangoronServer: request deadline passed before the query started");
-  }
-
-  // Graceful degradation, pre-run leg: an explicitly exact request whose
-  // deadline the exact cost estimate already misses is served approx up
-  // front under degrade=auto — a late exact answer is worse than an
-  // on-time approximate one (kAuto's own estimate-driven approx choice is
-  // selection, not degradation, and is not flagged).
-  const bool degrade_estimate =
-      ctx.tier == ServeTier::kExact &&
-      ctx.degrade == DegradePolicy::kAuto && ctx.deadline.has_deadline() &&
-      EstimateExactCostMs(ctx) > ctx.deadline.remaining_ms();
-
-  if (degrade_estimate || ResolveTier(ctx) == ServeTier::kApprox) {
-    ServeResult out;
-    out.tier_used = ServeTier::kApprox;
-    out.degraded = degrade_estimate;
-    CorrelationMatrixSeries series;
-    const Status plan = RunApproxPlan(ctx, /*stream=*/nullptr, &out, &series);
-    admission_queue_.NotifyReleased();  // the prepared handle is released
-    RecordQueryStats(out, /*streaming=*/false);
-    RETURN_IF_ERROR(plan);
-    out.series = std::move(series);
-    return out;
-  }
-
-  ServeResult out;
-  std::vector<WindowEdges> got;
-  bool exact_family = true;
-  double prepare_seconds = 0.0;
-  Stopwatch plan_timer;
-  const Status plan = RunWindowPlan(ctx, /*max_batch_windows=*/0,
-                                    /*stream=*/nullptr, &got, &out,
-                                    &exact_family, &prepare_seconds);
-  const double plan_ns =
-      (plan_timer.ElapsedSeconds() - prepare_seconds) * 1e9;
-  admission_queue_.NotifyReleased();  // the prepared handle is released
-  RecordQueryStats(out, /*streaming=*/false);
-  // Teach the kAuto cost model from warm queries that actually evaluated
-  // everything themselves: streaming queries fold consumer pace into the
-  // elapsed time, and a query that joined or cache-read windows folds
-  // foreign evaluation waits into plan_ns while dividing by only its own
-  // computed windows — any of which would inflate the sample arbitrarily.
-  // Opening the source — an admission-queue park or a stream's panel
-  // build — is subtracted outright (prepare_seconds).
-  if (plan.ok() && out.windows_computed > 0 && out.windows_joined == 0 &&
-      out.windows_from_cache == 0) {
-    const int64_t n = ctx.data->num_series();
-    const auto [pair_lo, pair_hi] = ctx.query.PairRange(n * (n - 1) / 2);
-    const double pairs = static_cast<double>(pair_hi - pair_lo);
-    const double cells = static_cast<double>(out.windows_computed) * pairs;
-    if (cells > 0 && plan_ns > 0) {
-      const double observed = plan_ns / cells;
-      MutexLock lock(stats_mutex_);
-      exact_cell_ns_ = (1.0 - kExactCostAlpha) * exact_cell_ns_ +
-                       kExactCostAlpha * observed;
-    }
-  }
-  // Graceful degradation, mid-run leg: an exact plan that died of resource
-  // exhaustion (admission refusal, budget pressure — real or injected) is
-  // rerun whole on the approx tier while the deadline still has budget.
-  // Only ResourceExhausted: other failures would fail approx identically,
-  // and a mid-run DeadlineExceeded means the budget is already gone.
-  if (plan.code() == StatusCode::kResourceExhausted &&
-      ctx.degrade == DegradePolicy::kAuto && ctx.tier != ServeTier::kApprox &&
-      !ctx.deadline.expired()) {
-    ServeResult degraded_out;
-    degraded_out.tier_used = ServeTier::kApprox;
-    degraded_out.degraded = true;
-    CorrelationMatrixSeries series;
-    const Status fallback =
-        RunApproxPlan(ctx, /*stream=*/nullptr, &degraded_out, &series);
-    admission_queue_.NotifyReleased();
-    {
-      // The submission was already counted by the RecordQueryStats above
-      // (one query, its exact-attempt window counters); fold in only what
-      // the fallback adds — not a second `queries` tick.
-      MutexLock lock(stats_mutex_);
-      ++stats_.queries_approx;
-      ++stats_.degraded_to_approx;
-      stats_.windows_computed += degraded_out.windows_computed;
-    }
-    RETURN_IF_ERROR(fallback);
-    degraded_out.series = std::move(series);
-    return degraded_out;
-  }
-  RETURN_IF_ERROR(plan);
-
-  // Assemble the response from the shared per-window edge sets, filtering
-  // family-threshold sets down to the query's exact threshold.
-  const int64_t n = ctx.data->num_series();
-  CorrelationMatrixSeries series(ctx.query, n);
-  for (int64_t k = 0; k < ctx.query.NumWindows(); ++k) {
-    const std::vector<Edge>& edges = *got[static_cast<size_t>(k)];
-    *series.MutableWindow(k) =
-        exact_family ? edges : FilterEdges(edges, ctx.query);
-  }
-  out.series = std::move(series);
-  return out;
-}
-
-void DangoronServer::RunStreamingQuery(
-    const RequestContext& ctx, int64_t max_batch_windows,
-    std::shared_ptr<WindowStreamState> stream) {
-  ServeResult out;
+void DangoronServer::RunStreamingQuery(const RequestContext& ctx,
+                                       WindowStreamState* stream) {
+  StreamingSummary out;
   Status status = Status::Ok();
   if (ctx.deadline.expired()) {
     out.tier_used = ResolveTier(ctx);  // truthful per-tier attribution
@@ -1383,9 +1241,13 @@ void DangoronServer::RunStreamingQuery(
       ++stats_.deadline_exceeded;
     }
     status = Status::DeadlineExceeded(
-        "DangoronServer: request deadline passed before the stream started");
+        "DangoronServer: request deadline passed before the query started");
   } else {
-    // Pre-run degradation leg — same rule as the materialized path.
+    // Graceful degradation, pre-run leg: an explicitly exact request whose
+    // deadline the exact cost estimate already misses is served approx up
+    // front under degrade=auto — a late exact answer is worse than an
+    // on-time approximate one (kAuto's own estimate-driven approx choice is
+    // selection, not degradation, and is not flagged).
     const bool degrade_estimate =
         ctx.tier == ServeTier::kExact &&
         ctx.degrade == DegradePolicy::kAuto && ctx.deadline.has_deadline() &&
@@ -1393,53 +1255,42 @@ void DangoronServer::RunStreamingQuery(
     if (degrade_estimate || ResolveTier(ctx) == ServeTier::kApprox) {
       out.tier_used = ServeTier::kApprox;
       out.degraded = degrade_estimate;
-      status = RunApproxPlan(ctx, stream.get(), &out, /*series_out=*/nullptr);
+      status = RunApproxPlan(ctx, stream, &out);
     } else {
-      std::vector<WindowEdges> got;
       int64_t next_deliver = 0;
-      status = RunWindowPlan(ctx, max_batch_windows, stream.get(), &got, &out,
-                             nullptr, nullptr, &next_deliver);
-      // Mid-run degradation leg: the exact plan died of resource
-      // exhaustion with deadline budget left — continue on the approx tier
-      // from the first undelivered window, under the original indices, so
-      // the consumer still sees one ascending exactly-once sequence.
+      status = RunWindowPlan(ctx, stream, &out, &next_deliver);
+      // Graceful degradation, mid-run leg: an exact plan that died of
+      // resource exhaustion (admission refusal, budget pressure — real or
+      // injected) continues on the approx tier while the deadline still
+      // has budget, from the first undelivered window and under the
+      // original indices, so the consumer still sees one ascending
+      // exactly-once sequence. Only ResourceExhausted: other failures would
+      // fail approx identically, and a mid-run DeadlineExceeded means the
+      // budget is already gone.
       if (status.code() == StatusCode::kResourceExhausted &&
           ctx.degrade == DegradePolicy::kAuto && !ctx.deadline.expired() &&
           !stream->cancelled()) {
         out.tier_used = ServeTier::kApprox;
         out.degraded = true;
-        status = RunApproxPlan(ctx, stream.get(), &out,
-                               /*series_out=*/nullptr, next_deliver);
+        status = RunApproxPlan(ctx, stream, &out, next_deliver);
       }
     }
     admission_queue_.NotifyReleased();  // the prepared handle is released
   }
-  RecordQueryStats(out, /*streaming=*/true);
+  RecordQueryStats(out);
   if (status.code() == StatusCode::kCancelled) {
     // Consumer Cancel — or, through the wire layer, a client disconnect.
     MutexLock lock(stats_mutex_);
     ++stats_.streams_cancelled;
   }
-  StreamingSummary summary;
-  summary.tier_used = out.tier_used;
-  summary.prepared_from_cache = out.prepared_from_cache;
-  summary.windows_from_cache = out.windows_from_cache;
-  summary.windows_computed = out.windows_computed;
-  summary.windows_joined = out.windows_joined;
-  summary.cells_jumped = out.cells_jumped;
-  summary.jumps = out.jumps;
-  summary.degraded = out.degraded;
-  stream->Finish(std::move(status), summary);
+  stream->Finish(std::move(status), out);
 }
 
-void DangoronServer::RecordQueryStats(const ServeResult& out, bool streaming) {
+void DangoronServer::RecordQueryStats(const StreamingSummary& out) {
   // Every submission counts, successful or not, and the window counters
-  // reflect the work actually done — one accounting rule for both paths.
+  // reflect the work actually done.
   MutexLock lock(stats_mutex_);
   ++stats_.queries;
-  if (streaming) {
-    ++stats_.streaming_queries;
-  }
   if (out.tier_used == ServeTier::kApprox) {
     ++stats_.queries_approx;
   }

@@ -68,9 +68,9 @@ struct DangoronServerOptions {
   /// disables (exact-match keys).
   int64_t threshold_family_steps = 20;
 
-  /// Tier served to requests that leave `ServeOptions::tier` unset — the
-  /// bare `(dataset, query)` wrapper overloads among them. The exact
-  /// default keeps every pre-request call site byte-identical.
+  /// Tier served to requests that leave `ServeOptions::tier` unset. The
+  /// exact default keeps every default request byte-identical to
+  /// NaiveEngine.
   ServeTier default_tier = ServeTier::kExact;
 
   /// Admission policy for requests that leave `ServeOptions::admission`
@@ -109,7 +109,7 @@ using WindowClaimPtr = std::shared_ptr<WindowClaim>;
 /// from the in-flight map so new queries resolve through the cache.
 void FulfillWindowClaim(const WindowClaimPtr& claim, WindowEdges edges);
 
-/// Blocks until `claim` is fulfilled, `stream` (nullable) is cancelled, or
+/// Blocks until `claim` is fulfilled, `stream` (non-null) is cancelled, or
 /// `deadline` expires, whichever happens first; wakes on fulfillment and
 /// cancellation via condition variables (no polling), and times out at the
 /// deadline. Returns the claim's edges (null when the claimant failed) and
@@ -123,37 +123,18 @@ WindowEdges WaitForWindowClaim(const WindowClaimPtr& claim,
                                const DeadlineToken& deadline = DeadlineToken(),
                                bool* deadline_hit = nullptr);
 
-/// Per-query outcome: the result series plus where its pieces came from.
-struct ServeResult {
+/// Per-query outcome of `Submit` / `Query`: the collected stream — its
+/// summary (where the windows came from) plus the assembled series.
+struct ServeResult : StreamingSummary {
   CorrelationMatrixSeries series;
-  /// The tier that actually answered (`kAuto` requests resolve to one of
-  /// the two before evaluation; never `kAuto` here).
-  ServeTier tier_used = ServeTier::kExact;
-  /// This query paid no sketch build: it found the prepared sketch in the
-  /// cache (or joined an in-flight build), or — exact tier — computed no
-  /// window at all. An exact query that computes windows without a
-  /// resident sketch pays its own band-streamed build and reports false.
-  bool prepared_from_cache = false;
-  int64_t windows_from_cache = 0;  ///< served from the window-result cache
-  int64_t windows_computed = 0;    ///< evaluated by this query
-  int64_t windows_joined = 0;      ///< awaited from a concurrent query
-  /// Eq. 2 jump accounting from EngineStats (approx tier only — the exact
-  /// tier never jumps): pair-window cells skipped, and jump decisions.
-  int64_t cells_jumped = 0;
-  int64_t jumps = 0;
-  /// The request asked exact but was served approx by `DegradePolicy::kAuto`
-  /// (blown deadline estimate or mid-query resource exhaustion). Never set
-  /// by kAuto's own tier choice — that is selection, not degradation.
-  bool degraded = false;
 };
 
 /// Aggregate server counters (monotonic since construction).
 struct DangoronServerStats {
-  /// Submissions processed (materialized + streaming), successful or not;
+  /// Submissions processed (collected + streaming), successful or not;
   /// window counters reflect the work actually done, so a failed or
   /// cancelled submission contributes what it computed before stopping.
   int64_t queries = 0;
-  int64_t streaming_queries = 0;  ///< of which SubmitStreaming
   int64_t queries_approx = 0;      ///< served by the approx (jumping) tier
   /// Builds actually paid: full sketches (approx tier) plus band streams
   /// (exact queries that computed windows without a resident sketch).
@@ -211,10 +192,12 @@ struct DangoronServerStats {
 ///   identical concurrent submissions evaluate each window once. Windows
 ///   land in the cache *as they are evaluated*, so even a cancelled or
 ///   still-running query's prefix is reusable.
-/// - Queries run as tasks on one shared ThreadPool and parallelize their
-///   pair blocks on the same pool. `Submit` materializes the full series;
-///   `SubmitStreaming` delivers windows one by one through a bounded
-///   backpressured queue the moment each is final (see WindowStream).
+/// - One pipeline serves every request: windows are delivered in order
+///   through a bounded stream the moment each is final (see WindowStream).
+///   `SubmitStreaming` hands that stream to the caller; `Submit` runs the
+///   same pipeline as a pool task into a stream with room for every window
+///   (no push can block a compute thread) and collects it into a series.
+///   Pair blocks parallelize on the same shared ThreadPool.
 ///
 /// Service tiers (`ServeOptions::tier`): the exact tier answers in exact
 /// incremental mode (no Eq. 2 jumping) through the shared window cache —
@@ -227,8 +210,8 @@ struct DangoronServerStats {
 /// never writes it — range-dependent windows must not be published), so
 /// approx traffic cannot perturb exact results. `kAuto` picks approx when
 /// the request's deadline is tighter than the server's estimate of the
-/// exact evaluation cost (a running estimate learned from warm exact
-/// queries, pessimistically seeded), exact otherwise.
+/// exact evaluation cost (a running estimate learned from exact claimed-run
+/// evaluation, pessimistically seeded), exact otherwise.
 ///
 /// Thread-safe: every public method may be called from any thread.
 class DangoronServer {
@@ -280,10 +263,12 @@ class DangoronServer {
   bool StartsWarm(const QueryRequest& request) const;
 
   /// Submits a request; returns immediately. The future resolves on a pool
-  /// thread once the result is assembled. The request carries the service
-  /// tier, deadline, and admission preference (`ServeOptions`); a
-  /// default-constructed `ServeOptions` reproduces the server's configured
-  /// defaults (exact tier, refuse admission, no deadline out of the box).
+  /// thread once the request's window stream finished and was collected
+  /// into a series — the same pipeline, windows, deadline rule and summary
+  /// as `SubmitStreaming`. The request carries the service tier, deadline,
+  /// and admission preference (`ServeOptions`); a default-constructed
+  /// `ServeOptions` reproduces the server's configured defaults (exact
+  /// tier, refuse admission, no deadline out of the box).
   std::future<Result<ServeResult>> Submit(const QueryRequest& request);
 
   /// Streaming submission of a request: windows are delivered through the
@@ -301,17 +286,6 @@ class DangoronServer {
   /// Synchronous convenience: Submit + wait. Must not be called from a pool
   /// task (i.e. from inside another query's execution).
   Result<ServeResult> Query(const QueryRequest& request);
-
-  /// Back-compat wrappers: build a request with default `ServeOptions`
-  /// (server-default tier and admission, no deadline) — byte-identical
-  /// behavior to the pre-request API for default-configured servers.
-  std::future<Result<ServeResult>> Submit(const std::string& dataset,
-                                          const SlidingQuery& query);
-  std::unique_ptr<WindowStream> SubmitStreaming(
-      const std::string& dataset, const SlidingQuery& query,
-      const StreamingSubmitOptions& stream_options = {});
-  Result<ServeResult> Query(const std::string& dataset,
-                            const SlidingQuery& query);
 
   /// The family threshold `threshold` is evaluated and cached at (itself,
   /// when `threshold_family_steps` is 0 or the threshold already sits on
@@ -344,6 +318,7 @@ class DangoronServer {
     AdmissionPolicy admission = AdmissionPolicy::kRefuse;
     DegradePolicy degrade = DegradePolicy::kOff;
     DeadlineToken deadline;
+    int64_t max_batch_windows = 0;
   };
 
   /// Resolves `request` against the dataset registry and the server's
@@ -357,8 +332,8 @@ class DangoronServer {
   ServeTier ResolveTier(const RequestContext& ctx) const;
 
   /// Estimated exact-tier evaluation cost of the request: uncached cells x
-  /// the running ns/cell estimate (learned from warm materialized exact
-  /// queries, pessimistically seeded — see kExactCostSeedNsPerCell).
+  /// the running ns/cell estimate (learned from the claimed runs of exact
+  /// plans, pessimistically seeded — see kExactCostSeedNsPerCell).
   /// Windows already in the result cache are discounted — a warm range is
   /// a near-free exact answer. Excludes opening the plan's source (a
   /// cache lookup or a stream's panels); a band-streamed plan's per-band
@@ -435,32 +410,27 @@ class DangoronServer {
   /// BuildWithRetries (prepares_built; `prepared_from_cache` = false).
   /// Must be called holding no window claims: admission may park.
   Status OpenExactSource(const RequestContext& ctx, WindowStreamState* stream,
-                         ExactSource* source, ServeResult* out);
+                         ExactSource* source, StreamingSummary* out);
 
-  /// The exact-tier core of materialized and streaming submissions: walks
-  /// the query's windows in order, resolving each from the result cache, a
-  /// concurrent query's in-flight claim, or its own evaluation in
-  /// contiguous claimed runs of at most `max_batch_windows` rounded up to
-  /// whole kSweepWindowBand bands (0 = unbounded), so one engine pass
-  /// streams the dot-prefix block once per band. Evaluation drives the
-  /// exact engine's native window emission: each window is cache-Put and
-  /// its claim fulfilled the moment the engine emits it — mid-run, not at
-  /// run end — so joiners and overlapping queries see windows at window
-  /// cadence, and the task never holds an unfulfilled claim across a
-  /// blocking wait (delivery inside a run uses non-blocking TryPush;
-  /// blocking backpressure delivery happens only between runs, with no
-  /// claims held — the no-deadlock invariant).
-  /// Join waits are cancellable: a streaming plan blocked on another
-  /// query's claim wakes on its own stream's Cancel (see WaitForWindowClaim)
-  /// instead of waiting out the foreign evaluation. When `stream` is
-  /// non-null, the contiguous prefix is delivered in order through the
-  /// stream's bounded queue (filtered from the family threshold to the
-  /// query's) and released from `got` after delivery; otherwise `got`
-  /// retains the family-threshold edge set per window for assembly.
-  /// `exact_family_out` (optional) reports whether the query threshold sits
-  /// on the family grid (no assembly filtering needed). Returns Cancelled
-  /// when the stream cancels mid-plan; cached windows computed before that
-  /// remain reusable.
+  /// The exact tier of the pipeline: walks the query's windows in order,
+  /// resolving each from the result cache, a concurrent query's in-flight
+  /// claim, or its own evaluation in contiguous claimed runs of at most
+  /// `ctx.max_batch_windows` rounded up to whole kSweepWindowBand bands (0 =
+  /// unbounded), so one engine pass streams the dot-prefix block once per
+  /// band. Evaluation drives the exact engine's native window emission:
+  /// each window is cache-Put and its claim fulfilled the moment the engine
+  /// emits it — mid-run, not at run end — so joiners and overlapping
+  /// queries see windows at window cadence, and the task never holds an
+  /// unfulfilled claim across a blocking wait (delivery inside a run uses
+  /// non-blocking TryPush; blocking backpressure delivery happens only
+  /// between runs, with no claims held — the no-deadlock invariant).
+  /// Join waits are cancellable: a plan blocked on another query's claim
+  /// wakes on its own stream's Cancel (see WaitForWindowClaim) instead of
+  /// waiting out the foreign evaluation. The contiguous prefix is delivered
+  /// in order through `stream`'s bounded queue (filtered from the family
+  /// threshold to the query's) and released after delivery. Returns
+  /// Cancelled when the stream cancels mid-plan; cached windows computed
+  /// before that remain reusable.
   /// Dot prefixes come from the resident full sketch when the sketch cache
   /// holds one (built by an approx query), else from the plan's own band
   /// stream, opened lazily at the first window the plan must compute and
@@ -468,62 +438,51 @@ class DangoronServer {
   /// OpenExactSource); a plan served wholly from the window cache and
   /// joins builds nothing. The exact tier never builds or caches a full
   /// sketch.
-  /// `prepare_seconds_out` (optional) reports the time spent opening the
-  /// source — admission-queue parks and the stream's panel build, not its
-  /// per-band advances, which are evaluation — so the caller's cost-model
-  /// sample can subtract waits that are not evaluation. The request's deadline is enforced *mid-plan*: the
-  /// walk checks it per window, claimed-run evaluation checks it at the
-  /// engine's band cadence, and claim joins / backpressure delivery time
-  /// out on it — a blown deadline aborts with DeadlineExceeded after
-  /// delivering (and caching) every window completed before it.
-  /// `next_deliver_out` (optional) reports the first window index NOT yet
-  /// delivered/retained when the plan stops early — the resume point a
-  /// degrading caller continues an approx plan from.
-  Status RunWindowPlan(const RequestContext& ctx, int64_t max_batch_windows,
-                       WindowStreamState* stream,
-                       std::vector<WindowEdges>* got, ServeResult* out,
-                       bool* exact_family_out,
-                       double* prepare_seconds_out = nullptr,
-                       int64_t* next_deliver_out = nullptr);
+  /// The summed wall time of the claimed runs' engine passes teaches the
+  /// kAuto cost model: in-run delivery never blocks, and a band stream is
+  /// folded up to each run's first window before the clock starts, so that
+  /// time excludes consumer pace, joins, cache reads, opening the source
+  /// and catching the stream up past windows the plan did not compute.
+  /// The request's deadline is enforced *mid-plan*: the walk checks it per
+  /// window, claimed-run evaluation checks it at the engine's band cadence,
+  /// and claim joins / backpressure delivery time out on it — a blown
+  /// deadline aborts with DeadlineExceeded after delivering (and caching)
+  /// every window completed before it. `*next_deliver_out` reports the
+  /// first window index not yet delivered — the resume point a degrading
+  /// caller continues an approx plan from.
+  Status RunWindowPlan(const RequestContext& ctx, WindowStreamState* stream,
+                       StreamingSummary* out, int64_t* next_deliver_out);
 
-  /// The approx-tier core shared by the materialized and streaming paths:
-  /// runs the request through the Eq. 2 jumping engine against the shared
-  /// prepared sketch, *never touching the window-result cache* (jumped
-  /// windows are range-dependent — publishing them would poison exact
-  /// reuse, and reading cached exact windows would make the jump pattern
-  /// cache-dependent). With `stream` null the series is materialized into
-  /// `series_out`; otherwise each window is delivered through the stream's
-  /// bounded queue (blocking is safe — this path holds no claims).
+  /// The approx tier of the pipeline: runs the request through the Eq. 2
+  /// jumping engine against the shared prepared sketch, *never touching the
+  /// window-result cache* (jumped windows are range-dependent — publishing
+  /// them would poison exact reuse, and reading cached exact windows would
+  /// make the jump pattern cache-dependent). Each window is delivered
+  /// through `stream`'s bounded queue (blocking is safe — this path holds
+  /// no claims) and the deadline is enforced at window cadence.
   /// `first_window` > 0 evaluates only the query's window suffix starting
   /// there (delivered under the original indices) — the degradation path's
-  /// continuation after an exact plan already delivered a prefix. The
-  /// deadline is enforced at window cadence on the streaming path.
+  /// continuation after an exact plan already delivered a prefix.
   Status RunApproxPlan(const RequestContext& ctx, WindowStreamState* stream,
-                       ServeResult* out, CorrelationMatrixSeries* series_out,
-                       int64_t first_window = 0);
+                       StreamingSummary* out, int64_t first_window = 0);
 
-  /// The body of one materialized request, run as a pool task: deadline
-  /// pre-check, tier resolution, then the exact plan + assembly or the
-  /// approx plan.
-  Result<ServeResult> RunQuery(const RequestContext& ctx);
+  /// The one query driver: deadline pre-check, tier resolution, the exact
+  /// or approx plan (with the degrade-on-exhaustion continuation), stats;
+  /// always finishes `stream`. Runs on a streaming submission's producer
+  /// thread, or as `Submit`'s pool task against a stream sized to hold
+  /// every window.
+  void RunStreamingQuery(const RequestContext& ctx, WindowStreamState* stream);
 
-  /// The body of one streaming request, run on its dedicated producer
-  /// thread; always finishes `stream`.
-  void RunStreamingQuery(const RequestContext& ctx,
-                         int64_t max_batch_windows,
-                         std::shared_ptr<WindowStreamState> stream);
-
-  /// Folds one submission's accounting into the aggregate counters — the
-  /// single rule both the materialized and streaming paths use.
-  void RecordQueryStats(const ServeResult& out, bool streaming);
+  /// Folds one submission's accounting into the aggregate counters.
+  void RecordQueryStats(const StreamingSummary& out);
 
   /// Returns the prepared sketch for (fingerprint, basic_window), building
   /// it at most once across concurrent callers: cache hit, else join an
   /// in-flight build, else admission control, else build + publish. Under
   /// `AdmissionPolicy::kQueue` a build that does not fit the free
   /// sketch-cache budget parks in the admission queue until evictions free
-  /// budget, `deadline` passes (DeadlineExceeded), or `stream` (nullable)
-  /// is cancelled; under `kRefuse` the historical refuse-oversized check
+  /// budget, `deadline` passes (DeadlineExceeded), or `stream` is
+  /// cancelled; under `kRefuse` the historical refuse-oversized check
   /// applies. Transient build failures (IoError, Internal — injected or
   /// real) are retried up to kPrepareMaxRetries times with jittered
   /// exponential backoff bounded by the remaining deadline;
@@ -557,8 +516,8 @@ class DangoronServer {
   // task can block on anything — another query's claim or a stream
   // consumer's queue — so a joiner only ever waits on an evaluation that is
   // actively running (see RunWindowPlan); no wait cycle and no dependence
-  // on consumer progress. Streaming joiners can additionally abandon the
-  // wait on cancellation (WaitForWindowClaim + CancelWaker).
+  // on consumer progress. Joiners can additionally abandon the wait on
+  // their stream's cancellation (WaitForWindowClaim + CancelWaker).
   mutable Mutex inflight_mutex_;  // mutable: stats() snapshots claims
   std::unordered_map<SketchCacheKey,
                      std::shared_future<std::shared_ptr<const PreparedDataset>>,
@@ -583,12 +542,10 @@ class DangoronServer {
   std::vector<ActiveStream> active_streams_ GUARDED_BY(streams_mutex_);
 
   // Aggregate counters (guarded by stats_mutex_), plus the running exact
-  // ns/cell estimate behind kAuto's tier choice: an EWMA over materialized
-  // exact queries that evaluated every window themselves (prepare time —
-  // builds, joins, admission parks — subtracted; joined/cache-read plans
-  // skipped), seeded pessimistically so a fresh server under tight
-  // deadlines leans approx — the latency-safe direction — until real
-  // measurements arrive.
+  // ns/cell estimate behind kAuto's tier choice: an EWMA over exact plans'
+  // claimed-run engine passes (see RunWindowPlan), seeded pessimistically
+  // so a fresh server under tight deadlines leans approx — the
+  // latency-safe direction — until real measurements arrive.
   mutable Mutex stats_mutex_;
   DangoronServerStats stats_ GUARDED_BY(stats_mutex_);
   double exact_cell_ns_ GUARDED_BY(stats_mutex_);

@@ -104,6 +104,14 @@ std::optional<StreamedWindow> WindowStreamState::Next() {
   return std::nullopt;
 }
 
+std::deque<StreamedWindow> WindowStreamState::TakeAll() {
+  MutexLock lock(mutex_);
+  std::deque<StreamedWindow> taken;
+  taken.swap(queue_);
+  can_push_.NotifyAll();
+  return taken;
+}
+
 void WindowStreamState::Cancel() {
   std::vector<std::shared_ptr<CancelWaker>> wakers;
   {

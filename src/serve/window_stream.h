@@ -15,32 +15,6 @@
 
 namespace dangoron {
 
-/// Per-stream knobs of `DangoronServer::SubmitStreaming`.
-struct StreamingSubmitOptions {
-  /// Capacity of the bounded delivery queue between the query task and the
-  /// consumer. When it is full the producer blocks (backpressure): a slow
-  /// consumer bounds the stream's memory at `queue_capacity` windows instead
-  /// of the whole result.
-  int64_t queue_capacity = kDefaultStreamQueueCapacity;
-
-  /// Cap on the contiguous window run one engine pass claims and evaluates,
-  /// in whole sweep bands: a nonzero cap rounds up to a multiple of
-  /// kSweepWindowBand (so 1 and 4 both mean one 16-window band), because a
-  /// shorter pass would re-stream the sketch's dot-prefix block once per
-  /// run. 0 = unbounded. Within a run the exact engine emits natively
-  /// window by window — each window is cached, claim-fulfilled, and
-  /// delivered (non-blocking) the moment it lands — but delivery only
-  /// *waits* for a slow consumer between runs, so the rounded cap bounds a
-  /// stream's undelivered backlog at queue_capacity plus one run of windows
-  /// (0 trades that bound for the whole plan in one pass: the run is
-  /// evaluated even if the consumer stalls, and the result accumulates
-  /// until delivered). It also bounds claim granularity toward concurrent
-  /// identical queries. Cancellation is checked after every emitted window.
-  /// Serving evaluates exactly (no jumping), so run chopping never changes
-  /// results.
-  int64_t max_batch_windows = kDefaultMaxBatchWindows;
-};
-
 /// One delivered window of a streaming submission.
 struct StreamedWindow {
   int64_t window_index = 0;
@@ -50,20 +24,28 @@ struct StreamedWindow {
   WindowEdges edges;
 };
 
-/// Source accounting of one streaming submission (the streaming face of
-/// `ServeResult`); complete once the stream finished.
+/// Source accounting of one submission, complete once its stream finished
+/// (`ServeResult` is this plus the collected series).
 struct StreamingSummary {
-  /// The tier that actually served the stream (`kAuto` resolves to one of
-  /// the two before evaluation starts; never `kAuto` here).
+  /// The tier that actually answered (`kAuto` resolves to one of the two
+  /// before evaluation starts; never `kAuto` here).
   ServeTier tier_used = ServeTier::kExact;
+  /// This query paid no sketch build: it found the prepared sketch in the
+  /// cache (or joined an in-flight build), or — exact tier — computed no
+  /// window at all. An exact query that computes windows without a
+  /// resident sketch pays its own band-streamed build and reports false.
   bool prepared_from_cache = false;
-  int64_t windows_from_cache = 0;
-  int64_t windows_computed = 0;
-  int64_t windows_joined = 0;
-  /// Eq. 2 jump accounting (approx tier only; see EngineStats).
+  int64_t windows_from_cache = 0;  ///< served from the window-result cache
+  int64_t windows_computed = 0;    ///< evaluated by this query
+  int64_t windows_joined = 0;      ///< awaited from a concurrent query
+  /// Eq. 2 jump accounting from EngineStats (approx tier only — the exact
+  /// tier never jumps): pair-window cells skipped, and jump decisions.
   int64_t cells_jumped = 0;
   int64_t jumps = 0;
-  /// The request asked exact but degrade=auto served (part of) it approx.
+  /// The request asked exact but `DegradePolicy::kAuto` served (part of) it
+  /// approx (blown deadline estimate or mid-query resource exhaustion).
+  /// Never set by kAuto's own tier choice — that is selection, not
+  /// degradation.
   bool degraded = false;
 };
 
@@ -146,6 +128,11 @@ class WindowStreamState {
   /// terminal. After `Cancel`, blocks until the producer acknowledged (its
   /// `Finish`), so a nullopt return always means the producer is done.
   std::optional<StreamedWindow> Next();
+
+  /// Takes every queued window in one locked step — the collecting
+  /// consumer's drain (`Submit`), which runs only after the producer's
+  /// `Finish` and so needs no per-window hand-off.
+  std::deque<StreamedWindow> TakeAll();
 
   /// Requests cancellation: drops queued windows (releasing their slots so
   /// a blocked producer wakes immediately) and makes further Push fail.

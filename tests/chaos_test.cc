@@ -1,6 +1,6 @@
 // Randomized fault-injection chaos suite for the serving stack: each
 // iteration arms a random failpoint schedule (from the documented site
-// catalog — see src/common/README.md), throws a random mix of materialized
+// catalog — see src/common/README.md), throws a random mix of collected
 // and streaming requests at a live server with tiny cache budgets, and
 // checks the invariants that must survive *any* fault interleaving:
 //
@@ -252,7 +252,7 @@ TEST(ChaosTest, RandomFailpointSchedulesPreserveServingInvariants) {
     // Cache consistency: with faults disarmed, an exact query assembled
     // from whatever survived in the caches still matches the naive truth.
     FailpointRegistry::Instance().DisarmAll();
-    auto clean = server.Query("a", query);
+    auto clean = server.Query(QueryRequest{"a", query, ServeOptions{}});
     ASSERT_TRUE(clean.ok()) << clean.status().ToString();
     ASSERT_EQ(clean->series.num_windows(), truth->num_windows());
     for (int64_t k = 0; k < truth->num_windows(); ++k) {

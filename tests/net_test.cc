@@ -116,6 +116,14 @@ class WireE2ETest : public ::testing::Test {
               .ok());
   }
 
+  // Tests that arm failpoints disarm them here too, so a failed assertion
+  // cannot leak a schedule into the rest of the suite.
+  void TearDown() override {
+#if DANGORON_FAILPOINTS_ENABLED
+    FailpointRegistry::Instance().DisarmAll();
+#endif
+  }
+
   static DangoronServerOptions ServerOptions() {
     DangoronServerOptions options;
     options.num_threads = 2;
@@ -178,7 +186,8 @@ TEST_F(WireE2ETest, ClassifyLaneRoutesByDeadlineAndWarmth) {
 
   // An exact query caches its windows, not a sketch: the same request now
   // starts from the window cache and rides high even without a deadline.
-  ASSERT_TRUE(server_.Query("d", TestQuery()).ok());
+  ASSERT_TRUE(
+      server_.Query(QueryRequest{"d", TestQuery(), ServeOptions{}}).ok());
   EXPECT_FALSE(server_.HasPreparedSketch("d"));
   request.options.deadline_ms.reset();
   EXPECT_EQ(wire.ClassifyLane(request), TaskLane::kHigh);
@@ -333,6 +342,15 @@ TEST_F(WireE2ETest, DisconnectMidStreamCancelsProducer) {
   options.outbuf_high_watermark = int64_t{1} << 14;
   WireServer wire(&server_, options);
   ASSERT_TRUE(wire.Start().ok());
+  // The 37 windows are small enough to fit the queue, the outbuf and the
+  // socket buffers, so a fast producer could finish before the hangup
+  // lands. Stalling every sweep band (three 16-window runs) keeps it
+  // provably mid-stream: after the first window it still owes two 200 ms
+  // bands when the client vanishes.
+#if DANGORON_FAILPOINTS_ENABLED
+  ASSERT_TRUE(
+      FailpointRegistry::Instance().Configure("sweep.band=delay:200").ok());
+#endif
 
   {
     auto client = ConnectOverSocketpair(&wire);
@@ -360,6 +378,9 @@ TEST_F(WireE2ETest, DisconnectMidStreamCancelsProducer) {
   // still serves: a fresh connection completes the same query in full.
   EXPECT_TRUE(PollFor(
       [&] { return server_.stats().inflight_window_claims == 0; }));
+#if DANGORON_FAILPOINTS_ENABLED
+  FailpointRegistry::Instance().DisarmAll();
+#endif
   auto client = ConnectOverSocketpair(&wire);
   WireRequest request;
   request.dataset = "d";

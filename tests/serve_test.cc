@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <memory>
 #include <string>
@@ -73,11 +75,23 @@ int64_t PrepareEstimate(const TimeSeriesMatrix& data, int64_t basic_window) {
          static_cast<int64_t>(data.values().size() * sizeof(double));
 }
 
+#if DANGORON_FAILPOINTS_ENABLED
+constexpr bool kServeFailpointsCompiled = true;
+#else
+constexpr bool kServeFailpointsCompiled = false;
+#endif
+
+// A request with default ServeOptions: the server's default tier and
+// admission, no deadline.
+QueryRequest Request(const std::string& dataset, const SlidingQuery& query) {
+  return QueryRequest{dataset, query, ServeOptions{}};
+}
+
 // The approx tier is the one that still builds and caches full sketches:
 // the tests of full-sketch caching, eviction and admission run there.
 QueryRequest ApproxRequest(const std::string& dataset,
                            const SlidingQuery& query) {
-  QueryRequest request{dataset, query, ServeOptions{}};
+  QueryRequest request = Request(dataset, query);
   request.options.tier = ServeTier::kApprox;
   return request;
 }
@@ -103,6 +117,68 @@ CorrelationMatrixSeries NaiveTruth(const TimeSeriesMatrix& data,
   auto truth = naive.Query(query);
   CHECK(truth.ok());
   return std::move(*truth);
+}
+
+// Same windows, same edges, same value bits.
+void ExpectSeriesBitsEqual(const CorrelationMatrixSeries& a,
+                           const CorrelationMatrixSeries& b) {
+  ASSERT_EQ(a.num_windows(), b.num_windows());
+  for (int64_t k = 0; k < a.num_windows(); ++k) {
+    const auto edges_a = a.WindowEdges(k);
+    const auto edges_b = b.WindowEdges(k);
+    ASSERT_EQ(edges_a.size(), edges_b.size()) << "window " << k;
+    for (size_t e = 0; e < edges_a.size(); ++e) {
+      EXPECT_EQ(edges_a[e].i, edges_b[e].i) << "window " << k;
+      EXPECT_EQ(edges_a[e].j, edges_b[e].j) << "window " << k;
+      EXPECT_EQ(std::bit_cast<uint64_t>(edges_a[e].value),
+                std::bit_cast<uint64_t>(edges_b[e].value))
+          << "window " << k;
+    }
+  }
+}
+
+void ExpectSameSummary(const StreamingSummary& a, const StreamingSummary& b) {
+  EXPECT_EQ(a.tier_used, b.tier_used);
+  EXPECT_EQ(a.prepared_from_cache, b.prepared_from_cache);
+  EXPECT_EQ(a.windows_from_cache, b.windows_from_cache);
+  EXPECT_EQ(a.windows_computed, b.windows_computed);
+  EXPECT_EQ(a.windows_joined, b.windows_joined);
+  EXPECT_EQ(a.cells_jumped, b.cells_jumped);
+  EXPECT_EQ(a.jumps, b.jumps);
+  EXPECT_EQ(a.degraded, b.degraded);
+}
+
+// Answers `requests` in order twice — collected through Query on one
+// server, drained from SubmitStreaming on an identically configured twin —
+// and requires the two surfaces to agree on every status, window bit and
+// summary counter. The twins see the same request sequence, so their caches
+// evolve identically.
+void ExpectCollectedEqualsStreamed(const DangoronServerOptions& options,
+                                   const TimeSeriesMatrix& data,
+                                   const std::vector<QueryRequest>& requests) {
+  DangoronServer collecting(options);
+  DangoronServer streaming(options);
+  ASSERT_TRUE(collecting.AddDataset("d", data).ok());
+  ASSERT_TRUE(streaming.AddDataset("d", data).ok());
+  for (size_t r = 0; r < requests.size(); ++r) {
+    SCOPED_TRACE(r);
+    const QueryRequest& request = requests[r];
+    auto collected = collecting.Query(request);
+    auto stream = streaming.SubmitStreaming(request);
+    CorrelationMatrixSeries drained(request.query, data.num_series());
+    int64_t next_index = 0;
+    while (auto window = stream->Next()) {
+      ASSERT_EQ(window->window_index, next_index++);
+      *drained.MutableWindow(window->window_index) = *window->edges;
+    }
+    ASSERT_EQ(collected.status().code(), stream->status().code())
+        << collected.status().ToString() << " vs "
+        << stream->status().ToString();
+    ASSERT_TRUE(collected.ok()) << collected.status().ToString();
+    EXPECT_EQ(next_index, request.query.NumWindows());
+    ExpectSeriesBitsEqual(collected->series, drained);
+    ExpectSameSummary(*collected, stream->summary());
+  }
 }
 
 // ------------------------------------------------------------- LRU caches --
@@ -159,6 +235,7 @@ TEST(LruCacheTest, RefreshingAKeyUpdatesBytes) {
 TEST(DangoronServerTest, MatchesNaiveEngine) {
   const int64_t b = 8;
   TimeSeriesMatrix data = SmallClimate(6, b * 40, 4001);
+  const TimeSeriesMatrix copy = data;
   const SlidingQuery query = MakeQuery(0, b * 40, b * 6, b * 2, 0.7);
   const CorrelationMatrixSeries truth = NaiveTruth(data, query);
 
@@ -168,7 +245,7 @@ TEST(DangoronServerTest, MatchesNaiveEngine) {
   DangoronServer server(options);
   ASSERT_TRUE(server.AddDataset("climate", std::move(data)).ok());
 
-  auto result = server.Query("climate", query);
+  auto result = server.Query(Request("climate", query));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSeriesEqual(truth, result->series, 1e-8);
   EXPECT_FALSE(result->prepared_from_cache);
@@ -176,12 +253,29 @@ TEST(DangoronServerTest, MatchesNaiveEngine) {
   EXPECT_EQ(result->windows_from_cache, 0);
 
   // Identical repeat: full cache hit, nothing recomputed.
-  auto repeat = server.Query("climate", query);
+  auto repeat = server.Query(Request("climate", query));
   ASSERT_TRUE(repeat.ok());
   ExpectSeriesEqual(truth, repeat->series, 1e-8);
   EXPECT_TRUE(repeat->prepared_from_cache);
   EXPECT_EQ(repeat->windows_from_cache, query.NumWindows());
   EXPECT_EQ(repeat->windows_computed, 0);
+
+  // One pipeline: Query collects exactly what a drained SubmitStreaming
+  // delivers — exact cold and cached, an off-grid family threshold filtered
+  // from cached windows, a fresh family, approx, and pair-range slices of
+  // both tiers.
+  SlidingQuery off_grid = query;
+  off_grid.threshold = 0.73;  // family 0.70: served from cache, filtered
+  SlidingQuery fresh_family = query;
+  fresh_family.threshold = 0.52;
+  SlidingQuery slice = query;
+  slice.pair_begin = 3;
+  slice.pair_end = 11;
+  ExpectCollectedEqualsStreamed(
+      options, copy,
+      {Request("d", query), Request("d", query), Request("d", off_grid),
+       Request("d", fresh_family), ApproxRequest("d", query),
+       Request("d", slice), ApproxRequest("d", slice)});
 }
 
 TEST(DangoronServerTest, OverlappingQueryReusesWindows) {
@@ -196,12 +290,12 @@ TEST(DangoronServerTest, OverlappingQueryReusesWindows) {
 
   // Windows at starts 0, 2b, 4b, ..., 18b.
   const SlidingQuery first = MakeQuery(0, b * 24, b * 4, b * 2, 0.6);
-  ASSERT_TRUE(server.Query("d", first).ok());
+  ASSERT_TRUE(server.Query(Request("d", first)).ok());
 
   // Shifted range, same geometry: starts 10b .. 30b — the six windows at
   // 10b, 12b, ..., 20b are already cached from the first query.
   const SlidingQuery second = MakeQuery(b * 10, b * 34, b * 4, b * 2, 0.6);
-  auto result = server.Query("d", second);
+  auto result = server.Query(Request("d", second));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->windows_from_cache, 6);
   EXPECT_EQ(result->windows_computed, second.NumWindows() - 6);
@@ -217,17 +311,18 @@ TEST(DangoronServerTest, ValidatesQueriesAndDatasetNames) {
   ASSERT_TRUE(
       server.AddDataset("d", SmallClimate(4, b * 20, 4003)).ok());
 
-  EXPECT_EQ(server.Query("nope", MakeQuery(0, b * 20, b * 4, b, 0.5))
+  EXPECT_EQ(server.Query(Request("nope", MakeQuery(0, b * 20, b * 4, b, 0.5)))
                 .status()
                 .code(),
             StatusCode::kNotFound);
   // Unaligned window.
-  EXPECT_EQ(server.Query("d", MakeQuery(0, b * 20, b * 4 + 1, b, 0.5))
+  EXPECT_EQ(server.Query(Request("d", MakeQuery(0, b * 20, b * 4 + 1, b, 0.5)))
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
   // Range beyond the data.
-  EXPECT_FALSE(server.Query("d", MakeQuery(0, b * 21, b * 4, b, 0.5)).ok());
+  EXPECT_FALSE(
+      server.Query(Request("d", MakeQuery(0, b * 21, b * 4, b, 0.5))).ok());
   EXPECT_FALSE(server.AddDataset("", SmallClimate(4, b * 20, 1)).ok());
   EXPECT_EQ(server.RemoveDataset("nope").code(), StatusCode::kNotFound);
   EXPECT_TRUE(server.RemoveDataset("d").ok());
@@ -245,8 +340,8 @@ TEST(DangoronServerTest, IdenticalDataSharesOnePrepareAcrossNames) {
   ASSERT_TRUE(server.AddDataset("b", copy).ok());
 
   const SlidingQuery query = MakeQuery(0, b * 30, b * 5, b, 0.7);
-  ASSERT_TRUE(server.Query("a", query).ok());
-  auto via_b = server.Query("b", query);
+  ASSERT_TRUE(server.Query(Request("a", query)).ok());
+  auto via_b = server.Query(Request("b", query));
   ASSERT_TRUE(via_b.ok());
   // Same content fingerprint: the sketch (and the windows) are shared.
   EXPECT_TRUE(via_b->prepared_from_cache);
@@ -281,7 +376,7 @@ TEST(DangoronServerTest, ExactRotationBandStreamsWithoutCachingSketches) {
   int64_t requests = 0;
   for (int round = 0; round < 2; ++round) {
     for (int d = 0; d < kDatasets; ++d) {
-      auto result = server.Query("d" + std::to_string(d), query);
+      auto result = server.Query(Request("d" + std::to_string(d), query));
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_FALSE(result->prepared_from_cache);
       EXPECT_EQ(result->windows_computed, query.NumWindows());
@@ -312,12 +407,12 @@ TEST(DangoronServerTest, FullyCachedExactQueryBuildsNothing) {
   DangoronServer server(options);
   ASSERT_TRUE(server.AddDataset("d", SmallClimate(5, b * 30, 4101)).ok());
   const SlidingQuery query = MakeQuery(0, b * 30, b * 5, b, 0.7);
-  auto first = server.Query("d", query);
+  auto first = server.Query(Request("d", query));
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE(first->prepared_from_cache);
   EXPECT_EQ(server.stats().prepares_built, 1);
 
-  auto repeat = server.Query("d", query);
+  auto repeat = server.Query(Request("d", query));
   ASSERT_TRUE(repeat.ok());
   EXPECT_TRUE(repeat->prepared_from_cache);
   EXPECT_EQ(repeat->windows_computed, 0);
@@ -363,7 +458,7 @@ TEST(DangoronServerStressTest, ConcurrentOverlappingSubmitsMatchNaive) {
   std::vector<std::future<Result<ServeResult>>> pending;
   pending.reserve(queries.size());
   for (const SlidingQuery& query : queries) {
-    pending.push_back(server.Submit("d", query));
+    pending.push_back(server.Submit(Request("d", query)));
   }
   int64_t building_queries = 0;
   for (size_t q = 0; q < queries.size(); ++q) {
@@ -423,8 +518,8 @@ TEST(DangoronServerStressTest, TinyCacheBudgetsNeverCorruptResults) {
   for (int round = 0; round < 3; ++round) {
     std::vector<std::future<Result<ServeResult>>> pending;
     for (int i = 0; i < 3; ++i) {
-      pending.push_back(server.Submit("a", query));
-      pending.push_back(server.Submit("b", query));
+      pending.push_back(server.Submit(Request("a", query)));
+      pending.push_back(server.Submit(Request("b", query)));
       pending.push_back(server.Submit(ApproxRequest("a", query)));
       pending.push_back(server.Submit(ApproxRequest("b", query)));
     }
@@ -463,7 +558,7 @@ TEST(DangoronServerStressTest, DestructionDrainsInFlightQueries) {
     DangoronServer server(options);
     ASSERT_TRUE(server.AddDataset("d", std::move(data)).ok());
     for (int i = 0; i < 8; ++i) {
-      pending.push_back(server.Submit("d", query));
+      pending.push_back(server.Submit(Request("d", query)));
     }
     // Server destructs here, before any future was waited on.
   }
@@ -502,7 +597,7 @@ TEST(DangoronServerTest, StreamPublishedWindowsServeHistoricalQueries) {
 
   // The live stream populated every window the historical query needs.
   const SlidingQuery query = MakeQuery(0, length, b * 5, b * 2, 0.6);
-  auto result = server.Query("live", query);
+  auto result = server.Query(Request("live", query));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->windows_from_cache, query.NumWindows());
   EXPECT_EQ(result->windows_computed, 0);
@@ -530,10 +625,10 @@ TEST(StreamingSubmitTest, DeliversWindowsInOrderMatchingNaive) {
   const SlidingQuery query = MakeQuery(0, length, b * 6, b * 2, 0.6);
   const CorrelationMatrixSeries truth = NaiveTruth(copy, query);
 
-  StreamingSubmitOptions stream_options;
-  stream_options.queue_capacity = 3;
-  stream_options.max_batch_windows = 4;
-  auto stream = server.SubmitStreaming("d", query, stream_options);
+  QueryRequest stream_request = Request("d", query);
+  stream_request.options.queue_capacity = 3;
+  stream_request.options.max_batch_windows = 4;
+  auto stream = server.SubmitStreaming(stream_request);
   int64_t expected_index = 0;
   while (auto window = stream->Next()) {
     ASSERT_EQ(window->window_index, expected_index);
@@ -552,7 +647,7 @@ TEST(StreamingSubmitTest, DeliversWindowsInOrderMatchingNaive) {
   EXPECT_EQ(stream->summary().windows_computed, query.NumWindows());
 
   // Identical repeat: every window from cache, no evaluation.
-  auto repeat = server.SubmitStreaming("d", query, stream_options);
+  auto repeat = server.SubmitStreaming(stream_request);
   int64_t repeated = 0;
   while (auto window = repeat->Next()) {
     ++repeated;
@@ -564,10 +659,10 @@ TEST(StreamingSubmitTest, DeliversWindowsInOrderMatchingNaive) {
 
   // Family threshold: 0.63 snaps to the 0.6 family — same cached windows,
   // filtered up to 0.63 at the delivery edge.
-  SlidingQuery swept = query;
-  swept.threshold = 0.63;
-  const CorrelationMatrixSeries swept_truth = NaiveTruth(copy, swept);
-  auto family = server.SubmitStreaming("d", swept, stream_options);
+  QueryRequest swept = stream_request;
+  swept.query.threshold = 0.63;
+  const CorrelationMatrixSeries swept_truth = NaiveTruth(copy, swept.query);
+  auto family = server.SubmitStreaming(swept);
   int64_t k = 0;
   while (auto window = family->Next()) {
     const auto expected = swept_truth.WindowEdges(k);
@@ -603,10 +698,11 @@ TEST(StreamingSubmitTest, CancellationLeavesReusableCachedPrefix) {
   const int64_t num_windows = query.NumWindows();
   ASSERT_GE(num_windows, 12);
 
-  StreamingSubmitOptions stream_options;
-  stream_options.queue_capacity = 1;   // tight: the producer blocks early
-  stream_options.max_batch_windows = 1;
-  auto stream = server.SubmitStreaming("d", query, stream_options);
+  QueryRequest stream_request = Request("d", query);
+  // Tight: the producer blocks early.
+  stream_request.options.queue_capacity = 1;
+  stream_request.options.max_batch_windows = 1;
+  auto stream = server.SubmitStreaming(stream_request);
   for (int consumed = 0; consumed < 2; ++consumed) {
     auto window = stream->Next();
     ASSERT_TRUE(window.has_value());
@@ -623,7 +719,7 @@ TEST(StreamingSubmitTest, CancellationLeavesReusableCachedPrefix) {
 
   // The follow-up identical query starts from the cancelled stream's cached
   // prefix — dedup pays off even though the stream never completed.
-  auto result = server.Query("d", query);
+  auto result = server.Query(Request("d", query));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSeriesEqual(NaiveTruth(copy, query), result->series, 1e-8);
   EXPECT_EQ(result->windows_from_cache, computed_before_cancel);
@@ -631,8 +727,8 @@ TEST(StreamingSubmitTest, CancellationLeavesReusableCachedPrefix) {
 }
 
 // Backpressure: a deliberately slow consumer on a tiny queue must never
-// deadlock the pool-resident producer, nor a concurrent materialized query
-// that joins the stream's claimed windows.
+// deadlock the stream's producer, nor a concurrent collected query that
+// joins the stream's claimed windows.
 TEST(StreamingSubmitTest, SlowConsumerBackpressureNeverDeadlocks) {
   const int64_t b = 8;
   const int64_t length = b * 36;
@@ -646,15 +742,15 @@ TEST(StreamingSubmitTest, SlowConsumerBackpressureNeverDeadlocks) {
   ASSERT_TRUE(server.AddDataset("d", std::move(data)).ok());
 
   const SlidingQuery query = MakeQuery(0, length, b * 5, b * 2, 0.6);
-  StreamingSubmitOptions stream_options;
-  stream_options.queue_capacity = 1;
-  stream_options.max_batch_windows = 1;
-  auto stream = server.SubmitStreaming("d", query, stream_options);
+  QueryRequest stream_request = Request("d", query);
+  stream_request.options.queue_capacity = 1;
+  stream_request.options.max_batch_windows = 1;
+  auto stream = server.SubmitStreaming(stream_request);
 
-  // A concurrent identical materialized query joins the stream's in-flight
+  // A concurrent identical collected query joins the stream's in-flight
   // claims; its completion depends on this consumer draining — which it
   // does, slowly.
-  auto concurrent = server.Submit("d", query);
+  auto concurrent = server.Submit(Request("d", query));
 
   int64_t delivered = 0;
   while (auto window = stream->Next()) {
@@ -669,9 +765,9 @@ TEST(StreamingSubmitTest, SlowConsumerBackpressureNeverDeadlocks) {
   ExpectSeriesEqual(NaiveTruth(copy, query), joined->series, 1e-8);
 }
 
-// The claim protocol must never make a materialized query's future depend
+// The claim protocol must never make a collected query's future depend
 // on a stream consumer's progress: claims are taken per evaluation batch,
-// so a single thread may submit a stream, then block on a materialized
+// so a single thread may submit a stream, then block on a collected
 // result for the same windows *before* draining the stream. With upfront
 // whole-plan claiming this deadlocks permanently — and with producers as
 // pool tasks, a 1-thread pool (the hardest case, used here) would wedge
@@ -689,15 +785,16 @@ TEST(StreamingSubmitTest, MaterializedJoinBeforeDrainingStreamDoesNotDeadlock) {
   ASSERT_TRUE(server.AddDataset("d", std::move(data)).ok());
 
   const SlidingQuery query = MakeQuery(0, length, b * 5, b * 2, 0.6);
-  StreamingSubmitOptions stream_options;
-  stream_options.queue_capacity = 1;  // the producer blocks almost at once
-  stream_options.max_batch_windows = 1;
-  auto stream = server.SubmitStreaming("d", query, stream_options);
+  QueryRequest stream_request = Request("d", query);
+  // The producer blocks almost at once.
+  stream_request.options.queue_capacity = 1;
+  stream_request.options.max_batch_windows = 1;
+  auto stream = server.SubmitStreaming(stream_request);
 
-  // Block on the materialized result first — the stream is NOT drained yet.
-  auto materialized = server.Query("d", query);
-  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-  ExpectSeriesEqual(NaiveTruth(copy, query), materialized->series, 1e-8);
+  // Block on the collected result first — the stream is NOT drained yet.
+  auto collected = server.Query(Request("d", query));
+  ASSERT_TRUE(collected.ok()) << collected.status().ToString();
+  ExpectSeriesEqual(NaiveTruth(copy, query), collected->series, 1e-8);
 
   // Now drain the stream; it completes normally.
   int64_t delivered = 0;
@@ -722,10 +819,11 @@ TEST(StreamingSubmitTest, ConcurrentStreamCapRefusesTerminally) {
   ASSERT_TRUE(server.AddDataset("d", std::move(data)).ok());
 
   const SlidingQuery query = MakeQuery(0, length, b * 5, b, 0.6);
-  StreamingSubmitOptions stream_options;
-  stream_options.queue_capacity = 1;  // first stream stays live, undrained
-  auto first = server.SubmitStreaming("d", query, stream_options);
-  auto refused = server.SubmitStreaming("d", query, stream_options);
+  QueryRequest stream_request = Request("d", query);
+  // The first stream stays live, undrained.
+  stream_request.options.queue_capacity = 1;
+  auto first = server.SubmitStreaming(stream_request);
+  auto refused = server.SubmitStreaming(stream_request);
   EXPECT_FALSE(refused->Next().has_value());
   EXPECT_EQ(refused->status().code(), StatusCode::kResourceExhausted);
 
@@ -733,7 +831,7 @@ TEST(StreamingSubmitTest, ConcurrentStreamCapRefusesTerminally) {
   first->Cancel();
   while (first->Next().has_value()) {
   }
-  auto admitted = server.SubmitStreaming("d", query, stream_options);
+  auto admitted = server.SubmitStreaming(stream_request);
   int64_t delivered = 0;
   while (admitted->Next().has_value()) {
     ++delivered;
@@ -747,7 +845,8 @@ TEST(StreamingSubmitTest, UnknownDatasetFailsTerminally) {
   options.basic_window = 8;
   options.num_threads = 1;
   DangoronServer server(options);
-  auto stream = server.SubmitStreaming("nope", MakeQuery(0, 80, 40, 8, 0.5));
+  auto stream =
+      server.SubmitStreaming(Request("nope", MakeQuery(0, 80, 40, 8, 0.5)));
   EXPECT_FALSE(stream->Next().has_value());
   EXPECT_EQ(stream->status().code(), StatusCode::kNotFound);
 }
@@ -767,9 +866,9 @@ TEST(StreamingSubmitTest, ServerDestructionCancelsUnconsumedStreams) {
     options.basic_window = b;
     DangoronServer server(options);
     ASSERT_TRUE(server.AddDataset("d", std::move(data)).ok());
-    StreamingSubmitOptions stream_options;
-    stream_options.queue_capacity = 1;
-    stream = server.SubmitStreaming("d", query, stream_options);
+    QueryRequest stream_request = Request("d", query);
+    stream_request.options.queue_capacity = 1;
+    stream = server.SubmitStreaming(stream_request);
     // Destructs here with the queue full and nobody consuming.
   }
   while (stream->Next().has_value()) {
@@ -792,14 +891,14 @@ TEST(DangoronServerTest, AdmissionPolicyRefusesOversizedPrepares) {
   ASSERT_TRUE(server.AddDataset("d", std::move(data)).ok());
 
   const SlidingQuery query = MakeQuery(0, b * 32, b * 5, b * 2, 0.6);
-  auto result = server.Query("d", query);
+  auto result = server.Query(Request("d", query));
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   const DangoronServerStats stats = server.stats();
   EXPECT_EQ(stats.prepares_refused, 1);
   EXPECT_EQ(stats.prepares_built, 0);
 
   // Streaming submissions hit the same gate, surfaced terminally.
-  auto stream = server.SubmitStreaming("d", query);
+  auto stream = server.SubmitStreaming(Request("d", query));
   EXPECT_FALSE(stream->Next().has_value());
   EXPECT_EQ(stream->status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(server.stats().prepares_refused, 2);
@@ -829,20 +928,20 @@ TEST(DangoronServerTest, ThresholdFamilyMultipliesCacheHits) {
             server.CanonicalThreshold(0.68, false));
 
   SlidingQuery query = MakeQuery(0, length, b * 5, b * 2, 0.62);
-  auto first = server.Query("d", query);
+  auto first = server.Query(Request("d", query));
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->windows_computed, query.NumWindows());
   ExpectSeriesEqual(NaiveTruth(copy, query), first->series, 1e-8);
 
   query.threshold = 0.64;
-  auto swept = server.Query("d", query);
+  auto swept = server.Query(Request("d", query));
   ASSERT_TRUE(swept.ok());
   EXPECT_EQ(swept->windows_from_cache, query.NumWindows());
   EXPECT_EQ(swept->windows_computed, 0);
   ExpectSeriesEqual(NaiveTruth(copy, query), swept->series, 1e-8);
 
   query.threshold = 0.68;  // different family: evaluated afresh
-  auto other_family = server.Query("d", query);
+  auto other_family = server.Query(Request("d", query));
   ASSERT_TRUE(other_family.ok());
   EXPECT_EQ(other_family->windows_computed, query.NumWindows());
   ExpectSeriesEqual(NaiveTruth(copy, query), other_family->series, 1e-8);
@@ -905,7 +1004,7 @@ TEST(CreateServerTest, ParsesOptionsAndRejectsUnknownKeys) {
   const TimeSeriesMatrix copy = data;
   ASSERT_TRUE((*server)->AddDataset("d", std::move(data)).ok());
   const SlidingQuery query = MakeQuery(0, 8 * 20, 8 * 4, 8, 0.7);
-  auto result = (*server)->Query("d", query);
+  auto result = (*server)->Query(Request("d", query));
   ASSERT_TRUE(result.ok());
   ExpectSeriesEqual(NaiveTruth(copy, query), result->series, 1e-8);
 }
@@ -973,20 +1072,6 @@ TEST(WindowClaimTest, CancelBeforeWaitReturnsImmediately) {
   EXPECT_TRUE(cancelled);
 }
 
-TEST(WindowClaimTest, MaterializedJoinersIgnoreStreams) {
-  // A null stream is the materialized path: the wait is not cancellable
-  // and resolves only through fulfillment.
-  auto claim = std::make_shared<WindowClaim>();
-  std::thread fulfiller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    FulfillWindowClaim(claim, std::make_shared<std::vector<Edge>>());
-  });
-  bool cancelled = true;
-  EXPECT_NE(WaitForWindowClaim(claim, nullptr, &cancelled), nullptr);
-  EXPECT_FALSE(cancelled);
-  fulfiller.join();
-}
-
 // ------------------------------------- family-threshold stream publishing --
 
 // A live stream whose alert threshold is off the server's family grid warms
@@ -1030,7 +1115,7 @@ TEST(DangoronServerTest, FamilyPublishedStreamWarmsOffGridQueries) {
   // the query's own threshold.
   const SlidingQuery query =
       MakeQuery(0, length, b * 5, b * 2, alert_threshold);
-  auto result = server.Query("live", query);
+  auto result = server.Query(Request("live", query));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->windows_from_cache, query.NumWindows());
   EXPECT_EQ(result->windows_computed, 0);
@@ -1039,7 +1124,7 @@ TEST(DangoronServerTest, FamilyPublishedStreamWarmsOffGridQueries) {
   // The family's grid value itself also rides the published windows (its
   // canonical threshold is the published key, bit-exactly).
   const SlidingQuery grid_query = MakeQuery(0, length, b * 5, b * 2, 0.6);
-  auto grid_result = server.Query("live", grid_query);
+  auto grid_result = server.Query(Request("live", grid_query));
   ASSERT_TRUE(grid_result.ok());
   EXPECT_EQ(grid_result->windows_computed, 0);
   ExpectSeriesEqual(NaiveTruth(copy, grid_query), grid_result->series, 1e-8);
@@ -1165,17 +1250,54 @@ TEST(ServeTierTest, StreamingApproxDeliversJumpedWindows) {
   EXPECT_EQ(server.stats().queries_approx, 1);
 }
 
+// Builds `dataset`'s full sketch with a one-window approx query at a
+// disjoint threshold, so a following approx request pays only its walk.
+void PrewarmSketch(DangoronServer* server, const std::string& dataset,
+                   SlidingQuery query) {
+  query.end = query.start + query.window;
+  query.threshold = 0.5;
+  ASSERT_TRUE(server->Query(ApproxRequest(dataset, query)).ok());
+  ASSERT_TRUE(server->HasPreparedSketch(dataset));
+}
+
+// Teaches `server`'s exact-cost model a slow rate for `query`'s geometry:
+// one exact query over its first sweep band, at a threshold family `query`
+// does not use, with that band stalled `stall_ms`. The model learns from
+// the engine pass's wall time, stall included, so it then prices the
+// request above ~0.3 x stall_ms x (query cells / band cells) — in every
+// build. The seeded 50 ns/cell cannot be used for this: a sanitizer
+// build's approx walk costs 17+ ns/cell even at 99% cells jumped, so any
+// deadline the seed misses leaves it under a 3x margin.
+void TeachSlowExactCost(DangoronServer* server, const std::string& dataset,
+                        SlidingQuery query, int64_t stall_ms) {
+  query.end = query.start + (kSweepWindowBand - 1) * query.step + query.window;
+  query.threshold = 0.5;
+  ASSERT_TRUE(FailpointRegistry::Instance()
+                  .Configure("sweep.band=delay:" + std::to_string(stall_ms))
+                  .ok());
+  QueryRequest request = Request(dataset, query);
+  request.options.tier = ServeTier::kExact;
+  const Status taught = server->Query(request).status();
+  FailpointRegistry::Instance().DisarmAll();
+  ASSERT_TRUE(taught.ok()) << taught.ToString();
+}
+
 // kAuto resolves against the request's deadline and the server's exact-cost
-// estimate: a fresh server's estimate is pessimistically seeded, so a
-// problem of ~2M cells estimates far above a 10 ms deadline (approx) and
-// far below a 60 s one (exact); no deadline is always exact.
+// estimate. A fresh server's estimate is pessimistically seeded (50 ns/cell),
+// so this ~2M-cell problem (62 windows x 32,640 pairs, ~101 ms) is priced
+// above a 50 ms deadline and kAuto picks approx. The approx tier enforces
+// that deadline at window cadence, so whether the walk then finishes in time
+// depends on the build: the tier choice is what is asserted, and it is
+// counted whatever the walk's outcome. Priced far below a 60 s deadline the
+// request is exact; without a deadline it is always exact; and a warm range
+// stays exact under a deadline its uncached price misses.
 TEST(ServeTierTest, AutoTierFollowsDeadlinePressure) {
   const int64_t b = 8;
   const int64_t length = b * 66;
   TimeSeriesMatrix data = SmallClimate(256, length, 6003);
 
   DangoronServerOptions options;
-  options.num_threads = 0;
+  options.num_threads = 2;
   options.basic_window = b;
   DangoronServer server(options);
   ASSERT_TRUE(server.AddDataset("d", std::move(data)).ok());
@@ -1184,10 +1306,15 @@ TEST(ServeTierTest, AutoTierFollowsDeadlinePressure) {
   QueryRequest request{"d", query, ServeOptions{}};
   request.options.tier = ServeTier::kAuto;
 
-  request.options.deadline_ms = 10;
+  request.options.deadline_ms = 50;
   auto tight = server.Query(request);
-  ASSERT_TRUE(tight.ok()) << tight.status().ToString();
-  EXPECT_EQ(tight->tier_used, ServeTier::kApprox);
+  if (tight.ok()) {
+    EXPECT_EQ(tight->tier_used, ServeTier::kApprox);
+  } else {
+    EXPECT_EQ(tight.status().code(), StatusCode::kDeadlineExceeded)
+        << tight.status().ToString();
+  }
+  EXPECT_EQ(server.stats().queries_approx, 1);  // the seed picked approx
 
   request.options.deadline_ms = 60'000;
   auto generous = server.Query(request);
@@ -1200,13 +1327,101 @@ TEST(ServeTierTest, AutoTierFollowsDeadlinePressure) {
   EXPECT_EQ(unhurried->tier_used, ServeTier::kExact);
 
   // The exact queries above cached every window of this range: the same
-  // tight deadline now resolves exact — the cost estimate discounts
-  // cache-covered windows, so a warm range is never routed to approx.
-  request.options.deadline_ms = 10;
+  // deadline, which the uncached range still misses (the generous query's
+  // one sample leaves the rate above 0.7 x the seed, ~70 ms for this range),
+  // now resolves exact — the estimate discounts cache-covered windows, so a
+  // warm range is never routed to approx.
+  request.options.deadline_ms = 50;
   auto warm_tight = server.Query(request);
-  ASSERT_TRUE(warm_tight.ok());
+  ASSERT_TRUE(warm_tight.ok()) << warm_tight.status().ToString();
   EXPECT_EQ(warm_tight->tier_used, ServeTier::kExact);
   EXPECT_EQ(warm_tight->windows_from_cache, query.NumWindows());
+  EXPECT_EQ(server.stats().queries_approx, 1);
+}
+
+// The on-time half of kAuto's approx choice, which needs a rate slow enough
+// that a deadline the approx walk meets in every build still misses the
+// exact estimate: 16 stalled windows of 15 pairs at 150 ms price this
+// 35-window query at ~100 ms (see TeachSlowExactCost), and the approx walk
+// over its 525 cells takes a few milliseconds even under TSan.
+TEST(ServeTierTest, AutoTierAnswersApproxOnTimeUnderTaughtPressure) {
+  if (!kServeFailpointsCompiled) {
+    GTEST_SKIP() << "failpoints compiled out (DANGORON_FAILPOINTS=OFF)";
+  }
+  const int64_t b = 8;
+  const int64_t length = b * 40;
+  DangoronServerOptions options;
+  options.num_threads = 2;
+  options.basic_window = b;
+  DangoronServer server(options);
+  ASSERT_TRUE(server.AddDataset("d", SmallClimate(6, length, 6003)).ok());
+
+  const SlidingQuery query = MakeQuery(0, length, b * 6, b, 0.7);
+  PrewarmSketch(&server, "d", query);
+  TeachSlowExactCost(&server, "d", query, 150);
+  QueryRequest request{"d", query, ServeOptions{}};
+  request.options.tier = ServeTier::kAuto;
+  request.options.deadline_ms = 50;
+  auto tight = server.Query(request);
+  ASSERT_TRUE(tight.ok()) << tight.status().ToString();
+  EXPECT_EQ(tight->tier_used, ServeTier::kApprox);
+}
+
+// The cost sample prices only what a run computes. A band stream serving
+// the suffix after a cached prefix must first fold every basic window the
+// prefix covered — 4,000 slots here against the suffix run's own ~20 — and
+// that catch-up stays out of the timed engine pass. Charged to the suffix's
+// 16 x 496 cells it would teach a rate ~90x the sweep's real one. A kAuto
+// probe priced at the seed plus 5x what the cold prefix query cost per
+// cell end to end (an upper bound on its engine passes, in any build) must
+// therefore still resolve exact.
+TEST(ServeTierTest, CachedPrefixCatchUpStaysOutOfTheCostSample) {
+  const int64_t b = 8;
+  const int64_t n = 32;
+  const double pairs = static_cast<double>(n * (n - 1) / 2);
+  const int64_t window = b * 4;
+  const int64_t prefix_windows = 4000;
+  const int64_t num_windows = prefix_windows + kSweepWindowBand;
+  const int64_t length = (num_windows - 1) * b + window;
+  DangoronServerOptions options;
+  options.num_threads = 2;
+  options.basic_window = b;
+  DangoronServer server(options);
+  ASSERT_TRUE(server.AddDataset("d", SmallClimate(n, length, 6010)).ok());
+
+  const SlidingQuery full = MakeQuery(0, length, window, b, 0.95);
+  SlidingQuery prefix = full;
+  prefix.end = (prefix_windows - 1) * b + window;
+  const auto began = std::chrono::steady_clock::now();
+  ASSERT_TRUE(server.Query(Request("d", prefix)).ok());
+  const double prefix_ns_per_cell =
+      std::chrono::duration<double, std::nano>(
+          std::chrono::steady_clock::now() - began)
+          .count() /
+      (static_cast<double>(prefix_windows) * pairs);
+  auto suffix = server.Query(Request("d", full));
+  ASSERT_TRUE(suffix.ok()) << suffix.status().ToString();
+  ASSERT_EQ(suffix->windows_from_cache, prefix_windows);
+  ASSERT_EQ(suffix->windows_computed, kSweepWindowBand);
+  ASSERT_FALSE(server.HasPreparedSketch("d"));  // both plans band-streamed
+
+  // 1,000 windows at a threshold family nothing cached.
+  SlidingQuery probe_query = full;
+  probe_query.end = 999 * b + window;
+  probe_query.threshold = 0.9;
+  const double seed_ns_per_cell = 50.0;
+  const double probe_ns_per_cell = seed_ns_per_cell + 5.0 * prefix_ns_per_cell;
+  QueryRequest probe = Request("d", probe_query);
+  probe.options.tier = ServeTier::kAuto;
+  probe.options.deadline_ms = static_cast<int64_t>(
+      std::ceil(1000.0 * pairs * probe_ns_per_cell / 1e6));
+  auto probed = server.Query(probe);
+  if (!probed.ok()) {  // the exact walk may still run late in a slow build
+    EXPECT_EQ(probed.status().code(), StatusCode::kDeadlineExceeded)
+        << probed.status().ToString();
+  }
+  EXPECT_EQ(server.stats().queries_approx, 0)
+      << "probe deadline " << *probe.options.deadline_ms << " ms";
 }
 
 // A request whose deadline has already passed when its task starts fails
@@ -1227,8 +1442,8 @@ TEST(ServeTierTest, ExpiredDeadlineFailsBeforeRunning) {
 
   std::vector<std::future<Result<ServeResult>>> train;
   for (int i = 0; i < 6; ++i) {
-    train.push_back(
-        server.Submit("d", MakeQuery(0, length, b * 6, b, 0.5 + 0.05 * i)));
+    train.push_back(server.Submit(
+        Request("d", MakeQuery(0, length, b * 6, b, 0.5 + 0.05 * i))));
   }
   QueryRequest request{"d", MakeQuery(0, length, b * 6, b, 0.9),
                        ServeOptions{}};
@@ -1447,10 +1662,10 @@ TEST(QueuedAdmissionTest, ExactStreamReservationParksUntilPlanEnds) {
   ASSERT_TRUE(server.AddDataset("a", std::move(data_a)).ok());
   ASSERT_TRUE(server.AddDataset("b", std::move(data_b)).ok());
 
-  StreamingSubmitOptions stream_options;
-  stream_options.queue_capacity = 1;
-  stream_options.max_batch_windows = 1;
-  auto pin = server.SubmitStreaming("a", query, stream_options);
+  QueryRequest stream_request = Request("a", query);
+  stream_request.options.queue_capacity = 1;
+  stream_request.options.max_batch_windows = 1;
+  auto pin = server.SubmitStreaming(stream_request);
   ASSERT_TRUE(pin->Next().has_value());
 
   auto parked = server.Submit(QueryRequest{"b", query, ServeOptions{}});
@@ -1493,12 +1708,6 @@ TEST(QueuedAdmissionTest, NeverFittingPrepareRefusedImmediately) {
 }
 
 // -------------------------------------------------------------- robustness --
-
-#if DANGORON_FAILPOINTS_ENABLED
-constexpr bool kServeFailpointsCompiled = true;
-#else
-constexpr bool kServeFailpointsCompiled = false;
-#endif
 
 // Serving-stack tests that arm failpoints: every test starts and ends
 // dormant so schedules cannot leak across tests (or into the rest of the
@@ -1641,22 +1850,54 @@ TEST_F(ServeFailpointTest, HardDeadlineAbortsMidSweepLeavingReusablePrefix) {
   // The completed prefix is already in the window cache: disarm the fault
   // and the follow-up exact query re-reads it instead of recomputing.
   FailpointRegistry::Instance().DisarmAll();
-  auto warm = server.Query("d", query);
+  auto warm = server.Query(Request("d", query));
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_GE(warm->windows_from_cache, next_index);
 }
 
+// The approx tier enforces the hard deadline at window cadence on the
+// collected surface too: an approx Query whose deadline passes before its
+// walk is done fails with DeadlineExceeded as a mid-run abort instead of
+// answering late. The stalled prepare (an injected 150 ms delay against a
+// 50 ms deadline) makes the walk provably late; it stops at its first
+// window.
+TEST_F(ServeFailpointTest, ApproxQueryAbortsMidRunAtItsDeadline) {
+  const int64_t b = 8;
+  const int64_t length = b * 40;
+  DangoronServerOptions options;
+  options.num_threads = 2;
+  options.basic_window = b;
+  DangoronServer server(options);
+  ASSERT_TRUE(server.AddDataset("d", SmallClimate(6, length, 7010)).ok());
+  const SlidingQuery query = MakeQuery(0, length, b * 6, b, 0.6);
+  ASSERT_TRUE(
+      FailpointRegistry::Instance().Configure("serve.prepare=delay:150").ok());
+  QueryRequest request = ApproxRequest("d", query);
+  request.options.deadline_ms = 50;
+  auto result = server.Query(request);
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+      << result.status().ToString();
+  const DangoronServerStats stats = server.stats();
+  EXPECT_EQ(stats.deadline_exceeded, 1);
+  EXPECT_EQ(stats.deadline_aborted_mid_run, 1);
+  EXPECT_EQ(stats.queries_approx, 1);
+  EXPECT_LT(stats.windows_computed, query.NumWindows());
+}
+
 // Graceful degradation, pre-run leg: an *explicitly* exact request whose
-// deadline the (pessimistically seeded) exact cost estimate already misses
-// is served approx on time under degrade=auto — and flagged, unlike kAuto's
-// own tier selection.
+// deadline the exact cost estimate already misses is served approx under
+// degrade=auto — and flagged, unlike kAuto's own tier selection. A fresh
+// server's pessimistic seed prices this ~2M-cell problem at ~101 ms, past
+// 50 ms, so the request degrades; the approx tier then enforces the 50 ms
+// at window cadence, so the walk may or may not finish in time depending
+// on the build — the degradation is counted either way.
 TEST(ServeDegradeTest, ExplicitExactServedApproxUnderTightDeadline) {
   const int64_t b = 8;
   const int64_t length = b * 66;
   TimeSeriesMatrix data = SmallClimate(256, length, 7003);
 
   DangoronServerOptions options;
-  options.num_threads = 0;
+  options.num_threads = 2;
   options.basic_window = b;
   DangoronServer server(options);
   ASSERT_TRUE(server.AddDataset("d", std::move(data)).ok());
@@ -1665,11 +1906,15 @@ TEST(ServeDegradeTest, ExplicitExactServedApproxUnderTightDeadline) {
   QueryRequest request{"d", query, ServeOptions{}};
   request.options.tier = ServeTier::kExact;
   request.options.degrade = DegradePolicy::kAuto;
-  request.options.deadline_ms = 10;
+  request.options.deadline_ms = 50;
   auto result = server.Query(request);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->tier_used, ServeTier::kApprox);
-  EXPECT_TRUE(result->degraded);
+  if (result.ok()) {
+    EXPECT_EQ(result->tier_used, ServeTier::kApprox);
+    EXPECT_TRUE(result->degraded);
+  } else {
+    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
+        << result.status().ToString();
+  }
   EXPECT_EQ(server.stats().degraded_to_approx, 1);
   EXPECT_EQ(server.stats().queries_approx, 1);
 
@@ -1685,6 +1930,38 @@ TEST(ServeDegradeTest, ExplicitExactServedApproxUnderTightDeadline) {
     EXPECT_EQ(undegraded.status().code(), StatusCode::kDeadlineExceeded);
   }
   EXPECT_EQ(server.stats().degraded_to_approx, 1);  // unchanged
+  EXPECT_EQ(server.stats().queries_approx, 1);
+}
+
+// The on-time half of the pre-run degradation: with a taught rate (~100 ms
+// for this query, see TeachSlowExactCost) a 50 ms deadline degrades, and
+// the approx walk over 525 cells meets it in every build.
+TEST(ServeDegradeTest, DegradedRequestAnswersOnTimeUnderTaughtPressure) {
+  if (!kServeFailpointsCompiled) {
+    GTEST_SKIP() << "failpoints compiled out (DANGORON_FAILPOINTS=OFF)";
+  }
+  const int64_t b = 8;
+  const int64_t length = b * 40;
+  DangoronServerOptions options;
+  options.num_threads = 2;
+  options.basic_window = b;
+  DangoronServer server(options);
+  ASSERT_TRUE(server.AddDataset("d", SmallClimate(6, length, 7003)).ok());
+
+  const SlidingQuery query = MakeQuery(0, length, b * 6, b, 0.7);
+  PrewarmSketch(&server, "d", query);
+  TeachSlowExactCost(&server, "d", query, 150);
+  const int64_t approx_before = server.stats().queries_approx;
+  QueryRequest request{"d", query, ServeOptions{}};
+  request.options.tier = ServeTier::kExact;
+  request.options.degrade = DegradePolicy::kAuto;
+  request.options.deadline_ms = 50;
+  auto result = server.Query(request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->tier_used, ServeTier::kApprox);
+  EXPECT_TRUE(result->degraded);
+  EXPECT_EQ(server.stats().degraded_to_approx, 1);
+  EXPECT_EQ(server.stats().queries_approx, approx_before + 1);
 }
 
 // Transient prepare faults (IoError here) are absorbed by the bounded
@@ -1703,7 +1980,7 @@ TEST_F(ServeFailpointTest, TransientPrepareFailuresAreRetriedAndAbsorbed) {
                   .Configure("serve.prepare=error:ioerror*2")
                   .ok());
   const SlidingQuery query = MakeQuery(0, b * 20, b * 4, b, 0.7);
-  auto result = server.Query("d", query);
+  auto result = server.Query(Request("d", query));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ExpectSeriesEqual(NaiveTruth(copy, query), result->series, 1e-8);
   const DangoronServerStats stats = server.stats();
@@ -1727,13 +2004,13 @@ TEST_F(ServeFailpointTest, PersistentPrepareFailureExhaustsBoundedRetries) {
                   .Configure("serve.prepare=error:ioerror")
                   .ok());
   const SlidingQuery query = MakeQuery(0, b * 20, b * 4, b, 0.7);
-  auto result = server.Query("d", query);
+  auto result = server.Query(Request("d", query));
   EXPECT_EQ(result.status().code(), StatusCode::kIoError);
   EXPECT_EQ(server.stats().prepare_retries, 3);  // kPrepareMaxRetries
   EXPECT_EQ(server.stats().prepares_built, 0);
 
   FailpointRegistry::Instance().DisarmAll();
-  auto recovered = server.Query("d", query);
+  auto recovered = server.Query(Request("d", query));
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ExpectSeriesEqual(NaiveTruth(copy, query), recovered->series, 1e-8);
   EXPECT_EQ(server.stats().prepares_built, 1);
@@ -1781,6 +2058,67 @@ TEST_F(ServeFailpointTest, MidQueryResourceExhaustionDegradesToApprox) {
   ExpectSeriesEqual(*jumped, result->series, 0.0);
 }
 
+// The mid-run degrade leg resumes where the exact plan stopped, on every
+// surface: a collected exact Query whose first p windows are cached keeps
+// them, and only the suffix its band-stream build could not serve (an
+// injected ResourceExhausted) continues on the approx tier — under the
+// original window indices, equal to a jumping run over the suffix range.
+TEST_F(ServeFailpointTest, CollectedDegradeResumesAfterTheCachedPrefix) {
+  const int64_t b = 8;
+  const int64_t length = b * 40;
+  TimeSeriesMatrix data = SmallClimate(6, length, 7011);
+  const TimeSeriesMatrix copy = data;
+  DangoronServerOptions options;
+  options.num_threads = 2;
+  options.basic_window = b;
+  DangoronServer server(options);
+  ASSERT_TRUE(server.AddDataset("d", std::move(data)).ok());
+
+  const SlidingQuery query = MakeQuery(0, length, b * 6, b * 2, 0.6);
+  const int64_t n = query.NumWindows();
+  const int64_t p = 5;
+  ASSERT_GT(n, p);
+  SlidingQuery prefix = query;
+  prefix.end = (p - 1) * query.step + query.window;
+  ASSERT_EQ(prefix.NumWindows(), p);
+  ASSERT_TRUE(server.Query(Request("d", prefix)).ok());  // caches [0, p)
+
+  ASSERT_TRUE(FailpointRegistry::Instance()
+                  .Configure("serve.prepare=error:resource_exhausted*1")
+                  .ok());
+  QueryRequest request = Request("d", query);
+  request.options.tier = ServeTier::kExact;
+  request.options.degrade = DegradePolicy::kAuto;
+  auto result = server.Query(request);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->tier_used, ServeTier::kApprox);
+  EXPECT_TRUE(result->degraded);
+  EXPECT_EQ(result->windows_from_cache, p);
+  EXPECT_EQ(result->windows_computed, n - p);
+  ASSERT_EQ(result->series.num_windows(), n);
+
+  const CorrelationMatrixSeries truth = NaiveTruth(copy, query);
+  SlidingQuery suffix = query;
+  suffix.start = query.start + p * query.step;
+  const CorrelationMatrixSeries jumped = JumpingTruth(copy, suffix, b);
+  ASSERT_EQ(jumped.num_windows(), n - p);
+  for (int64_t k = 0; k < n; ++k) {
+    const auto got = result->series.WindowEdges(k);
+    const auto expected =
+        k < p ? truth.WindowEdges(k) : jumped.WindowEdges(k - p);
+    ASSERT_EQ(got.size(), expected.size()) << "window " << k;
+    for (size_t e = 0; e < expected.size(); ++e) {
+      EXPECT_EQ(got[e].i, expected[e].i) << "window " << k;
+      EXPECT_EQ(got[e].j, expected[e].j) << "window " << k;
+      if (k < p) {
+        EXPECT_NEAR(got[e].value, expected[e].value, 1e-8) << "window " << k;
+      } else {
+        EXPECT_EQ(got[e].value, expected[e].value) << "window " << k;
+      }
+    }
+  }
+}
+
 // Spurious full-queue reports from the opportunistic delivery path must
 // never drop or reorder a window: the blocking between-runs delivery picks
 // up whatever TryPush spuriously refused.
@@ -1798,7 +2136,7 @@ TEST_F(ServeFailpointTest, SpuriousPushFailuresNeverDropOrReorderWindows) {
       FailpointRegistry::Instance().Configure("stream.try_push=wake%50").ok());
   const SlidingQuery query = MakeQuery(0, length, b * 6, b * 2, 0.6);
   const CorrelationMatrixSeries truth = NaiveTruth(copy, query);
-  auto stream = server.SubmitStreaming("d", query);
+  auto stream = server.SubmitStreaming(Request("d", query));
   int64_t next_index = 0;
   while (auto window = stream->Next()) {
     ASSERT_EQ(window->window_index, next_index);
@@ -1885,10 +2223,11 @@ TEST(StreamingSubmitTest, DrainAfterCancelRacesServerTeardown) {
     auto server = std::make_unique<DangoronServer>(options);
     ASSERT_TRUE(server->AddDataset("d", data).ok());
 
-    StreamingSubmitOptions stream_options;
-    stream_options.queue_capacity = 1;  // the producer blocks on delivery
-    stream_options.max_batch_windows = 1;
-    auto stream = server->SubmitStreaming("d", query, stream_options);
+    QueryRequest stream_request = Request("d", query);
+    // The producer blocks on delivery.
+    stream_request.options.queue_capacity = 1;
+    stream_request.options.max_batch_windows = 1;
+    auto stream = server->SubmitStreaming(stream_request);
     ASSERT_TRUE(stream->Next().has_value());
 
     std::thread consumer([&] {
