@@ -22,6 +22,9 @@ Checks:
   5. raw-mutex: no `std::mutex` / `std::condition_variable` / guard types
      outside src/common/sync.h — everything goes through the annotated
      wrappers so Clang's thread-safety analysis sees every lock.
+  6. one-front-end: no `listen(`, `accept(`, `accept4(` or `epoll_create`
+     in src/ outside src/net/wire_server.cc — every wire-protocol server
+     (a shard, the router) serves through WireServer's one epoll loop.
 
 Exit 0 when every invariant holds, 1 otherwise (one pointed line each).
 
@@ -51,6 +54,9 @@ RAW_MUTEX_RE = re.compile(
 
 MUTEX_SCAN_DIRS = ("src", "tests", "bench", "examples")
 MUTEX_ALLOWED = os.path.join("src", "common", "sync.h")
+
+FRONT_END_RE = re.compile(r"\b(?:listen|accept4?|epoll_create1?)\s*\(")
+FRONT_END_ALLOWED = os.path.join("src", "net", "wire_server.cc")
 
 
 def read(path):
@@ -188,12 +194,28 @@ def check_raw_mutex(root, errors):
                     f"annotated wrappers from src/common/sync.h instead")
 
 
+def check_one_front_end(root, errors):
+    """WireServer owns the only listener and epoll loop in src/; a second
+    accept or event loop is a second front end to keep in step."""
+    for path in source_files(root, ("src",)):
+        rel = os.path.relpath(path, root)
+        if rel == FRONT_END_ALLOWED:
+            continue
+        for i, line in enumerate(strip_comments(read(path)).splitlines(), 1):
+            match = FRONT_END_RE.search(line)
+            if match:
+                errors.append(
+                    f"one-front-end: {rel}:{i} calls {match.group(0)} — "
+                    f"serve through WireServer (a WindowSource) instead")
+
+
 CHECKS = (
     check_failpoint_catalog,
     check_wire_status_codes,
     check_exit_codes,
     check_subsystem_readmes,
     check_raw_mutex,
+    check_one_front_end,
 )
 
 

@@ -10,7 +10,8 @@ message pointing at the actual drift:
   - a status-code table in docs/WIRE_PROTOCOL.md drifted from the enum,
   - an exit-code table drifted from kExitCodeSpecs,
   - a subsystem directory with no README,
-  - a stray raw std::mutex outside src/common/sync.h.
+  - a stray raw std::mutex outside src/common/sync.h,
+  - a listener or epoll loop outside src/net/wire_server.cc.
 
 Exit 0 when every case behaves, 1 otherwise.
 """
@@ -83,6 +84,7 @@ def make_clean_tree(root):
     write(root, "src/common/status.h", CLEAN_STATUS_H)
     write(root, "src/common/sync.h", "class Mutex { std::mutex mu_; };\n")
     write(root, "src/serve/README.md", "# serve/\n")
+    write(root, "src/net/README.md", "# net/\n")
     write(root, "src/serve/server.cc", CLEAN_SERVER_CC)
     write(root, "docs/WIRE_PROTOCOL.md", CLEAN_WIRE_DOC)
     write(root, "docs/ARCHITECTURE.md", CLEAN_ARCH_DOC)
@@ -158,6 +160,24 @@ def main():
                 root, "src/serve/rogue.h",
                 "#include <mutex>\nstd::mutex raw_;  // not the wrapper\n"),
             "raw-mutex", "src/serve/rogue.h:2", "std::mutex"),
+        run_case(
+            "second-listener",
+            lambda root: write(
+                root, "src/serve/listener.cc",
+                "void Start(int fd) {\n  ::listen(fd, 128);\n}\n"),
+            "one-front-end", "src/serve/listener.cc:2", "listen("),
+        run_case(
+            "second-epoll-loop",
+            lambda root: write(
+                root, "src/serve/loop.cc",
+                "int fd = epoll_create1(0);\n"),
+            "one-front-end", "src/serve/loop.cc:1", "epoll_create1("),
+        run_case(
+            "wire-server-listener-is-fine",
+            lambda root: write(
+                root, "src/net/wire_server.cc",
+                "void Start(int fd) {\n  listen(fd, 128);\n"
+                "  accept4(fd, nullptr, nullptr, 0);\n}\n")),
         run_case(
             "commented-mutex-is-fine",
             lambda root: write(

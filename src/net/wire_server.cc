@@ -34,6 +34,46 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+/// The WindowSource over one DangoronServer.
+class ServerWindowSource final : public WindowSource {
+ public:
+  explicit ServerWindowSource(DangoronServer* server) : server_(server) {}
+
+  bool StartsWarm(const WireRequest& request) const override {
+    return server_->StartsWarm(
+        QueryRequest{request.dataset, request.query, request.options});
+  }
+
+  Result<std::shared_ptr<WindowStream>> Open(WireRequest request) override {
+    // A router that addresses datasets by content verifies the shard still
+    // holds the bytes it thinks it does.
+    if (request.expected_fingerprint != 0) {
+      Result<uint64_t> fingerprint =
+          server_->DatasetFingerprint(request.dataset);
+      if (!fingerprint.ok()) {
+        return fingerprint.status();
+      }
+      if (*fingerprint != request.expected_fingerprint) {
+        return Status::FailedPrecondition(
+            "wire: dataset '", request.dataset, "' fingerprint mismatch");
+      }
+    }
+    // Wire convenience: end = 0 means "the dataset's full range" — a remote
+    // client need not know the series length (docs/WIRE_PROTOCOL.md).
+    if (request.query.end == 0) {
+      Result<int64_t> length = server_->DatasetLength(request.dataset);
+      if (length.ok()) {
+        request.query.end = *length;
+      }  // unknown dataset: let SubmitStreaming report NotFound
+    }
+    return std::shared_ptr<WindowStream>(server_->SubmitStreaming(
+        QueryRequest{request.dataset, request.query, request.options}));
+  }
+
+ private:
+  DangoronServer* const server_;
+};
+
 }  // namespace
 
 /// Per-connection state. The IO thread owns the fd, the FrameReader, and
@@ -68,7 +108,12 @@ struct WireServer::Connection {
 };
 
 WireServer::WireServer(DangoronServer* server, const WireServerOptions& options)
-    : server_(server), options_(options) {}
+    : owned_source_(std::make_unique<ServerWindowSource>(server)),
+      source_(owned_source_.get()),
+      options_(options) {}
+
+WireServer::WireServer(WindowSource* source, const WireServerOptions& options)
+    : source_(source), options_(options) {}
 
 WireServer::~WireServer() { Stop(); }
 
@@ -247,9 +292,7 @@ TaskLane WireServer::ClassifyLane(const WireRequest& request) const {
   const bool tight = request.options.deadline_ms.has_value() &&
                      *request.options.deadline_ms > 0 &&
                      *request.options.deadline_ms <= options_.high_lane_deadline_ms;
-  if (tight ||
-      server_->StartsWarm(
-          QueryRequest{request.dataset, request.query, request.options})) {
+  if (tight || source_->StartsWarm(request)) {
     return TaskLane::kHigh;
   }
   if (request.options.deadline_ms.has_value() &&
@@ -715,33 +758,12 @@ void WireServer::RequestFlush(const ConnectionPtr& conn) {
 void WireServer::RunRequest(ConnectionPtr conn, WireRequest request) {
   Status status = Status::Ok();
   WireSummary summary;
-
-  // A router that addresses datasets by content verifies the shard still
-  // holds the bytes it thinks it does.
-  if (request.expected_fingerprint != 0) {
-    Result<uint64_t> fingerprint = server_->DatasetFingerprint(request.dataset);
-    if (!fingerprint.ok()) {
-      status = fingerprint.status();
-    } else if (*fingerprint != request.expected_fingerprint) {
-      status = Status::FailedPrecondition(
-          "wire: dataset '", request.dataset, "' fingerprint mismatch");
-    }
-  }
-
-  // Wire convenience: end = 0 means "the dataset's full range" — a remote
-  // client need not know the series length (docs/WIRE_PROTOCOL.md).
-  if (status.ok() && request.query.end == 0) {
-    Result<int64_t> length = server_->DatasetLength(request.dataset);
-    if (length.ok()) {
-      request.query.end = *length;
-    }  // unknown dataset: let SubmitStreaming report NotFound
-  }
-
-  if (status.ok()) {
-    QueryRequest query_request{request.dataset, request.query,
-                               request.options};
-    std::shared_ptr<WindowStream> stream =
-        server_->SubmitStreaming(query_request);
+  Result<std::shared_ptr<WindowStream>> opened =
+      source_->Open(std::move(request));
+  if (!opened.ok()) {
+    status = opened.status();
+  } else {
+    std::shared_ptr<WindowStream> stream = std::move(*opened);
 
     // Publish the stream so a disconnect or cancel frame can reach it; a
     // cancel that raced ahead of this registration left a note instead.
@@ -760,6 +782,7 @@ void WireServer::RunRequest(ConnectionPtr conn, WireRequest request) {
       stream->Cancel();
     }
 
+    int64_t delivered = 0;
     std::string frame;
     while (std::optional<StreamedWindow> window = stream->Next()) {
       frame.clear();
@@ -787,21 +810,13 @@ void WireServer::RunRequest(ConnectionPtr conn, WireRequest request) {
         }
         break;
       }
-      ++summary.windows_delivered;
+      ++delivered;
     }
 
     if (status.ok()) {
       status = stream->status();
     }
-    const StreamingSummary streamed = stream->summary();
-    summary.tier_used = streamed.tier_used;
-    summary.prepared_from_cache = streamed.prepared_from_cache;
-    summary.degraded = streamed.degraded;
-    summary.windows_from_cache = streamed.windows_from_cache;
-    summary.windows_computed = streamed.windows_computed;
-    summary.windows_joined = streamed.windows_joined;
-    summary.cells_jumped = streamed.cells_jumped;
-    summary.jumps = streamed.jumps;
+    summary = ToWireSummary(stream->summary(), delivered);
 
     MutexLock lock(conn->mutex);
     conn->active_stream.reset();

@@ -12,6 +12,7 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "net/task_lanes.h"
+#include "net/window_source.h"
 #include "serve/server.h"
 #include "wire/wire_format.h"
 
@@ -32,9 +33,10 @@ struct WireServerOptions {
   /// Worker threads draining request streams (0 = max(8, hardware
   /// concurrency)). A worker is occupied for the lifetime of one in-flight
   /// response — it blocks on the consumer's pace, not on compute (the
-  /// evaluation itself runs on DangoronServer's pool) — so this bounds
-  /// concurrent in-flight wire responses, and oversubscribing the core
-  /// count is correct.
+  /// evaluation itself runs on DangoronServer's pool, or on the shards
+  /// behind a router) — so this bounds concurrent in-flight wire
+  /// responses, routed ones included, and oversubscribing the core count
+  /// is correct.
   int32_t worker_threads = 0;
 
   /// Connections beyond this are accepted and immediately closed.
@@ -75,15 +77,17 @@ struct WireServerStats {
 
 /// The network front end: an epoll event loop speaking the framed wire
 /// protocol (docs/WIRE_PROTOCOL.md) on many concurrent connections, and a
-/// priority-laned worker pool bridging decoded requests onto
-/// `DangoronServer::SubmitStreaming`.
+/// priority-laned worker pool bridging decoded requests onto a
+/// WindowSource — one DangoronServer's `SubmitStreaming`, or a
+/// RouterServer's shard merge. It owns the only listener and epoll loop
+/// under src/ (scripts/check_invariants.py enforces it).
 ///
 /// Division of labor:
 /// - One IO thread owns epoll, the listener, and every socket: it accepts,
 ///   reads bytes into per-connection FrameReaders, dispatches decoded
 ///   request frames to the lane pool, and flushes buffered response bytes
 ///   when sockets turn writable. It never computes and never blocks.
-/// - Lane workers own requests end to end: submit the streaming query,
+/// - Lane workers own requests end to end: open the source's stream,
 ///   drain its WindowStream, encode each window into the connection's
 ///   output buffer (blocking on the high watermark — backpressure), and
 ///   finish with the terminal status frame.
@@ -93,12 +97,16 @@ struct WireServerStats {
 /// which aborts the producer at its next batch boundary and unblocks the
 /// draining worker — `streams_cancelled` in the serving stats counts these.
 ///
-/// Lifecycle: construct over a DangoronServer (not owned; must outlive
-/// Stop), Start(), then Stop() or destroy. Thread-safe.
+/// Lifecycle: construct over a DangoronServer or a WindowSource (not owned;
+/// must outlive Stop), Start(), then Stop() or destroy. Thread-safe.
 class WireServer {
  public:
+  /// Serves one DangoronServer through an adapter that adds the shard-side
+  /// request semantics: the expected-fingerprint check and `end == 0`
+  /// resolution.
   explicit WireServer(DangoronServer* server,
                       const WireServerOptions& options = {});
+  WireServer(WindowSource* source, const WireServerOptions& options = {});
   ~WireServer();
 
   WireServer(const WireServer&) = delete;
@@ -124,9 +132,10 @@ class WireServer {
 
   /// Lane routing of one request — exposed for tests and the docs:
   /// - high: deadline <= high_lane_deadline_ms, or the request starts warm
-  ///   (DangoronServer::StartsWarm: its full sketch is resident or, exact
-  ///   tier, its first window is cached — warm requests finish fast;
-  ///   serving them first keeps tail latency flat under cold backlog);
+  ///   (WindowSource::StartsWarm; for a DangoronServer, its full sketch is
+  ///   resident or, exact tier, its first window is cached — warm requests
+  ///   finish fast; serving them first keeps tail latency flat under cold
+  ///   backlog; a router never claims warm);
   /// - medium: cold but deadline-bound;
   /// - low: cold prepares with no deadline — an index build must never
   ///   queue ahead of a microsecond cache hit.
@@ -174,7 +183,9 @@ class WireServer {
   /// Asks the IO thread to flush `conn` (eventfd wake).
   void RequestFlush(const ConnectionPtr& conn);
 
-  DangoronServer* const server_;
+  /// The DangoronServer adapter, when constructed over a server.
+  const std::unique_ptr<WindowSource> owned_source_;
+  WindowSource* const source_;
   const WireServerOptions options_;
 
   std::atomic<bool> running_{false};

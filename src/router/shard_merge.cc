@@ -120,27 +120,8 @@ void ShardMerge::Cancel() {
 Status ShardMerge::status() const { return downstream_->status(); }
 
 WireSummary ShardMerge::summary() const {
-  WireSummary total;
   MutexLock lock(mutex_);
-  // Per-slice terminal summaries are stable once the merge finished (every
-  // reader joined its source's terminal status before exiting). Failed-over
-  // slices still count: their windows were delivered and merged.
-  for (const auto& slice : slices_) {
-    const WireSummary s = slice->source->summary();
-    total.windows_from_cache += s.windows_from_cache;
-    total.windows_computed += s.windows_computed;
-    total.windows_joined += s.windows_joined;
-    total.cells_jumped += s.cells_jumped;
-    total.jumps += s.jumps;
-    if (s.tier_used == ServeTier::kApprox) {
-      total.tier_used = ServeTier::kApprox;
-    }
-    if (s.degraded) {
-      total.degraded = true;
-    }
-  }
-  total.windows_delivered = windows_merged_;
-  return total;
+  return ToWireSummary(downstream_->summary(), windows_merged_);
 }
 
 int64_t ShardMerge::failovers() const {
@@ -323,11 +304,23 @@ void ShardMerge::FinishLocked() {
         pending_.size(), " windows never completed (first stuck index ",
         pending_.begin()->first, ")");
   }
-  // The downstream summary mirrors the aggregate; consumers read the full
-  // per-shard rollup via ShardMerge::summary().
-  StreamingSummary summary;
-  summary.windows_computed = windows_merged_;
-  downstream_->Finish(terminal, summary);
+  // The per-slice terminal summaries are stable: every reader reached its
+  // source's terminal status before exiting. Failed-over slices still
+  // count — their windows were delivered and merged.
+  StreamingSummary rollup;
+  for (const auto& slice : slices_) {
+    const WireSummary s = slice->source->summary();
+    rollup.windows_from_cache += s.windows_from_cache;
+    rollup.windows_computed += s.windows_computed;
+    rollup.windows_joined += s.windows_joined;
+    rollup.cells_jumped += s.cells_jumped;
+    rollup.jumps += s.jumps;
+    if (s.tier_used == ServeTier::kApprox) {
+      rollup.tier_used = ServeTier::kApprox;
+    }
+    rollup.degraded = rollup.degraded || s.degraded;
+  }
+  downstream_->Finish(terminal, rollup);
 }
 
 void ShardMerge::ReaderLoop(int slice_index) {

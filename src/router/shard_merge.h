@@ -181,8 +181,16 @@ class ShardMerge {
   Status status() const;
 
   /// Aggregated shard accounting (sums of per-slice counters; degraded /
-  /// approx if any shard was); meaningful once Next returned nullopt.
+  /// approx if any shard was) plus the merged-window count; meaningful once
+  /// Next returned nullopt. The merged stream finishes with the same
+  /// rollup as its StreamingSummary.
   WireSummary summary() const;
+
+  /// The merged stream's channel, for a WindowStream that wraps the merge
+  /// (RouterServer's routed stream).
+  const std::shared_ptr<WindowStreamState>& downstream() const {
+    return downstream_;
+  }
 
   /// Mid-stream failovers performed so far (shard deaths ridden out).
   int64_t failovers() const;
@@ -241,7 +249,7 @@ class ShardMerge {
   /// not block other readers).
   void EmitReadyLocked() REQUIRES(mutex_);
   /// Called by the last reader to exit: settles the terminal status and
-  /// finishes the downstream stream.
+  /// finishes the downstream stream with the shards' summary rollup.
   void FinishLocked() REQUIRES(mutex_);
 
   const ShardMergeOptions options_;

@@ -176,11 +176,15 @@ class WindowStreamState {
 ///
 /// Destroying the handle cancels an unfinished stream, so an abandoned
 /// stream finishes promptly instead of idling behind a queue nobody reads.
+///
+/// A producer with upstreams of its own (the router's ShardMerge) derives
+/// and overrides `Cancel`, so a consumer's cancel reaches every upstream
+/// at once rather than at the producer's next push.
 class WindowStream {
  public:
   explicit WindowStream(std::shared_ptr<WindowStreamState> state)
       : state_(std::move(state)) {}
-  ~WindowStream() {
+  virtual ~WindowStream() {
     if (state_ != nullptr && !state_->finished()) {
       state_->Cancel();
     }
@@ -196,7 +200,7 @@ class WindowStream {
   /// Mid-stream cancellation: already-queued windows are dropped, the
   /// producer stops at its next batch boundary, and every window it already
   /// computed stays in the server's cache for the next overlapping query.
-  void Cancel() { state_->Cancel(); }
+  virtual void Cancel() { state_->Cancel(); }
 
   /// Terminal status; meaningful once Next() returned nullopt.
   Status status() const { return state_->status(); }

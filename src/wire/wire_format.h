@@ -9,6 +9,7 @@
 #include "common/status.h"
 #include "engine/query.h"
 #include "serve/query_request.h"
+#include "serve/window_stream.h"
 
 /// The Dangoron wire protocol: a compact framed binary encoding of the
 /// QueryRequest serving surface, so a query can be submitted over a socket
@@ -120,6 +121,11 @@ struct WireSummary {
   int64_t cells_jumped = 0;
   int64_t jumps = 0;
 };
+
+/// `streamed`'s accounting with `windows_delivered` frames sent — how a
+/// finished WindowStream becomes its terminal Status frame's summary.
+WireSummary ToWireSummary(const StreamingSummary& streamed,
+                          int64_t windows_delivered);
 
 /// Appends one complete status frame (always the last frame of a request).
 void EncodeStatusFrame(const Status& status, const WireSummary& summary,

@@ -760,8 +760,10 @@ TEST(WireClientTimeoutTest, ReadTimesOutOnASilentServer) {
 
 /// Open descriptors in this process (includes the scan's own dirfd, which
 /// cancels out in before/after comparisons).
-int CountOpenFds() {
-  DIR* dir = ::opendir("/proc/self/fd");
+// Entries of a /proc/self directory: fd/ holds one per open descriptor,
+// task/ one per thread.
+int CountProcEntries(const char* path) {
+  DIR* dir = ::opendir(path);
   if (dir == nullptr) {
     return -1;
   }
@@ -772,6 +774,8 @@ int CountOpenFds() {
   ::closedir(dir);
   return count;
 }
+
+int CountOpenFds() { return CountProcEntries("/proc/self/fd"); }
 
 TEST(WireClientReconnectTest, RetriedRefusedConnectsLeakNoFds) {
   // A loopback port with nothing behind it: bind, read the port back,
@@ -1029,11 +1033,16 @@ TEST_F(RouterE2ETest, CancelMidStreamReleasesAllShardsWithNoLeakedClaims) {
   ShardRouter router(RouterOptions());
   WireRequest request = TestRequest();
   request.options.queue_capacity = 2;  // tight downstream queue
-  // Near-dense edge sets: the undelivered remainder is megabytes per
-  // shard, far past what the stream queue plus socket buffers can absorb,
-  // so no producer can slip to a clean Ok finish before the cancel frame
-  // reaches it.
   request.query.threshold = 0.01;
+  // A shard can still deliver its whole remainder before the cancel lands
+  // (the queue plus socket buffers absorb more than they appear to), and
+  // then it counts no cancelled stream. Stalling every sweep band (four
+  // 16-window runs) keeps each shard provably mid-stream: after the first
+  // window it still owes three 200 ms bands when the cancel arrives.
+#if DANGORON_FAILPOINTS_ENABLED
+  ASSERT_TRUE(
+      FailpointRegistry::Instance().Configure("sweep.band=delay:200").ok());
+#endif
   auto merge = router.Submit(request, NumPairs());
   ASSERT_TRUE(merge.ok()) << merge.status().message();
 
@@ -1053,6 +1062,9 @@ TEST_F(RouterE2ETest, CancelMidStreamReleasesAllShardsWithNoLeakedClaims) {
     EXPECT_TRUE(
         PollFor([&] { return server->stats().streams_cancelled >= 1; }));
   }
+#if DANGORON_FAILPOINTS_ENABLED
+  FailpointRegistry::Instance().DisarmAll();
+#endif
   auto rerun = router.Submit(TestRequest(), NumPairs());
   ASSERT_TRUE(rerun.ok());
   int64_t windows = 0;
@@ -1352,6 +1364,9 @@ TEST_F(RouterE2ETest, RouterServerSpeaksTheWireProtocolTransparently) {
       << client->result_status().message();
   EXPECT_EQ(windows, ExpectedWindows());
   EXPECT_EQ(client->summary().windows_delivered, windows);
+  // The Status frame carries the shards' rollup: each of the two fresh
+  // shards computed every window over its pair range.
+  EXPECT_EQ(client->summary().windows_computed, 2 * windows);
 
   // Unknown dataset: NotFound, and the connection stays usable.
   WireRequest unknown = TestRequest();
@@ -1446,6 +1461,79 @@ TEST_F(RouterE2ETest, RouterServerDisconnectCancelsEveryShard) {
   front.Stop();
 }
 
+TEST_F(RouterE2ETest, RouterServerCancelFrameCancelsEveryShard) {
+  if (!kFailpointsCompiled) {
+    // Without the band stall a shard may deliver everything before the
+    // cancel lands, and kCancelled cannot be asserted.
+    GTEST_SKIP() << "failpoints compiled out (DANGORON_FAILPOINTS=OFF)";
+  }
+  StartShards(2, /*num_basic_windows=*/64);
+  ShardRouter router(RouterOptions());
+  RouterServerOptions options;
+  options.port = -1;
+  RouterServer front(&router, options);
+  front.RegisterDataset("d", kNumSeries, data_->ContentFingerprint());
+  ASSERT_TRUE(front.Start().ok());
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ASSERT_TRUE(front.AddConnection(fds[0]).ok());
+  auto client = WireClient::Adopt(fds[1]);
+
+  struct DisarmOnExit {
+    ~DisarmOnExit() { FailpointRegistry::Instance().DisarmAll(); }
+  } disarm_on_exit;
+  // Every shard still owes three stalled 200 ms bands after the first
+  // window, so the cancel frame lands mid-stream on both.
+  ASSERT_TRUE(
+      FailpointRegistry::Instance().Configure("sweep.band=delay:200").ok());
+  WireRequest request = TestRequest();
+  request.options.queue_capacity = 2;
+  ASSERT_TRUE(client->Submit(request).ok());
+  auto first = client->Next();
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  ASSERT_TRUE(first->has_value());
+  ASSERT_TRUE(client->Cancel().ok());
+  while (true) {
+    auto window = client->Next();
+    ASSERT_TRUE(window.ok()) << window.status().message();
+    if (!window->has_value()) {
+      break;
+    }
+  }
+  EXPECT_EQ(client->result_status().code(), StatusCode::kCancelled)
+      << client->result_status().message();
+  EXPECT_EQ(front.stats().cancel_frames, 1);
+
+  // The cancel reached every shard's producer, which unwound with zero
+  // leaked claims.
+  for (const auto& server : servers_) {
+    EXPECT_TRUE(PollFor(
+        [&] { return server->stats().inflight_window_claims == 0; }))
+        << "a shard leaked window claims after the cancel frame";
+    EXPECT_TRUE(
+        PollFor([&] { return server->stats().streams_cancelled >= 1; }))
+        << "a shard never saw the fanned-out cancel";
+  }
+
+  // The same connection then serves a full request.
+  FailpointRegistry::Instance().DisarmAll();
+  ASSERT_TRUE(client->Submit(TestRequest()).ok());
+  int64_t windows = 0;
+  while (true) {
+    auto window = client->Next();
+    ASSERT_TRUE(window.ok()) << window.status().message();
+    if (!window->has_value()) {
+      break;
+    }
+    ++windows;
+  }
+  EXPECT_TRUE(client->result_status().ok())
+      << client->result_status().message();
+  EXPECT_EQ(windows, ExpectedWindows());
+  front.Stop();
+  EXPECT_EQ(front.stats().shard_failures, 0);  // a cancel is no failure
+}
+
 // Bytes of this process's virtual address space (VmSize).
 int64_t VmSizeBytes() {
   std::ifstream status("/proc/self/status");
@@ -1458,11 +1546,10 @@ int64_t VmSizeBytes() {
   return -1;
 }
 
-// A finished connection's thread is joined when the next connection
-// arrives, not at Stop(): an unjoined thread keeps its stack mapped, so a
-// long-lived router used to grow by one stack per connection it had ever
-// served.
-TEST_F(RouterE2ETest, RouterServerReapsFinishedConnectionThreads) {
+// The flatness gate of a long-lived router: ten thousand connections,
+// strictly one after another, leave its thread count, descriptor count
+// and address space where they were.
+TEST_F(RouterE2ETest, RouterServerStaysFlatOverSequentialConnections) {
   StartShards(1);
   ShardRouter router(RouterOptions());
   RouterServerOptions options;
@@ -1486,8 +1573,18 @@ TEST_F(RouterE2ETest, RouterServerReapsFinishedConnectionThreads) {
     EXPECT_FALSE(window->has_value());
     EXPECT_EQ(client->result_status().code(), StatusCode::kNotFound);
   };
+  // The next connection opens only once the router closed the last one.
+  // Polled finely: the wait is paid ten thousand times.
   auto until_idle = [&] {
-    return PollFor([&] { return front.stats().connections_active == 0; });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (front.stats().connections_active != 0) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        return false;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+    }
+    return true;
   };
   for (int c = 0; c < 20; ++c) {  // settle allocator arenas
     one_request_connection();
@@ -1500,11 +1597,17 @@ TEST_F(RouterE2ETest, RouterServerReapsFinishedConnectionThreads) {
   pthread_attr_destroy(&attr);
   const int64_t before = VmSizeBytes();
   ASSERT_GT(before, 0);
-  constexpr int kConnections = 300;
+  const int threads_before = CountProcEntries("/proc/self/task");
+  const int fds_before = CountOpenFds();
+  ASSERT_GT(threads_before, 0);
+  ASSERT_GT(fds_before, 0);
+  constexpr int kConnections = 10000;
   for (int c = 0; c < kConnections; ++c) {
     one_request_connection();
-    ASSERT_TRUE(until_idle());
+    ASSERT_TRUE(until_idle()) << "connection " << c << " never closed";
   }
+  EXPECT_EQ(CountProcEntries("/proc/self/task"), threads_before);
+  EXPECT_EQ(CountOpenFds(), fds_before);
   const int64_t growth = VmSizeBytes() - before;
   EXPECT_LT(growth, 10 * static_cast<int64_t>(stack_bytes))
       << "address space grew " << growth << " bytes over " << kConnections
