@@ -1,142 +1,20 @@
-// Experiment E1 (paper claim C1): pure query time of Dangoron vs TSUBASA
-// (and the naive brute force) on the USCRN-like climate workload.
-//
-// The paper reports Dangoron "an order of magnitude faster than TSUBASA in
-// terms of pure query time" on NOAA hourly data. This binary reproduces the
-// comparison: same data, same query, prepare (index build) timed separately,
-// query repeated and the minimum reported. Thresholds 0.8 and 0.9 bracket
-// the network densities climate analyses use.
-//
-// Expected shape: dangoron ~10x tsubasa, growing with beta; the incremental
-// (no-jump) mode already wins by reusing overlap, the jump mode adds the
-// Eq. 2 skipping on top.
+// Writes BENCH_query.json to the cwd: the exact query path's banded SIMD
+// sweep against the scalar pair-major loop (use_sweep_kernel=false) on the
+// USCRN-like climate workload, plus the sweep's time-to-first-window.
+// scripts/check_bench_regression.py gates the within-run ratios. The
+// paper's E1 comparison against TSUBASA is `bench_paper e1`.
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
-#include <string_view>
+#include <vector>
 
 #include "common/stopwatch.h"
 #include "engine/dangoron_engine.h"
-#include "engine/naive_engine.h"
-#include "engine/tsubasa_engine.h"
 #include "engine/window_sink.h"
-#include "eval/table.h"
 #include "eval/workloads.h"
 
 namespace dangoron {
 namespace {
-
-int Run() {
-  ClimateWorkload workload;
-  workload.num_stations = 128;
-  workload.num_hours = 24 * 365;
-  const auto data = workload.Generate();
-  if (!data.ok()) {
-    std::fprintf(stderr, "workload: %s\n", data.status().ToString().c_str());
-    return 1;
-  }
-
-  std::printf("E1: pure query time, climate workload "
-              "(N=%lld stations, L=%lld hours, l=30d, eta=1d)\n\n",
-              static_cast<long long>(workload.num_stations),
-              static_cast<long long>(workload.num_hours));
-
-  Table table({"beta", "engine", "prepare", "query", "speedup vs tsubasa",
-               "cells evaluated", "cells jumped", "edges"});
-
-  for (const double beta : {0.8, 0.9}) {
-    const SlidingQuery query = workload.DefaultQuery(beta);
-    double tsubasa_seconds = 0.0;
-
-    {
-      TsubasaEngine engine;
-      const auto run = RunEngineTimed(&engine, *data, query, 3);
-      if (!run.ok()) {
-        std::fprintf(stderr, "tsubasa: %s\n",
-                     run.status().ToString().c_str());
-        return 1;
-      }
-      tsubasa_seconds = run->query_seconds;
-      table.AddRow()
-          .AddDouble(beta, 2)
-          .Add("tsubasa")
-          .AddTime(run->prepare_seconds)
-          .AddTime(run->query_seconds)
-          .AddRatio(1.0)
-          .AddInt(run->stats.cells_evaluated)
-          .AddInt(run->stats.cells_jumped)
-          .AddInt(run->result.TotalEdges());
-    }
-
-    if (beta == 0.8) {
-      // The brute force is run once; it is threshold independent in cost.
-      NaiveEngine engine;
-      const auto run = RunEngineTimed(&engine, *data, query, 1);
-      if (!run.ok()) {
-        std::fprintf(stderr, "naive: %s\n", run.status().ToString().c_str());
-        return 1;
-      }
-      table.AddRow()
-          .AddDouble(beta, 2)
-          .Add("naive")
-          .AddTime(run->prepare_seconds)
-          .AddTime(run->query_seconds)
-          .AddRatio(tsubasa_seconds / run->query_seconds)
-          .AddInt(run->stats.cells_evaluated)
-          .AddInt(run->stats.cells_jumped)
-          .AddInt(run->result.TotalEdges());
-    }
-
-    {
-      DangoronOptions options;
-      options.enable_jumping = false;
-      DangoronEngine engine(options);
-      const auto run = RunEngineTimed(&engine, *data, query, 3);
-      if (!run.ok()) {
-        std::fprintf(stderr, "dangoron-incremental: %s\n",
-                     run.status().ToString().c_str());
-        return 1;
-      }
-      table.AddRow()
-          .AddDouble(beta, 2)
-          .Add("dangoron-incremental")
-          .AddTime(run->prepare_seconds)
-          .AddTime(run->query_seconds)
-          .AddRatio(tsubasa_seconds / run->query_seconds)
-          .AddInt(run->stats.cells_evaluated)
-          .AddInt(run->stats.cells_jumped)
-          .AddInt(run->result.TotalEdges());
-    }
-
-    {
-      DangoronOptions options;
-      options.enable_jumping = true;
-      DangoronEngine engine(options);
-      const auto run = RunEngineTimed(&engine, *data, query, 3);
-      if (!run.ok()) {
-        std::fprintf(stderr, "dangoron: %s\n",
-                     run.status().ToString().c_str());
-        return 1;
-      }
-      table.AddRow()
-          .AddDouble(beta, 2)
-          .Add("dangoron (jump)")
-          .AddTime(run->prepare_seconds)
-          .AddTime(run->query_seconds)
-          .AddRatio(tsubasa_seconds / run->query_seconds)
-          .AddInt(run->stats.cells_evaluated)
-          .AddInt(run->stats.cells_jumped)
-          .AddInt(run->result.TotalEdges());
-    }
-  }
-
-  std::printf("%s\n", table.ToString().c_str());
-  std::printf("paper claim C1: dangoron >= 10x tsubasa on pure query time\n");
-  return 0;
-}
-
-// ------------------------------------------ scalar vs sweep kernel JSON --
 
 // Swallows every window, recording time-to-first-window: the engine-level
 // streaming measure (exact mode emits window 0 after one window's sweep).
@@ -289,32 +167,10 @@ bool WriteQueryComparisonJson(const char* path) {
 }  // namespace dangoron
 
 int main(int argc, char** argv) {
-  // --query_comparison=only emits BENCH_query.json without the E1 table
-  // (the CI bench-smoke mode); =off runs the table only; default runs both
-  // (and overwrites BENCH_query.json in the cwd, like the other benches).
-  bool table = true;
-  bool comparison = true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg == "--query_comparison=only") {
-      table = false;
-    } else if (arg == "--query_comparison=off") {
-      comparison = false;
-    } else if (arg == "--query_comparison=on") {
-      comparison = true;
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
-      return 2;
-    }
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s (writes BENCH_query.json to the cwd)\n",
+                 argv[0]);
+    return 2;
   }
-  if (table) {
-    const int status = dangoron::Run();
-    if (status != 0) {
-      return status;
-    }
-  }
-  if (comparison && !dangoron::WriteQueryComparisonJson("BENCH_query.json")) {
-    return 1;
-  }
-  return 0;
+  return dangoron::WriteQueryComparisonJson("BENCH_query.json") ? 0 : 1;
 }

@@ -456,7 +456,6 @@ Result<BasicWindowIndex> DangoronEngine::BuildIndex(
   }
   BasicWindowIndexOptions index_options;
   index_options.basic_window = options.basic_window;
-  index_options.build_pair_sketches = true;
   return BasicWindowIndex::Build(data, index_options, pool);
 }
 

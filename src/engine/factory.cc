@@ -123,8 +123,6 @@ Result<std::unique_ptr<CorrelationEngine>> CreateEngine(
     RETURN_IF_ERROR(ConsumeBool(&options, "horizontal",
                                 &engine_options.horizontal_pruning));
     RETURN_IF_ERROR(ConsumeInt(&options, "pivots", &pivots));
-    RETURN_IF_ERROR(ConsumeBool(&options, "sweep",
-                                &engine_options.use_sweep_kernel));
     RETURN_IF_ERROR(ConsumeInt(&options, "threads", &threads));
     RETURN_IF_ERROR(RejectLeftovers(options, name));
     engine_options.basic_window = basic_window;

@@ -61,7 +61,6 @@ Status TsubasaEngine::Prepare(const TimeSeriesMatrix& data) {
   }
   BasicWindowIndexOptions index_options;
   index_options.basic_window = options_.basic_window;
-  index_options.build_pair_sketches = true;
   ASSIGN_OR_RETURN(BasicWindowIndex index,
                    BasicWindowIndex::Build(data, index_options, pool_.get()));
   index_ = std::move(index);

@@ -25,21 +25,6 @@ SlidingQuery ClimateWorkload::DefaultQuery(double threshold) const {
   return query;
 }
 
-Result<EngineRun> RunEngine(CorrelationEngine* engine,
-                            const TimeSeriesMatrix& data,
-                            const SlidingQuery& query) {
-  EngineRun run;
-  Stopwatch prepare_watch;
-  RETURN_IF_ERROR(engine->Prepare(data));
-  run.prepare_seconds = prepare_watch.ElapsedSeconds();
-
-  Stopwatch query_watch;
-  ASSIGN_OR_RETURN(run.result, engine->Query(query));
-  run.query_seconds = query_watch.ElapsedSeconds();
-  run.stats = engine->stats();
-  return run;
-}
-
 Result<EngineRun> RunEngineTimed(CorrelationEngine* engine,
                                  const TimeSeriesMatrix& data,
                                  const SlidingQuery& query, int repetitions) {

@@ -27,20 +27,17 @@ struct ClimateWorkload {
   SlidingQuery DefaultQuery(double threshold = 0.8) const;
 };
 
-/// Runs Prepare + Query on an engine, returning wall-clock timings alongside
-/// the result; the shared measurement helper of every experiment binary.
+/// Wall-clock timings of an engine's Prepare and Query, with the result.
 struct EngineRun {
   double prepare_seconds = 0.0;
   double query_seconds = 0.0;
   CorrelationMatrixSeries result;
   EngineStats stats;
 };
-Result<EngineRun> RunEngine(CorrelationEngine* engine,
-                            const TimeSeriesMatrix& data,
-                            const SlidingQuery& query);
 
-/// Repeats Query `repetitions` times (after one warmup) and reports the
-/// minimum query time — the "pure query time" measure of the paper.
+/// Prepares `engine` on `data`, then runs `query` `repetitions` times (at
+/// least once) and reports the minimum query time — the "pure query time"
+/// measure of the paper. The first run also produces the returned result.
 Result<EngineRun> RunEngineTimed(CorrelationEngine* engine,
                                  const TimeSeriesMatrix& data,
                                  const SlidingQuery& query, int repetitions);

@@ -5,44 +5,10 @@
 
 namespace dangoron {
 
-namespace {
-
-/// Compat shim for the range-free constructor: slice i gets the unit range
-/// [i, i+1), so "covered == num_pairs" degenerates to "all K delivered".
-std::vector<ShardSlice> UnitSlices(
-    std::vector<std::unique_ptr<ShardWindowSource>> sources) {
-  std::vector<ShardSlice> slices;
-  slices.reserve(sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    ShardSlice slice;
-    slice.source = std::move(sources[i]);
-    slice.pair_begin = static_cast<int64_t>(i);
-    slice.pair_end = static_cast<int64_t>(i) + 1;
-    slices.push_back(std::move(slice));
-  }
-  return slices;
-}
-
-ShardMergeOptions WithoutFailover(ShardMergeOptions options) {
-  options.failover = nullptr;
-  options.max_failovers = 0;
-  return options;
-}
-
-int64_t MaxPairEnd(const std::vector<ShardSlice>& slices) {
-  int64_t end = 0;
-  for (const ShardSlice& slice : slices) {
-    end = std::max(end, slice.pair_end);
-  }
-  return end;
-}
-
-}  // namespace
-
 ShardMerge::ShardMerge(std::vector<ShardSlice> slices, int64_t num_pairs,
                        const ShardMergeOptions& options)
     : options_(options),
-      num_pairs_(num_pairs >= 0 ? num_pairs : MaxPairEnd(slices)),
+      num_pairs_(num_pairs),
       downstream_(std::make_shared<WindowStreamState>(
           std::max<int64_t>(int64_t{1}, options.queue_capacity))) {
   slices_.reserve(slices.size());
@@ -71,11 +37,6 @@ ShardMerge::ShardMerge(std::vector<ShardSlice> slices, int64_t num_pairs,
     readers_.emplace_back([this, s] { ReaderLoop(static_cast<int>(s)); });
   }
 }
-
-ShardMerge::ShardMerge(std::vector<std::unique_ptr<ShardWindowSource>> sources,
-                       const ShardMergeOptions& options)
-    : ShardMerge(UnitSlices(std::move(sources)), int64_t{-1},
-                 WithoutFailover(options)) {}
 
 ShardMerge::~ShardMerge() {
   Cancel();
@@ -275,9 +236,10 @@ void ShardMerge::EmitReadyLocked() {
     progress_cv_.NotifyAll();
 
     mutex_.Unlock();
-    const bool pushed = downstream_->Push(std::move(merged));
+    const PushResult pushed = downstream_->PushUntil(
+        std::move(merged), std::chrono::steady_clock::time_point::max());
     mutex_.Lock();
-    if (!pushed) {
+    if (pushed != PushResult::kPushed) {
       // The consumer cancelled the merged stream while we were blocked on
       // its queue; fan the cancel out to the shards.
       if (!cancelled_) {

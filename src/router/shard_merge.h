@@ -155,15 +155,9 @@ struct ShardMergeOptions {
 /// delivery wins, so re-dispatch can never double-emit an edge.
 class ShardMerge {
  public:
-  /// Range-aware construction: `slices` cover [0, num_pairs) disjointly.
+  /// `slices` cover [0, num_pairs) disjointly.
   ShardMerge(std::vector<ShardSlice> slices, int64_t num_pairs,
              const ShardMergeOptions& options = {});
-
-  /// Range-free construction for scripted/synthetic sources: slice i gets
-  /// the unit range [i, i+1) and failover stays disabled.
-  explicit ShardMerge(
-      std::vector<std::unique_ptr<ShardWindowSource>> sources,
-      const ShardMergeOptions& options = {});
 
   ~ShardMerge();
 
@@ -245,7 +239,7 @@ class ShardMerge {
   /// upstream.
   void MergeFailLocked(const Status& status) REQUIRES(mutex_);
   /// Emits every consecutively-complete window at the frontier. Drops
-  /// mutex_ around each Push and re-takes it (downstream backpressure must
+  /// mutex_ around each push and re-takes it (downstream backpressure must
   /// not block other readers).
   void EmitReadyLocked() REQUIRES(mutex_);
   /// Called by the last reader to exit: settles the terminal status and

@@ -10,7 +10,6 @@ Result<std::shared_ptr<const PreparedDataset>> PreparedDataset::Create(
   }
   BasicWindowIndexOptions options;
   options.basic_window = basic_window;
-  options.build_pair_sketches = true;
   ASSIGN_OR_RETURN(BasicWindowIndex index,
                    BasicWindowIndex::Build(*data, options, pool));
   if (!fingerprint.has_value()) {

@@ -402,7 +402,6 @@ int64_t DangoronServer::EstimatePrepareBytes(
     const TimeSeriesMatrix& data) const {
   BasicWindowIndexOptions index_options;
   index_options.basic_window = options_.basic_window;
-  index_options.build_pair_sketches = true;
   return BasicWindowIndex::EstimateMemoryBytes(data.num_series(),
                                                data.length(), index_options) +
          static_cast<int64_t>(data.values().size() * sizeof(double));
@@ -843,8 +842,8 @@ Status DangoronServer::RunWindowPlan(const RequestContext& ctx,
       if (blocking) {
         // Deadline-bounded backpressure: the terminal DeadlineExceeded is
         // itself a delivery the consumer is waiting on, so the producer
-        // must not block past the abort point (PushUntil with
-        // time_point::max() is plain Push).
+        // must not block past the abort point (without a deadline,
+        // time_point::max() waits indefinitely).
         switch (stream->PushUntil(std::move(window),
                                   ctx.deadline.deadline())) {
           case PushResult::kPushed:

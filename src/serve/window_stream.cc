@@ -9,19 +9,6 @@ namespace dangoron {
 WindowStreamState::WindowStreamState(int64_t queue_capacity)
     : capacity_(queue_capacity > 0 ? queue_capacity : 1) {}
 
-bool WindowStreamState::Push(StreamedWindow window) {
-  MutexLock lock(mutex_);
-  while (!cancelled_ && static_cast<int64_t>(queue_.size()) >= capacity_) {
-    can_push_.Wait(mutex_);
-  }
-  if (cancelled_) {
-    return false;
-  }
-  queue_.push_back(std::move(window));
-  can_pop_.NotifyOne();
-  return true;
-}
-
 PushResult WindowStreamState::PushUntil(
     StreamedWindow window, std::chrono::steady_clock::time_point deadline) {
   MutexLock lock(mutex_);

@@ -75,30 +75,28 @@ enum class PushResult : int8_t {
 /// plus the terminal status. Server-internal — consumers use `WindowStream`;
 /// it is public only so the server and tests can drive the producer side.
 ///
-/// Producer protocol: any number of `Push` calls (ascending window indices),
-/// then exactly one `Finish`. `Push` blocks while the queue is full and the
-/// stream is live; it returns false once the stream is cancelled, which is
-/// the producer's signal to stop. `cancelled()` lets a producer poll between
-/// batches so evaluation (not just delivery) stops early.
+/// Producer protocol: any number of `PushUntil` calls (ascending window
+/// indices), then exactly one `Finish`. `PushUntil` blocks while the queue
+/// is full and the stream is live; it returns kCancelled once the stream is
+/// cancelled, which is the producer's signal to stop. `cancelled()` lets a
+/// producer poll between batches so evaluation (not just delivery) stops
+/// early.
 class WindowStreamState {
  public:
   explicit WindowStreamState(int64_t queue_capacity);
 
   // --- producer side (the server's streaming query task) ---
 
-  /// Enqueues one window; blocks while the queue is full. Returns false
-  /// when the stream is cancelled (the window is dropped).
-  bool Push(StreamedWindow window);
-
-  /// Deadline-aware Push: additionally gives up with kDeadlineExceeded when
-  /// `deadline` passes while blocked on a full queue (time_point::max() =
-  /// wait indefinitely, i.e. plain Push). A producer serving a hard
+  /// Enqueues one window; blocks while the queue is full. Returns
+  /// kCancelled when the stream is cancelled (the window is dropped) and
+  /// kDeadlineExceeded when `deadline` passes while blocked on a full queue
+  /// (time_point::max() = wait indefinitely). A producer serving a hard
   /// deadline must not let a slow consumer hold it past the abort point —
   /// the terminal status is itself a delivery the consumer is waiting for.
   PushResult PushUntil(StreamedWindow window,
                        std::chrono::steady_clock::time_point deadline);
 
-  /// Non-blocking Push: enqueues and returns true only when a queue slot is
+  /// Non-blocking push: enqueues and returns true only when a queue slot is
   /// free and the stream is live; returns false (window untouched in
   /// effect — callers keep their copy) when the queue is full or the
   /// stream is cancelled, distinguishable via `cancelled()`. Lets a
@@ -135,7 +133,7 @@ class WindowStreamState {
   std::deque<StreamedWindow> TakeAll();
 
   /// Requests cancellation: drops queued windows (releasing their slots so
-  /// a blocked producer wakes immediately) and makes further Push fail.
+  /// a blocked producer wakes immediately) and makes further pushes fail.
   void Cancel();
 
   /// Terminal status — Ok for a fully delivered stream, Cancelled after

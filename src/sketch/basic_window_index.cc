@@ -70,11 +70,10 @@ Result<BasicWindowIndex> BasicWindowIndex::Build(
   index.num_basic_windows_ = data.length() / options.basic_window;
   index.num_series_ = data.num_series();
   index.num_pairs_ = data.num_series() * (data.num_series() - 1) / 2;
-  index.has_pair_sketches_ = options.build_pair_sketches;
 
   const int64_t nb = index.num_basic_windows_;
   const int64_t b = index.basic_window_;
-  const bool blocked = options.build_pair_sketches && options.use_blocked_kernel;
+  const bool blocked = options.use_blocked_kernel;
 
   // Per-series prefixes.
   std::optional<NormalizedPanels> panels;
@@ -85,10 +84,6 @@ Result<BasicWindowIndex> BasicWindowIndex::Build(
     index.series_ = SeriesPrefixes::FromPanels(*panels, pool);
   } else {
     index.series_ = SeriesPrefixes::FromRaw(data, b, pool);
-  }
-
-  if (!options.build_pair_sketches) {
-    return index;
   }
 
   // Pair rows: pad + round the stride to a multiple of 8 doubles so the
@@ -244,7 +239,6 @@ double BasicWindowIndex::WindowStdDev(int64_t s, int64_t w) const {
 }
 
 double BasicWindowIndex::PairWindowCorrelation(int64_t p, int64_t w) const {
-  DCHECK(has_pair_sketches_);
   // Recover c_w = 1 - [prefix(w+1) - prefix(w)].
   return 1.0 - OneMinusCorrRange(p, w, w + 1);
 }
@@ -260,7 +254,6 @@ double BasicWindowIndex::PairRangeCorrelation(int64_t p, int64_t lo,
 double BasicWindowIndex::PairRangeCorrelationIJ(int64_t p, int64_t i,
                                                 int64_t j, int64_t lo,
                                                 int64_t hi) const {
-  DCHECK(has_pair_sketches_);
   DCHECK_LT(lo, hi);
   DCHECK_EQ(PairId(i, j, num_series_), p);
   const double n = static_cast<double>((hi - lo) * basic_window_);
@@ -301,13 +294,12 @@ int64_t BasicWindowIndex::EstimateMemoryBytes(
     return 0;
   }
   const int64_t nb = length / options.basic_window;
-  int64_t doubles = 2 * num_series * (nb + 1);  // the two series prefixes
-  if (options.build_pair_sketches) {
-    // Mirrors Build's padded stride; MemoryBytes counts the prefix slots
-    // (not the alignment slack), so this matches the built index exactly.
-    const int64_t num_pairs = num_series * (num_series - 1) / 2;
-    doubles += 2 * num_pairs * FullPairRowStride(nb);
-  }
+  // The two series prefixes, then the two pair prefixes at Build's padded
+  // stride; MemoryBytes counts the prefix slots (not the alignment slack),
+  // so this matches the built index exactly.
+  const int64_t num_pairs = num_series * (num_series - 1) / 2;
+  const int64_t doubles =
+      2 * num_series * (nb + 1) + 2 * num_pairs * FullPairRowStride(nb);
   return doubles * static_cast<int64_t>(sizeof(double));
 }
 

@@ -19,10 +19,6 @@ struct BasicWindowIndexOptions {
   /// floor(L / b) full basic windows; a ragged tail is ignored by the index
   /// (engines handle it from raw data when needed).
   int64_t basic_window = 24;
-  /// When true, per-pair sketches (inner products and the Eq. 2 jump prefix)
-  /// are built: O(N^2 * nb) memory. Engines that only need per-series
-  /// statistics can turn this off.
-  bool build_pair_sketches = true;
   /// Build the pair sketches with the blocked z-normalized Gram kernel
   /// (default): each basic window's N x N correlation tile is computed as a
   /// cache-blocked rank-b update over per-window z-normalized data. Turn off
@@ -106,7 +102,6 @@ class BasicWindowIndex {
   int64_t num_basic_windows() const { return num_basic_windows_; }
   int64_t num_series() const { return num_series_; }
   int64_t num_pairs() const { return num_pairs_; }
-  bool has_pair_sketches() const { return has_pair_sketches_; }
   const TimeSeriesMatrix& data() const { return *data_; }
 
   /// Canonical id of pair (i, j), i != j, in [0, N*(N-1)/2).
@@ -133,7 +128,7 @@ class BasicWindowIndex {
   /// Population standard deviation of series `s` within basic window `w`.
   double WindowStdDev(int64_t s, int64_t w) const;
 
-  // --- per-pair statistics (require pair sketches) ---
+  // --- per-pair statistics ---
 
   /// Inner product sum_t x_t * y_t of pair `p` over basic windows [lo, hi).
   double DotRange(int64_t p, int64_t lo, int64_t hi) const {
@@ -187,7 +182,7 @@ class BasicWindowIndex {
 
   /// Exact Pearson correlation of (i, j) over basic windows [lo, hi) using
   /// per-series prefixes and a raw-data dot product: O(b * (hi - lo)) but
-  /// requires no pair sketches (used by pivot scans and sketchless modes).
+  /// reads no pair sketch.
   double RangeCorrelationFromRaw(int64_t i, int64_t j, int64_t lo,
                                  int64_t hi) const;
 
@@ -222,7 +217,6 @@ class BasicWindowIndex {
   int64_t num_basic_windows_ = 0;
   int64_t num_series_ = 0;
   int64_t num_pairs_ = 0;
-  bool has_pair_sketches_ = false;
 
   // Prefix arrays, one row per series/pair. Pair rows are padded to
   // pair_row_stride_ (see kPairRowPad). The pair blocks are allocated

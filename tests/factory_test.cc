@@ -37,6 +37,8 @@ TEST(FactoryTest, OptionParsing) {
 TEST(FactoryTest, BadOptionsRejected) {
   EXPECT_FALSE(CreateEngine("dangoron", "bogus=1").ok());
   EXPECT_FALSE(CreateEngine("naive", "threads=2").ok());  // naive has none
+  // The scalar sweep oracle is a DangoronOptions field, not a CLI key.
+  EXPECT_FALSE(CreateEngine("dangoron", "sweep=off").ok());
   EXPECT_FALSE(CreateEngine("dangoron", "jump=sideways").ok());
   EXPECT_FALSE(CreateEngine("dangoron", "jump").ok());  // not key=value
   EXPECT_FALSE(CreateEngine("parcorr", "dim=notanumber").ok());

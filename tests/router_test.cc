@@ -211,17 +211,32 @@ class ScriptedSource final : public ShardWindowSource {
   bool finished_early_ GUARDED_BY(mutex_) = false;
 };
 
-std::vector<std::unique_ptr<ShardWindowSource>> MakeSources(
+ShardSlice MakeSlice(std::unique_ptr<ShardWindowSource> source,
+                     int64_t pair_begin, int64_t pair_end,
+                     std::string label = "", int64_t shard_id = -1) {
+  ShardSlice slice;
+  slice.source = std::move(source);
+  slice.pair_begin = pair_begin;
+  slice.pair_end = pair_end;
+  slice.label = std::move(label);
+  slice.shard_id = shard_id;
+  return slice;
+}
+
+// One scripted source per script, shard s owning the unit pair range
+// [s, s+1): a merge over them has num_pairs == scripts.size().
+std::vector<ShardSlice> MakeSources(
     std::vector<ScriptedSource*>* handles,
     const std::vector<ScriptedSource::Script>& scripts) {
-  std::vector<std::unique_ptr<ShardWindowSource>> sources;
+  std::vector<ShardSlice> slices;
   for (size_t s = 0; s < scripts.size(); ++s) {
     auto source =
         std::make_unique<ScriptedSource>(static_cast<int>(s), scripts[s]);
     handles->push_back(source.get());
-    sources.push_back(std::move(source));
+    slices.push_back(MakeSlice(std::move(source), static_cast<int64_t>(s),
+                               static_cast<int64_t>(s) + 1));
   }
-  return sources;
+  return slices;
 }
 
 // ------------------------------------------------------------- ShardMerge --
@@ -237,7 +252,7 @@ TEST(ShardMergeTest, MergesSkewedSourcesInWindowOrderShardOrderParts) {
       MakeSources(&handles, {{.windows = kWindows},
                              {.windows = kWindows, .delay_ms = 1},
                              {.windows = kWindows}}),
-      options);
+      /*num_pairs=*/3, options);
 
   int64_t expected_index = 0;
   while (std::optional<StreamedWindow> window = merge.Next()) {
@@ -265,7 +280,7 @@ TEST(ShardMergeTest, SkewBoundBlocksTheFastShard) {
   ShardMerge merge(
       MakeSources(&handles, {{.windows = kWindows},
                              {.windows = kWindows, .block_at = 0}}),
-      options);
+      /*num_pairs=*/2, options);
 
   // With shard 1 stalled before its first window, nothing can emit
   // (next_emit stays 0), so shard 0's reader must stop pulling at the skew
@@ -288,12 +303,13 @@ TEST(ShardMergeTest, FirstShardFailureCancelsSurvivorsAndWins) {
   std::vector<ScriptedSource*> handles;
   // Shard 1 fails terminally (the fingerprint-drift shape: zero windows,
   // FailedPrecondition verdict); shard 0 would happily stream forever.
-  ShardMerge merge(MakeSources(
-      &handles,
-      {{.windows = 1000, .delay_ms = 1},
-       {.windows = 0,
-        .verdict = Status::FailedPrecondition("dataset fingerprint "
-                                              "drifted")}}));
+  ShardMerge merge(
+      MakeSources(&handles,
+                  {{.windows = 1000, .delay_ms = 1},
+                   {.windows = 0,
+                    .verdict = Status::FailedPrecondition(
+                        "dataset fingerprint drifted")}}),
+      /*num_pairs=*/2);
 
   while (merge.Next().has_value()) {
   }
@@ -306,9 +322,10 @@ TEST(ShardMergeTest, FirstShardFailureCancelsSurvivorsAndWins) {
 
 TEST(ShardMergeTest, TransportErrorFailsWithTheShardNamed) {
   std::vector<ScriptedSource*> handles;
-  ShardMerge merge(MakeSources(
-      &handles, {{.windows = 10, .transport_error_at = 3},
-                 {.windows = 10, .delay_ms = 1}}));
+  ShardMerge merge(
+      MakeSources(&handles, {{.windows = 10, .transport_error_at = 3},
+                             {.windows = 10, .delay_ms = 1}}),
+      /*num_pairs=*/2);
   while (merge.Next().has_value()) {
   }
   EXPECT_EQ(merge.status().code(), StatusCode::kIoError);
@@ -320,7 +337,8 @@ TEST(ShardMergeTest, TransportErrorFailsWithTheShardNamed) {
 TEST(ShardMergeTest, WindowCountMismatchIsInternal) {
   std::vector<ScriptedSource*> handles;
   ShardMerge merge(
-      MakeSources(&handles, {{.windows = 3}, {.windows = 2}}));
+      MakeSources(&handles, {{.windows = 3}, {.windows = 2}}),
+      /*num_pairs=*/2);
   int64_t windows = 0;
   while (merge.Next().has_value()) {
     ++windows;
@@ -336,7 +354,8 @@ TEST(ShardMergeTest, CancelReleasesEveryUpstream) {
   std::vector<ScriptedSource*> handles;
   ShardMerge merge(MakeSources(&handles, {{.windows = 1000, .delay_ms = 1},
                                           {.windows = 1000, .delay_ms = 1},
-                                          {.windows = 1000, .delay_ms = 1}}));
+                                          {.windows = 1000, .delay_ms = 1}}),
+                   /*num_pairs=*/3);
   std::optional<StreamedWindow> first = merge.Next();
   ASSERT_TRUE(first.has_value());
   merge.Cancel();
@@ -349,25 +368,13 @@ TEST(ShardMergeTest, CancelReleasesEveryUpstream) {
 }
 
 TEST(ShardMergeTest, EmptyMergeIsAnEmptyOkStream) {
-  ShardMerge merge({});
+  ShardMerge merge({}, /*num_pairs=*/0);
   EXPECT_FALSE(merge.Next().has_value());
   EXPECT_TRUE(merge.status().ok());
   EXPECT_EQ(merge.num_shards(), 0);
 }
 
 // ----------------------------------------------------- ShardMerge failover --
-
-ShardSlice MakeSlice(std::unique_ptr<ShardWindowSource> source,
-                     int64_t pair_begin, int64_t pair_end,
-                     std::string label = "", int64_t shard_id = -1) {
-  ShardSlice slice;
-  slice.source = std::move(source);
-  slice.pair_begin = pair_begin;
-  slice.pair_end = pair_end;
-  slice.label = std::move(label);
-  slice.shard_id = shard_id;
-  return slice;
-}
 
 TEST(ShardMergeFailoverTest, ReconnectResumesTheDeadRangeSeamlessly) {
   constexpr int64_t kWindows = 10;

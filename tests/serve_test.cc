@@ -69,7 +69,6 @@ SlidingQuery MakeQuery(int64_t start, int64_t end, int64_t window,
 int64_t PrepareEstimate(const TimeSeriesMatrix& data, int64_t basic_window) {
   BasicWindowIndexOptions index_options;
   index_options.basic_window = basic_window;
-  index_options.build_pair_sketches = true;
   return BasicWindowIndex::EstimateMemoryBytes(data.num_series(),
                                                data.length(), index_options) +
          static_cast<int64_t>(data.values().size() * sizeof(double));

@@ -232,41 +232,17 @@ TEST(BasicWindowIndexTest, ParallelBuildMatchesSequential) {
   }
 }
 
-TEST(BasicWindowIndexTest, NoPairSketchesMode) {
-  Rng rng(8);
-  TimeSeriesMatrix data = GenerateWhiteNoise(4, 64, &rng);
-  BasicWindowIndexOptions options;
-  options.basic_window = 8;
-  options.build_pair_sketches = false;
-  const auto index = BasicWindowIndex::Build(data, options);
-  ASSERT_TRUE(index.ok());
-  EXPECT_FALSE(index->has_pair_sketches());
-  // Per-series statistics still work.
-  EXPECT_NEAR(index->SumRange(0, 0, 8),
-              [&] {
-                double sum = 0;
-                for (int64_t t = 0; t < 64; ++t) sum += data.Get(0, t);
-                return sum;
-              }(),
-              1e-9);
-  // Raw-data range correlation works without pair sketches.
-  const double expected =
-      PearsonNaive(data.RowRange(0, 0, 64), data.RowRange(1, 0, 64));
-  EXPECT_NEAR(index->RangeCorrelationFromRaw(0, 1, 0, 8), expected, 1e-9);
-}
-
 TEST(BasicWindowIndexTest, MemoryAccounting) {
   Rng rng(9);
   TimeSeriesMatrix data = GenerateWhiteNoise(4, 64, &rng);
   BasicWindowIndexOptions options;
   options.basic_window = 8;
-  const auto with_pairs = BasicWindowIndex::Build(data, options);
-  options.build_pair_sketches = false;
-  const auto without_pairs = BasicWindowIndex::Build(data, options);
-  ASSERT_TRUE(with_pairs.ok());
-  ASSERT_TRUE(without_pairs.ok());
-  EXPECT_GT(with_pairs->MemoryBytes(), without_pairs->MemoryBytes());
-  EXPECT_GT(without_pairs->MemoryBytes(), 0);
+  const auto index = BasicWindowIndex::Build(data, options);
+  ASSERT_TRUE(index.ok());
+  EXPECT_GT(index->MemoryBytes(), 0);
+  EXPECT_EQ(index->MemoryBytes(),
+            BasicWindowIndex::EstimateMemoryBytes(
+                data.num_series(), data.length(), options));
 }
 
 // A band stream's ring holds exactly the resident index's dot-prefix

@@ -51,7 +51,7 @@ TEST(WorkloadTest, ClimateWorkloadGeneratesAndRuns) {
   SlidingQuery query = workload.DefaultQuery(0.7);
   query.window = 24 * 5;  // shrink for the tiny test data
   NaiveEngine engine;
-  const auto run = RunEngine(&engine, *data, query);
+  const auto run = RunEngineTimed(&engine, *data, query, 1);
   ASSERT_TRUE(run.ok());
   EXPECT_GT(run->query_seconds, 0.0);
   EXPECT_EQ(run->result.num_windows(), query.NumWindows());
