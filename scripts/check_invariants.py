@@ -25,6 +25,9 @@ Checks:
   6. one-front-end: no `listen(`, `accept(`, `accept4(` or `epoll_create`
      in src/ outside src/net/wire_server.cc — every wire-protocol server
      (a shard, the router) serves through WireServer's one epoll loop.
+  7. one-shard-dispatch: `ConnectWithRetry(` has exactly one call site
+     under src/router/ (inside ShardRouter::Place) — plan-time fan-out
+     and mid-stream failover place pair ranges on shards by one rule.
 
 Exit 0 when every invariant holds, 1 otherwise (one pointed line each).
 
@@ -57,6 +60,9 @@ MUTEX_ALLOWED = os.path.join("src", "common", "sync.h")
 
 FRONT_END_RE = re.compile(r"\b(?:listen|accept4?|epoll_create1?)\s*\(")
 FRONT_END_ALLOWED = os.path.join("src", "net", "wire_server.cc")
+
+SHARD_CONNECT_RE = re.compile(r"\bConnectWithRetry\s*\(")
+SHARD_DISPATCH_DIR = os.path.join("src", "router")
 
 
 def read(path):
@@ -209,6 +215,36 @@ def check_one_front_end(root, errors):
                     f"serve through WireServer (a WindowSource) instead")
 
 
+def is_call(text, pos):
+    """True when the name at `pos` is called rather than declared or
+    defined: a declaration follows its return type, a definition `::`."""
+    before = text[:pos].rstrip()
+    if before.endswith("::"):
+        return False
+    if before.endswith(("->", ".")) or re.search(r"\breturn$", before):
+        return True
+    return not (before.endswith(">") or re.search(r"\w$", before))
+
+
+def check_one_shard_dispatch(root, errors):
+    """ShardRouter::Place is the one routine that connects to shards and
+    submits restricted sub-requests; a second connect site is a second
+    placement policy to keep in step."""
+    sites = []
+    for path in source_files(root, (SHARD_DISPATCH_DIR,)):
+        rel = os.path.relpath(path, root)
+        text = strip_comments(read(path))
+        for match in SHARD_CONNECT_RE.finditer(text):
+            if is_call(text, match.start()):
+                line = text.count("\n", 0, match.start()) + 1
+                sites.append(f"{rel}:{line}")
+    if len(sites) != 1:
+        errors.append(
+            f"one-shard-dispatch: ConnectWithRetry( has {len(sites)} call "
+            f"sites under {SHARD_DISPATCH_DIR}/ ({', '.join(sites) or 'none'})"
+            f" — expected exactly one, inside ShardRouter::Place")
+
+
 CHECKS = (
     check_failpoint_catalog,
     check_wire_status_codes,
@@ -216,6 +252,7 @@ CHECKS = (
     check_subsystem_readmes,
     check_raw_mutex,
     check_one_front_end,
+    check_one_shard_dispatch,
 )
 
 

@@ -11,7 +11,8 @@ message pointing at the actual drift:
   - an exit-code table drifted from kExitCodeSpecs,
   - a subsystem directory with no README,
   - a stray raw std::mutex outside src/common/sync.h,
-  - a listener or epoll loop outside src/net/wire_server.cc.
+  - a listener or epoll loop outside src/net/wire_server.cc,
+  - a second ConnectWithRetry( call site under src/router/.
 
 Exit 0 when every case behaves, 1 otherwise.
 """
@@ -71,6 +72,26 @@ void Prepare() {
 }
 """
 
+CLEAN_SHARD_ROUTER_H = """
+class ShardRouter {
+  Result<std::unique_ptr<WireClient>> ConnectWithRetry(
+      int shard, std::chrono::steady_clock::time_point deadline);
+};
+"""
+
+CLEAN_SHARD_ROUTER_CC = """
+Result<std::unique_ptr<WireClient>> ShardRouter::ConnectWithRetry(
+    int shard, std::chrono::steady_clock::time_point deadline) {
+  return Connect(shard);
+}
+
+Result<std::vector<ShardSlice>> ShardRouter::Place(int shard) {
+  Result<std::unique_ptr<WireClient>> client =
+      ConnectWithRetry(shard, deadline);
+  return Wrap(client);
+}
+"""
+
 
 def write(root, rel, content):
     path = os.path.join(root, rel)
@@ -85,6 +106,9 @@ def make_clean_tree(root):
     write(root, "src/common/sync.h", "class Mutex { std::mutex mu_; };\n")
     write(root, "src/serve/README.md", "# serve/\n")
     write(root, "src/net/README.md", "# net/\n")
+    write(root, "src/router/README.md", "# router/\n")
+    write(root, "src/router/shard_router.h", CLEAN_SHARD_ROUTER_H)
+    write(root, "src/router/shard_router.cc", CLEAN_SHARD_ROUTER_CC)
     write(root, "src/serve/server.cc", CLEAN_SERVER_CC)
     write(root, "docs/WIRE_PROTOCOL.md", CLEAN_WIRE_DOC)
     write(root, "docs/ARCHITECTURE.md", CLEAN_ARCH_DOC)
@@ -152,8 +176,8 @@ def main():
             "exit-codes", "generic failure", "something else"),
         run_case(
             "missing-subsystem-readme",
-            lambda root: write(root, "src/router/router.cc", "\n"),
-            "subsystem-readmes", "src/router/"),
+            lambda root: write(root, "src/wire/format.cc", "\n"),
+            "subsystem-readmes", "src/wire/"),
         run_case(
             "stray-raw-mutex",
             lambda root: write(
@@ -178,6 +202,22 @@ def main():
                 root, "src/net/wire_server.cc",
                 "void Start(int fd) {\n  listen(fd, 128);\n"
                 "  accept4(fd, nullptr, nullptr, 0);\n}\n")),
+        run_case(
+            "second-shard-connect-site",
+            lambda root: write(
+                root, "src/router/router_server.cc",
+                "Status Probe(ShardRouter* router) {\n"
+                "  return router->ConnectWithRetry(0, Deadline()).status();\n"
+                "}\n"),
+            "one-shard-dispatch", "2 call sites",
+            "src/router/router_server.cc:2"),
+        run_case(
+            "shard-connect-in-prose-is-fine",
+            lambda root: write(
+                root, "src/router/shard_merge.h",
+                "// The router reconnects through ConnectWithRetry(shard)\n"
+                "/* before a failover; see ConnectWithRetry( in Place. */\n"
+                "int x;\n")),
         run_case(
             "commented-mutex-is-fine",
             lambda root: write(

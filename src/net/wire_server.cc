@@ -816,7 +816,7 @@ void WireServer::RunRequest(ConnectionPtr conn, WireRequest request) {
     if (status.ok()) {
       status = stream->status();
     }
-    summary = ToWireSummary(stream->summary(), delivered);
+    summary = WireSummary{stream->summary(), delivered};
 
     MutexLock lock(conn->mutex);
     conn->active_stream.reset();

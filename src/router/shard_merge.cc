@@ -82,7 +82,7 @@ Status ShardMerge::status() const { return downstream_->status(); }
 
 WireSummary ShardMerge::summary() const {
   MutexLock lock(mutex_);
-  return ToWireSummary(downstream_->summary(), windows_merged_);
+  return WireSummary{downstream_->summary(), windows_merged_};
 }
 
 int64_t ShardMerge::failovers() const {

@@ -120,8 +120,8 @@ struct ShardMergeOptions {
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
 
-  /// The re-dispatch hook (ShardRouter provides the production one:
-  /// reconnect to the dead shard, else split across live shards).
+  /// The re-dispatch hook (ShardRouter provides the production one: place
+  /// the dead range on the same shard, else over the live shards).
   ShardFailoverFn failover;
 };
 

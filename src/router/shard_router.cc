@@ -55,14 +55,6 @@ class DrainedSource final : public ShardWindowSource {
   void Cancel() override {}
 };
 
-/// Number of complete query windows [start, end) holds.
-int64_t TotalWindows(const SlidingQuery& query) {
-  if (query.step <= 0 || query.end - query.start < query.window) {
-    return 0;
-  }
-  return (query.end - query.start - query.window) / query.step + 1;
-}
-
 }  // namespace
 
 std::vector<std::pair<int64_t, int64_t>> SplitPairRanges(int64_t num_pairs,
@@ -205,19 +197,94 @@ Result<std::unique_ptr<WireClient>> ShardRouter::ConnectWithRetry(
   }
 }
 
+std::vector<int> ShardRouter::AdmittedShards(int exclude) {
+  std::vector<int> admitted;
+  for (int s = 0; s < Fanout(); ++s) {
+    if (s != exclude && TryAdmit(s)) {
+      admitted.push_back(s);
+    }
+  }
+  return admitted;
+}
+
+Result<std::vector<ShardSlice>> ShardRouter::Place(
+    const WireRequest& request, int64_t num_pairs, int64_t begin, int64_t end,
+    std::vector<int> candidates,
+    std::chrono::steady_clock::time_point deadline) {
+  // A shard that fails to connect (after its bounded retries) or to accept
+  // the submit drops out, and the range re-splits over the rest — each
+  // failure shrinks the set, so the loop terminates.
+  Status last_failure = Status::Unavailable(
+      "shard router: no admittable shard for pairs [", begin, ", ", end, ")");
+  while (!candidates.empty()) {
+    const std::vector<std::pair<int64_t, int64_t>> ranges = SplitPairRanges(
+        end - begin, static_cast<int>(candidates.size()));
+    size_t failed = ranges.size();
+
+    // Connect every part before submitting any, so a late connect failure
+    // does not leave earlier shards computing a split about to be redone.
+    std::vector<std::unique_ptr<WireClient>> clients;
+    for (size_t s = 0; s < ranges.size(); ++s) {
+      Result<std::unique_ptr<WireClient>> client =
+          ConnectWithRetry(candidates[s], deadline);
+      if (!client.ok()) {
+        failed = s;
+        last_failure = Status::Unavailable(
+            "shard router: shard ", candidates[s], " (",
+            LabelFor(candidates[s]), ") unreachable: ",
+            client.status().message());
+        break;
+      }
+      clients.push_back(std::move(*client));
+    }
+
+    std::vector<ShardSlice> slices;
+    for (size_t s = 0; s < clients.size() && failed == ranges.size(); ++s) {
+      const int shard = candidates[s];
+      const int64_t lo = begin + ranges[s].first;
+      const int64_t hi = begin + ranges[s].second;
+      WireRequest sub = request;  // options inherit verbatim
+      if (!(lo == 0 && hi == num_pairs)) {
+        sub.query.pair_begin = lo;
+        sub.query.pair_end = hi;
+      }
+      if (Status submitted = clients[s]->Submit(sub); !submitted.ok()) {
+        failed = s;
+        last_failure = Status::Unavailable(
+            "shard router: shard ", shard, " (", LabelFor(shard),
+            ") rejected the request: ", submitted.message());
+        break;
+      }
+      slices.push_back(ShardSlice{
+          .source = std::make_unique<WireClientSource>(std::move(clients[s])),
+          .pair_begin = lo,
+          .pair_end = hi,
+          .label = LabelFor(shard),
+          .shard_id = shard});
+    }
+    if (failed == ranges.size()) {
+      for (size_t s = 0; s < ranges.size(); ++s) {
+        RecordSuccess(candidates[s]);  // only the shards the split used
+      }
+      return slices;
+    }
+    // Dropped connections and submitted parts close in their destructors;
+    // the shards see the disconnect and cancel.
+    RecordFailure(candidates[failed]);
+    candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(failed));
+  }
+  return last_failure;
+}
+
 ShardFailoverFn ShardRouter::MakeFailover(
     WireRequest base, int64_t num_pairs,
     std::chrono::steady_clock::time_point deadline) {
   return [this, base = std::move(base), num_pairs,
           deadline](const ShardFailover& f)
              -> Result<std::vector<ShardSlice>> {
-    const int fanout =
-        options_.shards.empty() ? 1
-                                : static_cast<int>(options_.shards.size());
-    const int dead =
-        (f.shard_id >= 0 && f.shard_id < fanout)
-            ? static_cast<int>(f.shard_id)
-            : -1;
+    const int dead = (f.shard_id >= 0 && f.shard_id < Fanout())
+                         ? static_cast<int>(f.shard_id)
+                         : -1;
     if (dead >= 0) {
       RecordFailure(dead);
     }
@@ -242,113 +309,36 @@ ShardFailoverFn ShardRouter::MakeFailover(
       resumed.options.deadline_ms = remaining_ms;
     }
 
-    if (f.resume_window >= TotalWindows(base.query)) {
+    if (f.resume_window >= base.query.NumWindows()) {
       // The shard died after its last window, before the terminal status:
       // nothing left to recompute — cover the range with an empty source.
       std::vector<ShardSlice> out;
-      ShardSlice slice;
-      slice.source = std::make_unique<DrainedSource>();
-      slice.pair_begin = f.pair_begin;
-      slice.pair_end = f.pair_end;
-      slice.label = f.label;
-      slice.shard_id = f.shard_id;
-      out.push_back(std::move(slice));
+      out.push_back(ShardSlice{.source = std::make_unique<DrainedSource>(),
+                               .pair_begin = f.pair_begin,
+                               .pair_end = f.pair_end,
+                               .label = f.label,
+                               .shard_id = f.shard_id});
       return out;
     }
 
-    auto dispatch = [&](int shard, int64_t begin,
-                        int64_t end) -> Result<ShardSlice> {
-      Result<std::unique_ptr<WireClient>> client =
-          ConnectWithRetry(shard, deadline);
-      if (!client.ok()) {
-        RecordFailure(shard);
-        return client.status();
-      }
-      WireRequest sub = resumed;
-      if (!(begin == 0 && end == num_pairs)) {
-        sub.query.pair_begin = begin;
-        sub.query.pair_end = end;
-      }
-      if (Status submitted = (*client)->Submit(sub); !submitted.ok()) {
-        RecordFailure(shard);
-        return Status::Unavailable("shard ", shard, " (", LabelFor(shard),
-                                   ") rejected the re-dispatched range: ",
-                                   submitted.message());
-      }
-      RecordSuccess(shard);
-      ShardSlice slice;
-      slice.source =
-          std::make_unique<WireClientSource>(std::move(*client));
-      slice.pair_begin = begin;
-      slice.pair_end = end;
-      slice.label = LabelFor(shard);
-      slice.shard_id = shard;
-      return slice;
-    };
-
-    // Leg 1: the dead shard itself may be back (supervisor respawn, blip)
-    // — one reconnect resumes the whole range with no re-split.
+    // The dead shard itself may be back (supervisor respawn, blip): it
+    // resumes the whole range with no re-split. Else the other admittable
+    // shards take the range over under the plan-time rule.
     if (dead >= 0 && TryAdmit(dead)) {
-      Result<ShardSlice> slice = dispatch(dead, f.pair_begin, f.pair_end);
-      if (slice.ok()) {
-        std::vector<ShardSlice> out;
-        out.push_back(std::move(*slice));
-        return out;
+      Result<std::vector<ShardSlice>> same = Place(
+          resumed, num_pairs, f.pair_begin, f.pair_end, {dead}, deadline);
+      if (same.ok()) {
+        return same;
       }
     }
-
-    // Leg 2: split the dead range across the other admittable shards (each
-    // takeover rides a fresh connection, so one survivor can absorb
-    // several sub-ranges if its peers fail too).
-    std::vector<int> candidates;
-    for (int s = 0; s < fanout; ++s) {
-      if (s != dead && TryAdmit(s)) {
-        candidates.push_back(s);
-      }
-    }
-    if (candidates.empty()) {
-      return Status::Unavailable("no live shard to take over pairs [",
-                                 f.pair_begin, ", ", f.pair_end, ")");
-    }
-    std::vector<std::pair<int64_t, int64_t>> ranges =
-        SplitPairRanges(f.pair_end - f.pair_begin,
-                        static_cast<int>(candidates.size()));
-    std::vector<ShardSlice> out;
-    std::vector<bool> bad(candidates.size(), false);
-    Status last = Status::Ok();
-    for (size_t r = 0; r < ranges.size(); ++r) {
-      const int64_t begin = f.pair_begin + ranges[r].first;
-      const int64_t end = f.pair_begin + ranges[r].second;
-      bool placed = false;
-      for (size_t c = 0; c < candidates.size() && !placed; ++c) {
-        const size_t pick = (r + c) % candidates.size();
-        if (bad[pick]) {
-          continue;
-        }
-        Result<ShardSlice> slice = dispatch(candidates[pick], begin, end);
-        if (slice.ok()) {
-          out.push_back(std::move(*slice));
-          placed = true;
-        } else {
-          bad[pick] = true;
-          last = slice.status();
-        }
-      }
-      if (!placed) {
-        // Live replacement streams already opened for earlier sub-ranges
-        // wind down through their destructors (the shards see the
-        // disconnect and cancel).
-        return last;
-      }
-    }
-    return out;
+    return Place(resumed, num_pairs, f.pair_begin, f.pair_end,
+                 AdmittedShards(dead), deadline);
   };
 }
 
 Result<std::unique_ptr<ShardMerge>> ShardRouter::Submit(
     const WireRequest& request, int64_t num_pairs) {
-  const int shards = static_cast<int>(options_.shards.size());
-  if (shards == 0 && !options_.connect_override) {
+  if (options_.shards.empty() && !options_.connect_override) {
     return Status::InvalidArgument("shard router: no shards configured");
   }
   if (request.query.HasPairRestriction()) {
@@ -356,105 +346,22 @@ Result<std::unique_ptr<ShardMerge>> ShardRouter::Submit(
         "shard router: the request already carries a pair-range "
         "restriction; the router owns the pair split");
   }
-  const int fanout = shards > 0 ? shards : 1;
   auto deadline = std::chrono::steady_clock::time_point::max();
   if (request.options.deadline_ms.has_value()) {
     deadline = std::chrono::steady_clock::now() +
                std::chrono::milliseconds(*request.options.deadline_ms);
   }
-
-  // Plan over the shards the health machine admits; a shard that fails to
-  // connect (after its bounded retries) drops out of this query and the
-  // remainder re-plan over the survivors — each failure shrinks the set,
-  // so the loop terminates.
-  std::vector<bool> skip(static_cast<size_t>(fanout), false);
-  Status last_failure = Status::Ok();
-  while (true) {
-    std::vector<int> eligible;
-    for (int s = 0; s < fanout; ++s) {
-      if (!skip[static_cast<size_t>(s)] && TryAdmit(s)) {
-        eligible.push_back(s);
-      }
-    }
-    if (eligible.empty()) {
-      if (last_failure.ok()) {
-        return Status::Unavailable(
-            "shard router: every shard's circuit breaker is open");
-      }
-      return last_failure;
-    }
-    const std::vector<std::pair<int64_t, int64_t>> ranges =
-        SplitPairRanges(num_pairs, static_cast<int>(eligible.size()));
-
-    // Connect every shard in the plan before submitting anywhere, so a
-    // late connect failure does not leave earlier shards computing a
-    // fan-out that is about to be re-planned.
-    std::vector<std::unique_ptr<WireClient>> clients;
-    clients.reserve(ranges.size());
-    bool replan = false;
-    for (size_t s = 0; s < ranges.size() && !replan; ++s) {
-      const int shard = eligible[s];
-      Result<std::unique_ptr<WireClient>> client =
-          ConnectWithRetry(shard, deadline);
-      if (!client.ok()) {
-        RecordFailure(shard);
-        skip[static_cast<size_t>(shard)] = true;
-        last_failure = Status::Unavailable(
-            "shard router: shard ", shard, " (", LabelFor(shard),
-            ") unreachable: ", client.status().message());
-        replan = true;
-        break;
-      }
-      clients.push_back(std::move(*client));
-    }
-    if (replan) {
-      continue;  // dropped connections close in ~clients
-    }
-
-    std::vector<ShardSlice> slices;
-    slices.reserve(ranges.size());
-    for (size_t s = 0; s < ranges.size() && !replan; ++s) {
-      const int shard = eligible[s];
-      WireRequest sub = request;  // options inherit verbatim
-      if (!(ranges[s].first == 0 && ranges[s].second == num_pairs)) {
-        sub.query.pair_begin = ranges[s].first;
-        sub.query.pair_end = ranges[s].second;
-      }
-      if (Status submitted = clients[s]->Submit(sub); !submitted.ok()) {
-        RecordFailure(shard);
-        skip[static_cast<size_t>(shard)] = true;
-        last_failure = Status::Unavailable(
-            "shard router: shard ", shard, " (", LabelFor(shard),
-            ") rejected the request: ", submitted.message());
-        replan = true;
-        break;
-      }
-      ShardSlice slice;
-      slice.source = std::make_unique<WireClientSource>(
-          std::move(clients[s]));
-      slice.pair_begin = ranges[s].first;
-      slice.pair_end = ranges[s].second;
-      slice.label = LabelFor(shard);
-      slice.shard_id = shard;
-      slices.push_back(std::move(slice));
-    }
-    if (replan) {
-      continue;
-    }
-    for (size_t s = 0; s < ranges.size(); ++s) {
-      RecordSuccess(eligible[s]);  // only the shards the plan used
-    }
-
-    ShardMergeOptions merge = options_.merge;
-    if (request.options.queue_capacity > 0) {
-      merge.queue_capacity = request.options.queue_capacity;
-    }
-    merge.max_failovers = options_.max_failovers;
-    merge.deadline = deadline;
-    merge.failover = MakeFailover(request, num_pairs, deadline);
-    return std::make_unique<ShardMerge>(std::move(slices), num_pairs,
-                                        merge);
+  ASSIGN_OR_RETURN(std::vector<ShardSlice> slices,
+                   Place(request, num_pairs, 0, num_pairs, AdmittedShards(-1),
+                         deadline));
+  ShardMergeOptions merge;
+  if (request.options.queue_capacity > 0) {
+    merge.queue_capacity = request.options.queue_capacity;
   }
+  merge.max_failovers = options_.max_failovers;
+  merge.deadline = deadline;
+  merge.failover = MakeFailover(request, num_pairs, deadline);
+  return std::make_unique<ShardMerge>(std::move(slices), num_pairs, merge);
 }
 
 }  // namespace dangoron

@@ -47,12 +47,6 @@ struct ShardRouterOptions {
   WireClientOptions client{.connect_timeout_ms = 5000,
                            .read_timeout_ms = 60000};
 
-  /// Merge knobs (skew bound, merged-queue capacity); the per-request
-  /// queue_capacity from ServeOptions overrides the merge queue capacity,
-  /// and the router installs its own failover hook / max_failovers /
-  /// deadline (the fields here are ignored).
-  ShardMergeOptions merge;
-
   /// Extra connect attempts per shard after the first fails — the PR 6
   /// retry shape: exponential backoff with deterministic-seeded jitter,
   /// clipped to the request deadline.
@@ -101,16 +95,20 @@ struct ShardRouterOptions {
 ///   success — or an external MarkShardUp (the supervisor's respawn+ready
 ///   signal) — snaps it back to healthy.
 ///
-/// Failure semantics:
-/// - at submit, an unreachable shard is retried (`connect_retries`, jittered
-///   backoff clipped to the deadline), then dropped from the plan — the
-///   query proceeds over the survivors with a wider pair range each (the
-///   split is invisible in the merged bytes). Only when no shard admits a
-///   connection does Submit fail with Unavailable naming the last failure;
+/// Failure semantics — one placement rule (Place) at plan time and
+/// mid-stream:
+/// - a pair range is split over the candidate shards and every part is
+///   connected (`connect_retries`, jittered backoff clipped to the
+///   deadline) before any is submitted; a shard that still refuses, or
+///   rejects its submit, drops out and the range re-splits over the rest
+///   (the split is invisible in the merged bytes). Only when no candidate
+///   is left does placement fail with Unavailable naming the last failure;
+/// - at submit, the candidates are the shards the health machine admits
+///   and the range is [0, num_pairs);
 /// - after submit, a shard that dies mid-stream (transport error or
-///   terminal Unavailable) has its undelivered pair range re-dispatched —
-///   reconnect to the same shard first, else split across live shards —
-///   resuming from the first window it never delivered; the merged stream
+///   terminal Unavailable) has its undelivered pair range placed again,
+///   resuming from the first window it never delivered: on the same shard
+///   alone first, else over the other admittable shards. The merged stream
 ///   is byte-identical to the unsharded run. After `max_failovers` (or at
 ///   the deadline, or for non-retryable errors like FailedPrecondition
 ///   fingerprint drift) the query fails with the original status prefixed
@@ -159,9 +157,17 @@ class ShardRouter {
   Result<std::unique_ptr<WireClient>> ConnectWithRetry(
       int shard, std::chrono::steady_clock::time_point deadline);
 
+  /// Number of shard indices (1 under connect_override with no endpoints).
+  int Fanout() const {
+    return options_.shards.empty() ? 1
+                                   : static_cast<int>(options_.shards.size());
+  }
+
   /// True when planning may route to the shard now; consumes the half-open
   /// probe slot when the circuit just expired.
   bool TryAdmit(int shard);
+  /// Every shard but `exclude` that TryAdmit admits, in index order.
+  std::vector<int> AdmittedShards(int exclude);
   void RecordSuccess(int shard);
   void RecordFailure(int shard);
 
@@ -169,9 +175,19 @@ class ShardRouter {
   /// connect_override with no endpoint list.
   std::string LabelFor(int shard) const;
 
-  /// The merge's re-dispatch hook for one query: reconnect-first, else
-  /// split the dead range across admittable survivors. `base` is the
-  /// original request; `deadline` the absolute budget.
+  /// Covers pairs [begin, end) of `request` with streams from
+  /// `candidates`: splits the range tile-aligned over them, connects every
+  /// part, then submits each restricted to its part. A shard that fails to
+  /// connect or submit is recorded against its health and dropped, and the
+  /// range re-splits over the rest. The slices come back in pair order.
+  Result<std::vector<ShardSlice>> Place(
+      const WireRequest& request, int64_t num_pairs, int64_t begin,
+      int64_t end, std::vector<int> candidates,
+      std::chrono::steady_clock::time_point deadline);
+
+  /// The merge's re-dispatch hook for one query: Place on the dead shard
+  /// alone, else over the other admittable shards. `base` is the original
+  /// request; `deadline` the absolute budget.
   ShardFailoverFn MakeFailover(
       WireRequest base, int64_t num_pairs,
       std::chrono::steady_clock::time_point deadline);

@@ -910,20 +910,6 @@ Status DangoronServer::RunWindowPlan(const RequestContext& ctx,
   };
 
   const DangoronOptions engine_options = ServingEngineOptions(b);
-  // Evaluates `sub` (a forward part of the plan's query) against the open
-  // source. Claimed runs and failed-join re-evaluations move strictly
-  // forward through the plan, as a band stream requires.
-  auto evaluate = [&](const SlidingQuery& sub, WindowSink* sink) {
-    if (source.resident != nullptr) {
-      return DangoronEngine::QueryPreparedToSink(
-          engine_options, source.resident->index(), sub, pool_.get(),
-          /*stats=*/nullptr, sink);
-    }
-    return DangoronEngine::QueryStreamedToSink(engine_options,
-                                               &*source.streamed, sub,
-                                               pool_.get(), /*stats=*/nullptr,
-                                               sink);
-  };
 
   // Walk the windows in order, resolving each from the cache, a concurrent
   // query's in-flight claim, or our own evaluation. Claims are taken *per
@@ -1025,8 +1011,9 @@ Status DangoronServer::RunWindowPlan(const RequestContext& ctx,
       // Wait holding no claims — and cancellably: the plan wakes on its own
       // stream's Cancel instead of waiting out the foreign evaluation. A
       // null result means the claimant failed (or was cancelled) after
-      // claiming; evaluate the window ourselves rather than inheriting its
-      // error.
+      // claiming and retired the claim; re-resolve window k rather than
+      // inheriting its error — this plan then claims a run from k, or joins
+      // the peer that already re-claimed it.
       bool join_cancelled = false;
       bool join_deadline = false;
       WindowEdges edges = WaitForWindowClaim(join, stream, &join_cancelled,
@@ -1040,27 +1027,9 @@ Status DangoronServer::RunWindowPlan(const RequestContext& ctx,
         return finish_plan(deadline_abort("joining a claimed window"));
       }
       if (edges == nullptr) {
-        if (!source.open()) {
-          if (Status opened = OpenExactSource(ctx, stream, &source, out);
-              !opened.ok()) {
-            return finish_plan(opened);
-          }
-        }
-        SlidingQuery sub = eval;
-        sub.start = query.start + k * query.step;
-        sub.end = sub.start + query.window;
-        CollectingWindowSink single_sink;
-        if (Status single = evaluate(sub, &single_sink); !single.ok()) {
-          return finish_plan(single);
-        }
-        CorrelationMatrixSeries single = single_sink.TakeSeries();
-        edges = std::make_shared<std::vector<Edge>>(
-            std::move(*single.MutableWindow(0)));
-        result_cache_.Put(key_for(k), edges, WindowEdgesBytes(*edges));
-        ++out->windows_computed;
-      } else {
-        ++out->windows_joined;
+        continue;
       }
+      ++out->windows_joined;
       got[static_cast<size_t>(k)] = std::move(edges);
       deliver_ready(/*blocking=*/true);
       ++k;
@@ -1114,14 +1083,24 @@ Status DangoronServer::RunWindowPlan(const RequestContext& ctx,
       // cost sample by the prefix's length.
       source.streamed->AdvanceTo(sub.start / b, pool_.get());
     }
+    // Claimed runs move strictly forward through the plan, as a band stream
+    // requires.
     Stopwatch run_timer;
-    const Status eval_status = evaluate(sub, &run_sink);
+    const Status eval_status =
+        source.resident != nullptr
+            ? DangoronEngine::QueryPreparedToSink(
+                  engine_options, source.resident->index(), sub, pool_.get(),
+                  /*stats=*/nullptr, &run_sink)
+            : DangoronEngine::QueryStreamedToSink(
+                  engine_options, &*source.streamed, sub, pool_.get(),
+                  /*stats=*/nullptr, &run_sink);
     run_seconds += run_timer.ElapsedSeconds();
     run_windows += landed;
     if (!eval_status.ok()) {
       // Engine failure, sink-driven cancellation, or deadline abort
       // mid-run: fulfill the remaining claims with null so joiners
-      // re-evaluate instead of hanging or inheriting our outcome.
+      // re-resolve those windows instead of hanging or inheriting our
+      // outcome.
       for (int64_t d = landed; d < claimed; ++d) {
         retire(d, nullptr);
       }

@@ -245,39 +245,14 @@ double BasicWindowIndex::PairWindowCorrelation(int64_t p, int64_t w) const {
 
 double BasicWindowIndex::PairRangeCorrelation(int64_t p, int64_t lo,
                                               int64_t hi) const {
+  DCHECK_LT(lo, hi);
   int64_t i = 0;
   int64_t j = 0;
   PairFromId(p, num_series_, &i, &j);
-  return PairRangeCorrelationIJ(p, i, j, lo, hi);
-}
-
-double BasicWindowIndex::PairRangeCorrelationIJ(int64_t p, int64_t i,
-                                                int64_t j, int64_t lo,
-                                                int64_t hi) const {
-  DCHECK_LT(lo, hi);
-  DCHECK_EQ(PairId(i, j, num_series_), p);
   const double n = static_cast<double>((hi - lo) * basic_window_);
   return PearsonFromMoments(n, SumRange(i, lo, hi), SumRange(j, lo, hi),
                             SumSqRange(i, lo, hi), SumSqRange(j, lo, hi),
                             DotRange(p, lo, hi));
-}
-
-double BasicWindowIndex::RangeCorrelationFromRaw(int64_t i, int64_t j,
-                                                 int64_t lo,
-                                                 int64_t hi) const {
-  DCHECK_LT(lo, hi);
-  const int64_t start = lo * basic_window_;
-  const int64_t count = (hi - lo) * basic_window_;
-  std::span<const double> x = data_->RowRange(i, start, count);
-  std::span<const double> y = data_->RowRange(j, start, count);
-  double dot = 0.0;
-  for (int64_t t = 0; t < count; ++t) {
-    dot += x[static_cast<size_t>(t)] * y[static_cast<size_t>(t)];
-  }
-  return PearsonFromMoments(static_cast<double>(count),
-                            SumRange(i, lo, hi), SumRange(j, lo, hi),
-                            SumSqRange(i, lo, hi), SumSqRange(j, lo, hi),
-                            dot);
 }
 
 int64_t BasicWindowIndex::MemoryBytes() const {

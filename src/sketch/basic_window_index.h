@@ -174,18 +174,6 @@ class BasicWindowIndex {
   /// either series is constant over the range.
   double PairRangeCorrelation(int64_t p, int64_t lo, int64_t hi) const;
 
-  /// Same as PairRangeCorrelation but with the pair's series ids supplied by
-  /// the caller, avoiding the O(N) id inversion — the per-cell hot path of
-  /// the engines, which already track (i, j) while walking pair blocks.
-  double PairRangeCorrelationIJ(int64_t p, int64_t i, int64_t j, int64_t lo,
-                                int64_t hi) const;
-
-  /// Exact Pearson correlation of (i, j) over basic windows [lo, hi) using
-  /// per-series prefixes and a raw-data dot product: O(b * (hi - lo)) but
-  /// reads no pair sketch.
-  double RangeCorrelationFromRaw(int64_t i, int64_t j, int64_t lo,
-                                 int64_t hi) const;
-
   /// Bytes of sketch storage (diagnostics for the build benches).
   int64_t MemoryBytes() const;
 

@@ -388,21 +388,6 @@ Status DecodeWindowPayload(std::span<const uint8_t> payload,
   return Status::Ok();
 }
 
-WireSummary ToWireSummary(const StreamingSummary& streamed,
-                          int64_t windows_delivered) {
-  WireSummary summary;
-  summary.tier_used = streamed.tier_used;
-  summary.prepared_from_cache = streamed.prepared_from_cache;
-  summary.degraded = streamed.degraded;
-  summary.windows_delivered = windows_delivered;
-  summary.windows_from_cache = streamed.windows_from_cache;
-  summary.windows_computed = streamed.windows_computed;
-  summary.windows_joined = streamed.windows_joined;
-  summary.cells_jumped = streamed.cells_jumped;
-  summary.jumps = streamed.jumps;
-  return summary;
-}
-
 void EncodeStatusFrame(const Status& status, const WireSummary& summary,
                        std::string* out) {
   EncodeFrame(FrameType::kStatus, out, [&](std::string* payload) {

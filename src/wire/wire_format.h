@@ -107,25 +107,13 @@ void EncodeWindowFrame(int64_t window_index, std::span<const Edge> edges,
 Status DecodeWindowPayload(std::span<const uint8_t> payload,
                            int64_t* window_index, std::vector<Edge>* edges);
 
-/// Terminal accounting of one wire request — the wire face of
-/// StreamingSummary plus the delivered-window count, so a client can verify
-/// it saw every frame the server sent.
-struct WireSummary {
-  ServeTier tier_used = ServeTier::kExact;
-  bool prepared_from_cache = false;
-  bool degraded = false;
+/// Terminal accounting of one wire request — StreamingSummary plus the
+/// delivered-window count, so a client can verify it saw every frame the
+/// server sent. A finished WindowStream's terminal Status frame carries
+/// `WireSummary{stream.summary(), frames_sent}`.
+struct WireSummary : StreamingSummary {
   int64_t windows_delivered = 0;
-  int64_t windows_from_cache = 0;
-  int64_t windows_computed = 0;
-  int64_t windows_joined = 0;
-  int64_t cells_jumped = 0;
-  int64_t jumps = 0;
 };
-
-/// `streamed`'s accounting with `windows_delivered` frames sent — how a
-/// finished WindowStream becomes its terminal Status frame's summary.
-WireSummary ToWireSummary(const StreamingSummary& streamed,
-                          int64_t windows_delivered);
 
 /// Appends one complete status frame (always the last frame of a request).
 void EncodeStatusFrame(const Status& status, const WireSummary& summary,

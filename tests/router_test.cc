@@ -1134,6 +1134,40 @@ TEST_F(RouterE2ETest, KilledShardMidStreamFailsOverByteIdentical) {
   }
 }
 
+TEST_F(RouterE2ETest, FailoverTakeoverReSplitsPastAnUnreachableSuspect) {
+  // Shard 0 is down before the query: the plan drops it (one failure:
+  // suspect, still admittable) and splits over shards 1 and 2. Killing
+  // shard 1 mid-stream makes the takeover place its range over {0, 2} by
+  // the plan-time rule: shard 0 is unreachable again, so the range
+  // re-splits and shard 2 takes all of it in one request.
+  StartShards(3, /*num_basic_windows=*/64);
+  ShardRouter router(RouterOptions());
+  KillShard(0);
+  auto merge = router.Submit(TestRequest(), NumPairs());
+  ASSERT_TRUE(merge.ok()) << merge.status().message();
+  EXPECT_EQ(router.health(0), ShardHealth::kSuspect);
+
+  std::atomic<bool> killed{false};
+  ExpectShardedMatchesInProcess(merge->get(), [&](int64_t window) {
+    if (window == 2 && !killed.exchange(true)) {
+      KillShard(1);
+    }
+  });
+  EXPECT_TRUE(killed.load());
+  EXPECT_EQ((*merge)->failovers(), 1);
+  // The takeover tried shard 0 (its second failure opens the breaker) and
+  // then gave shard 2 the whole dead range: its fan-out part plus one.
+  EXPECT_EQ(router.health(0), ShardHealth::kDown);
+  EXPECT_EQ(router.health(1), ShardHealth::kDown);
+  EXPECT_EQ(router.health(2), ShardHealth::kHealthy);
+  EXPECT_EQ(wires_[2]->stats().requests, 2);
+  for (const auto& server : servers_) {
+    EXPECT_TRUE(PollFor(
+        [&] { return server->stats().inflight_window_claims == 0; }))
+        << "a shard leaked window claims across the failover";
+  }
+}
+
 TEST_F(RouterE2ETest, KilledShardWithFailoverDisabledFailsPrefixed) {
   StartShards(3, /*num_basic_windows=*/64);
   ShardRouterOptions options = RouterOptions();

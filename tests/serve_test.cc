@@ -2204,6 +2204,68 @@ TEST_F(ServeFailpointTest, StreamingExactPlanEvaluatesWholeSweepBands) {
   }
 }
 
+// A joiner whose claimant is cancelled mid-run re-resolves the window and
+// evaluates it through the normal claimed-run path. Query A claims a whole
+// sweep band and stalls in it; query B starts one window later, so its
+// first window joins A's claim on window 1. A is cancelled during the
+// stall: it lands window 0 and retires windows 1.. unfulfilled, so B's
+// join comes back empty. B must still deliver the exact answer, and no
+// claim may outlive the two plans.
+TEST_F(ServeFailpointTest, JoinerOfACancelledClaimantReResolvesTheWindow) {
+  const int64_t b = 8;
+  const int64_t length = b * 40;
+  const TimeSeriesMatrix data = SmallClimate(6, length, 7011);
+  const SlidingQuery query_a = MakeQuery(0, length, b * 6, b, 0.6);
+  SlidingQuery query_b = query_a;
+  query_b.start += query_a.step;
+  const CorrelationMatrixSeries truth = NaiveTruth(data, query_b);
+
+  DangoronServerOptions options;
+  options.num_threads = 2;
+  options.basic_window = b;
+  DangoronServer server(options);
+  ASSERT_TRUE(server.AddDataset("d", data).ok());
+
+  // Only A's first band stalls; B's own evaluation runs undelayed. B joins
+  // within microseconds of its submit, far inside the stall.
+  ASSERT_TRUE(
+      FailpointRegistry::Instance().Configure("sweep.band=delay:500*1").ok());
+  QueryRequest request_a = Request("d", query_a);
+  request_a.options.tier = ServeTier::kExact;
+  auto stream_a = server.SubmitStreaming(request_a);
+  ASSERT_TRUE(WaitForCount(
+      [&] { return server.stats().inflight_window_claims; }, 2));
+  QueryRequest request_b = Request("d", query_b);
+  request_b.options.tier = ServeTier::kExact;
+  auto stream_b = server.SubmitStreaming(request_b);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  stream_a->Cancel();
+
+  int64_t next_index = 0;
+  while (auto window = stream_b->Next()) {
+    ASSERT_EQ(window->window_index, next_index);
+    const auto expected = truth.WindowEdges(next_index);
+    ASSERT_EQ(window->edges->size(), expected.size())
+        << "window " << next_index;
+    for (size_t e = 0; e < expected.size(); ++e) {
+      EXPECT_EQ((*window->edges)[e].i, expected[e].i);
+      EXPECT_EQ((*window->edges)[e].j, expected[e].j);
+      EXPECT_NEAR((*window->edges)[e].value, expected[e].value, 1e-8);
+    }
+    ++next_index;
+  }
+  ASSERT_TRUE(stream_b->status().ok()) << stream_b->status().ToString();
+  EXPECT_EQ(next_index, query_b.NumWindows());
+  EXPECT_EQ(stream_b->summary().windows_joined, 0);
+  EXPECT_EQ(stream_b->summary().windows_computed, query_b.NumWindows());
+
+  while (stream_a->Next().has_value()) {
+  }
+  EXPECT_EQ(stream_a->status().code(), StatusCode::kCancelled)
+      << stream_a->status().ToString();
+  EXPECT_EQ(server.stats().inflight_window_claims, 0);
+}
+
 // A consumer that cancels and drains concurrently with server destruction:
 // teardown cancels active streams and joins producers while the consumer
 // races it through the same stream state — no deadlock, no use-after-free

@@ -200,8 +200,6 @@ TEST_P(SketchRangeSweep, RangeCorrelationMatchesNaive) {
         EXPECT_NEAR(index->PairRangeCorrelation(p, lo, hi), expected, 1e-8)
             << "pair (" << i << "," << j << ") range [" << lo << "," << hi
             << ")";
-        EXPECT_NEAR(index->RangeCorrelationFromRaw(i, j, lo, hi), expected,
-                    1e-8);
       }
     }
   }
