@@ -1,6 +1,6 @@
 // Writes BENCH_query.json to the cwd: the exact query path's banded SIMD
-// sweep against the scalar pair-major loop (use_sweep_kernel=false) on the
-// USCRN-like climate workload, plus the sweep's time-to-first-window.
+// sweep against the scalar pair-major reference walk (eval/reference_walk.h)
+// on the USCRN-like climate workload, plus the sweep's time-to-first-window.
 // scripts/check_bench_regression.py gates the within-run ratios. The
 // paper's E1 comparison against TSUBASA is `bench_paper e1`.
 
@@ -11,6 +11,7 @@
 #include "common/stopwatch.h"
 #include "engine/dangoron_engine.h"
 #include "engine/window_sink.h"
+#include "eval/reference_walk.h"
 #include "eval/workloads.h"
 
 namespace dangoron {
@@ -42,18 +43,14 @@ class TtfwSink final : public WindowSink {
   double first_window_seconds_ = -1.0;
 };
 
-// Best-of-`reps` pure query time of the exact (jump=off) path against a
-// prebuilt index, single-threaded so the scalar/sweep ratio measures the
-// kernels, not the pool. Returns a negative value on failure.
-double TimeQuerySeconds(const DangoronOptions& options,
-                        const BasicWindowIndex& index,
-                        const SlidingQuery& query, int reps) {
+// Best-of-`reps` wall time of `query_fn` (returning a Result), printing the
+// first failure. Returns a negative value on failure.
+template <typename QueryFn>
+double BestSeconds(QueryFn query_fn, int reps) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
     Stopwatch timer;
-    auto result = DangoronEngine::QueryPrepared(options, index, query,
-                                                /*pool=*/nullptr,
-                                                /*stats=*/nullptr);
+    const auto result = query_fn();
     if (!result.ok()) {
       std::fprintf(stderr, "query: %s\n", result.status().ToString().c_str());
       return -1.0;
@@ -64,9 +61,11 @@ double TimeQuerySeconds(const DangoronOptions& options,
 }
 
 // Machine-readable record of the exact-query sweep comparison, one JSON
-// object per problem size: the scalar pair-major cell loop
-// (use_sweep_kernel=off, the differential oracle) vs the vectorized
-// window-major sweep, plus the engine's time-to-first-window. The speedup
+// object per problem size: the scalar pair-major reference walk (the
+// differential oracle, with the jump walk's row prefetch) vs the
+// vectorized window-major sweep, plus the engine's time-to-first-window.
+// Both run single-threaded against one prebuilt index, so the ratio
+// measures the kernels, not the pool. The speedup
 // and the ttfw/full ratio are within-run and hardware-normalized — what
 // scripts/check_bench_regression.py gates. Returns false when any
 // measurement failed (so the caller exits nonzero and CI reports the
@@ -102,10 +101,15 @@ bool WriteQueryComparisonJson(const char* path) {
       break;
     }
 
-    options.use_sweep_kernel = false;
-    const double scalar_s = TimeQuerySeconds(options, *index, query, 3);
-    options.use_sweep_kernel = true;
-    const double sweep_s = TimeQuerySeconds(options, *index, query, 3);
+    const double scalar_s = BestSeconds(
+        [&] { return ReferenceWalk(options, *index, query); }, 3);
+    const double sweep_s = BestSeconds(
+        [&] {
+          return DangoronEngine::QueryPrepared(options, *index, query,
+                                               /*pool=*/nullptr,
+                                               /*stats=*/nullptr);
+        },
+        3);
     if (scalar_s < 0.0 || sweep_s < 0.0) {
       ok = false;
       break;

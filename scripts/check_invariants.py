@@ -28,6 +28,10 @@ Checks:
   7. one-shard-dispatch: `ConnectWithRetry(` has exactly one call site
      under src/router/ (inside ShardRouter::Place) — plan-time fan-out
      and mid-stream failover place pair ranges on shards by one rule.
+  8. one-engine-pass: `OnWindow(` has exactly one call site in
+     src/engine/dangoron_engine.cc (RunWindowMajorSweep's band loop) —
+     every Dangoron query, exact, jumping or pruned, emits its windows
+     from one pass.
 
 Exit 0 when every invariant holds, 1 otherwise (one pointed line each).
 
@@ -63,6 +67,9 @@ FRONT_END_ALLOWED = os.path.join("src", "net", "wire_server.cc")
 
 SHARD_CONNECT_RE = re.compile(r"\bConnectWithRetry\s*\(")
 SHARD_DISPATCH_DIR = os.path.join("src", "router")
+
+WINDOW_EMIT_RE = re.compile(r"\bOnWindow\s*\(")
+ENGINE_PASS_FILE = os.path.join("src", "engine", "dangoron_engine.cc")
 
 
 def read(path):
@@ -245,6 +252,23 @@ def check_one_shard_dispatch(root, errors):
             f" — expected exactly one, inside ShardRouter::Place")
 
 
+def check_one_engine_pass(root, errors):
+    """RunWindowMajorSweep's band loop is the one place DangoronEngine
+    emits a window; a second OnWindow call is a second driver with its own
+    assembly, stats fold and cancellation to keep in step."""
+    path = os.path.join(root, ENGINE_PASS_FILE)
+    text = strip_comments(read(path)) if os.path.exists(path) else ""
+    sites = [text.count("\n", 0, match.start()) + 1
+             for match in WINDOW_EMIT_RE.finditer(text)
+             if is_call(text, match.start())]
+    if len(sites) != 1:
+        errors.append(
+            f"one-engine-pass: OnWindow( has {len(sites)} call sites in "
+            f"{ENGINE_PASS_FILE} (lines "
+            f"{', '.join(map(str, sites)) or 'none'}) — expected exactly "
+            f"one, in RunWindowMajorSweep's band loop")
+
+
 CHECKS = (
     check_failpoint_catalog,
     check_wire_status_codes,
@@ -253,6 +277,7 @@ CHECKS = (
     check_raw_mutex,
     check_one_front_end,
     check_one_shard_dispatch,
+    check_one_engine_pass,
 )
 
 

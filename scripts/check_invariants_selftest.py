@@ -12,7 +12,8 @@ message pointing at the actual drift:
   - a subsystem directory with no README,
   - a stray raw std::mutex outside src/common/sync.h,
   - a listener or epoll loop outside src/net/wire_server.cc,
-  - a second ConnectWithRetry( call site under src/router/.
+  - a second ConnectWithRetry( call site under src/router/,
+  - a second OnWindow( call site in src/engine/dangoron_engine.cc.
 
 Exit 0 when every case behaves, 1 otherwise.
 """
@@ -92,6 +93,18 @@ Result<std::vector<ShardSlice>> ShardRouter::Place(int shard) {
 }
 """
 
+CLEAN_ENGINE_CC = """
+Status RunWindowMajorSweep(WindowSink* sink) {
+  // Each band's windows leave through sink->OnWindow(k, ...) below.
+  for (int64_t k = 0; k < num_windows; ++k) {
+    if (!sink->OnWindow(k, arena.AssembleWindow(k))) {
+      return FinishCancelled(sink, "DangoronEngine", k);
+    }
+  }
+  return Status::Ok();
+}
+"""
+
 
 def write(root, rel, content):
     path = os.path.join(root, rel)
@@ -110,6 +123,8 @@ def make_clean_tree(root):
     write(root, "src/router/shard_router.h", CLEAN_SHARD_ROUTER_H)
     write(root, "src/router/shard_router.cc", CLEAN_SHARD_ROUTER_CC)
     write(root, "src/serve/server.cc", CLEAN_SERVER_CC)
+    write(root, "src/engine/README.md", "# engine/\n")
+    write(root, "src/engine/dangoron_engine.cc", CLEAN_ENGINE_CC)
     write(root, "docs/WIRE_PROTOCOL.md", CLEAN_WIRE_DOC)
     write(root, "docs/ARCHITECTURE.md", CLEAN_ARCH_DOC)
     write(root, "examples/serve_flags.h", CLEAN_FLAGS_H)
@@ -218,6 +233,15 @@ def main():
                 "// The router reconnects through ConnectWithRetry(shard)\n"
                 "/* before a failover; see ConnectWithRetry( in Place. */\n"
                 "int x;\n")),
+        run_case(
+            "second-window-emit-site",
+            lambda root: write(
+                root, "src/engine/dangoron_engine.cc",
+                CLEAN_ENGINE_CC +
+                "Status RunJumpBlocks(WindowSink* sink) {\n"
+                "  sink->OnWindow(0, {});\n"
+                "  return Status::Ok();\n}\n"),
+            "one-engine-pass", "2 call sites", "src/engine/dangoron_engine.cc"),
         run_case(
             "commented-mutex-is-fine",
             lambda root: write(

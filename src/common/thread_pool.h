@@ -23,7 +23,7 @@ namespace dangoron {
 ///
 /// `ParallelFor` is reentrant: a task running on the pool may itself call
 /// `ParallelFor` (the serving layer runs whole queries as pool tasks, and
-/// each query parallelizes its pair blocks on the same pool). The calling
+/// each query parallelizes its pair tiles on the same pool). The calling
 /// thread claims blocks alongside the workers, so the loop completes even
 /// when every worker is busy with other tasks.
 class ThreadPool {

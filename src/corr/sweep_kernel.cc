@@ -24,13 +24,13 @@ constexpr int64_t kSweepPrefetchGroups = 1;
 // contiguously from `pair_begin`; the window loop runs *inside* each 8-pair
 // group so the group's prefix cache lines serve the whole band. The vector
 // body and the scalar tail execute the exact per-lane operation sequence of
-// the pair-major cell in dangoron_engine.cc's ProcessPairBlock:
+// the scalar cell of dangoron_engine.cc's tile walk:
 //
 //   cov  = (prefix[hi] - prefix[lo]) - sum_i * sum_j * inv_count
 //   corr = ClampCorrelation(cov * inv_css_i * inv_css_j)
 //
-// so sweep and pair-major paths emit bit-identical edges (same shapes, same
-// FMA-contraction decisions); the sweep kernel tests enforce that. The
+// so the sweep and the scalar walks emit bit-identical edges (same shapes,
+// same FMA-contraction decisions); the sweep kernel tests enforce that. The
 // threshold compare is branch-free per 8-lane group: survivors are appended
 // only when the group mask is non-zero, which on the sparse networks the
 // thresholds of interest produce skips the append branch almost always.

@@ -69,8 +69,8 @@ struct SweepView {
 /// threshold compare per 8-lane group. The window loop sits *inside* the
 /// 8-pair group so the group's prefix lines are reused across the whole
 /// band. Per-cell arithmetic is the exact operation sequence of the scalar
-/// pair-major cell (DangoronEngine's jumping loop), so the two paths
-/// produce bit-identical edges.
+/// cell of DangoronEngine's tile walk, so the two paths produce
+/// bit-identical edges.
 void SweepWindowBandPairRange(const SweepView& view, int64_t base_w0,
                               int64_t ns, int64_t m, int64_t k_begin,
                               int64_t k_end, int64_t pair_begin,
@@ -102,14 +102,11 @@ void SweepWindowBandRing(const SweepView& view, int64_t slot_offset,
 class SweepEdgeArena {
  public:
   SweepEdgeArena(int64_t num_tiles, int64_t band)
-      : band_(band), tiles_(static_cast<size_t>(num_tiles)) {
+      : tiles_(static_cast<size_t>(num_tiles)) {
     for (std::vector<std::vector<Edge>>& tile : tiles_) {
       tile.resize(static_cast<size_t>(band));
     }
   }
-
-  int64_t num_tiles() const { return static_cast<int64_t>(tiles_.size()); }
-  int64_t band() const { return band_; }
 
   /// Tile t's per-band-window output row, indexable [0, band).
   std::vector<Edge>* tile_windows(int64_t t) {
@@ -143,7 +140,6 @@ class SweepEdgeArena {
   }
 
  private:
-  int64_t band_;
   std::vector<std::vector<std::vector<Edge>>> tiles_;
 };
 

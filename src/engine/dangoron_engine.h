@@ -13,6 +13,17 @@
 
 namespace dangoron {
 
+/// Pairs a jumping tile walk prefetches ahead. A pair's walk reads the
+/// query-range segment of its two prefix rows — about 20 cache lines for 61
+/// windows of 30 basic windows — through the dependent probes of the Eq. 2
+/// binary search, and each pair's rows sit a whole sketch row past the last
+/// pair's, so an unprefetched walk waits on memory once per probe. Measured
+/// on the climate_approx geometry (N = 512, twelve 90-day ranges, one
+/// thread on a 4-vCPU Xeon, -march=cooperlake, results unchanged): the walk
+/// took 0.64-0.71x the unprefetched time at distances 1-8, within 2% of
+/// each other; 16 was 3% slower.
+inline constexpr int64_t kJumpPrefetchPairs = 4;
+
 /// Options of the Dangoron engine.
 struct DangoronOptions {
   /// Basic window size `b`; query start/window/step must be multiples of it.
@@ -21,11 +32,10 @@ struct DangoronOptions {
   /// Eq. 2 temporal jumping over below-threshold stretches (the paper's core
   /// optimization, Figure 2). Off = "incremental" mode: every window is
   /// evaluated exactly in O(1) from the sketch prefixes — exact results,
-  /// still far cheaper than TSUBASA's O(ns) recombination. On, the engine
-  /// walks pair-major (a jump at window k decides whether the pair's later
-  /// windows are evaluated at all) and prefetches each pair's query-range
-  /// prefix rows a few pairs ahead of the walk: past L2 the jump search's
-  /// dependent probes into those rows would otherwise miss one at a time.
+  /// still far cheaper than TSUBASA's O(ns) recombination. On, each pair
+  /// tile runs the scalar tile walk over the whole query as one band (a
+  /// jump at window k decides whether the pair's later windows are
+  /// evaluated at all), so windows are emitted only once the walk is done.
   bool enable_jumping = true;
 
   /// Extension (off by default): also skip stretches that provably (under
@@ -43,18 +53,7 @@ struct DangoronOptions {
   /// Number of pivot series when horizontal pruning is on.
   int32_t num_pivots = 8;
 
-  /// Exact-mode (jumping off) queries run window-major through the
-  /// vectorized sweep kernel (corr/sweep_kernel.h): each window's pair
-  /// sweep is SIMD and branch-free, and the window is emitted to the sink
-  /// the moment it completes — the engine itself streams. Turn off to run
-  /// the scalar pair-major cell loop instead: the differential oracle of
-  /// the sweep tests and the baseline of bench_query_time's
-  /// BENCH_query.json. Both paths emit bit-identical edges. Ignored when
-  /// jumping is on (jumping couples consecutive windows along a pair, so
-  /// that path stays pair-major by construction).
-  bool use_sweep_kernel = true;
-
-  /// Worker threads (pair-block parallelism; results are deterministic and
+  /// Worker threads (pair-tile parallelism; results are deterministic and
   /// identical to the single-threaded run).
   int32_t num_threads = 1;
 };
@@ -77,16 +76,12 @@ class DangoronEngine : public CorrelationEngine {
     return options_.enable_jumping ? "dangoron" : "dangoron-incremental";
   }
   Status Prepare(const TimeSeriesMatrix& data) override;
-  /// Emission timing depends on the mode. Exact mode (jumping off) runs
-  /// window-major in bands of corr/sweep_kernel.h's kSweepWindowBand: each
-  /// band's windows are emitted as soon as the band's pair sweep completes,
-  /// so the first window leaves after ~band/num_windows of the work —
-  /// engine-level streaming, no sub-query chopping needed. With jumping
-  /// on, pair blocks sweep every window before any window is final
-  /// (jumping couples consecutive windows along a pair), so windows are
-  /// emitted in order only once the prefetched pair-major walk completes;
-  /// each window is its blocks' edges concatenated in block order, which
-  /// is already EdgeOrder.
+  /// Every mode runs window-major in bands over fixed pair tiles and emits
+  /// each band's windows in order as soon as the band completes. Exact mode
+  /// (jumping off) uses bands of corr/sweep_kernel.h's kSweepWindowBand, so
+  /// the first window leaves after ~band/num_windows of the work. With
+  /// jumping on, the band is the whole query (jumping couples consecutive
+  /// windows along a pair), so windows leave once the tile walk completes.
   Status QueryToSink(const SlidingQuery& query, WindowSink* sink) override;
 
   const DangoronOptions& options() const { return options_; }
@@ -112,8 +107,8 @@ class DangoronEngine : public CorrelationEngine {
       std::vector<int64_t>* pivots_out = nullptr);
 
   /// Sink-driving form of QueryPrepared: same computation, windows emitted
-  /// to `sink` in ascending order (after the pair-block sweep; see
-  /// QueryToSink). QueryPrepared is this with a CollectingWindowSink.
+  /// to `sink` in ascending order at band cadence (see QueryToSink).
+  /// QueryPrepared is this with a CollectingWindowSink.
   static Status QueryPreparedToSink(const DangoronOptions& options,
                                     const BasicWindowIndex& index,
                                     const SlidingQuery& query,

@@ -268,8 +268,10 @@ void ShardMerge::FinishLocked() {
   }
   // The per-slice terminal summaries are stable: every reader reached its
   // source's terminal status before exiting. Failed-over slices still
-  // count — their windows were delivered and merged.
+  // count — their windows were delivered and merged. The prepare counts as
+  // cached only when every slice's was.
   StreamingSummary rollup;
+  rollup.prepared_from_cache = !slices_.empty();
   for (const auto& slice : slices_) {
     const WireSummary s = slice->source->summary();
     rollup.windows_from_cache += s.windows_from_cache;
@@ -281,6 +283,8 @@ void ShardMerge::FinishLocked() {
       rollup.tier_used = ServeTier::kApprox;
     }
     rollup.degraded = rollup.degraded || s.degraded;
+    rollup.prepared_from_cache =
+        rollup.prepared_from_cache && s.prepared_from_cache;
   }
   downstream_->Finish(terminal, rollup);
 }

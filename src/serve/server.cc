@@ -479,7 +479,7 @@ std::unique_ptr<WindowStream> DangoronServer::SubmitStreaming(
   // The producer gets a dedicated thread, not a pool task: delivery blocks
   // on the consumer by design (backpressure), and blocking must never pin a
   // compute thread (a 1-thread pool would otherwise wedge under
-  // submit-stream, query, drain). Pair-block evaluation inside still runs
+  // submit-stream, query, drain). Pair-tile evaluation inside still runs
   // on the shared pool. Threads are admission-capped and reaped here.
   {
     MutexLock lock(streams_mutex_);

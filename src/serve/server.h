@@ -31,7 +31,7 @@ namespace dangoron {
 struct DangoronServerOptions {
   /// Worker threads shared by all in-flight queries (0 = hardware
   /// concurrency). One pool serves both query tasks and their inner
-  /// pair-block parallelism.
+  /// pair-tile parallelism.
   int32_t num_threads = 0;
 
   /// Basic window granularity datasets are prepared at; query start /
@@ -188,7 +188,7 @@ struct DangoronServerStats {
 ///   and `ServeOptions::admission`).
 /// - Per-window edge sets are cached and deduplicated: overlapping queries
 ///   (same dataset / basic window / threshold family, overlapping ranges)
-///   reuse each other's windows instead of re-walking pair blocks, and N
+///   reuse each other's windows instead of re-walking pair tiles, and N
 ///   identical concurrent submissions evaluate each window once. Windows
 ///   land in the cache *as they are evaluated*, so even a cancelled or
 ///   still-running query's prefix is reusable.
@@ -197,7 +197,7 @@ struct DangoronServerStats {
 ///   `SubmitStreaming` hands that stream to the caller; `Submit` runs the
 ///   same pipeline as a pool task into a stream with room for every window
 ///   (no push can block a compute thread) and collects it into a series.
-///   Pair blocks parallelize on the same shared ThreadPool.
+///   Pair tiles parallelize on the same shared ThreadPool.
 ///
 /// Service tiers (`ServeOptions::tier`): the exact tier answers in exact
 /// incremental mode (no Eq. 2 jumping) through the shared window cache —
@@ -530,7 +530,7 @@ class DangoronServer {
   // not a pool task — because delivery legitimately blocks on the consumer
   // (backpressure): on the pool, every undrained stream would pin a compute
   // thread, and a 1-thread pool would wedge outright under the
-  // submit-stream-then-query-then-drain pattern. Inner pair-block
+  // submit-stream-then-query-then-drain pattern. Inner pair-tile
   // parallelism still runs on the shared pool (ParallelFor is
   // caller-helping, so external callers compose). Destruction cancels the
   // streams, then joins the threads (guarded by streams_mutex_).

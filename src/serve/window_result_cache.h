@@ -87,7 +87,7 @@ inline int64_t WindowEdgesBytes(const std::vector<Edge>& edges) {
 /// LRU cache of per-window edge sets under a byte budget: the reuse layer
 /// that lets overlapping queries (same dataset / basic window / threshold,
 /// overlapping ranges) and the streaming builder share evaluated windows
-/// instead of re-walking pair blocks. Thread-safe; eviction drops the
+/// instead of re-walking pair tiles. Thread-safe; eviction drops the
 /// cache's reference only, so queries holding a window keep it valid.
 using WindowResultCache =
     LruByteCache<WindowKey, std::vector<Edge>, WindowKeyHash>;

@@ -402,12 +402,12 @@ TEST(DangoronThreadingTest, MultiThreadMatchesSingleThread) {
             engine_multi.stats().cells_jumped);
 }
 
-// The jump walk at scale: pair blocks of hundreds to thousands of pairs,
-// far longer than the walk's prefetch distance, split over 1-4 threads and
-// cut by pair-range restrictions whose bounds fall mid-block. Every run
-// must emit bit-identical windows (a restricted run: the unrestricted
-// run's edges of its pair range), each already in EdgeOrder, since the
-// emission concatenates blocks without sorting.
+// The jump walk at scale: 1024-pair tiles, far longer than the walk's
+// prefetch distance, split over 1-4 threads and cut by pair-range
+// restrictions whose bounds fall mid-tile. Every run must emit
+// bit-identical windows (a restricted run: the unrestricted run's edges of
+// its pair range), each already in EdgeOrder, since the emission
+// concatenates tiles without sorting.
 TEST(DangoronThreadingTest, JumpWalkIsDeterministicAtScale) {
   const int64_t n = 320;
   TimeSeriesMatrix data = SmallClimate(n, 24 * 60, 29);

@@ -995,6 +995,15 @@ TEST_F(RouterE2ETest, TwoShardsAreByteIdenticalToInProcess) {
   for (const auto& server : servers_) {
     EXPECT_EQ(server->stats().inflight_window_claims, 0);
   }
+  EXPECT_FALSE((*merge)->summary().prepared_from_cache);
+
+  // The repeat is answered wholly from the shards' window caches: every
+  // slice, and so the merged summary, reports its prepare cached.
+  auto repeat = router.Submit(TestRequest(), NumPairs());
+  ASSERT_TRUE(repeat.ok()) << repeat.status().message();
+  ExpectShardedMatchesInProcess(repeat->get());
+  EXPECT_EQ((*repeat)->summary().windows_computed, 0);
+  EXPECT_TRUE((*repeat)->summary().prepared_from_cache);
 }
 
 TEST_F(RouterE2ETest, FourShardsAreByteIdenticalToInProcess) {

@@ -1,7 +1,7 @@
 // Differential and property tests of the window-major exact sweep kernel
 // (corr/sweep_kernel.h) as driven by DangoronEngine in exact mode: the
 // vectorized sweep must emit *bit-identical* edges to the scalar pair-major
-// cell loop (use_sweep_kernel=false, the oracle) for every threshold mode,
+// reference walk (eval/reference_walk.h, the oracle) for every threshold mode,
 // degenerate input, tile-remainder shape, and thread count — and match
 // NaiveEngine within the usual sketch-combination tolerance. The engine-level
 // time-to-first-window property (a cancelled-at-window-0 query does one
@@ -22,6 +22,7 @@
 #include "engine/dangoron_engine.h"
 #include "engine/naive_engine.h"
 #include "engine/window_sink.h"
+#include "eval/reference_walk.h"
 #include "sketch/basic_window_index.h"
 #include "ts/generators.h"
 
@@ -54,22 +55,33 @@ SlidingQuery SweepQuery(int64_t length, double threshold, bool absolute) {
   return query;
 }
 
-CorrelationMatrixSeries RunDangoron(const TimeSeriesMatrix& data,
-                                    const SlidingQuery& query, bool sweep,
-                                    int32_t threads,
-                                    EngineStats* stats_out = nullptr) {
+DangoronOptions ExactOptions(int32_t threads = 1) {
   DangoronOptions options;
   options.basic_window = kBasicWindow;
   options.enable_jumping = false;
-  options.use_sweep_kernel = sweep;
   options.num_threads = threads;
-  DangoronEngine engine(options);
+  return options;
+}
+
+CorrelationMatrixSeries RunDangoron(const TimeSeriesMatrix& data,
+                                    const SlidingQuery& query,
+                                    int32_t threads) {
+  DangoronEngine engine(ExactOptions(threads));
   CHECK(engine.Prepare(data).ok());
   auto result = engine.Query(query);
   CHECK(result.ok());
-  if (stats_out != nullptr) {
-    *stats_out = engine.stats();
-  }
+  return std::move(*result);
+}
+
+// The scalar pair-major oracle over the same sketch the engine builds.
+CorrelationMatrixSeries RunReference(const TimeSeriesMatrix& data,
+                                     const SlidingQuery& query,
+                                     const DangoronOptions& options,
+                                     EngineStats* stats = nullptr) {
+  auto index = DangoronEngine::BuildIndex(data, options, nullptr);
+  CHECK(index.ok());
+  auto result = ReferenceWalk(options, *index, query, stats);
+  CHECK(result.ok());
   return std::move(*result);
 }
 
@@ -117,8 +129,8 @@ TEST(SweepKernelTest, BitIdenticalToScalarPairMajorAcrossThresholds) {
       SCOPED_TRACE(testing::Message()
                    << "absolute=" << absolute << " threshold=" << threshold);
       const SlidingQuery query = SweepQuery(length, threshold, absolute);
-      const auto sweep = RunDangoron(data, query, /*sweep=*/true, 1);
-      const auto scalar = RunDangoron(data, query, /*sweep=*/false, 1);
+      const auto sweep = RunDangoron(data, query, 1);
+      const auto scalar = RunReference(data, query, ExactOptions());
       ExpectBitIdentical(sweep, scalar);
       ExpectMatchesNaive(sweep, data, query);
     }
@@ -130,8 +142,8 @@ TEST(SweepKernelTest, NegativeThresholdAcceptsEveryPairIdentically) {
   const int64_t n = 9;
   const TimeSeriesMatrix data = RandomWalkData(n, length, 71002);
   SlidingQuery query = SweepQuery(length, -1.0, /*absolute=*/false);
-  const auto sweep = RunDangoron(data, query, /*sweep=*/true, 1);
-  const auto scalar = RunDangoron(data, query, /*sweep=*/false, 1);
+  const auto sweep = RunDangoron(data, query, 1);
+  const auto scalar = RunReference(data, query, ExactOptions());
   ExpectBitIdentical(sweep, scalar);
   // Accept-everything: each window is the full clique.
   for (int64_t k = 0; k < sweep.num_windows(); ++k) {
@@ -154,8 +166,8 @@ TEST(SweepKernelTest, DegenerateSeriesProduceNoSpuriousEdges) {
   for (const bool absolute : {false, true}) {
     SCOPED_TRACE(absolute);
     const SlidingQuery query = SweepQuery(length, 0.2, absolute);
-    const auto sweep = RunDangoron(data, query, /*sweep=*/true, 1);
-    const auto scalar = RunDangoron(data, query, /*sweep=*/false, 1);
+    const auto sweep = RunDangoron(data, query, 1);
+    const auto scalar = RunReference(data, query, ExactOptions());
     ExpectBitIdentical(sweep, scalar);
     ExpectMatchesNaive(sweep, data, query);
     // A degenerate series correlates at exactly 0, which never clears a
@@ -175,10 +187,10 @@ TEST(SweepKernelTest, TileRemainderPairCountsAndThreadCounts) {
   // plus plenty of split fixed-i runs at the tile boundary.
   const TimeSeriesMatrix data = RandomWalkData(48, length, 71004);
   const SlidingQuery query = SweepQuery(length, 0.3, /*absolute=*/true);
-  const auto scalar = RunDangoron(data, query, /*sweep=*/false, 1);
+  const auto scalar = RunReference(data, query, ExactOptions());
   for (const int32_t threads : {1, 4}) {
     SCOPED_TRACE(threads);
-    const auto sweep = RunDangoron(data, query, /*sweep=*/true, threads);
+    const auto sweep = RunDangoron(data, query, threads);
     ExpectBitIdentical(sweep, scalar);
   }
 }
@@ -186,7 +198,7 @@ TEST(SweepKernelTest, TileRemainderPairCountsAndThreadCounts) {
 // Pair-range restrictions (the sharding primitive) cut the sweep's fixed-i
 // runs at arbitrary pair ids and leave runs shorter than the row prefetch
 // distance; every restricted cell must still be bit-identical to the same
-// cell of the unrestricted scalar pair-major run. Steps of 1, 3 and 9 basic
+// cell of the unrestricted reference walk. Steps of 1, 3 and 9 basic
 // windows cover bands whose slots share, straddle and skip cache lines.
 TEST(SweepKernelTest, PairRangeRestrictionsAreBitIdentical) {
   for (const int64_t n : {int64_t{9}, int64_t{17}, int64_t{130}}) {
@@ -210,7 +222,7 @@ TEST(SweepKernelTest, PairRangeRestrictionsAreBitIdentical) {
       query.absolute = true;
       const TimeSeriesMatrix data =
           RandomWalkData(n, query.end, 71010 + static_cast<uint64_t>(n * m));
-      const auto scalar = RunDangoron(data, query, /*sweep=*/false, 1);
+      const auto scalar = RunReference(data, query, ExactOptions());
       for (const auto& [pair_begin, pair_end] : ranges) {
         SCOPED_TRACE(testing::Message() << "n=" << n << " m=" << m
                                         << " pairs [" << pair_begin << ", "
@@ -219,8 +231,7 @@ TEST(SweepKernelTest, PairRangeRestrictionsAreBitIdentical) {
         restricted.pair_begin = pair_begin;
         restricted.pair_end = pair_end;
         for (const int32_t threads : {1, 4}) {
-          const auto sweep = RunDangoron(data, restricted, /*sweep=*/true,
-                                         threads);
+          const auto sweep = RunDangoron(data, restricted, threads);
           ASSERT_EQ(sweep.num_windows(), scalar.num_windows());
           for (int64_t k = 0; k < scalar.num_windows(); ++k) {
             std::vector<Edge> expected;
@@ -247,30 +258,24 @@ TEST(SweepKernelTest, WindowMajorPruningMatchesPairMajorDecisions) {
   const TimeSeriesMatrix data = RandomWalkData(16, length, 71005);
   SlidingQuery query = SweepQuery(length, 0.75, /*absolute=*/false);
 
-  DangoronOptions options;
-  options.basic_window = kBasicWindow;
-  options.enable_jumping = false;
+  DangoronOptions options = ExactOptions();
   options.horizontal_pruning = true;
   options.num_pivots = 4;
 
-  options.use_sweep_kernel = true;
   DangoronEngine window_major(options);
   ASSERT_TRUE(window_major.Prepare(data).ok());
   auto sweep = window_major.Query(query);
   ASSERT_TRUE(sweep.ok());
 
-  options.use_sweep_kernel = false;
-  DangoronEngine pair_major(options);
-  ASSERT_TRUE(pair_major.Prepare(data).ok());
-  auto scalar = pair_major.Query(query);
-  ASSERT_TRUE(scalar.ok());
+  EngineStats pair_major;
+  const auto scalar = RunReference(data, query, options, &pair_major);
 
-  ExpectBitIdentical(*sweep, *scalar);
+  ExpectBitIdentical(*sweep, scalar);
   // Same per-cell pruning decisions, just visited in window-major order.
+  EXPECT_GT(pair_major.cells_horizontal_pruned, 0);
   EXPECT_EQ(window_major.stats().cells_horizontal_pruned,
-            pair_major.stats().cells_horizontal_pruned);
-  EXPECT_EQ(window_major.stats().cells_evaluated,
-            pair_major.stats().cells_evaluated);
+            pair_major.cells_horizontal_pruned);
+  EXPECT_EQ(window_major.stats().cells_evaluated, pair_major.cells_evaluated);
 }
 
 TEST(SweepKernelTest, SingleSeriesDataYieldsEmptyWindows) {
@@ -279,7 +284,7 @@ TEST(SweepKernelTest, SingleSeriesDataYieldsEmptyWindows) {
   const int64_t length = kBasicWindow * 12;
   const TimeSeriesMatrix data = RandomWalkData(1, length, 71007);
   const SlidingQuery query = SweepQuery(length, 0.5, /*absolute=*/false);
-  const auto sweep = RunDangoron(data, query, /*sweep=*/true, 1);
+  const auto sweep = RunDangoron(data, query, 1);
   ASSERT_EQ(sweep.num_windows(), query.NumWindows());
   for (int64_t k = 0; k < sweep.num_windows(); ++k) {
     EXPECT_TRUE(sweep.WindowEdges(k).empty());
