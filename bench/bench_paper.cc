@@ -11,8 +11,8 @@
 //   e9   ParCorr accuracy/time frontier over the sketch dimension
 //   ex1  extension: the absolute-threshold mode on a signed workload
 //
-// Engines are named by factory spec ("dangoron:jump=off"), as run_query
-// takes them. Timing cells (times, speedups) are best-of-N pure query
+// Engines are named by factory spec ("dangoron:jump=off"), as
+// `dangoron_serverd run` takes them. Timing cells (times, speedups) are best-of-N pure query
 // times and vary run to run; every other cell is deterministic.
 
 #include <algorithm>

@@ -1,6 +1,6 @@
-// dangoron_serverd: the library over the network — a daemon speaking the
-// framed wire protocol (docs/WIRE_PROTOCOL.md), and the matching
-// command-line client.
+// dangoron_serverd: the library's one command line — a daemon speaking the
+// framed wire protocol (docs/WIRE_PROTOCOL.md), its client, a shard router,
+// a one-shot engine run, and the Tomborg dataset generator.
 //
 // Serve:
 //   dangoron_serverd serve <data.{csv,dgrn}> [name=data] [port=7311]
@@ -15,8 +15,7 @@
 //                    [abs] [tier=...] [deadline=<ms>] [degrade=off|auto]
 //                    [out.csv]
 //     Submits one request, streams the per-window results as they arrive,
-//     prints the terminal summary. Flags and exit codes are run_query's
-//     (examples/serve_flags.h) — the wire adds transport, not semantics:
+//     prints the terminal summary. The wire adds transport, not semantics:
 //     the same query against the same server answers byte-identically to an
 //     in-process Submit.
 //
@@ -40,23 +39,42 @@
 //     Mid-query shard deaths are ridden out by the router's failover
 //     (src/router/README.md).
 //
+// Run:
+//   dangoron_serverd run <data.{csv,dgrn}> <engine>[:options] <window>
+//                    <step> <beta> [abs] [out.csv]
+//     Runs one query in process on any CreateEngine spec (naive | tsubasa |
+//     dangoron | parcorr, e.g. "dangoron:basic_window=24,jump=off") and
+//     prints the engine's prepare/query times and cell counters.
+//
+// Generate:
+//   dangoron_serverd generate [N=32] [L=4096] [family=uniform]
+//                    [envelope=pink] [seed=2023] [out.csv]
+//     Tomborg (src/tomborg/README.md): N series of length L whose pairwise
+//     correlations follow `family` and whose spectra follow `envelope`,
+//     written as CSV (one series per row), with the realization report.
+//
+// Every numeric argument must parse whole ("0.6x" and "abc" are usage
+// errors, exit 2); the exit codes are kExitCodeSpecs below.
+//
 // Quickstart (single-process shards, two terminals):
-//   ./build/tomborg_generate 32 4096 block pink 1 /tmp/d.csv
+//   ./build/dangoron_serverd generate 32 4096 block pink 1 /tmp/d.csv
 //   ./build/dangoron_serverd route /tmp/d.csv spawn=2 port=7411 &
-//   ./build/dangoron_serverd query 127.0.0.1 7411 data 512 128 0.8 \
-//       deadline=250 /tmp/net.csv
+//   ./build/dangoron_serverd query 127.0.0.1 7411 data 512 128 0.8 n.csv
 
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -64,10 +82,11 @@
 #include "common/strings.h"
 #include "engine/factory.h"
 #include "net/wire_server.h"
+#include "network/export.h"
 #include "router/router_server.h"
 #include "router/shard_router.h"
 #include "serve/server.h"
-#include "serve_flags.h"
+#include "tomborg/tomborg.h"
 #include "ts/csv.h"
 #include "ts/dataset_io.h"
 #include "ts/resample.h"
@@ -79,7 +98,133 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void HandleSignal(int) { g_stop = 1; }
 
+// ------------------------------------------------------------ flag table --
+
+struct ServeFlagSpec {
+  const char* usage;  ///< as shown in a usage line, e.g. "tier=exact|..."
+  const char* help;   ///< one-line explanation
+};
+
+/// The trailing flags of `query`; `run` takes `abs` only.
+constexpr ServeFlagSpec kServeFlagSpecs[] = {
+    {"abs", "threshold on |corr| >= beta instead of signed corr >= beta"},
+    {"tier=exact|approx|auto",
+     "service tier of the request (default: the server's default tier, "
+     "exact unless configured; auto picks by deadline budget)"},
+    {"deadline=<ms>",
+     "deadline in milliseconds: admission, auto-tier choice, and hard "
+     "mid-run enforcement (0 = no deadline)"},
+    {"degrade=off|auto",
+     "degradation under pressure: auto serves approx instead of failing a "
+     "blown deadline estimate or a mid-query resource exhaustion"},
+};
+
+// ------------------------------------------------------------ exit codes --
+
+struct ExitCodeSpec {
+  int code;
+  const char* meaning;
+};
+
+/// Why 3-5 exist: a scripted caller reacts differently to a latency miss
+/// (retry with a looser budget or the approx tier), to its own
+/// cancellation, or to an unreachable shard backend (retry once the shard
+/// is back, or page the operator) than to a real bug. docs/ARCHITECTURE.md
+/// carries the same table (scripts/check_invariants.py cross-checks it).
+constexpr ExitCodeSpec kExitCodeSpecs[] = {
+    {0, "success"},
+    {1, "generic failure (load, engine, query, or export error)"},
+    {2, "usage error (bad arguments or an unknown flag)"},
+    {3, "the query failed on its deadline (DeadlineExceeded)"},
+    {4, "the query was cancelled (Cancelled)"},
+    {5, "a shard backend was unreachable (Unavailable)"},
+};
+
+int ExitCodeFor(const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kDeadlineExceeded:
+      return 3;
+    case StatusCode::kCancelled:
+      return 4;
+    case StatusCode::kUnavailable:
+      return 5;
+    default:
+      return 1;
+  }
+}
+
+// -------------------------------------------------------- Tomborg presets --
+
+struct FamilyPreset {
+  const char* name;
+  CorrelationSpec spec;
+};
+
+/// `generate`'s named correlation families (tomborg/correlation_spec.h).
+const FamilyPreset kFamilyPresets[] = {
+    {"uniform", {.family = CorrelationFamily::kUniform, .a = 0.1, .b = 0.9}},
+    {"normal",
+     {.family = CorrelationFamily::kClippedNormal, .a = 0.5, .b = 0.2}},
+    {"beta",
+     {.family = CorrelationFamily::kBeta, .a = 2.0, .b = 3.0, .lo = 0.0,
+      .hi = 0.95}},
+    {"block",
+     {.family = CorrelationFamily::kBlock, .a = 0.85, .b = 0.15,
+      .blocks = 4, .jitter = 0.03}},
+    {"hub",
+     {.family = CorrelationFamily::kHub, .a = 0.8, .b = 0.2, .hubs = 4,
+      .jitter = 0.03}},
+    {"constant", {.family = CorrelationFamily::kConstant, .a = 0.6}},
+};
+
+struct EnvelopePreset {
+  const char* name;
+  SpectralEnvelope envelope;
+};
+
+const EnvelopePreset kEnvelopePresets[] = {
+    {"white", SpectralEnvelope::kWhite},
+    {"pink", SpectralEnvelope::kPink},
+    {"seasonal", SpectralEnvelope::kSeasonal},
+    {"highpass", SpectralEnvelope::kHighPass},
+};
+
+/// The preset named `name`, or null.
+template <typename Preset, size_t N>
+const Preset* FindPreset(const Preset (&presets)[N], const std::string& name) {
+  for (const Preset& preset : presets) {
+    if (name == preset.name) {
+      return &preset;
+    }
+  }
+  return nullptr;
+}
+
+/// "a|b|c" over the presets' names.
+template <typename Preset, size_t N>
+std::string PresetNames(const Preset (&presets)[N]) {
+  std::string names;
+  for (const Preset& preset : presets) {
+    names += names.empty() ? "" : "|";
+    names += preset.name;
+  }
+  return names;
+}
+
+// --------------------------------------------------------------- parsing --
+
 int Usage(const char* argv0) {
+  std::string flag_usage;
+  std::string flag_help;
+  for (const ServeFlagSpec& spec : kServeFlagSpecs) {
+    flag_usage += StrFormat("%s[%s]", flag_usage.empty() ? "" : " ",
+                            spec.usage);
+    flag_help += StrFormat("  %s: %s\n", spec.usage, spec.help);
+  }
+  std::string exit_help;
+  for (const ExitCodeSpec& spec : kExitCodeSpecs) {
+    exit_help += StrFormat("  %d  %s\n", spec.code, spec.meaning);
+  }
   std::fprintf(
       stderr,
       "usage: %s serve <data.{csv,dgrn}> [name=data] [port=7311]\n"
@@ -89,11 +234,129 @@ int Usage(const char* argv0) {
       "       %s route <data.{csv,dgrn}> [shard=<host:port>]... [spawn=<K>]\n"
       "          [base-port=7312] [name=data] [port=7411] "
       "[server=<options>] [respawn=<N>]\n"
-      "query flags:\n%s"
+      "       %s run <data.{csv,dgrn}> <engine>[:options] <window> <step>\n"
+      "          <beta> [abs] [out.csv]\n"
+      "       %s generate [N=32] [L=4096] [family=uniform] [envelope=pink]\n"
+      "          [seed=2023] [out.csv]\n"
+      "engines: %s\n"
+      "families: %s\n"
+      "envelopes: %s\n"
+      "query flags (run takes abs only):\n%s"
       "exit codes:\n%s",
-      argv0, argv0, ServeFlagUsage().c_str(), argv0,
-      ServeFlagHelp("  ").c_str(), ExitCodeHelp("  ").c_str());
+      argv0, argv0, flag_usage.c_str(), argv0, argv0, argv0,
+      KnownEngineNames().c_str(), PresetNames(kFamilyPresets).c_str(),
+      PresetNames(kEnvelopePresets).c_str(), flag_help.c_str(),
+      exit_help.c_str());
   return 2;
+}
+
+/// Strict numeric argument: the whole token must parse (ParseInt64 /
+/// ParseDouble) and lie in [lo, hi]. Otherwise prints a usage error naming
+/// `what` and the token and returns false — the caller exits 2, so neither
+/// a half-parsed "0.6x" nor an "abc" read as 0 ever reaches a query.
+template <typename T>
+bool ParseNumber(const char* what, std::string_view token, T lo, T hi,
+                 T* out) {
+  bool ok = false;
+  if constexpr (std::is_integral_v<T>) {
+    const Result<int64_t> value = ParseInt64(token);
+    ok = value.ok() && *value >= lo && *value <= hi;
+    if (ok) {
+      *out = static_cast<T>(*value);
+    }
+  } else {
+    const Result<double> value = ParseDouble(token);
+    ok = value.ok() && *value >= lo && *value <= hi;
+    if (ok) {
+      *out = *value;
+    }
+  }
+  if (!ok) {
+    auto bound = [](T v) {
+      if constexpr (std::is_integral_v<T>) {
+        return std::to_string(v);
+      } else {
+        return StrFormat("%g", v);
+      }
+    };
+    std::string range;
+    if (lo != std::numeric_limits<T>::lowest()) {
+      range = hi == std::numeric_limits<T>::max()
+                  ? " >= " + bound(lo)
+                  : " in [" + bound(lo) + ", " + bound(hi) + "]";
+    }
+    std::fprintf(stderr, "%s wants a%s%s, got '%.*s'\n", what,
+                 std::is_integral_v<T> ? "n integer" : " number",
+                 range.c_str(), static_cast<int>(token.size()),
+                 token.data());
+  }
+  return ok;
+}
+
+/// Parses the `<window> <step> <beta>` triple at argv[first..first+2].
+bool ParseWindowArgs(char** argv, int first, SlidingQuery* query) {
+  return ParseNumber<int64_t>("window", argv[first], 1, INT64_MAX,
+                              &query->window) &&
+         ParseNumber<int64_t>("step", argv[first + 1], 1, INT64_MAX,
+                              &query->step) &&
+         ParseNumber("beta", argv[first + 2], -1.0, 1.0, &query->threshold);
+}
+
+/// Parses the trailing arguments of `query` (options != null) and `run`
+/// (options == null: `abs` only): flags from kServeFlagSpecs, else the one
+/// output path. A key=value token that matches no flag, an empty or a
+/// second output path, or a bad flag value prints a usage error and
+/// returns false — dropping a typo'd flag silently would change the
+/// query's semantics (e.g. run without the intended deadline).
+bool ParseTrailingArgs(int argc, char** argv, int first, SlidingQuery* query,
+                       ServeOptions* options, std::string* out_path) {
+  auto assign = [](auto parsed, auto* field) {
+    if (parsed.ok()) {
+      *field = *parsed;
+    }
+    return parsed.status();
+  };
+  for (int a = first; a < argc; ++a) {
+    const std::string arg = argv[a];
+    const size_t eq = arg.find('=');
+    const std::string key = arg.substr(0, eq);
+    const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    Status status = Status::Ok();
+    if (arg == "abs") {
+      query->absolute = true;
+    } else if (eq == std::string::npos) {
+      if (arg.empty() || !out_path->empty()) {
+        std::fprintf(stderr, "bad output path '%s'%s\n", arg.c_str(),
+                     arg.empty() ? "" : " (one output path only)");
+        return false;
+      }
+      *out_path = arg;
+    } else if (options != nullptr && key == "tier") {
+      status = assign(ParseServeTier(value), &options->tier);
+    } else if (options != nullptr && key == "degrade") {
+      status = assign(ParseDegradePolicy(value), &options->degrade);
+    } else if (options != nullptr && key == "deadline") {
+      int64_t deadline_ms = 0;
+      if (!ParseNumber<int64_t>("deadline=", value, 0, INT64_MAX,
+                                &deadline_ms)) {
+        return false;
+      }
+      if (deadline_ms > 0) {
+        options->deadline_ms = deadline_ms;  // 0 stays "no deadline"
+      }
+    } else {
+      std::fprintf(stderr, "unknown flag '%s' (known: %s)\n", arg.c_str(),
+                   options != nullptr ? "abs, tier=, deadline=, degrade="
+                                      : "abs");
+      return false;
+    }
+    if (!status.ok()) {
+      std::fprintf(stderr, "%s: %s\n", arg.c_str(),
+                   status.ToString().c_str());
+      return false;
+    }
+  }
+  return true;
 }
 
 Result<TimeSeriesMatrix> LoadData(const std::string& path) {
@@ -120,11 +383,17 @@ int RunServe(int argc, char** argv) {
     if (arg.rfind("name=", 0) == 0) {
       name = arg.substr(5);
     } else if (arg.rfind("port=", 0) == 0) {
-      wire_options.port = std::atoi(arg.c_str() + 5);
+      if (!ParseNumber("port=", arg.substr(5), 0, 65535,
+                       &wire_options.port)) {
+        return 2;
+      }
     } else if (arg.rfind("server=", 0) == 0) {
       server_options = arg.substr(7);
     } else if (arg.rfind("workers=", 0) == 0) {
-      wire_options.worker_threads = std::atoi(arg.c_str() + 8);
+      if (!ParseNumber<int32_t>("workers=", arg.substr(8), 0, INT32_MAX,
+                                &wire_options.worker_threads)) {
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "unknown serve argument '%s'\n", arg.c_str());
       return 2;
@@ -269,28 +538,36 @@ int RunRoute(int argc, char** argv) {
     if (arg.rfind("name=", 0) == 0) {
       name = arg.substr(5);
     } else if (arg.rfind("port=", 0) == 0) {
-      port = std::atoi(arg.c_str() + 5);
+      if (!ParseNumber("port=", arg.substr(5), 0, 65535, &port)) {
+        return 2;
+      }
     } else if (arg.rfind("respawn=", 0) == 0) {
-      respawn = std::atoi(arg.c_str() + 8);
+      if (!ParseNumber("respawn=", arg.substr(8), 0, INT_MAX, &respawn)) {
+        return 2;
+      }
     } else if (arg.rfind("shard=", 0) == 0) {
       const std::string spec = arg.substr(6);
       const size_t colon = spec.rfind(':');
       ShardEndpoint endpoint;
-      if (colon != std::string::npos) {
-        endpoint.host = spec.substr(0, colon);
-        endpoint.port = std::atoi(spec.c_str() + colon + 1);
-      }
-      if (colon == std::string::npos || endpoint.host.empty() ||
-          endpoint.port <= 0) {
+      if (colon == std::string::npos || colon == 0) {
         std::fprintf(stderr, "shard= wants host:port, got '%s'\n",
                      spec.c_str());
         return 2;
       }
+      endpoint.host = spec.substr(0, colon);
+      if (!ParseNumber("shard= port", spec.substr(colon + 1), 1, 65535,
+                       &endpoint.port)) {
+        return 2;
+      }
       shards.push_back(endpoint);
     } else if (arg.rfind("spawn=", 0) == 0) {
-      spawn = std::atoi(arg.c_str() + 6);
+      if (!ParseNumber("spawn=", arg.substr(6), 0, INT_MAX, &spawn)) {
+        return 2;
+      }
     } else if (arg.rfind("base-port=", 0) == 0) {
-      base_port = std::atoi(arg.c_str() + 10);
+      if (!ParseNumber("base-port=", arg.substr(10), 1, 65535, &base_port)) {
+        return 2;
+      }
     } else if (arg.rfind("server=", 0) == 0) {
       server_options = arg.substr(7);
     } else {
@@ -513,36 +790,16 @@ int RunQuery(int argc, char** argv) {
     return Usage(argv[0]);
   }
   const std::string host = argv[2];
-  const int port = std::atoi(argv[3]);
-
+  int port = 0;
   WireRequest request;
   request.dataset = argv[4];
   request.query.start = 0;
   request.query.end = 0;  // 0 = the dataset's full range (server-side)
-  request.query.window = std::atoll(argv[5]);
-  request.query.step = std::atoll(argv[6]);
-  request.query.threshold = std::atof(argv[7]);
-
-  ParsedServeFlags flags;
   std::string out_path;
-  for (int a = 8; a < argc; ++a) {
-    const std::string arg = argv[a];
-    std::string error;
-    switch (ParseServeFlag(arg, &flags, &error)) {
-      case ServeFlagParse::kMatched:
-        break;
-      case ServeFlagParse::kError:
-        std::fprintf(stderr, "%s\n", error.c_str());
-        return 2;
-      case ServeFlagParse::kNoMatch:
-        out_path = arg;
-        break;
-    }
-  }
-  if (Status status =
-          ApplyServeFlags(flags, &request.query, &request.options);
-      !status.ok()) {
-    std::fprintf(stderr, "flags: %s\n", status.ToString().c_str());
+  if (!ParseNumber("port", argv[3], 1, 65535, &port) ||
+      !ParseWindowArgs(argv, 5, &request.query) ||
+      !ParseTrailingArgs(argc, argv, 8, &request.query, &request.options,
+                         &out_path)) {
     return 2;
   }
 
@@ -634,18 +891,177 @@ int RunQuery(int argc, char** argv) {
   return 0;
 }
 
+int RunEngine(int argc, char** argv) {
+  if (argc < 7) {
+    return Usage(argv[0]);
+  }
+  // Engine spec "name" or "name:options".
+  const std::string engine_spec = argv[3];
+  const size_t colon = engine_spec.find(':');
+  const std::string engine_name = engine_spec.substr(0, colon);
+  const std::string engine_options =
+      colon == std::string::npos ? "" : engine_spec.substr(colon + 1);
+
+  SlidingQuery query;
+  std::string out_path;
+  if (!ParseWindowArgs(argv, 4, &query) ||
+      !ParseTrailingArgs(argc, argv, 7, &query, nullptr, &out_path)) {
+    return 2;
+  }
+
+  Result<TimeSeriesMatrix> data = LoadData(argv[2]);
+  if (!data.ok()) {
+    std::fprintf(stderr, "load: %s\n", data.status().ToString().c_str());
+    return 1;
+  }
+  query.start = 0;
+  query.end = data->length();
+
+  auto engine = CreateEngine(engine_name, engine_options);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("data: %lld series x %lld points; engine: %s; query: %s\n",
+              static_cast<long long>(data->num_series()),
+              static_cast<long long>(data->length()),
+              (*engine)->name().c_str(), query.ToString().c_str());
+
+  Stopwatch prepare_watch;
+  if (Status status = (*engine)->Prepare(*data); !status.ok()) {
+    std::fprintf(stderr, "prepare: %s\n", status.ToString().c_str());
+    return 1;
+  }
+  const double prepare_seconds = prepare_watch.ElapsedSeconds();
+
+  Stopwatch query_watch;
+  auto result = (*engine)->Query(query);
+  if (!result.ok()) {
+    std::fprintf(stderr, "query: %s\n", result.status().ToString().c_str());
+    return ExitCodeFor(result.status());
+  }
+  const double query_seconds = query_watch.ElapsedSeconds();
+
+  const EngineStats& stats = (*engine)->stats();
+  std::printf("prepare %.3f s, query %.3f s; %lld windows, %lld edges "
+              "(%lld/%lld cells evaluated, %lld jumped, %lld pruned)\n",
+              prepare_seconds, query_seconds,
+              static_cast<long long>(result->num_windows()),
+              static_cast<long long>(result->TotalEdges()),
+              static_cast<long long>(stats.cells_evaluated),
+              static_cast<long long>(stats.cells_total),
+              static_cast<long long>(stats.cells_jumped),
+              static_cast<long long>(stats.cells_horizontal_pruned));
+
+  if (!out_path.empty()) {
+    if (Status status = WriteSeriesCsv(*result, out_path); !status.ok()) {
+      std::fprintf(stderr, "export: %s\n", status.ToString().c_str());
+      return 1;
+    }
+    std::printf("wrote %s\n", out_path.c_str());
+  }
+  return 0;
+}
+
+int RunGenerate(int argc, char** argv) {
+  if (argc > 8) {
+    return Usage(argv[0]);
+  }
+  TomborgSpec spec;
+  spec.num_series = 32;
+  spec.length = 4096;
+  int64_t seed = 2023;
+  if ((argc > 2 && !ParseNumber<int64_t>("N", argv[2], 1, INT64_MAX,
+                                         &spec.num_series)) ||
+      (argc > 3 && !ParseNumber<int64_t>("L", argv[3], 1, INT64_MAX,
+                                         &spec.length)) ||
+      (argc > 6 && !ParseNumber("seed", argv[6], INT64_MIN, INT64_MAX,
+                                &seed))) {
+    return 2;
+  }
+  const std::string family = argc > 4 ? argv[4] : "uniform";
+  const std::string envelope = argc > 5 ? argv[5] : "pink";
+  const std::string output = argc > 7 ? argv[7] : "";
+  const FamilyPreset* family_preset = FindPreset(kFamilyPresets, family);
+  const EnvelopePreset* envelope_preset =
+      FindPreset(kEnvelopePresets, envelope);
+  if (family_preset == nullptr) {
+    std::fprintf(stderr, "unknown family '%s' (known: %s)\n", family.c_str(),
+                 PresetNames(kFamilyPresets).c_str());
+    return 2;
+  }
+  if (envelope_preset == nullptr) {
+    std::fprintf(stderr, "unknown envelope '%s' (known: %s)\n",
+                 envelope.c_str(), PresetNames(kEnvelopePresets).c_str());
+    return 2;
+  }
+  if (argc > 7 && output.empty()) {
+    std::fprintf(stderr, "bad output path ''\n");
+    return 2;
+  }
+  spec.correlation = family_preset->spec;
+  spec.envelope = envelope_preset->envelope;
+  spec.seed = static_cast<uint64_t>(seed);
+
+  std::printf("generating %s ...\n", spec.ToString().c_str());
+  auto dataset = GenerateTomborg(spec);
+  if (!dataset.ok()) {
+    std::fprintf(stderr, "generate: %s\n",
+                 dataset.status().ToString().c_str());
+    return 1;
+  }
+  auto error = MeasureRealization(dataset->data, dataset->target);
+  if (!error.ok()) {
+    std::fprintf(stderr, "measure: %s\n", error.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("realization: max |sample - target| = %.4f, rms = %.4f\n",
+              error->max_abs, error->rms);
+
+  // A corner of the target (the matrix realized on the data) to eyeball.
+  std::printf("target corner:\n");
+  const int64_t show = std::min<int64_t>(5, spec.num_series);
+  for (int64_t i = 0; i < show; ++i) {
+    std::printf("  ");
+    for (int64_t j = 0; j < show; ++j) {
+      std::printf("%6.2f", dataset->target.At(i, j));
+    }
+    std::printf("\n");
+  }
+
+  if (output.empty()) {
+    std::printf("no output path given; skipping CSV export\n");
+    return 0;
+  }
+  if (Status status = WriteCsv(dataset->data, output); !status.ok()) {
+    std::fprintf(stderr, "write: %s\n", status.ToString().c_str());
+    return 1;
+  }
+  std::printf("wrote %s (%lld series x %lld values)\n", output.c_str(),
+              static_cast<long long>(spec.num_series),
+              static_cast<long long>(spec.length));
+  return 0;
+}
+
 int Run(int argc, char** argv) {
   if (argc < 2) {
     return Usage(argv[0]);
   }
-  if (std::strcmp(argv[1], "serve") == 0) {
+  const std::string_view command = argv[1];
+  if (command == "serve") {
     return RunServe(argc, argv);
   }
-  if (std::strcmp(argv[1], "query") == 0) {
+  if (command == "query") {
     return RunQuery(argc, argv);
   }
-  if (std::strcmp(argv[1], "route") == 0) {
+  if (command == "route") {
     return RunRoute(argc, argv);
+  }
+  if (command == "run") {
+    return RunEngine(argc, argv);
+  }
+  if (command == "generate") {
+    return RunGenerate(argc, argv);
   }
   return Usage(argv[0]);
 }

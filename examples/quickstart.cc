@@ -1,98 +1,60 @@
-// Quickstart: the 60-second tour of the Dangoron public API.
+// Quickstart: the in-process tour of the library, and README.md's
+// quickstart compiled and run as a ctest.
 //
-//   1. Get a synchronized time-series matrix (here: synthetic climate data).
-//   2. Construct a DangoronEngine and Prepare() it (builds the basic-window
-//      sketch index).
-//   3. Issue a SlidingQuery: range, window l, step eta, threshold beta.
-//   4. Read the result: one sparse thresholded correlation matrix (=
-//      network snapshot) per window.
+//   1. Register a time-series matrix with a DangoronServer (here:
+//      synthetic hourly temperatures from 16 weather stations).
+//   2. Stream one sliding-window query: window l, step eta, threshold beta.
+//      Each window's thresholded correlation network arrives as soon as it
+//      is computed.
+//   3. Check the answer: the exact tier is exact, so the brute-force
+//      NaiveEngine finds as many edges. The program exits 1 otherwise.
+//
+// The lines between the two README markers are README.md's quickstart
+// block, byte for byte (scripts/check_invariants.py, readme-quickstart).
 //
 // Build and run:
-//   cmake -B build -G Ninja && cmake --build build
-//   ./build/examples/quickstart
+//   cmake -B build -S . && cmake --build build -j
+//   ./build/quickstart
 
+// README quickstart begin
 #include <cstdio>
 
-#include "engine/dangoron_engine.h"
-#include "network/network.h"
+#include "common/logging.h"
+#include "engine/factory.h"
+#include "serve/server.h"
 #include "ts/generators.h"
 
 int main() {
   using namespace dangoron;
-
-  // 1. Data: 16 weather stations, 60 days of hourly temperatures.
-  ClimateSpec spec;
+  DangoronServer server;  // basic_window = 24, one worker per core
+  ClimateSpec spec;       // hourly temperatures of 16 stations, 90 days
   spec.num_stations = 16;
-  spec.num_hours = 24 * 60;
-  spec.seed = 7;
-  auto dataset = GenerateClimate(spec);
-  if (!dataset.ok()) {
-    std::fprintf(stderr, "data generation failed: %s\n",
-                 dataset.status().ToString().c_str());
-    return 1;
+  spec.num_hours = 24 * 90;
+  auto climate = GenerateClimate(spec);
+  CHECK(climate.ok());
+  CHECK(server.AddDataset("demo", climate->data).ok());
+
+  QueryRequest req;
+  req.dataset = "demo";
+  req.query = {.start = 0, .end = 24 * 90, .window = 24 * 30,
+               .step = 24, .threshold = 0.7};
+  auto stream = server.SubmitStreaming(req);
+  int64_t edges = 0;
+  while (auto w = stream->Next()) {  // windows land as computed
+    std::printf("window %lld: %zu edges\n",
+                static_cast<long long>(w->window_index), w->edges->size());
+    edges += static_cast<int64_t>(w->edges->size());
   }
-  const TimeSeriesMatrix& data = dataset->data;
-  std::printf("data: %lld series x %lld hours\n",
-              static_cast<long long>(data.num_series()),
-              static_cast<long long>(data.length()));
+  CHECK(stream->status().ok());
 
-  // 2. Engine. Defaults: 24h basic windows, Eq. 2 jumping enabled.
-  DangoronEngine engine;
-  if (Status status = engine.Prepare(data); !status.ok()) {
-    std::fprintf(stderr, "prepare failed: %s\n", status.ToString().c_str());
-    return 1;
-  }
-
-  // 3. Query: 7-day windows sliding one day at a time, edges at corr >= 0.8.
-  SlidingQuery query;
-  query.start = 0;
-  query.end = data.length();
-  query.window = 24 * 7;
-  query.step = 24;
-  query.threshold = 0.8;
-
-  auto result = engine.Query(query);
-  if (!result.ok()) {
-    std::fprintf(stderr, "query failed: %s\n",
-                 result.status().ToString().c_str());
-    return 1;
-  }
-
-  // 4. Results: a correlation network per window.
-  std::printf("windows: %lld, total edges: %lld\n",
-              static_cast<long long>(result->num_windows()),
-              static_cast<long long>(result->TotalEdges()));
-  for (int64_t k = 0; k < result->num_windows(); k += 13) {
-    const NetworkSnapshot network(data.num_series(), result->WindowEdges(k));
-    const ComponentStats components = ComputeComponentStats(network);
-    std::printf(
-        "  window %2lld (days %2lld-%2lld): %3lld edges, density %.2f, "
-        "%lld components (largest %lld)\n",
-        static_cast<long long>(k), static_cast<long long>(k),
-        static_cast<long long>(k + 7), static_cast<long long>(network.num_edges()),
-        network.Density(), static_cast<long long>(components.num_components),
-        static_cast<long long>(components.largest_component));
-  }
-
-  // A peek at one snapshot's strongest edge.
-  const auto edges = result->WindowEdges(0);
-  if (!edges.empty()) {
-    const Edge* strongest = &edges[0];
-    for (const Edge& edge : edges) {
-      if (edge.value > strongest->value) {
-        strongest = &edge;
-      }
-    }
-    std::printf("strongest edge in window 0: %s -- %s (corr %.3f)\n",
-                data.SeriesName(strongest->i).c_str(),
-                data.SeriesName(strongest->j).c_str(), strongest->value);
-  }
-
-  // Engine counters: how much work the jump optimization saved.
-  const EngineStats& stats = engine.stats();
-  std::printf("cells: %lld total, %lld evaluated, %lld skipped by jumps\n",
-              static_cast<long long>(stats.cells_total),
-              static_cast<long long>(stats.cells_evaluated),
-              static_cast<long long>(stats.cells_jumped));
-  return 0;
+  // The exact tier is exact: the brute-force engine finds as many edges.
+  auto naive = CreateEngine("naive");
+  CHECK(naive.ok() && (*naive)->Prepare(climate->data).ok());
+  auto truth = (*naive)->Query(req.query);
+  CHECK(truth.ok());
+  std::printf("%lld edges streamed, %lld from NaiveEngine\n",
+              static_cast<long long>(edges),
+              static_cast<long long>(truth->TotalEdges()));
+  return edges > 0 && edges == truth->TotalEdges() ? 0 : 1;
 }
+// README quickstart end

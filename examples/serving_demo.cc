@@ -20,36 +20,17 @@
 //   ./build/serving_demo
 
 #include <cstdio>
-#include <cstring>
 #include <future>
 #include <vector>
 
 #include "common/stopwatch.h"
 #include "engine/factory.h"
 #include "serve/server.h"
-#include "serve_flags.h"
 #include "stream/streaming_builder.h"
 #include "ts/generators.h"
 
-int main(int argc, char** argv) {
+int main() {
   using namespace dangoron;
-
-  // The demo itself is argument-free; any argument prints the request
-  // options it demonstrates (section 6) as run_query accepts them. The
-  // text renders from examples/serve_flags.h — the same table run_query
-  // and dangoron_serverd use — so the three tools cannot drift.
-  if (argc > 1) {
-    const bool help = std::strcmp(argv[1], "--help") == 0 ||
-                      std::strcmp(argv[1], "-h") == 0;
-    std::fprintf(help ? stdout : stderr,
-                 "usage: %s   (no arguments — a scripted tour)\n"
-                 "request options demonstrated here, as run_query and\n"
-                 "'dangoron_serverd query' accept them: %s\n%s"
-                 "exit codes (run_query / dangoron_serverd query):\n%s",
-                 argv[0], ServeFlagUsage().c_str(),
-                 ServeFlagHelp("  ").c_str(), ExitCodeHelp("  ").c_str());
-    return help ? 0 : 2;
-  }
 
   // 1. Server: 24h basic windows, hardware-concurrency pool, default cache
   // budgets. The same string could come from a flag or a config file.

@@ -15,7 +15,7 @@ Checks:
   2. wire-status: the StatusCode enum in src/common/status.h — the codes
      the wire protocol's Status frame carries (src/wire/wire_format.h) —
      matches the code list in docs/WIRE_PROTOCOL.md §5.3, value for value.
-  3. exit-codes: the kExitCodeSpecs table in examples/serve_flags.h
+  3. exit-codes: the kExitCodeSpecs table in examples/dangoron_serverd.cc
      matches the CLI exit-code table in docs/ARCHITECTURE.md, code for
      code and meaning for meaning.
   4. subsystem-readmes: every src/*/ directory has a README.md.
@@ -32,6 +32,13 @@ Checks:
      src/engine/dangoron_engine.cc (RunWindowMajorSweep's band loop) —
      every Dangoron query, exact, jumping or pruned, emits its windows
      from one pass.
+  9. examples-exercised: every examples/*.cc program, and every
+     dangoron_serverd subcommand, runs somewhere: named as an add_test
+     COMMAND in CMakeLists.txt, or invoked by a script that an add_test
+     runs or by scripts/router_smoke.sh (CI's multi-process job).
+ 10. readme-quickstart: README.md carries the marked region of
+     examples/quickstart.cc verbatim as a ```cpp block, so the quickstart
+     the README shows is the one ctest compiles and runs.
 
 Exit 0 when every invariant holds, 1 otherwise (one pointed line each).
 
@@ -71,10 +78,28 @@ SHARD_DISPATCH_DIR = os.path.join("src", "router")
 WINDOW_EMIT_RE = re.compile(r"\bOnWindow\s*\(")
 ENGINE_PASS_FILE = os.path.join("src", "engine", "dangoron_engine.cc")
 
+CLI_FILE = os.path.join("examples", "dangoron_serverd.cc")
+ADD_TEST_RE = re.compile(r"\badd_test\s*\(([^)]*)\)")
+TEST_COMMAND_RE = re.compile(r"\bCOMMAND\s+(?:\$<TARGET_FILE:)?([\w.-]+)")
+TEST_SCRIPT_RE = re.compile(r"\bscripts/([\w.-]+\.sh)\b")
+CI_SCRIPT = "router_smoke.sh"
+SUBCOMMAND_RE = re.compile(r'\bcommand\s*==\s*"(\w+)"')
+INVOCATION_RE = re.compile(r'\bdangoron_serverd"?\s+"?(\w+)')
+QUICKSTART_FILE = os.path.join("examples", "quickstart.cc")
+QUICKSTART_BEGIN = "// README quickstart begin\n"
+QUICKSTART_END = "// README quickstart end\n"
+
 
 def read(path):
     with open(path, encoding="utf-8") as f:
         return f.read()
+
+
+def strip_shell_comments(text):
+    """Drops whole-line `#` comments, so a script's prose about a command
+    does not count as running it."""
+    return "\n".join(line for line in text.splitlines()
+                     if not line.lstrip().startswith("#"))
 
 
 def strip_comments(text):
@@ -152,13 +177,11 @@ def check_wire_status_codes(root, errors):
 
 def check_exit_codes(root, errors):
     """kExitCodeSpecs vs the CLI exit-code table in docs/ARCHITECTURE.md."""
-    flags_text = strip_comments(
-        read(os.path.join(root, "examples", "serve_flags.h")))
+    flags_text = strip_comments(read(os.path.join(root, CLI_FILE)))
     spec_match = re.search(r"kExitCodeSpecs\[\]\s*=\s*\{(.*?)\};",
                            flags_text, re.DOTALL)
     if spec_match is None:
-        errors.append("exit-codes: no kExitCodeSpecs table in "
-                      "examples/serve_flags.h")
+        errors.append(f"exit-codes: no kExitCodeSpecs table in {CLI_FILE}")
         return
     specs = {int(code): meaning
              for code, meaning in EXIT_SPEC_RE.findall(spec_match.group(1))}
@@ -172,12 +195,12 @@ def check_exit_codes(root, errors):
     for code in sorted(set(doc_rows) - set(specs)):
         errors.append(
             f"exit-codes: docs/ARCHITECTURE.md documents exit code {code} "
-            f"which examples/serve_flags.h does not define")
+            f"which {CLI_FILE} does not define")
     for code in sorted(set(specs) & set(doc_rows)):
         if specs[code] != doc_rows[code]:
             errors.append(
                 f"exit-codes: exit code {code} means '{specs[code]}' in "
-                f"serve_flags.h but '{doc_rows[code]}' in the docs table")
+                f"{CLI_FILE} but '{doc_rows[code]}' in the docs table")
 
 
 def check_subsystem_readmes(root, errors):
@@ -269,6 +292,62 @@ def check_one_engine_pass(root, errors):
             f"one, in RunWindowMajorSweep's band loop")
 
 
+def check_examples_exercised(root, errors):
+    """An example nothing runs rots unseen: every examples/*.cc program and
+    every dangoron_serverd subcommand must run under ctest or CI."""
+    tests = ADD_TEST_RE.findall(read(os.path.join(root, "CMakeLists.txt")))
+    commands = set()
+    scripts = {CI_SCRIPT}
+    for body in tests:
+        commands.update(TEST_COMMAND_RE.findall(body))
+        scripts.update(TEST_SCRIPT_RE.findall(body))
+    script_code = ""
+    for name in sorted(scripts):
+        path = os.path.join(root, "scripts", name)
+        if os.path.exists(path):
+            script_code += strip_shell_comments(read(path)) + "\n"
+    examples = os.path.join(root, "examples")
+    for name in sorted(os.listdir(examples)):
+        stem, ext = os.path.splitext(name)
+        if ext == ".cc" and stem not in commands and \
+                not re.search(rf"/{re.escape(stem)}\b", script_code):
+            errors.append(
+                f"examples-exercised: examples/{name} is run by no add_test "
+                f"in CMakeLists.txt and by no test script — add a ctest or "
+                f"delete the example")
+    subcommands = SUBCOMMAND_RE.findall(
+        strip_comments(read(os.path.join(root, CLI_FILE))))
+    if not subcommands:
+        errors.append(f"examples-exercised: no `command == \"...\"` "
+                      f"subcommand dispatch found in {CLI_FILE}")
+    invoked = set(INVOCATION_RE.findall(script_code + "\n".join(tests)))
+    for subcommand in subcommands:
+        if subcommand not in invoked:
+            errors.append(
+                f"examples-exercised: `dangoron_serverd {subcommand}` is "
+                f"invoked by no test script or add_test")
+
+
+def check_readme_quickstart(root, errors):
+    """README.md's quickstart is the compiled, ctest-run examples/
+    quickstart.cc region, byte for byte."""
+    source = read(os.path.join(root, QUICKSTART_FILE))
+    begin = source.find(QUICKSTART_BEGIN)
+    end = source.find(QUICKSTART_END)
+    if begin < 0 or end < begin:
+        errors.append(
+            f"readme-quickstart: {QUICKSTART_FILE} has no "
+            f"'{QUICKSTART_BEGIN.strip()}' ... '{QUICKSTART_END.strip()}' "
+            f"region")
+        return
+    region = source[begin + len(QUICKSTART_BEGIN):end]
+    readme = read(os.path.join(root, "README.md"))
+    if f"```cpp\n{region}```\n" not in readme:
+        errors.append(
+            f"readme-quickstart: README.md has no ```cpp block equal to the "
+            f"marked region of {QUICKSTART_FILE} — copy the region over")
+
+
 CHECKS = (
     check_failpoint_catalog,
     check_wire_status_codes,
@@ -278,6 +357,8 @@ CHECKS = (
     check_one_front_end,
     check_one_shard_dispatch,
     check_one_engine_pass,
+    check_examples_exercised,
+    check_readme_quickstart,
 )
 
 

@@ -13,7 +13,10 @@ message pointing at the actual drift:
   - a stray raw std::mutex outside src/common/sync.h,
   - a listener or epoll loop outside src/net/wire_server.cc,
   - a second ConnectWithRetry( call site under src/router/,
-  - a second OnWindow( call site in src/engine/dangoron_engine.cc.
+  - a second OnWindow( call site in src/engine/dangoron_engine.cc,
+  - an example no add_test or test script runs, and a dangoron_serverd
+    subcommand only a script comment mentions or nothing invokes,
+  - a README.md quickstart block drifted from examples/quickstart.cc.
 
 Exit 0 when every case behaves, 1 otherwise.
 """
@@ -42,11 +45,61 @@ varint  message length
 ```
 """
 
-CLEAN_FLAGS_H = """
-inline constexpr ExitCodeSpec kExitCodeSpecs[] = {
+CLEAN_CLI_CC = """
+constexpr ExitCodeSpec kExitCodeSpecs[] = {
     {0, "success"},
     {1, "generic failure"},
 };
+
+int Run(std::string_view command) {
+  if (command == "serve") {
+    return RunServe();
+  }
+  if (command == "run") {
+    return RunEngine();
+  }
+  if (command == "route") {
+    return RunRoute();
+  }
+  return 2;
+}
+"""
+
+CLEAN_CMAKE = """
+add_test(NAME quickstart COMMAND quickstart)
+add_test(NAME cli_smoke
+         COMMAND bash ${CMAKE_CURRENT_SOURCE_DIR}/scripts/cli_smoke.sh
+                 $<TARGET_FILE_DIR:dangoron_serverd>)
+"""
+
+CLEAN_CLI_SMOKE = """
+# `serve` answers `query` below.
+dangoron_serverd() { "$BUILD/dangoron_serverd" "$@"; }
+expect_exit 0 dangoron_serverd run d.csv naive 192 96 0.6 b.csv
+"$BUILD/dangoron_serverd" serve d.csv port=0 >serve.txt &
+"""
+
+CLEAN_ROUTER_SMOKE = """
+# route forks `serve` children
+"$BUILD/dangoron_serverd" route "$WORK/data.csv" spawn=2 &
+"""
+
+CLEAN_QUICKSTART = """// The README's quickstart.
+// README quickstart begin
+int main() {
+  return 0;
+}
+// README quickstart end
+"""
+
+CLEAN_README = """
+## Quickstart
+
+```cpp
+int main() {
+  return 0;
+}
+```
 """
 
 CLEAN_ARCH_DOC = """
@@ -127,7 +180,12 @@ def make_clean_tree(root):
     write(root, "src/engine/dangoron_engine.cc", CLEAN_ENGINE_CC)
     write(root, "docs/WIRE_PROTOCOL.md", CLEAN_WIRE_DOC)
     write(root, "docs/ARCHITECTURE.md", CLEAN_ARCH_DOC)
-    write(root, "examples/serve_flags.h", CLEAN_FLAGS_H)
+    write(root, "examples/dangoron_serverd.cc", CLEAN_CLI_CC)
+    write(root, "examples/quickstart.cc", CLEAN_QUICKSTART)
+    write(root, "CMakeLists.txt", CLEAN_CMAKE)
+    write(root, "scripts/cli_smoke.sh", CLEAN_CLI_SMOKE)
+    write(root, "scripts/router_smoke.sh", CLEAN_ROUTER_SMOKE)
+    write(root, "README.md", CLEAN_README)
 
 
 def expect(case, errors, *substrings):
@@ -242,6 +300,47 @@ def main():
                 "  sink->OnWindow(0, {});\n"
                 "  return Status::Ok();\n}\n"),
             "one-engine-pass", "2 call sites", "src/engine/dangoron_engine.cc"),
+        run_case(
+            "unexercised-example",
+            lambda root: write(root, "examples/orphan_demo.cc",
+                               "int main() { return 0; }\n"),
+            "examples-exercised", "examples/orphan_demo.cc"),
+        run_case(
+            "example-with-ctest-is-fine",
+            lambda root: (
+                write(root, "examples/orphan_demo.cc",
+                      "int main() { return 0; }\n"),
+                write(root, "CMakeLists.txt",
+                      CLEAN_CMAKE +
+                      "add_test(NAME orphan_demo COMMAND orphan_demo)\n"))),
+        run_case(
+            "uninvoked-subcommand",
+            lambda root: write(
+                root, "examples/dangoron_serverd.cc",
+                CLEAN_CLI_CC.replace(
+                    "  return 2;\n}",
+                    "  if (command == \"generate\") {\n"
+                    "    return RunGenerate();\n  }\n  return 2;\n}")),
+            "examples-exercised", "`dangoron_serverd generate`"),
+        run_case(
+            "subcommand-only-in-a-comment",
+            lambda root: write(
+                root, "scripts/cli_smoke.sh",
+                CLEAN_CLI_SMOKE.replace(
+                    '"$BUILD/dangoron_serverd" serve d.csv port=0', "")),
+            "examples-exercised", "`dangoron_serverd serve`"),
+        run_case(
+            "drifted-readme-quickstart",
+            lambda root: write(
+                root, "README.md",
+                CLEAN_README.replace("return 0;", "return 1;")),
+            "readme-quickstart", "examples/quickstart.cc"),
+        run_case(
+            "unmarked-quickstart",
+            lambda root: write(
+                root, "examples/quickstart.cc",
+                CLEAN_QUICKSTART.replace("// README quickstart end\n", "")),
+            "readme-quickstart", "region"),
         run_case(
             "commented-mutex-is-fine",
             lambda root: write(

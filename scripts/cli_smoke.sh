@@ -1,0 +1,94 @@
+#!/usr/bin/env bash
+# Differential smoke test of the dangoron_serverd command line.
+#
+#   generate -> d.csv                    Tomborg, 24 series x 2048 points
+#   run d.csv dangoron:jump=off -> a.csv
+#   run d.csv naive             -> b.csv
+#   cmp a.csv b.csv                      incremental Dangoron is exact
+#
+# repeated with `abs`, then the same query over the wire: `serve` on an
+# ephemeral port, `query` it, and the streamed edge set (window, i, j) must
+# equal run's. Malformed arguments must be usage errors (exit 2): a
+# half-numeric beta, a non-numeric window, a non-numeric port. Usage:
+#
+#   scripts/cli_smoke.sh [build-dir]   # default: build
+
+set -euo pipefail
+
+BUILD="$(cd "${1:-build}" && pwd)"
+WORK="$(mktemp -d)"
+SERVE_PID=""
+
+cleanup() {
+  if [[ -n "$SERVE_PID" ]]; then
+    kill "$SERVE_PID" 2>/dev/null || true
+    wait "$SERVE_PID" 2>/dev/null || true
+  fi
+  rm -rf "$WORK"
+}
+trap cleanup EXIT
+
+fail() {
+  echo "cli_smoke: $*" >&2
+  exit 1
+}
+
+dangoron_serverd() {
+  "$BUILD/dangoron_serverd" "$@"
+}
+
+# Runs a command; fails unless it exits with the expected code.
+expect_exit() {
+  local want="$1"
+  shift
+  local got=0
+  "$@" >"$WORK/out.txt" 2>&1 || got=$?
+  if [[ "$got" != "$want" ]]; then
+    cat "$WORK/out.txt" >&2
+    fail "'$*' exited $got, expected $want"
+  fi
+}
+
+cd "$WORK"
+expect_exit 0 dangoron_serverd generate 24 2048 uniform pink 7 d.csv
+
+for mode in "" abs; do
+  expect_exit 0 dangoron_serverd run d.csv "dangoron:jump=off" 192 96 0.6 \
+    $mode a.csv
+  expect_exit 0 dangoron_serverd run d.csv naive 192 96 0.6 $mode b.csv
+  if [[ "$(wc -l <a.csv)" -le 1 ]]; then
+    fail "run ${mode:-signed} found no edges"
+  fi
+  cmp -s a.csv b.csv ||
+    fail "dangoron:jump=off and naive differ (${mode:-signed})"
+done
+echo "cli_smoke: OK — jump=off and naive byte-identical, signed and abs"
+
+expect_exit 2 dangoron_serverd run d.csv dangoron 192 96 0.6x
+expect_exit 2 dangoron_serverd run d.csv dangoron abc 96 0.6
+expect_exit 2 dangoron_serverd run d.csv dangoron 192 96 0.6 ""
+expect_exit 2 dangoron_serverd serve d.csv port=abc
+expect_exit 2 dangoron_serverd generate 24 2048 uniform pink 7x
+echo "cli_smoke: OK — malformed arguments exit 2"
+
+# The wire path: a signed query served by `serve` finds the edges `run`
+# found (its CSV prints values at full precision, so compare the edge set).
+"$BUILD/dangoron_serverd" serve d.csv port=0 >serve.txt 2>&1 &
+SERVE_PID=$!
+port=""
+for _ in $(seq 1 100); do
+  port="$(sed -n 's/^serving dataset .* on [^:]*:\([0-9]*\) .*/\1/p' serve.txt)"
+  [[ -n "$port" ]] && break
+  kill -0 "$SERVE_PID" 2>/dev/null || fail "serve died: $(cat serve.txt)"
+  sleep 0.1
+done
+[[ -n "$port" ]] || fail "serve never printed its port"
+expect_exit 0 dangoron_serverd query 127.0.0.1 "$port" data 192 96 0.6 q.csv
+expect_exit 0 dangoron_serverd run d.csv naive 192 96 0.6 b.csv
+cmp -s <(cut -d, -f1-3 q.csv) <(cut -d, -f1-3 b.csv) ||
+  fail "served edges differ from run's"
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID" || fail "serve exited non-zero on SIGTERM"
+SERVE_PID=""
+grep -q '^shutting down: ' serve.txt || fail "serve printed no stats line"
+echo "cli_smoke: OK — serve + query find run's edges"

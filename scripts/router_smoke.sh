@@ -3,7 +3,7 @@
 # fronting forked serverd shards, queried by the stock CLI client.
 #
 # Scenario 1 — clean fan-out:
-#   tomborg_generate -> data.csv
+#   dangoron_serverd generate -> data.csv
 #   dangoron_serverd route data.csv spawn=2   (forks 2 `serve` children)
 #   dangoron_serverd query <router>  -> routed.csv
 #   dangoron_serverd query <shard 0> -> direct.csv   (full dataset = truth)
@@ -42,7 +42,8 @@ trap cleanup EXIT
 ROUTER_PORT=$((20000 + RANDOM % 2000))
 BASE_PORT=$((ROUTER_PORT + 1))
 
-"$BUILD/tomborg_generate" 48 2048 block pink 1 "$WORK/data.csv" >/dev/null
+"$BUILD/dangoron_serverd" generate 48 2048 block pink 1 "$WORK/data.csv" \
+  >/dev/null
 
 "$BUILD/dangoron_serverd" route "$WORK/data.csv" spawn=2 \
   port="$ROUTER_PORT" base-port="$BASE_PORT" &
