@@ -7,7 +7,10 @@
 
 #include <complex>
 #include <cstdio>
+#include <cstring>
+#include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "bound/bounds.h"
@@ -190,6 +193,35 @@ double TimeBuildSeconds(const TimeSeriesMatrix& data,
   return best;
 }
 
+// Where a bench row was measured: the commit of the source tree ("-dirty"
+// when it has uncommitted changes), the compiler, the cores the host
+// reports and the -march the build resolved (CMake's DANGORON_BENCH_MARCH).
+// Appended to every row as JSON fields.
+std::string ProvenanceJson() {
+  std::string commit = "unknown";
+  if (std::FILE* git =
+          popen("git -C " DANGORON_BENCH_SOURCE_DIR
+                " describe --always --dirty --abbrev=12 2>/dev/null",
+                "r")) {
+    char line[64] = {};
+    if (std::fgets(line, sizeof(line), git) != nullptr) {
+      commit = std::string(line, std::strcspn(line, "\n"));
+    }
+    pclose(git);
+  }
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "g++ " __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  return "\"commit\": \"" + commit + "\", \"compiler\": \"" + compiler +
+         "\", \"nproc\": " +
+         std::to_string(std::thread::hardware_concurrency()) +
+         ", \"march\": \"" DANGORON_BENCH_MARCH "\"";
+}
+
 // Machine-readable record of the index-build kernel comparison, one JSON
 // object per problem size, so the perf trajectory is tracked across PRs.
 // ns_per_pair_window is the cost of one (pair, basic window) sketch cell;
@@ -202,6 +234,7 @@ void WriteKernelComparisonJson(const char* path) {
   }
   const int64_t b = 24;
   const int64_t nb = 90;
+  const std::string provenance = ProvenanceJson();
   std::fprintf(out, "[\n");
   bool first = true;
   for (const int64_t n : {64, 256, 512}) {
@@ -225,12 +258,12 @@ void WriteKernelComparisonJson(const char* path) {
         "   \"scalar_ns_per_pair_window\": %.3f, "
         "\"blocked_ns_per_pair_window\": %.3f,\n"
         "   \"scalar_gbs\": %.3f, \"blocked_gbs\": %.3f, "
-        "\"speedup\": %.3f}",
+        "\"speedup\": %.3f,\n   %s}",
         first ? "" : ",\n", static_cast<long long>(n),
         static_cast<long long>(nb), static_cast<long long>(b),
         scalar_s / pair_windows * 1e9, blocked_s / pair_windows * 1e9,
         bytes / scalar_s * 1e-9, bytes / blocked_s * 1e-9,
-        scalar_s / blocked_s);
+        scalar_s / blocked_s, provenance.c_str());
     first = false;
     std::fprintf(stderr,
                  "kernel comparison n=%lld: scalar %.1f ms, blocked %.1f ms, "

@@ -71,6 +71,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -814,14 +815,14 @@ int RunQuery(int argc, char** argv) {
     return 1;
   }
 
-  std::FILE* out = nullptr;
+  // The same writer as `run`'s, so the two CSVs of one query compare whole.
+  std::optional<SeriesCsvSink> csv;
   if (!out_path.empty()) {
-    out = std::fopen(out_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+    csv.emplace(out_path);
+    if (!csv->status().ok()) {
+      std::fprintf(stderr, "%s\n", csv->status().ToString().c_str());
       return 1;
     }
-    std::fprintf(out, "window,i,j,correlation\n");
   }
 
   double ttfw_ms = 0.0;
@@ -832,9 +833,6 @@ int RunQuery(int argc, char** argv) {
     if (!window.ok()) {
       std::fprintf(stderr, "stream: %s\n",
                    window.status().ToString().c_str());
-      if (out != nullptr) {
-        std::fclose(out);
-      }
       return 1;
     }
     if (!window->has_value()) {
@@ -845,16 +843,18 @@ int RunQuery(int argc, char** argv) {
     }
     ++windows;
     edges += static_cast<int64_t>((*window)->edges->size());
-    if (out != nullptr) {
-      for (const Edge& edge : *(*window)->edges) {
-        std::fprintf(out, "%lld,%d,%d,%.17g\n",
-                     static_cast<long long>((*window)->window_index), edge.i,
-                     edge.j, edge.value);
-      }
+    if (csv.has_value() &&
+        !csv->OnWindow((*window)->window_index, *(*window)->edges)) {
+      std::fprintf(stderr, "%s\n", csv->status().ToString().c_str());
+      return 1;
     }
   }
-  if (out != nullptr) {
-    std::fclose(out);
+  if (csv.has_value()) {
+    csv->OnFinish(Status::Ok());
+    if (!csv->status().ok()) {
+      std::fprintf(stderr, "%s\n", csv->status().ToString().c_str());
+      return 1;
+    }
   }
   const double total_ms = watch.ElapsedSeconds() * 1e3;
 

@@ -60,14 +60,17 @@ NormalizedPanels BuildNormalizedPanels(const TimeSeriesMatrix& data,
   const int64_t n = panels.num_series;
   const int64_t b = basic_window;
   const int64_t nb = panels.num_windows;
-  panels.values.assign(
-      static_cast<size_t>(nb * panels.num_tiles * b * kCorrTile), 0.0);
+  // Drawn from the recycler, not zero-filled: fill_tile writes every cell.
+  panels.values = SketchBlock(
+      static_cast<size_t>(nb * panels.num_tiles * b * kCorrTile),
+      BlockPool::kPanels);
   panels.mean.assign(static_cast<size_t>(nb * n), 0.0);
   panels.stddev.assign(static_cast<size_t>(nb * n), 0.0);
 
   // One task per series tile: window stats per series, then the transposing
   // fill of the tile's panels — contiguous kCorrTile-wide writes, with the
-  // tile's raw row segments cache-hot. Columns past num_series stay zero.
+  // tile's raw row segments cache-hot. Columns past num_series (the last
+  // tile's padding) are zeroed here.
   auto fill_tile = [&](int64_t tile) {
     const int64_t s_begin = tile * kCorrTile;
     const int64_t s_end = std::min(n, s_begin + kCorrTile);
@@ -92,6 +95,7 @@ NormalizedPanels BuildNormalizedPanels(const TimeSeriesMatrix& data,
                                mean_c[s - s_begin]) *
                               scale_c[s - s_begin];
         }
+        std::fill(zrow + (s_end - s_begin), zrow + kCorrTile, 0.0);
       }
     }
   };
@@ -108,7 +112,7 @@ NormalizedPanels BuildNormalizedPanels(const TimeSeriesMatrix& data,
 
 namespace {
 
-// Register geometry of the Gram micro-kernels. 16 columns are two Vec8
+// Register geometry of the Gram micro-kernel. 16 columns are two Vec8
 // accumulators; 4 rows give 8 independent accumulator chains, enough to
 // cover FMA latency on two issue ports. Accumulators are loaded from /
 // stored to `out` once per time chunk; the whole t loop runs
@@ -118,122 +122,146 @@ namespace {
 // time step.)
 constexpr int64_t kRegCols = 16;
 constexpr int64_t kRegRows = 4;
+constexpr uint32_t kFullLanes = 0xFF;
 
-// One output row r over local columns [c_from, c_end), accumulating
-// [t_begin, t_end). `out_row` points at local column 0 of row r.
-inline void GramRow1(const double* zrows, int64_t row_stride,
-                     const double* zcols, int64_t col_stride, int64_t t_begin,
-                     int64_t t_end, int64_t r, int64_t c_from, int64_t c_end,
-                     double* out_row, bool load_acc) {
-  for (int64_t cb = c_from; cb < c_end; cb += kRegCols) {
-    const int64_t width = std::min<int64_t>(kRegCols, c_end - cb);
-    double* dst = out_row + cb;
-    const double* zr = zrows + t_begin * row_stride + r;
-    const double* zc = zcols + t_begin * col_stride + cb;
-    if (width == kRegCols) {
-      Vec8 a0 = load_acc ? LoadVec8(dst) : SplatVec8(0.0);
-      Vec8 a1 = load_acc ? LoadVec8(dst + 8) : SplatVec8(0.0);
-      for (int64_t t = t_begin; t < t_end;
-           ++t, zr += row_stride, zc += col_stride) {
-        const Vec8 zrv = SplatVec8(*zr);
-        a0 += zrv * LoadVec8(zc);
-        a1 += zrv * LoadVec8(zc + 8);
-      }
-      StoreVec8(dst, a0);
-      StoreVec8(dst + 8, a1);
-    } else {
-      double acc[kRegCols];
-      for (int64_t u = 0; u < width; ++u) {
-        acc[u] = load_acc ? dst[u] : 0.0;
-      }
-      for (int64_t t = t_begin; t < t_end;
-           ++t, zr += row_stride, zc += col_stride) {
-        const double zrv = *zr;
-        for (int64_t u = 0; u < width; ++u) {
-          acc[u] += zrv * zc[u];
-        }
-      }
-      for (int64_t u = 0; u < width; ++u) {
-        dst[u] = acc[u];
-      }
+// Bits u in [lo, hi) of a 16-lane column block, clamped to the block.
+inline uint32_t LaneRange(int64_t lo, int64_t hi) {
+  lo = std::max<int64_t>(lo, 0);
+  hi = std::min<int64_t>(hi, kRegCols);
+  if (lo >= hi) {
+    return 0;
+  }
+  return ((uint32_t{1} << hi) - 1) & ~((uint32_t{1} << lo) - 1);
+}
+
+// Loads the lanes of `p` set in the 8-bit `mask`, zero elsewhere, without
+// touching memory behind a clear lane: a masked block may hang over the
+// edge of its buffer.
+inline Vec8 LoadLanes(const double* p, uint32_t mask) {
+  if (mask == kFullLanes) {
+    return LoadVec8(p);
+  }
+#if defined(__AVX512F__)
+  return reinterpret_cast<Vec8>(
+      _mm512_maskz_loadu_pd(static_cast<__mmask8>(mask), p));
+#else
+  Vec8 v = SplatVec8(0.0);
+  for (int u = 0; u < 8; ++u) {
+    if ((mask >> u) & 1) {
+      v[u] = p[u];
     }
+  }
+  return v;
+#endif
+}
+
+// Stores the lanes of `v` set in `mask`; every other cell is untouched.
+inline void StoreLanes(double* p, Vec8 v, uint32_t mask) {
+  if (mask == kFullLanes) {
+    StoreVec8(p, v);
+    return;
+  }
+#if defined(__AVX512F__)
+  _mm512_mask_storeu_pd(p, static_cast<__mmask8>(mask),
+                        reinterpret_cast<__m512d>(v));
+#else
+  for (int u = 0; u < 8; ++u) {
+    if ((mask >> u) & 1) {
+      p[u] = v[u];
+    }
+  }
+#endif
+}
+
+// One kRows x 16 block at local columns [cb, cb + 16). Unmasked, every
+// cell is written. With kMaskRows, row v writes the lanes of row_mask[v]
+// (bit u = column cb + u) and leaves the rest of its 16 cells untouched;
+// with kMaskCols the block hangs past the last column too, and the z loads
+// read only the lanes of col_mask. Every written cell is the plain
+// ascending-t sum over [t_begin, t_end).
+template <int kRows, bool kMaskRows, bool kMaskCols>
+[[gnu::always_inline]] inline void GramBlock(
+    const double* zrows, int64_t row_stride, const double* zcols,
+    int64_t col_stride, int64_t t_begin, int64_t t_end, int64_t r, int64_t cb,
+    const uint32_t* row_mask, uint32_t col_mask, double* out,
+    int64_t out_stride, bool load_acc) {
+  auto load = [&](const double* p, int v, int half) {
+    if (!load_acc) {
+      return SplatVec8(0.0);
+    }
+    return kMaskRows ? LoadLanes(p, (row_mask[v] >> (8 * half)) & kFullLanes)
+                     : LoadVec8(p);
+  };
+  auto store = [&](double* p, Vec8 a, int v, int half) {
+    if (kMaskRows) {
+      StoreLanes(p, a, (row_mask[v] >> (8 * half)) & kFullLanes);
+    } else {
+      StoreVec8(p, a);
+    }
+  };
+  Vec8 acc[kRows][2];
+#pragma GCC unroll 4
+  for (int v = 0; v < kRows; ++v) {
+    const double* dst = out + (r + v) * out_stride + cb;
+    acc[v][0] = load(dst, v, 0);
+    acc[v][1] = load(dst + 8, v, 1);
+  }
+  const double* zr = zrows + t_begin * row_stride + r;
+  const double* zc = zcols + t_begin * col_stride + cb;
+  for (int64_t t = t_begin; t < t_end;
+       ++t, zr += row_stride, zc += col_stride) {
+    const Vec8 c0 = kMaskCols ? LoadLanes(zc, col_mask & kFullLanes)
+                              : LoadVec8(zc);
+    const Vec8 c1 = kMaskCols ? LoadLanes(zc + 8, col_mask >> 8)
+                              : LoadVec8(zc + 8);
+#pragma GCC unroll 4
+    for (int v = 0; v < kRows; ++v) {
+      const Vec8 zrv = SplatVec8(zr[v]);
+      acc[v][0] += zrv * c0;
+      acc[v][1] += zrv * c1;
+    }
+  }
+#pragma GCC unroll 4
+  for (int v = 0; v < kRows; ++v) {
+    double* dst = out + (r + v) * out_stride + cb;
+    store(dst, acc[v][0], v, 0);
+    store(dst + 8, acc[v][1], v, 1);
   }
 }
 
-// Four output rows r .. r+3 over local columns [c_from, c_end), sharing
-// each z column load across the rows.
-inline void GramRow4(const double* zrows, int64_t row_stride,
-                     const double* zcols, int64_t col_stride, int64_t t_begin,
-                     int64_t t_end, int64_t r, int64_t c_from, int64_t c_end,
-                     double* out, int64_t out_stride, bool load_acc) {
-  double* out_rows[kRegRows];
-  for (int64_t v = 0; v < kRegRows; ++v) {
-    out_rows[v] = out + (r + v) * out_stride;
-  }
-  for (int64_t cb = c_from; cb < c_end; cb += kRegCols) {
-    const int64_t width = std::min<int64_t>(kRegCols, c_end - cb);
-    const double* zr = zrows + t_begin * row_stride + r;
-    const double* zc = zcols + t_begin * col_stride + cb;
-    if (width == kRegCols) {
-      Vec8 a00 = load_acc ? LoadVec8(out_rows[0] + cb) : SplatVec8(0.0);
-      Vec8 a01 = load_acc ? LoadVec8(out_rows[0] + cb + 8) : SplatVec8(0.0);
-      Vec8 a10 = load_acc ? LoadVec8(out_rows[1] + cb) : SplatVec8(0.0);
-      Vec8 a11 = load_acc ? LoadVec8(out_rows[1] + cb + 8) : SplatVec8(0.0);
-      Vec8 a20 = load_acc ? LoadVec8(out_rows[2] + cb) : SplatVec8(0.0);
-      Vec8 a21 = load_acc ? LoadVec8(out_rows[2] + cb + 8) : SplatVec8(0.0);
-      Vec8 a30 = load_acc ? LoadVec8(out_rows[3] + cb) : SplatVec8(0.0);
-      Vec8 a31 = load_acc ? LoadVec8(out_rows[3] + cb + 8) : SplatVec8(0.0);
-      for (int64_t t = t_begin; t < t_end;
-           ++t, zr += row_stride, zc += col_stride) {
-        const Vec8 c0 = LoadVec8(zc);
-        const Vec8 c1 = LoadVec8(zc + 8);
-        const Vec8 zr0 = SplatVec8(zr[0]);
-        a00 += zr0 * c0;
-        a01 += zr0 * c1;
-        const Vec8 zr1 = SplatVec8(zr[1]);
-        a10 += zr1 * c0;
-        a11 += zr1 * c1;
-        const Vec8 zr2 = SplatVec8(zr[2]);
-        a20 += zr2 * c0;
-        a21 += zr2 * c1;
-        const Vec8 zr3 = SplatVec8(zr[3]);
-        a30 += zr3 * c0;
-        a31 += zr3 * c1;
-      }
-      StoreVec8(out_rows[0] + cb, a00);
-      StoreVec8(out_rows[0] + cb + 8, a01);
-      StoreVec8(out_rows[1] + cb, a10);
-      StoreVec8(out_rows[1] + cb + 8, a11);
-      StoreVec8(out_rows[2] + cb, a20);
-      StoreVec8(out_rows[2] + cb + 8, a21);
-      StoreVec8(out_rows[3] + cb, a30);
-      StoreVec8(out_rows[3] + cb + 8, a31);
+// Rows r .. r + kRows - 1 over every 16-column block holding one of their
+// cells: row r + v covers local columns [row_lo[v], ncols), row_lo
+// ascending. The first block starts at row_lo[0] rounded down to a
+// multiple of 16, so the triangle beside a diagonal runs as masked
+// full-width blocks.
+template <int kRows>
+void GramRowGroup(const double* zrows, int64_t row_stride,
+                  const double* zcols, int64_t col_stride, int64_t t_begin,
+                  int64_t t_end, int64_t r, const int64_t* row_lo,
+                  int64_t ncols, double* out, int64_t out_stride,
+                  bool load_acc) {
+  for (int64_t cb = row_lo[0] / kRegCols * kRegCols; cb < ncols;
+       cb += kRegCols) {
+    const bool ragged_cols = cb + kRegCols > ncols;
+    if (!ragged_cols && row_lo[kRows - 1] <= cb) {
+      GramBlock<kRows, false, false>(zrows, row_stride, zcols, col_stride,
+                                     t_begin, t_end, r, cb, nullptr, 0, out,
+                                     out_stride, load_acc);
+      continue;
+    }
+    uint32_t row_mask[kRows];
+    for (int v = 0; v < kRows; ++v) {
+      row_mask[v] = LaneRange(row_lo[v] - cb, ncols - cb);
+    }
+    if (!ragged_cols) {
+      GramBlock<kRows, true, false>(zrows, row_stride, zcols, col_stride,
+                                    t_begin, t_end, r, cb, row_mask, 0, out,
+                                    out_stride, load_acc);
     } else {
-      double acc[kRegRows][kRegCols];
-      for (int64_t v = 0; v < kRegRows; ++v) {
-        for (int64_t u = 0; u < width; ++u) {
-          acc[v][u] = load_acc ? out_rows[v][cb + u] : 0.0;
-        }
-      }
-      for (int64_t t = t_begin; t < t_end;
-           ++t, zr += row_stride, zc += col_stride) {
-        const double zr0 = zr[0];
-        const double zr1 = zr[1];
-        const double zr2 = zr[2];
-        const double zr3 = zr[3];
-        for (int64_t u = 0; u < width; ++u) {
-          const double zcu = zc[u];
-          acc[0][u] += zr0 * zcu;
-          acc[1][u] += zr1 * zcu;
-          acc[2][u] += zr2 * zcu;
-          acc[3][u] += zr3 * zcu;
-        }
-      }
-      for (int64_t v = 0; v < kRegRows; ++v) {
-        for (int64_t u = 0; u < width; ++u) {
-          out_rows[v][cb + u] = acc[v][u];
-        }
-      }
+      GramBlock<kRows, true, true>(zrows, row_stride, zcols, col_stride,
+                                   t_begin, t_end, r, cb, row_mask,
+                                   LaneRange(0, ncols - cb), out, out_stride,
+                                   load_acc);
     }
   }
 }
@@ -249,38 +277,22 @@ void GramPanelTile(const double* zrows, int64_t row_stride, int64_t nrows,
   // row-group re-reads stay cache-resident; the per-cell summation order is
   // plain ascending t, independent of every blocking choice below.
   constexpr int64_t kTimeChunk = 512;
+  // By row count; only the tile's last group has fewer than kRegRows rows.
+  constexpr decltype(&GramRowGroup<1>) kRowGroup[kRegRows] = {
+      GramRowGroup<1>, GramRowGroup<2>, GramRowGroup<3>, GramRowGroup<4>};
   for (int64_t tc = t_begin; tc < t_end; tc += kTimeChunk) {
     const int64_t te = std::min(t_end, tc + kTimeChunk);
     // Only the first chunk may overwrite; later chunks always fold in.
     const bool load_acc = accumulate || tc != t_begin;
-    int64_t r = 0;
-    for (; r + kRegRows <= nrows; r += kRegRows) {
-      // In upper_only mode the 4-row group runs over the rectangle strictly
-      // right of all four rows; the triangular sliver next to the diagonal
-      // is finished per row.
-      const int64_t group_c0 =
-          upper_only ? std::max<int64_t>(0, r + diag + kRegRows) : 0;
-      if (group_c0 < ncols) {
-        GramRow4(zrows, row_stride, zcols, col_stride, tc, te, r, group_c0,
-                 ncols, out, out_stride, load_acc);
+    for (int64_t r = 0; r < nrows; r += kRegRows) {
+      // First local column each row of the group writes.
+      int64_t row_lo[kRegRows];
+      for (int64_t v = 0; v < kRegRows; ++v) {
+        row_lo[v] = upper_only ? std::max<int64_t>(0, r + v + diag + 1) : 0;
       }
-      if (upper_only) {
-        for (int64_t v = 0; v < kRegRows; ++v) {
-          const int64_t c_from = std::max<int64_t>(0, r + v + diag + 1);
-          if (c_from < group_c0) {
-            GramRow1(zrows, row_stride, zcols, col_stride, tc, te, r + v,
-                     c_from, std::min(group_c0, ncols),
-                     out + (r + v) * out_stride, load_acc);
-          }
-        }
-      }
-    }
-    for (; r < nrows; ++r) {
-      const int64_t c0 = upper_only ? std::max<int64_t>(0, r + diag + 1) : 0;
-      if (c0 < ncols) {
-        GramRow1(zrows, row_stride, zcols, col_stride, tc, te, r, c0, ncols,
-                 out + r * out_stride, load_acc);
-      }
+      kRowGroup[std::min(kRegRows, nrows - r) - 1](
+          zrows, row_stride, zcols, col_stride, tc, te, r, row_lo, ncols, out,
+          out_stride, load_acc);
     }
   }
 }

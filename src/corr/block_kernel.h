@@ -9,6 +9,7 @@
 #include <immintrin.h>
 #endif
 
+#include "common/sketch_block.h"
 #include "common/thread_pool.h"
 #include "ts/time_series_matrix.h"
 
@@ -135,8 +136,9 @@ struct NormalizedPanels {
   int64_t num_windows = 0;
   int64_t num_tiles = 0;
 
-  /// Panels, [(w * num_tiles + tile) * basic_window + t] * kCorrTile + s'.
-  std::vector<double> values;
+  /// Panels, [(w * num_tiles + tile) * basic_window + t] * kCorrTile + s':
+  /// recycled panel storage, every cell written by the build.
+  SketchBlock values;
   /// Window-major per-series window mean / population std-dev within the
   /// window (0 for degenerate windows), size num_windows * num_series.
   std::vector<double> mean;

@@ -2,6 +2,7 @@
 #define DANGORON_CORR_SWEEP_KERNEL_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "corr/block_kernel.h"
@@ -93,54 +94,67 @@ void SweepWindowBandRing(const SweepView& view, int64_t slot_offset,
                          std::vector<Edge>* out_windows);
 
 /// The survivor arena of the banded window-major sweep: one edge buffer per
-/// (pair tile, band window), cleared — not deallocated — between bands,
+/// (row, band window), cleared — not deallocated — between bands,
 /// replacing the per-block `vector<vector<vector<Edge>>>` nesting whose
 /// per-window inner vectors were reallocated from scratch every query
 /// (allocation churn that dominates at high thresholds, where windows hold
-/// a handful of edges). Tile rows are written by concurrent tile tasks
+/// a handful of edges). A row belongs to one contiguous run of pair tiles,
+/// which one task walks in order; rows are written by concurrent tasks
 /// (disjoint slots) and assembled into flat windows on the emitting thread.
 class SweepEdgeArena {
  public:
-  SweepEdgeArena(int64_t num_tiles, int64_t band)
-      : tiles_(static_cast<size_t>(num_tiles)) {
-    for (std::vector<std::vector<Edge>>& tile : tiles_) {
-      tile.resize(static_cast<size_t>(band));
+  SweepEdgeArena(int64_t num_rows, int64_t band)
+      : rows_(static_cast<size_t>(num_rows)) {
+    for (std::vector<std::vector<Edge>>& row : rows_) {
+      row.resize(static_cast<size_t>(band));
     }
   }
 
-  /// Tile t's per-band-window output row, indexable [0, band).
-  std::vector<Edge>* tile_windows(int64_t t) {
-    return tiles_[static_cast<size_t>(t)].data();
+  /// Row r's per-band-window output, indexable [0, band).
+  std::vector<Edge>* row_windows(int64_t r) {
+    return rows_[static_cast<size_t>(r)].data();
   }
 
   /// Clears every buffer, retaining capacity for the next band.
   void BeginBand() {
-    for (std::vector<std::vector<Edge>>& tile : tiles_) {
-      for (std::vector<Edge>& window : tile) {
+    for (std::vector<std::vector<Edge>>& row : rows_) {
+      for (std::vector<Edge>& window : row) {
         window.clear();
       }
     }
   }
 
-  /// Concatenates band slot `b` of every tile, in tile order, into one flat
-  /// window — already sorted by (i, j), because tiles cover ascending
-  /// pair-id ranges and each tile appends in ascending pair-id order.
-  std::vector<Edge> AssembleWindow(int64_t b) const {
+  /// Concatenates band slot `b` of every row, in row order, into one flat
+  /// window — already sorted by (i, j), because rows cover ascending
+  /// pair-id ranges and each appends in ascending pair-id order. A window
+  /// with at most one non-empty part takes that part's buffer instead of
+  /// copying it.
+  std::vector<Edge> AssembleWindow(int64_t b) {
     size_t total = 0;
-    for (const std::vector<std::vector<Edge>>& tile : tiles_) {
-      total += tile[static_cast<size_t>(b)].size();
+    std::vector<Edge>* only = nullptr;
+    int parts = 0;
+    for (std::vector<std::vector<Edge>>& row : rows_) {
+      std::vector<Edge>& part = row[static_cast<size_t>(b)];
+      if (!part.empty()) {
+        total += part.size();
+        only = &part;
+        ++parts;
+      }
+    }
+    if (parts <= 1) {
+      return only != nullptr ? std::move(*only) : std::vector<Edge>();
     }
     std::vector<Edge> window;
     window.reserve(total);
-    for (const std::vector<std::vector<Edge>>& tile : tiles_) {
-      const std::vector<Edge>& part = tile[static_cast<size_t>(b)];
+    for (const std::vector<std::vector<Edge>>& row : rows_) {
+      const std::vector<Edge>& part = row[static_cast<size_t>(b)];
       window.insert(window.end(), part.begin(), part.end());
     }
     return window;
   }
 
  private:
-  std::vector<std::vector<std::vector<Edge>>> tiles_;
+  std::vector<std::vector<std::vector<Edge>>> rows_;
 };
 
 }  // namespace dangoron

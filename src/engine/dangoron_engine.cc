@@ -14,6 +14,11 @@ namespace dangoron {
 
 namespace {
 
+// Tile chunks per pool thread of a jumping query's whole-query band: enough
+// for the pool to balance uneven jump walks, few enough that the arena
+// stays a handful of rows.
+constexpr int64_t kJumpChunksPerThread = 4;
+
 // Rejects what no exact evaluation of `query` against a sketch at
 // `basic_window` over `length` columns can answer: a basic-window
 // mismatch, an invalid range, or geometry off the basic-window grid.
@@ -310,7 +315,21 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
   const int64_t band =
       options.enable_jumping ? num_windows : kSweepWindowBand;
 
-  SweepEdgeArena arena(num_tiles, band);
+  // Arena rows: an exact band's tile tasks each own a row, reused across
+  // bands. A jumping query's band is the whole query, so it gets one row
+  // per contiguous chunk of tiles instead (a few chunks per thread for load
+  // balance, one on a single thread): per-tile rows would hold num_tiles x
+  // num_windows buffers.
+  int64_t num_chunks = num_tiles;
+  if (options.enable_jumping) {
+    num_chunks = num_pool_threads > 1
+                     ? std::min(num_tiles,
+                                kJumpChunksPerThread * num_pool_threads)
+                     : 1;
+  }
+  const int64_t tiles_per_row = CeilDiv(num_tiles, num_chunks);
+  const int64_t num_rows = CeilDiv(num_tiles, tiles_per_row);
+  SweepEdgeArena arena(num_rows, band);
   std::vector<EngineStats> tile_stats(static_cast<size_t>(num_tiles));
   auto fold_tile_stats = [&]() {
     for (const EngineStats& s : tile_stats) {
@@ -352,7 +371,7 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
     }
     arena.BeginBand();
 
-    auto run_tile = [&](int64_t t) {
+    auto run_tile = [&](int64_t t, std::vector<Edge>* out_windows) {
       const int64_t pair_begin = pair_lo + t * kSweepTilePairs;
       const int64_t pair_end =
           std::min(pair_hi, pair_begin + kSweepTilePairs);
@@ -363,7 +382,6 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
       int64_t j = 0;
       BasicWindowIndex::PairFromId(pair_begin, n, &i, &j);
       EngineStats* local = &tile_stats[static_cast<size_t>(t)];
-      std::vector<Edge>* out_windows = arena.tile_windows(t);
       if (scalar_walk) {
         WalkTile(options, *index, query, shape, in, n, band_begin, band_end,
                  pair_begin, pair_end, i, j, out_windows, local);
@@ -375,11 +393,18 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
           (pair_end - pair_begin) * (band_end - band_begin);
     };
 
-    if (pool != nullptr && num_pool_threads > 1 && num_tiles > 1) {
-      pool->ParallelFor(num_tiles, run_tile);
+    // A row's tiles run in order, so it appends in ascending pair id.
+    auto run_row = [&](int64_t row) {
+      const int64_t t_end = std::min(num_tiles, (row + 1) * tiles_per_row);
+      for (int64_t t = row * tiles_per_row; t < t_end; ++t) {
+        run_tile(t, arena.row_windows(row));
+      }
+    };
+    if (pool != nullptr && num_pool_threads > 1 && num_rows > 1) {
+      pool->ParallelFor(num_rows, run_row);
     } else {
-      for (int64_t t = 0; t < num_tiles; ++t) {
-        run_tile(t);
+      for (int64_t row = 0; row < num_rows; ++row) {
+        run_row(row);
       }
     }
 

@@ -17,11 +17,13 @@ std::string NodeName(const std::vector<std::string>& names, int64_t v) {
 }
 
 // The one row writer behind both CSV export paths (materialized and sink).
+// Values print with %.17g, enough digits to round-trip every double, so a
+// file says exactly what the engine computed.
 void WriteCsvRows(std::ofstream& out, int64_t window_index,
                   std::span<const Edge> edges) {
   for (const Edge& edge : edges) {
     out << window_index << ',' << edge.i << ',' << edge.j << ','
-        << StrFormat("%.6f", edge.value) << '\n';
+        << StrFormat("%.17g", edge.value) << '\n';
   }
 }
 

@@ -10,9 +10,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
+#include "common/sketch_block.h"
 #include "common/thread_pool.h"
 #include "corr/block_kernel.h"
 #include "ts/time_series_matrix.h"
@@ -33,42 +33,6 @@ inline constexpr int64_t kPairWinBatch = 8;
 inline int64_t FullPairRowStride(int64_t nb) {
   return (nb + 1 + kPairRowPad + 7) / 8 * 8;
 }
-
-/// A 64-byte-aligned, uninitialized block of doubles drawn from — and on
-/// destruction or reassignment returned to — the process-wide sketch
-/// storage recycler (see SketchRecyclerRetainedBytes): a rebuild-heavy
-/// workload re-faulting hundreds of MB of freshly mmapped pages per build
-/// would otherwise spend more time in the kernel's page zeroing than in
-/// the kernels.
-class SketchBlock {
- public:
-  SketchBlock() = default;
-  explicit SketchBlock(size_t doubles);
-  ~SketchBlock();
-  SketchBlock(SketchBlock&& other) noexcept;
-  SketchBlock& operator=(SketchBlock&& other) noexcept;
-
-  double* data() const { return aligned_; }
-  /// Usable doubles from data() on (excludes the alignment slack).
-  size_t size() const { return size_; }
-
- private:
-  std::unique_ptr<double[]> storage_;
-  size_t size_ = 0;
-  double* aligned_ = nullptr;
-};
-
-/// Bytes currently parked in the process-wide sketch storage recycler (the
-/// retired pair-prefix blocks and ring slabs destroyed sketches leave
-/// behind for the next build). Observability hook for the serving layer's
-/// cache accounting and for tests of the eviction → recycler → rebuild
-/// composition.
-int64_t SketchRecyclerRetainedBytes();
-
-/// Drops every block the recycler retains, returning the memory to the
-/// allocator — e.g. after a serving layer mass-evicts sketches it does not
-/// expect to rebuild.
-void TrimSketchRecycler();
 
 /// Where a tile pair's prefix slots land: slot s of pair p goes to
 /// `dot[(p - first_pair) * ring_slots + (s + kPairRowPad) % ring_slots]`,

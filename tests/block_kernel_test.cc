@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -93,11 +98,89 @@ TEST(GramAccumulateTileTest, DisjointTimeRangesCompose) {
   }
 }
 
+// GramPanelTile bit for bit against the plain ascending-t loop, over shapes
+// that reach every block kind: partial row groups (nrows 1..9), ragged and
+// sub-vector column counts, diagonals that start left of, on and right of
+// the tile, both write modes, and time ranges that cross the kernel's
+// internal time chunk. Every buffer is exactly as wide as its shape, and
+// cells outside the contract (c <= r + diag under upper_only, and the
+// out_stride gap past ncols) must keep their sentinel bits.
+TEST(GramPanelTileTest, MatchesPlainLoopBitForBitOverShapes) {
+  constexpr int64_t kOutGap = 3;
+  const std::pair<int64_t, int64_t> kTimeRanges[] = {{0, 8}, {500, 1100}};
+  Rng rng(2023);
+  for (const int64_t nrows : {1, 2, 3, 4, 5, 6, 7, 8, 9, 48}) {
+    for (const int64_t ncols : {1, 7, 8, 15, 16, 17, 33, 48}) {
+      const int64_t steps = 1100;
+      std::vector<double> zrows(static_cast<size_t>(steps * nrows));
+      std::vector<double> zcols(static_cast<size_t>(steps * ncols));
+      for (double& v : zrows) {
+        v = rng.NextGaussian();
+      }
+      for (double& v : zcols) {
+        v = rng.NextGaussian();
+      }
+      const int64_t out_stride = ncols + kOutGap;
+      for (const bool upper_only : {false, true}) {
+        for (const int64_t diag : {-5, 0, 3, 47}) {
+          if (!upper_only && diag != 0) {
+            continue;  // diag only shapes the upper_only contract
+          }
+          for (const bool accumulate : {false, true}) {
+            for (const auto& [t_begin, t_end] : kTimeRanges) {
+              SCOPED_TRACE(testing::Message()
+                           << "nrows=" << nrows << " ncols=" << ncols
+                           << " upper_only=" << upper_only << " diag=" << diag
+                           << " accumulate=" << accumulate << " t=[" << t_begin
+                           << ", " << t_end << ")");
+              std::vector<double> initial(
+                  static_cast<size_t>(nrows * out_stride));
+              for (double& v : initial) {
+                v = accumulate ? rng.NextGaussian() : -777.25;
+              }
+              std::vector<double> out = initial;
+              GramPanelTile(zrows.data(), nrows, nrows, zcols.data(), ncols,
+                            ncols, t_begin, t_end, upper_only, diag,
+                            out.data(), out_stride, accumulate);
+              for (int64_t r = 0; r < nrows; ++r) {
+                for (int64_t c = 0; c < out_stride; ++c) {
+                  const size_t cell = static_cast<size_t>(r * out_stride + c);
+                  double want = initial[cell];
+                  if (c < ncols && (!upper_only || c > r + diag)) {
+                    double acc = accumulate ? initial[cell] : 0.0;
+                    for (int64_t t = t_begin; t < t_end; ++t) {
+                      acc += zrows[static_cast<size_t>(t * nrows + r)] *
+                             zcols[static_cast<size_t>(t * ncols + c)];
+                    }
+                    want = acc;
+                  }
+                  ASSERT_EQ(std::bit_cast<uint64_t>(out[cell]),
+                            std::bit_cast<uint64_t>(want))
+                      << "cell (" << r << ", " << c << ")";
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(NormalizedPanelsTest, MatchesWindowStatsAndZeroesDegenerates) {
   const int64_t n = 61;  // not a multiple of kCorrTile: real padding
   const int64_t b = 16;
   const int64_t nb = 7;
   TimeSeriesMatrix data = HostileData(n, nb * b, b, 17);
+  {
+    // Park a NaN-filled block of the panels' size in the recycler: the
+    // build takes it and must overwrite every cell, padding included.
+    const int64_t tiles = (n + kCorrTile - 1) / kCorrTile;
+    SketchBlock garbage(static_cast<size_t>(nb * tiles * b * kCorrTile),
+                        BlockPool::kPanels);
+    std::fill_n(garbage.data(), garbage.size(),
+                std::numeric_limits<double>::quiet_NaN());
+  }
   const NormalizedPanels panels = BuildNormalizedPanels(data, b);
   ASSERT_EQ(panels.num_windows, nb);
   ASSERT_EQ(panels.num_tiles, (n + kCorrTile - 1) / kCorrTile);
@@ -144,8 +227,9 @@ TEST(NormalizedPanelsTest, MatchesWindowStatsAndZeroesDegenerates) {
   // Parallel build is bit-identical.
   ThreadPool pool(4);
   const NormalizedPanels parallel = BuildNormalizedPanels(data, b, &pool);
+  ASSERT_EQ(panels.values.size(), parallel.values.size());
   for (size_t v = 0; v < panels.values.size(); ++v) {
-    EXPECT_EQ(panels.values[v], parallel.values[v]);
+    EXPECT_EQ(panels.values.data()[v], parallel.values.data()[v]);
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -84,8 +85,10 @@ TEST(ExportTest, SeriesCsvLongFormat) {
   ASSERT_TRUE(WriteSeriesCsv(series, path).ok());
   const std::string content = Slurp(path);
   EXPECT_NE(content.find("window,i,j,correlation"), std::string::npos);
-  EXPECT_NE(content.find("0,0,2,0.880000"), std::string::npos);
-  EXPECT_NE(content.find("1,1,2,0.930000"), std::string::npos);
+  // %.17g: every value reads back as the double that was written.
+  EXPECT_NE(content.find("\n0,0,2,0.88\n"), std::string::npos);
+  EXPECT_NE(content.find("\n1,1,2,0.93000000000000005\n"), std::string::npos);
+  EXPECT_EQ(std::strtod("0.93000000000000005", nullptr), 0.93);
 }
 
 TEST(ExportTest, UnwritablePathIsIoError) {

@@ -248,68 +248,75 @@ TEST(BasicWindowIndexTest, MemoryAccounting) {
 // thread counts, shard pair ranges that cut through tile pairs (N = 70 is
 // two series tiles), and a data end on a ragged 5-window batch — and its
 // MemoryBytes is the closed-form estimate.
+// Also over series counts whose last tile is ragged (50, 97) and a pair
+// range that starts mid-tile, so the diagonal and partial-column Gram
+// blocks feed the stream as they feed the index.
 TEST(BandStreamedSketchTest, RingSlotsAreTheIndexSlotsBitForBit) {
-  const int64_t n = 70;
   const int64_t b = 4;
   const int64_t nb = 61;
-  Rng rng(4242);
-  TimeSeriesMatrix data(n, nb * b + 2);
-  for (int64_t s = 0; s < n; ++s) {
-    double level = rng.NextGaussian();
-    for (int64_t t = 0; t < data.length(); ++t) {
-      level += 0.3 * rng.NextGaussian();
-      data.Set(s, t, level);
+  for (const int64_t n : {70, 50, 97}) {
+    Rng rng(4242 + static_cast<uint64_t>(n));
+    TimeSeriesMatrix data(n, nb * b + 2);
+    for (int64_t s = 0; s < n; ++s) {
+      double level = rng.NextGaussian();
+      for (int64_t t = 0; t < data.length(); ++t) {
+        level += 0.3 * rng.NextGaussian();
+        data.Set(s, t, level);
+      }
     }
-  }
-  BasicWindowIndexOptions index_options;
-  index_options.basic_window = b;
-  auto index = BasicWindowIndex::Build(data, index_options);
-  ASSERT_TRUE(index.ok());
-  const PairDotRing full = index->DotRing();
-  const int64_t num_pairs = n * (n - 1) / 2;
+    BasicWindowIndexOptions index_options;
+    index_options.basic_window = b;
+    auto index = BasicWindowIndex::Build(data, index_options);
+    ASSERT_TRUE(index.ok());
+    const PairDotRing full = index->DotRing();
+    const int64_t num_pairs = n * (n - 1) / 2;
+    std::vector<std::pair<int64_t, int64_t>> ranges{
+        {0, num_pairs}, {num_pairs / 3 + 1, 2 * num_pairs / 3}};
+    if (num_pairs >= 1700) {
+      ranges.emplace_back(500, 1700);
+    }
 
-  for (const int threads : {1, 3}) {
-    ThreadPool pool(threads);
-    for (const auto& [pair_begin, pair_end] :
-         std::vector<std::pair<int64_t, int64_t>>{{0, num_pairs},
-                                                  {500, 1700}}) {
-      SCOPED_TRACE(testing::Message() << "threads=" << threads << " pairs=["
-                                      << pair_begin << ", " << pair_end
-                                      << ")");
-      BandStreamOptions options;
-      options.basic_window = b;
-      options.band_slots = 13;  // R = 24: the ring wraps every 24 slots
-      options.last_slot = nb;
-      options.pair_begin = pair_begin;
-      options.pair_end = pair_end;
-      auto stream = BandStreamedSketch::Create(data, options, &pool);
-      ASSERT_TRUE(stream.ok());
-      EXPECT_EQ(stream->MemoryBytes(),
-                BandStreamedSketch::EstimateMemoryBytes(n, data.length(),
-                                                        options));
-      ASSERT_EQ(stream->DotRing().ring_slots, 24);
-      const PairDotRing ring = stream->DotRing();
-      for (int64_t slot = 0; slot <= nb; ++slot) {
-        stream->AdvanceTo(slot, &pool);
-        ASSERT_GE(stream->newest_slot(), slot);
-        for (int64_t s = stream->oldest_slot(); s <= stream->newest_slot();
-             ++s) {
-          for (int64_t p = pair_begin; p < pair_end; ++p) {
-            const double got =
-                ring.rows[(p - ring.first_pair) * ring.ring_slots +
-                          (s + kPairRowPad) % ring.ring_slots];
-            const double want =
-                full.rows[p * full.ring_slots + s + kPairRowPad];
-            ASSERT_EQ(std::bit_cast<uint64_t>(got),
-                      std::bit_cast<uint64_t>(want))
-                << "slot " << s << " pair " << p;
+    for (const int threads : {1, 3}) {
+      ThreadPool pool(threads);
+      for (const auto& [pair_begin, pair_end] : ranges) {
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << n << " threads=" << threads << " pairs=["
+                     << pair_begin << ", " << pair_end << ")");
+        BandStreamOptions options;
+        options.basic_window = b;
+        options.band_slots = 13;  // R = 24: the ring wraps every 24 slots
+        options.last_slot = nb;
+        options.pair_begin = pair_begin;
+        options.pair_end = pair_end;
+        auto stream = BandStreamedSketch::Create(data, options, &pool);
+        ASSERT_TRUE(stream.ok());
+        EXPECT_EQ(stream->MemoryBytes(),
+                  BandStreamedSketch::EstimateMemoryBytes(n, data.length(),
+                                                          options));
+        ASSERT_EQ(stream->DotRing().ring_slots, 24);
+        const PairDotRing ring = stream->DotRing();
+        for (int64_t slot = 0; slot <= nb; ++slot) {
+          stream->AdvanceTo(slot, &pool);
+          ASSERT_GE(stream->newest_slot(), slot);
+          for (int64_t s = stream->oldest_slot(); s <= stream->newest_slot();
+               ++s) {
+            for (int64_t p = pair_begin; p < pair_end; ++p) {
+              const double got =
+                  ring.rows[(p - ring.first_pair) * ring.ring_slots +
+                            (s + kPairRowPad) % ring.ring_slots];
+              const double want =
+                  full.rows[p * full.ring_slots + s + kPairRowPad];
+              ASSERT_EQ(std::bit_cast<uint64_t>(got),
+                        std::bit_cast<uint64_t>(want))
+                  << "slot " << s << " pair " << p;
+            }
           }
         }
-      }
-      for (int64_t s = 0; s <= nb; s += 7) {
-        EXPECT_EQ(std::bit_cast<uint64_t>(
-                      stream->series_prefixes().SumRange(5, 0, s)),
-                  std::bit_cast<uint64_t>(index->SumRange(5, 0, s)));
+        for (int64_t s = 0; s <= nb; s += 7) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(
+                        stream->series_prefixes().SumRange(5, 0, s)),
+                    std::bit_cast<uint64_t>(index->SumRange(5, 0, s)));
+        }
       }
     }
   }
