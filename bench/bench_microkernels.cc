@@ -7,12 +7,11 @@
 
 #include <complex>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
+#include "bench_provenance.h"
 #include "bound/bounds.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -191,35 +190,6 @@ double TimeBuildSeconds(const TimeSeriesMatrix& data,
     best = std::min(best, timer.ElapsedSeconds());
   }
   return best;
-}
-
-// Where a bench row was measured: the commit of the source tree ("-dirty"
-// when it has uncommitted changes), the compiler, the cores the host
-// reports and the -march the build resolved (CMake's DANGORON_BENCH_MARCH).
-// Appended to every row as JSON fields.
-std::string ProvenanceJson() {
-  std::string commit = "unknown";
-  if (std::FILE* git =
-          popen("git -C " DANGORON_BENCH_SOURCE_DIR
-                " describe --always --dirty --abbrev=12 2>/dev/null",
-                "r")) {
-    char line[64] = {};
-    if (std::fgets(line, sizeof(line), git) != nullptr) {
-      commit = std::string(line, std::strcspn(line, "\n"));
-    }
-    pclose(git);
-  }
-#if defined(__clang__)
-  const std::string compiler = "clang " __clang_version__;
-#elif defined(__GNUC__)
-  const std::string compiler = "g++ " __VERSION__;
-#else
-  const std::string compiler = "unknown";
-#endif
-  return "\"commit\": \"" + commit + "\", \"compiler\": \"" + compiler +
-         "\", \"nproc\": " +
-         std::to_string(std::thread::hardware_concurrency()) +
-         ", \"march\": \"" DANGORON_BENCH_MARCH "\"";
 }
 
 // Machine-readable record of the index-build kernel comparison, one JSON

@@ -1,18 +1,24 @@
 // Writes BENCH_query.json to the cwd: the exact query path's banded SIMD
 // sweep against the scalar pair-major reference walk (eval/reference_walk.h)
-// on the USCRN-like climate workload, plus the sweep's time-to-first-window.
-// scripts/check_bench_regression.py gates the within-run ratios. The
-// paper's E1 comparison against TSUBASA is `bench_paper e1`.
+// on the USCRN-like climate workload, plus the sweep's time-to-first-window
+// ("query_sweep" rows); and the approx tier's Eq. 2 jump walk against that
+// exact sweep on uncached white noise ("query_jump" rows). Every row carries
+// its provenance. scripts/check_bench_regression.py gates the within-run
+// ratios. The paper's E1 comparison against TSUBASA is `bench_paper e1`.
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
+#include "bench_provenance.h"
+#include "common/rng.h"
 #include "common/stopwatch.h"
 #include "engine/dangoron_engine.h"
 #include "engine/window_sink.h"
 #include "eval/reference_walk.h"
 #include "eval/workloads.h"
+#include "ts/generators.h"
 
 namespace dangoron {
 namespace {
@@ -76,6 +82,7 @@ bool WriteQueryComparisonJson(const char* path) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return false;
   }
+  const std::string provenance = ProvenanceJson();
   bool ok = true;
   std::fprintf(out, "[\n");
   bool first = true;
@@ -149,18 +156,91 @@ bool WriteQueryComparisonJson(const char* path) {
         "   \"scalar_ms\": %.3f, \"sweep_ms\": %.3f, "
         "\"scalar_ns_per_cell\": %.3f, \"sweep_ns_per_cell\": %.3f,\n"
         "   \"speedup\": %.3f, \"ttfw_ms\": %.4f, \"full_ms\": %.3f, "
-        "\"ttfw_fraction\": %.4f}",
+        "\"ttfw_fraction\": %.4f,\n   %s}",
         first ? "" : ",\n", static_cast<long long>(n),
         static_cast<long long>(query.NumWindows()),
         static_cast<long long>(num_pairs), scalar_s * 1e3, sweep_s * 1e3,
         scalar_s / cells * 1e9, sweep_s / cells * 1e9, scalar_s / sweep_s,
-        ttfw_s * 1e3, full_s * 1e3, ttfw_s / full_s);
+        ttfw_s * 1e3, full_s * 1e3, ttfw_s / full_s, provenance.c_str());
     first = false;
     std::fprintf(stderr,
                  "query sweep n=%lld: scalar %.1f ms, sweep %.1f ms, "
                  "speedup %.2fx, ttfw %.2f ms (%.1f%% of full)\n",
                  static_cast<long long>(n), scalar_s * 1e3, sweep_s * 1e3,
                  scalar_s / sweep_s, ttfw_s * 1e3, ttfw_s / full_s * 1e2);
+  }
+  // The approx tier's engine options (the server's jump walk) against the
+  // exact sweep, one prebuilt index and one thread each, on white noise whose
+  // correlations sit far below beta: the stretches Eq. 2 jumps. n = 512
+  // puts the pair sketch past L2, where the walk's probes into the prefix
+  // rows miss cache unless it prefetches them.
+  for (const int64_t n : {32, 128, 512}) {
+    if (!ok) {
+      break;
+    }
+    constexpr int64_t kBasicWindow = 24;
+    constexpr int64_t kNumBasicWindows = 90;
+    Rng rng(14);
+    const TimeSeriesMatrix data =
+        GenerateWhiteNoise(n, kNumBasicWindows * kBasicWindow, &rng);
+    SlidingQuery query;
+    query.start = 0;
+    query.end = kNumBasicWindows * kBasicWindow;
+    query.window = 30 * kBasicWindow;
+    query.step = kBasicWindow;
+    query.threshold = 0.7;
+
+    DangoronOptions exact;
+    exact.basic_window = kBasicWindow;
+    exact.enable_jumping = false;
+    exact.horizontal_pruning = false;
+    DangoronOptions approx = exact;
+    approx.enable_jumping = true;
+    auto index = DangoronEngine::BuildIndex(data, exact, /*pool=*/nullptr);
+    if (!index.ok()) {
+      std::fprintf(stderr, "build: %s\n", index.status().ToString().c_str());
+      ok = false;
+      break;
+    }
+    EngineStats approx_stats;
+    const double exact_s = BestSeconds(
+        [&] {
+          return DangoronEngine::QueryPrepared(exact, *index, query,
+                                               /*pool=*/nullptr,
+                                               /*stats=*/nullptr);
+        },
+        5);
+    const double approx_s = BestSeconds(
+        [&] {
+          approx_stats = EngineStats{};
+          return DangoronEngine::QueryPrepared(approx, *index, query,
+                                               /*pool=*/nullptr,
+                                               &approx_stats);
+        },
+        5);
+    if (exact_s < 0.0 || approx_s < 0.0) {
+      ok = false;
+      break;
+    }
+    const int64_t num_pairs = n * (n - 1) / 2;
+    const double jumped_fraction =
+        static_cast<double>(approx_stats.cells_jumped) /
+        (static_cast<double>(num_pairs) *
+         static_cast<double>(query.NumWindows()));
+    std::fprintf(
+        out,
+        ",\n  {\"bench\": \"query_jump\", \"n_series\": %lld, "
+        "\"num_windows\": %lld, \"num_pairs\": %lld,\n"
+        "   \"exact_ms\": %.3f, \"approx_ms\": %.3f, "
+        "\"approx_speedup\": %.3f, \"jumped_fraction\": %.4f,\n   %s}",
+        static_cast<long long>(n), static_cast<long long>(query.NumWindows()),
+        static_cast<long long>(num_pairs), exact_s * 1e3, approx_s * 1e3,
+        exact_s / approx_s, jumped_fraction, provenance.c_str());
+    std::fprintf(stderr,
+                 "query jump n=%lld: exact %.3f ms, approx %.3f ms (%.2fx), "
+                 "%.1f%% of cells jumped\n",
+                 static_cast<long long>(n), exact_s * 1e3, approx_s * 1e3,
+                 exact_s / approx_s, jumped_fraction * 1e2);
   }
   std::fprintf(out, "\n]\n");
   std::fclose(out);

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Bench-regression gate for the blocked kernels, query sweep, and serving.
+"""Bench-regression gate for the blocked kernels, the query paths and shard
+scaling.
 
 Compares freshly measured bench JSON against the committed baselines and
 fails (exit 1) when a hardware-normalized number regressed by more than the
@@ -14,51 +15,31 @@ measured *within one run*:
   microarchitectures: a fresh speedup below (1 - tolerance) x the baseline
   speedup means the blocked kernel lost ground in hardware-normalized
   terms, i.e. a real code regression rather than a slower runner.
-- query sweep (BENCH_query.json): the exact-mode (jump=off) query's
-  vectorized window-major sweep vs the scalar pair-major cell loop, same
-  hardware-normalized treatment — plus two absolute within-run properties:
-  speedup >= MIN_SWEEP_SPEEDUP at n_series >= 256 (the acceptance bar of
-  the sweep kernel) and time-to-first-window strictly below the full sweep
-  (the engine-level streaming property).
-- serving (BENCH_serving.json): the warm/cold speedup of repeat queries
-  (what the caches buy), the streaming path's time-to-first-window (what
-  the window pipeline buys), and the approx tier's latency against the
-  exact tier on uncached windows (what Eq. 2 jumping buys a
-  deadline-bound client — an approx tier slower than exact has lost its
-  reason to exist), plus the hard-deadline cancellation overshoot (how far
-  past its deadline a mid-run abort terminates, gated at two band-widths
-  of the injected per-band delay). All serving gates are *within-run* absolute
-  properties — warm_speedup above a hardware-robust floor, ttfw strictly
-  below full-query latency, approx at or below exact uncached — because
-  cold latency parallelizes with core count while warm cache hits do not,
-  so baseline-relative ratios would gate on the runner's hardware, not
-  the code.
-
-- wire (BENCH_wire.json): the network front end's loadgen. Latency
-  percentiles are machine-dependent, so the gates are within-run
-  invariants that hold on any hardware: zero transport failures and zero
-  delivered-window accounting mismatches across all requests, every
-  request completed, time-to-first-window at or below total latency at
-  both gated percentiles (the streaming property — equality only when
-  every response is a single flush), and the loadgen actually exercised
-  the acceptance-criteria concurrency (>= 32 connections).
-
-- wire shard scaling (--wire-shard-scaling, same BENCH_wire.json): the
-  "wire_shard_cold" rows measure the same query served cold through a
-  1-shard and a K-shard ShardRouter fan-out, within one run. Correctness
-  invariants (zero failures/mismatches, every request completed, every
-  shard saw every request) gate on any hardware; the scaling ratio —
-  K=4 cold throughput >= 2.5x the K=1 row — only gates when the run had
-  at least 4 cores (rows mark themselves "skipped" otherwise, where the
-  ratio measures scheduler timeslicing, not the router's fan-out).
+- query sweep (BENCH_query.json "query_sweep" rows): the exact-mode
+  (jump=off) query's vectorized window-major sweep vs the scalar pair-major
+  cell loop, same hardware-normalized treatment — plus two absolute
+  within-run properties: speedup >= MIN_SWEEP_SPEEDUP at n_series >= 256
+  (the acceptance bar of the sweep kernel) and time-to-first-window
+  strictly below the full sweep (the engine-level streaming property).
+- query jump (BENCH_query.json "query_jump" rows): the approx tier's jump
+  walk at or below the exact sweep's latency on uncached windows, both
+  timed within one run against one index — what Eq. 2 jumping buys a
+  deadline-bound client; an approx tier slower than exact has lost its
+  reason to exist. The speedup magnitude is informational.
+- wire shard scaling (BENCH_wire.json): the "wire_shard_cold" rows measure
+  the same query served cold through a 1-shard and a K-shard ShardRouter
+  fan-out, within one run. Correctness invariants (zero failures/mismatches,
+  every request completed, every shard saw every request) gate on any
+  hardware; the scaling ratio — K=4 cold throughput >= 2.5x the K=1 row —
+  only gates when the run had at least 4 cores (rows mark themselves
+  "skipped" otherwise, where the ratio measures scheduler timeslicing, not
+  the router's fan-out).
 
 Usage:
   check_bench_regression.py --baseline BENCH_kernels.json \
       --fresh build/BENCH_kernels.json [--tolerance 0.25] \
       [--query-baseline BENCH_query.json \
        --query-fresh build/BENCH_query.json] \
-      [--serving-baseline BENCH_serving.json \
-       --serving-fresh build/BENCH_serving.json] \
       [--wire-baseline BENCH_wire.json \
        --wire-fresh build/BENCH_wire.json]
 """
@@ -66,12 +47,6 @@ Usage:
 import argparse
 import json
 import sys
-
-# Absolute floor for the warm-repeat speedup: with working caches a warm
-# query is a pure cache assembly and runs orders of magnitude faster than
-# cold on every machine measured (>100x even on a 1-vCPU VM); a broken
-# cache path collapses it to ~1x.
-MIN_WARM_SPEEDUP = 25.0
 
 # Absolute floor for the sweep-vs-scalar exact-query speedup at
 # n_series >= 256: the vectorized banded sweep wins >= ~2.5x on measured
@@ -134,6 +109,24 @@ def gate_query(baseline_path, fresh_path, tolerance, failures):
             print(f"{bench:<20} {str(key):>14} {'-':>13} {'-':>14} "
                   f"{'-':>8}  MISSING")
             continue
+        if bench == "query_jump":
+            # Hard acceptance: the approx (Eq. 2 jumping) tier must answer
+            # at or below the exact tier's uncached latency — both measured
+            # within this run against one index, so the ratio is
+            # hardware-independent. The speedup magnitude is informational
+            # (it tracks how much the workload's correlations sit below
+            # threshold); approx > exact means the jumping path regressed.
+            ok = fresh_entry["approx_ms"] <= fresh_entry["exact_ms"]
+            print(f"{bench:<20} {str(key):>14} "
+                  f"{base_entry['approx_speedup']:>13.2f} "
+                  f"{fresh_entry['approx_speedup']:>14.2f} {'>= 1.0':>8}  "
+                  f"{'ok' if ok else 'REGRESSED'}")
+            if not ok:
+                failures.append(
+                    f"{bench} n={n}: approx {fresh_entry['approx_ms']:.3f} ms "
+                    f"is above the exact uncached latency "
+                    f"{fresh_entry['exact_ms']:.3f} ms")
+            continue
         # Hardware-normalized floor against the committed baseline, like the
         # build kernels.
         check_ratio_floor(bench, key, base_entry, fresh_entry, "speedup",
@@ -152,149 +145,6 @@ def gate_query(baseline_path, fresh_path, tolerance, failures):
                 f"{bench} n={n}: engine ttfw {fresh_entry['ttfw_ms']:.3f} ms "
                 f"is not below the full sweep "
                 f"{fresh_entry['full_ms']:.3f} ms")
-
-
-def gate_serving(baseline_path, fresh_path, failures):
-    baseline = load_entries(baseline_path, ("bench", "n_series"))
-    fresh = load_entries(fresh_path, ("bench", "n_series"))
-    for key, base_entry in sorted(baseline.items()):
-        bench, n = key
-        fresh_entry = fresh.get(key)
-        if fresh_entry is None:
-            failures.append(f"{bench} n={n}: missing from fresh run")
-            print(f"{bench:<20} {str(key):>14} {'-':>13} {'-':>14} "
-                  f"{'-':>8}  MISSING")
-            continue
-        if bench == "serving_cold_warm":
-            # The warm/cold ratio is core-count dependent (cold prepare +
-            # evaluation parallelize; a warm cache hit does not), so a
-            # baseline-relative floor would gate on the runner's hardware.
-            # A broken cache collapses the ratio to ~1x regardless of
-            # hardware, so an absolute floor is the robust regression net.
-            floor = MIN_WARM_SPEEDUP
-            fresh_speedup = fresh_entry["warm_speedup"]
-            ok = fresh_speedup >= floor
-            print(f"{bench:<20} {str(key):>14} "
-                  f"{base_entry['warm_speedup']:>13.1f} "
-                  f"{fresh_speedup:>14.1f} {floor:>8.1f}  "
-                  f"{'ok' if ok else 'REGRESSED'}")
-            if not ok:
-                failures.append(
-                    f"{bench} n={n}: warm_speedup {fresh_speedup:.1f} < "
-                    f"absolute floor {floor:.1f} (baseline "
-                    f"{base_entry['warm_speedup']:.1f} is informational)")
-        elif bench == "serving_tiers":
-            # Hard acceptance: the approx (Eq. 2 jumping) tier must answer
-            # at or below the exact tier's uncached latency — both measured
-            # within this run against one warm sketch, so the ratio is
-            # hardware-independent. The speedup magnitude is informational
-            # (it tracks how much the workload's correlations sit below
-            # threshold); approx > exact means the jumping path regressed.
-            ok = fresh_entry["approx_ms"] <= fresh_entry["exact_uncached_ms"]
-            print(f"{bench:<20} {str(key):>14} "
-                  f"{base_entry['approx_speedup']:>13.2f} "
-                  f"{fresh_entry['approx_speedup']:>14.2f} {'>= 1.0':>8}  "
-                  f"{'ok' if ok else 'REGRESSED'}")
-            if not ok:
-                failures.append(
-                    f"{bench} n={n}: approx {fresh_entry['approx_ms']:.3f} ms "
-                    f"is above the exact uncached latency "
-                    f"{fresh_entry['exact_uncached_ms']:.3f} ms")
-        elif bench == "serving_streaming":
-            # Hard acceptance: first window strictly before the full query.
-            # The fraction itself is informational only — it shifts with the
-            # runner's core count (prepare parallelizes differently), so a
-            # baseline ceiling on it would gate on hardware, not code.
-            ok = fresh_entry["ttfw_ms"] < fresh_entry["cold_full_ms"]
-            print(f"{bench:<20} {str(key):>14} "
-                  f"{base_entry['ttfw_fraction']:>13.4f} "
-                  f"{fresh_entry['ttfw_fraction']:>14.4f} {'< 1.0':>8}  "
-                  f"{'ok' if ok else 'REGRESSED'}")
-            if not ok:
-                failures.append(
-                    f"{bench} n={n}: ttfw {fresh_entry['ttfw_ms']:.3f} ms is "
-                    f"not below full-query latency "
-                    f"{fresh_entry['cold_full_ms']:.3f} ms")
-        elif bench == "hard_deadline_cancel":
-            # Hard acceptance: a mid-run deadline abort must land within two
-            # band-widths of the deadline (the sweep checks the deadline at
-            # band granularity, so one band of in-flight work plus delivery
-            # is the design bound). The injected band delay dominates real
-            # band cost, making the bound hardware-independent; a small
-            # absolute floor absorbs scheduler jitter on near-zero
-            # overshoots. Skipped rows (DANGORON_FAILPOINTS=OFF builds)
-            # pass vacuously.
-            if base_entry.get("skipped") or fresh_entry.get("skipped"):
-                print(f"{bench:<20} {str(key):>14} {'-':>13} {'-':>14} "
-                      f"{'-':>8}  skipped (failpoints off)")
-                continue
-            overshoot_bands = fresh_entry["overshoot_bands"]
-            overshoot_ms = fresh_entry["overshoot_ms"]
-            ok = overshoot_bands <= 2.0 or overshoot_ms <= 5.0
-            print(f"{bench:<20} {str(key):>14} "
-                  f"{base_entry['overshoot_bands']:>13.2f} "
-                  f"{overshoot_bands:>14.2f} {'<= 2.0':>8}  "
-                  f"{'ok' if ok else 'REGRESSED'}")
-            if not ok:
-                failures.append(
-                    f"{bench} n={n}: deadline overshoot "
-                    f"{overshoot_ms:.3f} ms = {overshoot_bands:.2f} "
-                    f"band-widths, above the 2-band cancellation bound")
-
-
-# The acceptance-criteria concurrency of the wire front end: the committed
-# loadgen run must drive at least this many concurrent connections.
-MIN_WIRE_CONNECTIONS = 32
-
-
-def gate_wire(baseline_path, fresh_path, failures):
-    baseline = load_entries(baseline_path, ("bench", "connections", "shards"))
-    fresh = load_entries(fresh_path, ("bench", "connections", "shards"))
-    for key, base_entry in sorted(
-            (k, v) for k, v in baseline.items() if k[0] == "wire_load"):
-        bench, connections, _ = key
-        fresh_entry = fresh.get(key)
-        if fresh_entry is None:
-            failures.append(f"{bench} c={connections}: missing from fresh run")
-            print(f"{bench:<20} {str(key):>14} {'-':>13} {'-':>14} "
-                  f"{'-':>8}  MISSING")
-            continue
-        # Correctness invariants of the run itself: every request completed,
-        # none failed, and every response delivered exactly the windows its
-        # terminal status claimed. These hold on any hardware; a miss is a
-        # wire-layer bug (lost frames, leaked streams), never a slow runner.
-        problems = []
-        if fresh_entry["connections"] < MIN_WIRE_CONNECTIONS:
-            problems.append(
-                f"only {fresh_entry['connections']} connections, "
-                f"acceptance floor is {MIN_WIRE_CONNECTIONS}")
-        if fresh_entry["failures"] != 0:
-            problems.append(f"{fresh_entry['failures']} transport failures")
-        if fresh_entry["window_mismatches"] != 0:
-            problems.append(
-                f"{fresh_entry['window_mismatches']} delivered-window "
-                f"accounting mismatches")
-        if fresh_entry["completed"] != fresh_entry["total_requests"]:
-            problems.append(
-                f"completed {fresh_entry['completed']} of "
-                f"{fresh_entry['total_requests']} requests")
-        # Streaming property at both gated percentiles: the first window of
-        # a response cannot arrive after its last (<= because a short warm
-        # response can land in one flush, making the two equal).
-        for percentile in ("p50", "p99"):
-            ttfw = fresh_entry[f"ttfw_{percentile}_ms"]
-            total = fresh_entry[f"{percentile}_ms"]
-            if ttfw > total:
-                problems.append(
-                    f"ttfw_{percentile} {ttfw:.3f} ms above total "
-                    f"{percentile} {total:.3f} ms")
-        ok = not problems
-        print(f"{bench:<20} {str(key):>14} "
-              f"{base_entry['p50_ms']:>13.3f} "
-              f"{fresh_entry['p50_ms']:>14.3f} {'invariant':>9}  "
-              f"{'ok' if ok else 'REGRESSED'}")
-        for problem in problems:
-            failures.append(f"{bench} c={connections}: {problem}")
 
 
 # The router's acceptance bar: cold exact throughput at K=4 shards must be
@@ -393,17 +243,12 @@ def main():
                         help="committed BENCH_query.json")
     parser.add_argument("--query-fresh",
                         help="JSON emitted by this run's bench_query_time")
-    parser.add_argument("--serving-baseline",
-                        help="committed BENCH_serving.json")
-    parser.add_argument("--serving-fresh",
-                        help="JSON emitted by this run's bench_serving")
     parser.add_argument("--wire-baseline",
                         help="committed BENCH_wire.json")
     parser.add_argument("--wire-fresh",
-                        help="JSON emitted by this run's bench_wire")
-    parser.add_argument("--wire-shard-scaling", action="store_true",
-                        help="also gate the wire_shard_cold rows: K=4 cold "
-                             "throughput >= 2.5x K=1 (vacuous below 4 cores)")
+                        help="JSON emitted by this run's bench_wire (gates "
+                             "its wire_shard_cold rows: K=4 cold throughput "
+                             ">= 2.5x K=1, vacuous below 4 cores)")
     args = parser.parse_args()
 
     failures = []
@@ -415,23 +260,10 @@ def main():
         print("need both --query-baseline and --query-fresh",
               file=sys.stderr)
         return 2
-    if args.serving_baseline and args.serving_fresh:
-        gate_serving(args.serving_baseline, args.serving_fresh, failures)
-    elif args.serving_baseline or args.serving_fresh:
-        print("need both --serving-baseline and --serving-fresh",
-              file=sys.stderr)
-        return 2
     if args.wire_baseline and args.wire_fresh:
-        gate_wire(args.wire_baseline, args.wire_fresh, failures)
-        if args.wire_shard_scaling:
-            gate_wire_shard_scaling(args.wire_baseline, args.wire_fresh,
-                                    failures)
+        gate_wire_shard_scaling(args.wire_baseline, args.wire_fresh, failures)
     elif args.wire_baseline or args.wire_fresh:
         print("need both --wire-baseline and --wire-fresh", file=sys.stderr)
-        return 2
-    elif args.wire_shard_scaling:
-        print("--wire-shard-scaling needs --wire-baseline/--wire-fresh",
-              file=sys.stderr)
         return 2
 
     if failures:

@@ -39,6 +39,11 @@ Checks:
  10. readme-quickstart: README.md carries the marked region of
      examples/quickstart.cc verbatim as a ```cpp block, so the quickstart
      the README shows is the one ctest compiles and runs.
+ 11. bench-gated: CI's bench-smoke job builds (`--target`) and runs
+     (`./name`) every bench/*.cc program, and passes every committed root
+     BENCH_*.json to scripts/check_bench_regression.py — a retired bench
+     leaves no orphaned baseline or CI step behind, and a new one cannot
+     land ungated.
 
 Exit 0 when every invariant holds, 1 otherwise (one pointed line each).
 
@@ -86,6 +91,13 @@ CI_SCRIPT = "router_smoke.sh"
 SUBCOMMAND_RE = re.compile(r'\bcommand\s*==\s*"(\w+)"')
 INVOCATION_RE = re.compile(r'\bdangoron_serverd"?\s+"?(\w+)')
 QUICKSTART_FILE = os.path.join("examples", "quickstart.cc")
+CI_FILE = os.path.join(".github", "workflows", "ci.yml")
+BENCH_JOB = "bench-smoke"
+BENCH_GATE = "check_bench_regression.py"
+# A top-level job of a workflow: `  name:` alone on its line.
+CI_JOB_RE = re.compile(r"^  ([\w-]+):[ \t]*$", re.MULTILINE)
+BUILD_TARGETS_RE = re.compile(r"--target\s+([^\n]+)")
+BASELINE_RE = re.compile(r"BENCH_\w+\.json")
 QUICKSTART_BEGIN = "// README quickstart begin\n"
 QUICKSTART_END = "// README quickstart end\n"
 
@@ -348,6 +360,61 @@ def check_readme_quickstart(root, errors):
             f"marked region of {QUICKSTART_FILE} — copy the region over")
 
 
+def ci_job(text, name):
+    """The body of top-level job `name` of a workflow, up to the next
+    job, or None when the workflow has no such job."""
+    jobs = list(CI_JOB_RE.finditer(text))
+    for k, match in enumerate(jobs):
+        if match.group(1) == name:
+            end = jobs[k + 1].start() if k + 1 < len(jobs) else len(text)
+            return text[match.end():end]
+    return None
+
+
+def check_bench_gated(root, errors):
+    """Every bench/ program is built and run by CI's bench-smoke job, and
+    every committed root BENCH_*.json baseline is handed to the regression
+    gate there: a bench nothing runs, or a baseline nothing gates, rots
+    unseen."""
+    bench_dir = os.path.join(root, "bench")
+    benches = sorted(
+        stem for stem, ext in map(os.path.splitext, os.listdir(bench_dir))
+        if ext == ".cc") if os.path.isdir(bench_dir) else []
+    baselines = sorted(name for name in os.listdir(root)
+                       if BASELINE_RE.fullmatch(name))
+    ci_path = os.path.join(root, CI_FILE)
+    job = ci_job(read(ci_path), BENCH_JOB) if os.path.exists(ci_path) \
+        else None
+    if job is None:
+        if benches or baselines:
+            errors.append(f"bench-gated: {CI_FILE} has no {BENCH_JOB} job "
+                          f"to build, run and gate bench/")
+        return
+    job = strip_shell_comments(job)
+    built = set()
+    for targets in BUILD_TARGETS_RE.findall(job):
+        built.update(targets.split())
+    for stem in benches:
+        if stem not in built:
+            errors.append(
+                f"bench-gated: bench/{stem}.cc is not built by CI's "
+                f"{BENCH_JOB} job (no --target {stem}) — build and run it, "
+                f"or delete the bench")
+        elif not re.search(rf"\./{re.escape(stem)}\b", job):
+            errors.append(
+                f"bench-gated: bench/{stem}.cc is built but never run by "
+                f"CI's {BENCH_JOB} job (no ./{stem} step)")
+    gate_at = job.find(BENCH_GATE)
+    gate_step = re.split(r"\n\s*- name:", job[gate_at:])[0] \
+        if gate_at >= 0 else ""
+    for name in baselines:
+        if not re.search(rf"(?<![\w/.-]){re.escape(name)}\b", gate_step):
+            errors.append(
+                f"bench-gated: {name} is not passed to {BENCH_GATE} in CI's "
+                f"{BENCH_JOB} job — gate it, or delete the orphaned "
+                f"baseline")
+
+
 CHECKS = (
     check_failpoint_catalog,
     check_wire_status_codes,
@@ -359,6 +426,7 @@ CHECKS = (
     check_one_engine_pass,
     check_examples_exercised,
     check_readme_quickstart,
+    check_bench_gated,
 )
 
 

@@ -16,7 +16,10 @@ message pointing at the actual drift:
   - a second OnWindow( call site in src/engine/dangoron_engine.cc,
   - an example no add_test or test script runs, and a dangoron_serverd
     subcommand only a script comment mentions or nothing invokes,
-  - a README.md quickstart block drifted from examples/quickstart.cc.
+  - a README.md quickstart block drifted from examples/quickstart.cc,
+  - a bench/ program CI's bench-smoke job does not build, or builds but
+    only names in a comment, and a committed BENCH_*.json baseline the
+    regression gate is not given.
 
 Exit 0 when every case behaves, 1 otherwise.
 """
@@ -159,6 +162,33 @@ Status RunWindowMajorSweep(WindowSink* sink) {
 """
 
 
+CLEAN_BENCH_CC = "int main() { return 0; }\n"
+
+CLEAN_CI = """
+jobs:
+  build-and-test:
+    steps:
+      - name: Build
+        run: cmake --build build -j
+  bench-smoke:
+    steps:
+      - name: Build benches
+        run: cmake --build build -j --target bench_query_time
+      - name: Run bench_query_time
+        working-directory: build
+        run: ./bench_query_time
+      - name: Gate on bench regressions
+        run: >
+          python3 scripts/check_bench_regression.py
+          --query-baseline BENCH_query.json
+          --query-fresh build/BENCH_query.json
+  docs-links:
+    steps:
+      - name: Check links
+        run: python3 scripts/check_docs_links.py BENCH_orphan.json
+"""
+
+
 def write(root, rel, content):
     path = os.path.join(root, rel)
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -186,6 +216,9 @@ def make_clean_tree(root):
     write(root, "scripts/cli_smoke.sh", CLEAN_CLI_SMOKE)
     write(root, "scripts/router_smoke.sh", CLEAN_ROUTER_SMOKE)
     write(root, "README.md", CLEAN_README)
+    write(root, "bench/bench_query_time.cc", CLEAN_BENCH_CC)
+    write(root, "BENCH_query.json", "[]\n")
+    write(root, ".github/workflows/ci.yml", CLEAN_CI)
 
 
 def expect(case, errors, *substrings):
@@ -341,6 +374,33 @@ def main():
                 root, "examples/quickstart.cc",
                 CLEAN_QUICKSTART.replace("// README quickstart end\n", "")),
             "readme-quickstart", "region"),
+        run_case(
+            "unbuilt-bench",
+            lambda root: write(root, "bench/bench_orphan.cc",
+                               CLEAN_BENCH_CC),
+            "bench-gated", "bench/bench_orphan.cc", "not built"),
+        run_case(
+            "bench-run-only-in-a-comment",
+            lambda root: (
+                write(root, "bench/bench_orphan.cc", CLEAN_BENCH_CC),
+                write(root, ".github/workflows/ci.yml",
+                      CLEAN_CI.replace(
+                          "--target bench_query_time",
+                          "--target bench_query_time bench_orphan").replace(
+                          "      - name: Gate",
+                          "      # ./bench_orphan retired\n"
+                          "      - name: Gate"))),
+            "bench-gated", "bench/bench_orphan.cc", "never run"),
+        run_case(
+            "ungated-baseline",
+            lambda root: write(root, "BENCH_orphan.json", "[]\n"),
+            "bench-gated", "BENCH_orphan.json", "orphaned"),
+        run_case(
+            "fresh-path-only-is-not-a-gate",
+            lambda root: write(
+                root, ".github/workflows/ci.yml",
+                CLEAN_CI.replace("--query-baseline BENCH_query.json\n", "")),
+            "bench-gated", "BENCH_query.json"),
         run_case(
             "commented-mutex-is-fine",
             lambda root: write(

@@ -1,20 +1,46 @@
 #include "common/sketch_block.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cstdint>
+#include <new>
 #include <utility>
 #include <vector>
 
 #include "common/sync.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
+
 namespace dangoron {
 
 namespace {
 
-// Process-wide recycler for the big sketch and panel blocks. A fresh
-// allocation of this size is served by mmap, and every page costs a fault
-// plus kernel zeroing on first touch — for production-scale sketches that
-// is a full extra sweep of memory bandwidth per rebuild, larger than the
-// build's own arithmetic. Keeping a handful of retired blocks warm turns
+// Maps `doubles` doubles plus one spare page. ASan builds poison everything
+// past the block, so a kernel overrunning it reports as a heap overflow
+// would instead of silently writing into a neighbouring mapping.
+PageStorage MapPages(size_t doubles) {
+  static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  const size_t used = doubles * sizeof(double);
+  const size_t bytes = (used + page - 1) / page * page + page;
+  void* pages = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (pages == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  ASAN_POISON_MEMORY_REGION(static_cast<char*>(pages) + used, bytes - used);
+  return PageStorage(static_cast<double*>(pages), PageUnmapper{bytes});
+}
+
+// Process-wide recycler for the big sketch and panel blocks. Every page of
+// a fresh block costs a fault plus kernel zeroing on first touch — for
+// production-scale sketches that is a full extra sweep of memory bandwidth
+// per rebuild, larger than the build's own arithmetic. Keeping a handful of retired blocks warm turns
 // rebuilds into pure overwrites. Thread-safe; exact-size matching.
 class SketchStorageRecycler {
  public:
@@ -24,22 +50,22 @@ class SketchStorageRecycler {
     return pool == BlockPool::kSketch ? *sketch : *panels;
   }
 
-  std::unique_ptr<double[]> Acquire(size_t size) {
+  PageStorage Acquire(size_t size) {
     {
       MutexLock lock(mutex_);
       for (auto it = blocks_.begin(); it != blocks_.end(); ++it) {
         if (it->first == size) {
-          std::unique_ptr<double[]> block = std::move(it->second);
+          PageStorage block = std::move(it->second);
           retained_bytes_ -= size * sizeof(double);
           blocks_.erase(it);
           return block;
         }
       }
     }
-    return std::make_unique_for_overwrite<double[]>(size);
+    return MapPages(size);
   }
 
-  void Release(std::unique_ptr<double[]> block, size_t size) {
+  void Release(PageStorage block, size_t size) {
     if (block == nullptr) {
       return;
     }
@@ -70,25 +96,25 @@ class SketchStorageRecycler {
   }
 
  private:
-  // Two full builds' worth (each full build retires two sketch blocks and
-  // one panel block).
+  // Two full builds' worth of sketch blocks (each full build retires two).
   static constexpr size_t kMaxBlocks = 4;
   static constexpr size_t kMaxRetainedBytes = size_t{512} << 20;
 
   Mutex mutex_;
-  std::vector<std::pair<size_t, std::unique_ptr<double[]>>> blocks_
-      GUARDED_BY(mutex_);
+  std::vector<std::pair<size_t, PageStorage>> blocks_ GUARDED_BY(mutex_);
   size_t retained_bytes_ GUARDED_BY(mutex_) = 0;
 };
 
-// Doubles of headroom that let a block's base be aligned up to 64 bytes.
-constexpr size_t kAlignSlack = 7;
-
 }  // namespace
 
-int64_t SketchRecyclerRetainedBytes() {
+void PageUnmapper::operator()(double* pages) const {
+  ASAN_UNPOISON_MEMORY_REGION(pages, bytes);
+  munmap(pages, bytes);
+}
+
+int64_t SketchRecyclerRetainedBytes(BlockPool pool) {
   return static_cast<int64_t>(
-      SketchStorageRecycler::Instance(BlockPool::kSketch).retained_bytes());
+      SketchStorageRecycler::Instance(pool).retained_bytes());
 }
 
 void TrimSketchRecycler() {
@@ -97,23 +123,22 @@ void TrimSketchRecycler() {
 }
 
 SketchBlock::SketchBlock(size_t doubles, BlockPool pool)
-    : storage_(SketchStorageRecycler::Instance(pool).Acquire(doubles +
-                                                             kAlignSlack)),
+    : storage_(SketchStorageRecycler::Instance(pool).Acquire(doubles)),
       size_(doubles),
-      pool_(pool) {
-  aligned_ = reinterpret_cast<double*>(
-      (reinterpret_cast<uintptr_t>(storage_.get()) + 63) & ~uintptr_t{63});
-}
+      pool_(pool) {}
 
 SketchBlock::~SketchBlock() {
-  SketchStorageRecycler::Instance(pool_).Release(std::move(storage_),
-                                                 size_ + kAlignSlack);
+  SketchStorageRecycler::Instance(pool_).Release(std::move(storage_), size_);
+}
+
+void SketchBlock::Discard() {
+  storage_.reset();
+  size_ = 0;
 }
 
 SketchBlock::SketchBlock(SketchBlock&& other) noexcept
     : storage_(std::move(other.storage_)),
       size_(std::exchange(other.size_, 0)),
-      aligned_(std::exchange(other.aligned_, nullptr)),
       pool_(other.pool_) {}
 
 SketchBlock& SketchBlock::operator=(SketchBlock&& other) noexcept {
@@ -121,11 +146,9 @@ SketchBlock& SketchBlock::operator=(SketchBlock&& other) noexcept {
     // Retire this block through the recycler before taking over `other`'s:
     // a plain unique_ptr move would free it, bypassing the recycler in the
     // rebuild loops it exists for.
-    SketchStorageRecycler::Instance(pool_).Release(std::move(storage_),
-                                                   size_ + kAlignSlack);
+    SketchStorageRecycler::Instance(pool_).Release(std::move(storage_), size_);
     storage_ = std::move(other.storage_);
     size_ = std::exchange(other.size_, 0);
-    aligned_ = std::exchange(other.aligned_, nullptr);
     pool_ = other.pool_;
   }
   return *this;

@@ -99,6 +99,9 @@ Result<BasicWindowIndex> BasicWindowIndex::Build(
 
   if (blocked) {
     index.BuildPairSketchesBlocked(*panels, pool);
+    // Only band streams ask for panel blocks again; parked in the recycler,
+    // a full build's panels would pin tens of MB that nothing reuses.
+    panels->values.Discard();
   } else {
     // Seed-faithful reference baseline, including the seed's
     // zero-initialized allocation of the sketch arrays.

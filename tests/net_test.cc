@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <latch>
 #include <limits>
 #include <string>
 #include <thread>
@@ -106,14 +107,15 @@ SlidingQuery TestQuery() {
   return query;
 }
 
+TimeSeriesMatrix TestData() {
+  Rng rng(3);
+  return GenerateWhiteNoise(kNumSeries, kLength, &rng);
+}
+
 class WireE2ETest : public ::testing::Test {
  protected:
   WireE2ETest() : server_(ServerOptions()) {
-    Rng rng(3);
-    CHECK(server_
-              .AddDataset("d",
-                          GenerateWhiteNoise(kNumSeries, kLength, &rng))
-              .ok());
+    CHECK(server_.AddDataset("d", TestData()).ok());
   }
 
   // Tests that arm failpoints disarm them here too, so a failed assertion
@@ -535,33 +537,92 @@ TEST_F(WireE2ETest, HostileRequestLengthIsAProtocolErrorNotACrash) {
   wire.Stop();
 }
 
+// The TCP listener under concurrent load: 32 clients, each on its own
+// socket and all connected at once, send 4 back-to-back requests each.
+// Every request completes, and every delivered window is byte-identical to
+// the in-process answer of a separate server over the same data (so the
+// wire requests race cold windows through server_'s claims and caches).
 TEST_F(WireE2ETest, TcpListenerServesARealSocket) {
+  constexpr int kConnections = 32;
+  constexpr int kRequestsPerConnection = 4;
+  DangoronServer reference_server(ServerOptions());
+  ASSERT_TRUE(reference_server.AddDataset("d", TestData()).ok());
+  auto reference = reference_server.SubmitStreaming(
+      QueryRequest{"d", TestQuery(), ServeOptions{}});
+  std::vector<std::string> expected;
+  while (auto window = reference->Next()) {
+    EncodeWindowFrame(window->window_index, *window->edges,
+                      &expected.emplace_back());
+  }
+  ASSERT_TRUE(reference->status().ok());
+  ASSERT_EQ(static_cast<int64_t>(expected.size()),
+            (TestQuery().end - TestQuery().window) / TestQuery().step + 1);
+
   WireServerOptions options;
   options.port = 0;  // ephemeral
   WireServer wire(&server_, options);
   ASSERT_TRUE(wire.Start().ok());
   ASSERT_GT(wire.port(), 0);
 
-  auto client = WireClient::ConnectTcp("127.0.0.1", wire.port());
-  ASSERT_TRUE(client.ok()) << client.status().message();
-  WireRequest request;
-  request.dataset = "d";
-  request.query = TestQuery();
-  ASSERT_TRUE((*client)->Submit(request).ok());
-  int64_t windows = 0;
-  while (true) {
-    auto window = (*client)->Next();
-    ASSERT_TRUE(window.ok());
-    if (!window->has_value()) {
-      break;
+  std::latch all_connected(kConnections);
+  std::atomic<int> completed{0};
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  auto run_client = [&] {
+    auto client = WireClient::ConnectTcp("127.0.0.1", wire.port());
+    all_connected.arrive_and_wait();
+    if (!client.ok()) {
+      failures += kRequestsPerConnection;
+      return;
     }
-    ++windows;
+    WireRequest request;
+    request.dataset = "d";
+    request.query = TestQuery();
+    for (int r = 0; r < kRequestsPerConnection; ++r) {
+      if (!(*client)->Submit(request).ok()) {
+        failures += kRequestsPerConnection - r;
+        return;  // the connection is unusable past a transport error
+      }
+      size_t windows = 0;
+      bool exact = true;
+      while (true) {
+        auto window = (*client)->Next();
+        if (!window.ok()) {
+          failures += kRequestsPerConnection - r;
+          return;
+        }
+        if (!window->has_value()) {
+          break;
+        }
+        std::string bytes;
+        EncodeWindowFrame((*window)->window_index, *(*window)->edges, &bytes);
+        exact = exact && windows < expected.size() &&
+                bytes == expected[windows];
+        ++windows;
+      }
+      if (!(*client)->result_status().ok()) {
+        ++failures;
+      } else if (!exact || windows != expected.size() ||
+                 (*client)->summary().windows_delivered !=
+                     static_cast<int64_t>(windows)) {
+        ++mismatches;
+      } else {
+        ++completed;
+      }
+    }
+  };
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back(run_client);
   }
-  EXPECT_TRUE((*client)->result_status().ok());
-  EXPECT_EQ(windows,
-            (TestQuery().end - TestQuery().window) / TestQuery().step + 1);
+  for (std::thread& client : clients) {
+    client.join();
+  }
   wire.Stop();
-  EXPECT_EQ(wire.stats().connections_accepted, 1);
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(completed.load(), kConnections * kRequestsPerConnection);
+  EXPECT_EQ(wire.stats().connections_accepted, kConnections);
 }
 
 // docs/WIRE_PROTOCOL.md §4 lets a client send its next Request the instant

@@ -12,6 +12,7 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/math_utils.h"
+#include "common/stopwatch.h"
 #include "corr/sweep_kernel.h"
 #include "engine/dangoron_engine.h"
 #include "engine/factory.h"
@@ -1811,11 +1812,12 @@ TEST(LruCacheTest, EvictionListenerMayReenterWithoutRecursing) {
 
 // The hard-deadline acceptance path: a streaming exact query whose sweep is
 // stalled (injected band delay) far past a short deadline terminates with
-// DeadlineExceeded promptly after the band boundary — after delivering the
-// ascending prefix of windows that completed, which stays cache-reusable.
+// DeadlineExceeded promptly after the band boundary — within two band
+// widths of its deadline — after delivering the ascending prefix of
+// windows that completed, which stays cache-reusable.
 TEST_F(ServeFailpointTest, HardDeadlineAbortsMidSweepLeavingReusablePrefix) {
   const int64_t b = 8;
-  const int64_t length = b * 40;
+  const int64_t length = b * 80;
   TimeSeriesMatrix data = SmallClimate(6, length, 7002);
 
   DangoronServerOptions options;
@@ -1824,20 +1826,33 @@ TEST_F(ServeFailpointTest, HardDeadlineAbortsMidSweepLeavingReusablePrefix) {
   DangoronServer server(options);
   ASSERT_TRUE(server.AddDataset("d", std::move(data)).ok());
   const SlidingQuery query = MakeQuery(0, length, b * 6, b, 0.6);
+  ASSERT_GT(query.NumWindows(), 4 * kSweepWindowBand);
 
   // Every sweep band stalls 100 ms; a 25 ms deadline is blown inside the
-  // first band, so the abort must come from the mid-run enforcement.
+  // first band. The whole query is one claimed run (no batch cap), so only
+  // the sweep's per-band check can stop it before its five bands end.
+  constexpr double kBandDelayMs = 100.0;
+  constexpr double kDeadlineMs = 25.0;
   ASSERT_TRUE(
       FailpointRegistry::Instance().Configure("sweep.band=delay:100").ok());
   QueryRequest request{"d", query, ServeOptions{}};
   request.options.tier = ServeTier::kExact;
-  request.options.deadline_ms = 25;
+  request.options.deadline_ms = static_cast<int64_t>(kDeadlineMs);
+  request.options.max_batch_windows = 0;
+  Stopwatch timer;
   auto stream = server.SubmitStreaming(request);
   int64_t next_index = 0;
   while (auto window = stream->Next()) {
     EXPECT_EQ(window->window_index, next_index);  // an ascending prefix
     ++next_index;
   }
+  // Submit to terminal status: the abort lands at most two band widths
+  // past the deadline (one band of in-flight work plus delivery), or
+  // within 5 ms of it.
+  const double overshoot_ms = timer.ElapsedSeconds() * 1e3 - kDeadlineMs;
+  EXPECT_TRUE(overshoot_ms <= 2.0 * kBandDelayMs || overshoot_ms <= 5.0)
+      << "terminated " << overshoot_ms << " ms past the deadline, "
+      << overshoot_ms / kBandDelayMs << " band widths";
   EXPECT_EQ(stream->status().code(), StatusCode::kDeadlineExceeded)
       << stream->status().ToString();
   EXPECT_LT(next_index, query.NumWindows());  // it really stopped early
@@ -2156,7 +2171,9 @@ TEST_F(ServeFailpointTest, SpuriousPushFailuresNeverDropOrReorderWindows) {
 // A nonzero max_batch_windows caps a claimed run in whole sweep bands: a
 // cold exact stream costs one engine pass per kSweepWindowBand windows, not
 // one per max_batch_windows windows, so the sketch's dot-prefix block is
-// streamed once per band. The sweep.band failpoint counts the passes.
+// streamed once per band. The sweep.band failpoint counts the passes. The
+// first window arrives before the last band has run: the stream delivers
+// at band cadence, not once the whole query is done.
 TEST_F(ServeFailpointTest, StreamingExactPlanEvaluatesWholeSweepBands) {
   const int64_t b = 8;
   const int64_t length = b * 55;
@@ -2184,7 +2201,11 @@ TEST_F(ServeFailpointTest, StreamingExactPlanEvaluatesWholeSweepBands) {
     const int64_t hits_before = band->hits();
     auto stream = server.SubmitStreaming(request);
     int64_t next_index = 0;
+    int64_t bands_at_first_window = -1;
     while (auto window = stream->Next()) {
+      if (next_index == 0) {
+        bands_at_first_window = band->hits() - hits_before;
+      }
       ASSERT_EQ(window->window_index, next_index);
       const auto expected = truth.WindowEdges(next_index);
       ASSERT_EQ(window->edges->size(), expected.size())
@@ -2201,6 +2222,8 @@ TEST_F(ServeFailpointTest, StreamingExactPlanEvaluatesWholeSweepBands) {
     EXPECT_EQ(stream->summary().windows_computed, num_windows);
     EXPECT_EQ(band->hits() - hits_before,
               CeilDiv(num_windows, kSweepWindowBand));
+    EXPECT_GE(bands_at_first_window, 1);
+    EXPECT_LT(bands_at_first_window, CeilDiv(num_windows, kSweepWindowBand));
   }
 }
 

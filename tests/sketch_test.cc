@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/sketch_block.h"
 #include "common/thread_pool.h"
 #include "corr/pearson.h"
 #include "sketch/band_streamed_sketch.h"
@@ -320,6 +321,33 @@ TEST(BandStreamedSketchTest, RingSlotsAreTheIndexSlotsBitForBit) {
       }
     }
   }
+}
+
+// Panel blocks are recycled only where they are asked for again: a full
+// index build frees its panels to the allocator, while a destroyed band
+// stream parks its panels for the next stream.
+TEST(BandStreamedSketchTest, OnlyStreamsRecycleTheirPanels) {
+  Rng rng(77);
+  const TimeSeriesMatrix data = GenerateWhiteNoise(40, 8 * 30, &rng);
+  TrimSketchRecycler();
+  BasicWindowIndexOptions index_options;
+  index_options.basic_window = 8;
+  ASSERT_TRUE(BasicWindowIndex::Build(data, index_options).ok());
+  EXPECT_EQ(SketchRecyclerRetainedBytes(BlockPool::kPanels), 0);
+
+  BandStreamOptions options;
+  options.basic_window = 8;
+  options.band_slots = 8;
+  options.last_slot = 30;
+  options.pair_begin = 0;
+  options.pair_end = 40 * 39 / 2;
+  {
+    auto stream = BandStreamedSketch::Create(data, options, /*pool=*/nullptr);
+    ASSERT_TRUE(stream.ok());
+    EXPECT_EQ(SketchRecyclerRetainedBytes(BlockPool::kPanels), 0);
+  }
+  EXPECT_GT(SketchRecyclerRetainedBytes(BlockPool::kPanels), 0);
+  TrimSketchRecycler();
 }
 
 }  // namespace
