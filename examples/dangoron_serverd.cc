@@ -48,10 +48,12 @@
 //
 // Generate:
 //   dangoron_serverd generate [N=32] [L=4096] [family=uniform]
-//                    [envelope=pink] [seed=2023] [out.csv]
+//                    [envelope=pink] [seed=2023] [out.{csv,dgrn}]
 //     Tomborg (src/tomborg/README.md): N series of length L whose pairwise
 //     correlations follow `family` and whose spectra follow `envelope`,
-//     written as CSV (one series per row), with the realization report.
+//     with the realization report. An output path ending in .dgrn gets the
+//     lossless binary format (ts/dataset_io.h), any other CSV (one series
+//     per row, values at %.10g).
 //
 // Every numeric argument must parse whole ("0.6x" and "abc" are usage
 // errors, exit 2); the exit codes are kExitCodeSpecs below.
@@ -238,7 +240,7 @@ int Usage(const char* argv0) {
       "       %s run <data.{csv,dgrn}> <engine>[:options] <window> <step>\n"
       "          <beta> [abs] [out.csv]\n"
       "       %s generate [N=32] [L=4096] [family=uniform] [envelope=pink]\n"
-      "          [seed=2023] [out.csv]\n"
+      "          [seed=2023] [out.{csv,dgrn}]\n"
       "engines: %s\n"
       "families: %s\n"
       "envelopes: %s\n"
@@ -1030,10 +1032,14 @@ int RunGenerate(int argc, char** argv) {
   }
 
   if (output.empty()) {
-    std::printf("no output path given; skipping CSV export\n");
+    std::printf("no output path given; skipping export\n");
     return 0;
   }
-  if (Status status = WriteCsv(dataset->data, output); !status.ok()) {
+  // Chosen by extension the same way LoadData reads it back.
+  const Status status = EndsWith(output, ".dgrn")
+                            ? SaveDataset(dataset->data, output)
+                            : WriteCsv(dataset->data, output);
+  if (!status.ok()) {
     std::fprintf(stderr, "write: %s\n", status.ToString().c_str());
     return 1;
   }

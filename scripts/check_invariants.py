@@ -44,6 +44,12 @@ Checks:
      BENCH_*.json to scripts/check_bench_regression.py — a retired bench
      leaves no orphaned baseline or CI step behind, and a new one cannot
      land ungated.
+ 12. program-reached: every function declared in a src/*/*.h is used by
+     program code — src/, examples/, bench/ or perfbench/ — somewhere
+     other than a declaration or definition of it. API only tests call is
+     deleted with its tests, or named in PROGRAM_REACHED_ALLOWLIST with
+     the reason it stays; an allowlist entry that names no unreached
+     function is stale.
 
 Exit 0 when every invariant holds, 1 otherwise (one pointed line each).
 
@@ -100,6 +106,51 @@ BUILD_TARGETS_RE = re.compile(r"--target\s+([^\n]+)")
 BASELINE_RE = re.compile(r"BENCH_\w+\.json")
 QUICKSTART_BEGIN = "// README quickstart begin\n"
 QUICKSTART_END = "// README quickstart end\n"
+
+PROGRAM_DIRS = ("src", "examples", "bench", "perfbench")
+NAME_RE = re.compile(r"\b[A-Za-z_]\w*\b")
+OPEN_PAREN_RE = re.compile(r"\s*\(")
+# Words that may stand before `(` without naming a function, and words
+# after which a name followed by `(` is called, not declared.
+NOT_FUNCTION_NAMES = frozenset((
+    "alignas", "alignof", "auto", "bool", "char", "const", "decltype",
+    "defined", "delete", "double", "float", "for", "if", "int", "long",
+    "noexcept", "operator", "return", "short", "signed", "sizeof",
+    "static_assert", "switch", "unsigned", "void", "while"))
+CALL_PREFIX_WORDS = frozenset(("return", "new", "throw", "else", "case",
+                               "co_return", "co_yield", "not", "and", "or"))
+# Functions declared in src/*/*.h that no program reaches, and why each
+# stays.
+PROGRAM_REACHED_ALLOWLIST = {
+    # References the tests compare the production kernels against.
+    "CombinePearsonEq1": "Eq. 1 oracle for the sketch's range correlation "
+                         "(corr_test)",
+    "ComputeBasicWindowStats": "per-basic-window oracle for the blocked and "
+                               "scalar sketch builds (block_kernel_test)",
+    "ComputeBasicWindowCorrelations": "per-basic-window oracle for the "
+                                      "blocked and scalar sketch builds "
+                                      "(block_kernel_test)",
+    "DirectDft": "O(n^2) oracle for Fft (dft_test)",
+    # Test hooks: what a test observes or resets about reached code.
+    "TrimSketchRecycler": "resets the process-wide sketch recycler between "
+                          "tests of the eviction-recycler-rebuild path",
+    "SketchRecyclerRetainedBytes": "observes the sketch recycler the "
+                                   "serving layer's cache accounting feeds",
+    "MaxAbsDiff": "compares linalg results against their oracles",
+    "ArmedSites": "failpoint registry API: tests arm, list and disarm sites",
+    "DisarmAll": "failpoint registry API: tests arm, list and disarm sites",
+    "health": "observes the router's per-shard health machine "
+              "(router_test)",
+    "reserved_bytes": "observes the admission queue's byte budget "
+                      "(admission_test)",
+    "newest_slot": "the upper end of the band ring's readable slots; "
+                   "sketch_test checks AdvanceTo against it",
+    "buffered": "observes that a FrameReader consumed every frame byte "
+                "(wire_test)",
+    # Planned callers.
+    "SetMinLogSeverity": "the logging.h severity levels the observability "
+                         "work (ROADMAP item 5) will call",
+}
 
 
 def read(path):
@@ -415,6 +466,96 @@ def check_bench_gated(root, errors):
                 f"baseline")
 
 
+def strip_code(text):
+    """Comments, string and char literals, and preprocessor lines removed:
+    what is left names only what the code itself uses."""
+    text = strip_comments(text)
+    text = re.sub(r'"(?:\\.|[^"\\\n])*"', '""', text)
+    text = re.sub(r"'(?:\\.|[^'\\\n])+'", "''", text)
+    return re.sub(r"^[ \t]*#.*(?:\\\n.*)*", "", text, flags=re.MULTILINE)
+
+
+def is_declaration(text, pos):
+    """True when the name at `pos`, followed by `(`, is declared or defined
+    there: it follows a return type (`Status Foo(`, `Foo* Bar(`), or a
+    return type and a qualifier (`Status Foo::Bar(`)."""
+    before = text[max(0, pos - 256):pos].rstrip()
+    while before.endswith("::"):
+        before = re.sub(r"\w*$", "", before[:-2].rstrip()).rstrip()
+    if before.endswith("->"):
+        return False
+    word = re.search(r"\w+$", before)
+    if word:
+        return word.group(0) not in CALL_PREFIX_WORDS
+    return bool(re.search(r"(?:>|\w[*&]+)$", before))
+
+
+def scope_opened(head):
+    """True when a `{` after `head` opens a namespace or class body, where
+    declarations live, rather than a function body or an initializer."""
+    head = re.sub(r"\b(?:public|private|protected)\s*:", "", head)
+    head = re.sub(r"^\s*template\s*<[^;{}]*?>", "", head)
+    return bool(re.match(r"\s*(?:namespace|class|struct|union|extern)\b",
+                         head))
+
+
+def declared_functions(text):
+    """Names of the functions `text` declares at namespace or class scope."""
+    names = set()
+    scopes = []  # True per open brace that opened a namespace or class
+    head_start = 0
+    for match in re.finditer(r"[{};]|\b[A-Za-z_]\w*(?=\s*\()", text):
+        token = match.group(0)
+        if token == "{":
+            scopes.append(scope_opened(text[head_start:match.start()]))
+        elif token == "}" and scopes:
+            scopes.pop()
+        elif token not in "{};" and all(scopes) and \
+                token not in NOT_FUNCTION_NAMES and \
+                re.search(r"[a-z]", token) and \
+                not token.startswith("__") and \
+                is_declaration(text, match.start()):
+            names.add(token)
+        if token in "{};":
+            head_start = match.end()
+    return names
+
+
+def referenced_names(text):
+    """Every name `text` uses other than where it declares or defines a
+    function of that name."""
+    return {match.group(0) for match in NAME_RE.finditer(text)
+            if not (OPEN_PAREN_RE.match(text, match.end()) and
+                    is_declaration(text, match.start()))}
+
+
+def check_program_reached(root, errors):
+    """A function only tests call is code to keep in step for nothing:
+    every function a src/ header declares is used by program code."""
+    declared = {}  # name -> first declaring header
+    referenced = set()
+    for path in source_files(root, PROGRAM_DIRS):
+        rel = os.path.relpath(path, root)
+        text = strip_code(read(path))
+        referenced |= referenced_names(text)
+        if rel.endswith(".h") and len(rel.split(os.sep)) == 3 and \
+                rel.startswith("src" + os.sep):
+            for name in declared_functions(text):
+                declared.setdefault(name, rel)
+    unreached = {name: header for name, header in declared.items()
+                 if name not in referenced}
+    for name in sorted(unreached, key=lambda n: (unreached[n], n)):
+        if name not in PROGRAM_REACHED_ALLOWLIST:
+            errors.append(
+                f"program-reached: {name} ({unreached[name]}) is used by no "
+                f"program in {'/, '.join(PROGRAM_DIRS)}/ — delete it with "
+                f"its tests, or allowlist it with a reason")
+    for name in sorted(set(PROGRAM_REACHED_ALLOWLIST) - set(unreached)):
+        errors.append(
+            f"program-reached: allowlist entry {name} names no unreached "
+            f"function in a src/ header — drop the stale entry")
+
+
 CHECKS = (
     check_failpoint_catalog,
     check_wire_status_codes,
@@ -427,6 +568,7 @@ CHECKS = (
     check_examples_exercised,
     check_readme_quickstart,
     check_bench_gated,
+    check_program_reached,
 )
 
 

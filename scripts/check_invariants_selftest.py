@@ -19,7 +19,10 @@ message pointing at the actual drift:
   - a README.md quickstart block drifted from examples/quickstart.cc,
   - a bench/ program CI's bench-smoke job does not build, or builds but
     only names in a comment, and a committed BENCH_*.json baseline the
-    regression gate is not given.
+    regression gate is not given,
+  - a function a src/ header declares that only tests/ call, or that
+    program code only declares, defines or mentions in prose, and a stale
+    allowlist entry.
 
 Exit 0 when every case behaves, 1 otherwise.
 """
@@ -164,6 +167,41 @@ Status RunWindowMajorSweep(WindowSink* sink) {
 
 CLEAN_BENCH_CC = "int main() { return 0; }\n"
 
+HELPER_H = """
+class Shard {
+ public:
+  Result<int> Probe(int attempt) const;
+};
+
+/// Helper(x) doubles x.
+int Helper(int x);
+"""
+
+HELPER_CC = """
+int Helper(int x) { return 2 * x; }
+
+Result<int> Shard::Probe(int attempt) const {
+  // Retry through Probe(attempt + 1) once the shard answers.
+  LOG(INFO) << "Probe(" << attempt << ")";
+  return attempt;
+}
+"""
+
+HELPER_TEST_CC = """
+TEST(HelperTest, Doubles) {
+  EXPECT_EQ(Helper(2), 4);
+  EXPECT_TRUE(Shard().Probe(1).ok());
+}
+"""
+
+
+def write_helper(root, caller_dir=None, caller=""):
+    write(root, "src/serve/helper.h", HELPER_H)
+    write(root, "src/serve/helper.cc", HELPER_CC)
+    write(root, "tests/helper_test.cc", HELPER_TEST_CC)
+    if caller_dir is not None:
+        write(root, f"{caller_dir}/caller.cc", caller)
+
 CLEAN_CI = """
 jobs:
   build-and-test:
@@ -242,7 +280,8 @@ def expect(case, errors, *substrings):
     return True
 
 
-def run_case(case, mutate, *substrings):
+def run_case(case, mutate, *substrings, allowlist=None):
+    check_invariants.PROGRAM_REACHED_ALLOWLIST = allowlist or {}
     with tempfile.TemporaryDirectory() as root:
         make_clean_tree(root)
         mutate(root)
@@ -401,6 +440,41 @@ def main():
                 root, ".github/workflows/ci.yml",
                 CLEAN_CI.replace("--query-baseline BENCH_query.json\n", "")),
             "bench-gated", "BENCH_query.json"),
+        run_case(
+            "test-only-functions",
+            write_helper,
+            "program-reached", "Helper (src/serve/helper.h)",
+            "Probe (src/serve/helper.h)"),
+        run_case(
+            "function-reached-by-a-program-is-fine",
+            lambda root: write_helper(
+                root, "perfbench",
+                "int main() {\n  Shard shard;\n"
+                "  return Helper(shard.Probe(1).value());\n}\n")),
+        run_case(
+            "member-call-through-a-pointer-is-a-use",
+            lambda root: write_helper(
+                root, "src/net",
+                "int Run(const Shard* shard) {\n"
+                "  return Helper(shard->Probe(0).value());\n}\n")),
+        run_case(
+            "declared-but-only-defined-in-a-program",
+            lambda root: write_helper(
+                root, "perfbench",
+                "int Helper(int x);\n"
+                "Result<int> Shard::Probe(int attempt) const;\n"),
+            "program-reached", "Helper", "Probe"),
+        run_case(
+            "allowlisted-function-is-fine",
+            lambda root: write_helper(
+                root, "perfbench",
+                "int main() { return Shard().Probe(1).value(); }\n"),
+            allowlist={"Helper": "the oracle a test compares against"}),
+        run_case(
+            "stale-allowlist-entry",
+            lambda root: None,
+            "program-reached", "Retired", "stale",
+            allowlist={"Retired": "deleted long ago"}),
         run_case(
             "commented-mutex-is-fine",
             lambda root: write(

@@ -23,12 +23,6 @@ class DeadlineToken {
   /// sentinel `RequestDeadline` already produces).
   explicit DeadlineToken(TimePoint deadline) : deadline_(deadline) {}
 
-  /// A deadline `ms` milliseconds from now (test/bench convenience).
-  static DeadlineToken After(int64_t ms) {
-    return DeadlineToken(std::chrono::steady_clock::now() +
-                         std::chrono::milliseconds(ms));
-  }
-
   bool has_deadline() const { return deadline_ != TimePoint::max(); }
 
   /// The absolute deadline; `TimePoint::max()` when none — the sentinel

@@ -4,53 +4,6 @@
 
 namespace dangoron {
 
-double Sum(std::span<const double> values) {
-  // Kahan summation: benchmark series are long enough (1e4-1e6 points) that
-  // naive accumulation visibly drifts against the test oracles.
-  double sum = 0.0;
-  double compensation = 0.0;
-  for (const double v : values) {
-    const double y = v - compensation;
-    const double t = sum + y;
-    compensation = (t - sum) - y;
-    sum = t;
-  }
-  return sum;
-}
-
-double Mean(std::span<const double> values) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  return Sum(values) / static_cast<double>(values.size());
-}
-
-double PopulationVariance(std::span<const double> values) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  const double mean = Mean(values);
-  double sum = 0.0;
-  for (const double v : values) {
-    const double d = v - mean;
-    sum += d * d;
-  }
-  return sum / static_cast<double>(values.size());
-}
-
-double PopulationStdDev(std::span<const double> values) {
-  return std::sqrt(PopulationVariance(values));
-}
-
-double Dot(std::span<const double> a, std::span<const double> b) {
-  DCHECK_EQ(a.size(), b.size());
-  double sum = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    sum += a[i] * b[i];
-  }
-  return sum;
-}
-
 int64_t NextPowerOfTwo(int64_t value) {
   DCHECK_GE(value, 1);
   int64_t result = 1;

@@ -7,17 +7,6 @@
 
 namespace dangoron {
 
-/// Relative/absolute tolerance comparison for floating-point values.
-inline bool AlmostEqual(double a, double b, double abs_tol = 1e-9,
-                        double rel_tol = 1e-9) {
-  const double diff = std::fabs(a - b);
-  if (diff <= abs_tol) {
-    return true;
-  }
-  const double scale = std::fmax(std::fabs(a), std::fabs(b));
-  return diff <= rel_tol * scale;
-}
-
 /// Clamps `value` into [lo, hi].
 inline double Clamp(double value, double lo, double hi) {
   return value < lo ? lo : (value > hi ? hi : value);
@@ -28,21 +17,6 @@ inline double Clamp(double value, double lo, double hi) {
 inline double ClampCorrelation(double value) {
   return Clamp(value, -1.0, 1.0);
 }
-
-/// Arithmetic mean of `values`; 0 for an empty span.
-double Mean(std::span<const double> values);
-
-/// Population variance (divide by n) of `values`; 0 for an empty span.
-double PopulationVariance(std::span<const double> values);
-
-/// Population standard deviation of `values`.
-double PopulationStdDev(std::span<const double> values);
-
-/// Sum of `values`.
-double Sum(std::span<const double> values);
-
-/// Dot product of two equally sized spans.
-double Dot(std::span<const double> a, std::span<const double> b);
 
 /// True when `value` is a power of two (and > 0).
 constexpr bool IsPowerOfTwo(int64_t value) {

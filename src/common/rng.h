@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <numbers>
-#include <vector>
 
 namespace dangoron {
 
@@ -17,12 +16,10 @@ class Rng {
  public:
   /// Seeds the generator; two Rng created with the same seed produce
   /// identical streams on every platform.
-  explicit Rng(uint64_t seed = 0x853c49e6748fea9bULL) { Reseed(seed); }
-
-  void Reseed(uint64_t seed) {
-    state_ = 0;
+  explicit Rng(uint64_t seed = 0x853c49e6748fea9bULL) {
     NextU64();
-    state_ += (static_cast<unsigned __int128>(seed) << 64) | (seed * 0x9e3779b97f4a7c15ULL + 1);
+    state_ += (static_cast<unsigned __int128>(seed) << 64) |
+              (seed * 0x9e3779b97f4a7c15ULL + 1);
     NextU64();
   }
 
@@ -92,21 +89,6 @@ class Rng {
 
   /// True with probability `p`.
   bool NextBernoulli(double p) { return NextDouble() < p; }
-
-  /// Fisher-Yates shuffle of `values`.
-  template <typename T>
-  void Shuffle(std::vector<T>* values) {
-    for (size_t i = values->size(); i > 1; --i) {
-      const size_t j = static_cast<size_t>(NextBounded(i));
-      std::swap((*values)[i - 1], (*values)[j]);
-    }
-  }
-
-  /// Derives an independent child stream; used to give each worker thread or
-  /// each series its own deterministic generator.
-  Rng Fork(uint64_t stream_id) {
-    return Rng(NextU64() ^ (0x9e3779b97f4a7c15ULL * (stream_id + 1)));
-  }
 
  private:
   static constexpr unsigned __int128 kMultiplier =

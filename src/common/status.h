@@ -74,14 +74,6 @@ class Status {
     return Make(StatusCode::kFailedPrecondition, std::forward<Args>(args)...);
   }
   template <typename... Args>
-  static Status AlreadyExists(Args&&... args) {
-    return Make(StatusCode::kAlreadyExists, std::forward<Args>(args)...);
-  }
-  template <typename... Args>
-  static Status Unimplemented(Args&&... args) {
-    return Make(StatusCode::kUnimplemented, std::forward<Args>(args)...);
-  }
-  template <typename... Args>
   static Status Internal(Args&&... args) {
     return Make(StatusCode::kInternal, std::forward<Args>(args)...);
   }

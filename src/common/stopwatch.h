@@ -19,14 +19,6 @@ class Stopwatch {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
-  int64_t ElapsedNanos() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                start_)
-        .count();
-  }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -19,9 +19,6 @@ std::vector<std::string> SplitWhitespace(std::string_view text);
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view text);
 
-/// True if `text` begins with `prefix`.
-bool StartsWith(std::string_view text, std::string_view prefix);
-
 /// True if `text` ends with `suffix`.
 bool EndsWith(std::string_view text, std::string_view suffix);
 

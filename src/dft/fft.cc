@@ -189,17 +189,4 @@ Result<std::vector<double>> InverseRealDft(std::span<const Cplx> spectrum,
   return output;
 }
 
-double HalfSpectrumEnergy(std::span<const Cplx> spectrum, int64_t n) {
-  double energy = 0.0;
-  const int64_t half = static_cast<int64_t>(spectrum.size());
-  for (int64_t k = 0; k < half; ++k) {
-    const double mag2 = std::norm(spectrum[static_cast<size_t>(k)]);
-    // Interior coefficients appear twice in the full spectrum (k and n-k);
-    // DC and (for even n) Nyquist appear once.
-    const bool doubled = k != 0 && !(n % 2 == 0 && k == n / 2);
-    energy += doubled ? 2.0 * mag2 : mag2;
-  }
-  return energy;
-}
-
 }  // namespace dangoron

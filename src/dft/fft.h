@@ -41,11 +41,6 @@ Result<std::vector<std::complex<double>>> RealDft(
 Result<std::vector<double>> InverseRealDft(
     std::span<const std::complex<double>> spectrum, int64_t n);
 
-/// Sum of |X_k|^2 over the full implied spectrum of a half spectrum; equals
-/// n * sum x_t^2 by Parseval (used by tests and by Tomborg's energy checks).
-double HalfSpectrumEnergy(std::span<const std::complex<double>> spectrum,
-                          int64_t n);
-
 }  // namespace dangoron
 
 #endif  // DANGORON_DFT_FFT_H_

@@ -1,8 +1,5 @@
 #include "engine/query.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
 #include "common/strings.h"
 
 namespace dangoron {
@@ -73,27 +70,6 @@ int64_t CorrelationMatrixSeries::TotalEdges() const {
     total += static_cast<int64_t>(window.size());
   }
   return total;
-}
-
-std::vector<double> CorrelationMatrixSeries::ToDense(int64_t k) const {
-  CHECK_GE(k, 0);
-  CHECK_LT(k, num_windows());
-  std::vector<double> dense(static_cast<size_t>(num_series_ * num_series_),
-                            0.0);
-  for (int64_t i = 0; i < num_series_; ++i) {
-    dense[static_cast<size_t>(i * num_series_ + i)] = 1.0;
-  }
-  for (const Edge& edge : windows_[static_cast<size_t>(k)]) {
-    dense[static_cast<size_t>(edge.i) * num_series_ + edge.j] = edge.value;
-    dense[static_cast<size_t>(edge.j) * num_series_ + edge.i] = edge.value;
-  }
-  return dense;
-}
-
-void CorrelationMatrixSeries::SortWindows() {
-  for (std::vector<Edge>& window : windows_) {
-    std::sort(window.begin(), window.end(), EdgeOrder);
-  }
 }
 
 }  // namespace dangoron

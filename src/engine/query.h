@@ -85,10 +85,9 @@ inline bool operator==(const Edge& a, const Edge& b) {
   return a.i == b.i && a.j == b.j && a.value == b.value;
 }
 
-/// The canonical (i, j) ordering of a window's edges — the single
-/// definition behind both the engines' per-window emission sort and
-/// CorrelationMatrixSeries::SortWindows, so the WindowSink "sorted by
-/// (i, j)" contract cannot drift between the two.
+/// The canonical (i, j) ordering of a window's edges: the order of the
+/// WindowSink "sorted by (i, j)" contract, for consumers that sort, check
+/// or merge windows.
 inline bool EdgeOrder(const Edge& a, const Edge& b) {
   return a.i != b.i ? a.i < b.i : a.j < b.j;
 }
@@ -116,14 +115,6 @@ class CorrelationMatrixSeries {
 
   /// Total edges across all windows.
   int64_t TotalEdges() const;
-
-  /// Densifies window `k` into a full num_series x num_series matrix
-  /// (row-major, diagonal 1, sub-threshold entries 0).
-  std::vector<double> ToDense(int64_t k) const;
-
-  /// Sorts every window's edges by (i, j); engines call this once after
-  /// filling windows out of order.
-  void SortWindows();
 
  private:
   SlidingQuery query_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/math_utils.h"
 #include "corr/pearson.h"
@@ -163,59 +162,6 @@ Status TsubasaEngine::QueryToSink(const SlidingQuery& query,
   }
   sink->OnFinish(Status::Ok());
   return Status::Ok();
-}
-
-Result<double> TsubasaEngine::PairCorrelation(int64_t i, int64_t j,
-                                              int64_t range_start,
-                                              int64_t range_end) const {
-  if (data_ == nullptr || !index_.has_value()) {
-    return Status::FailedPrecondition("TsubasaEngine: Prepare not called");
-  }
-  if (i < 0 || j < 0 || i >= data_->num_series() || j >= data_->num_series() ||
-      i == j) {
-    return Status::InvalidArgument("PairCorrelation: bad pair (", i, ", ", j,
-                                   ")");
-  }
-  if (range_start < 0 || range_end > data_->length() ||
-      range_end - range_start < 2) {
-    return Status::OutOfRange("PairCorrelation: bad range [", range_start,
-                              ", ", range_end, ")");
-  }
-  const BasicWindowIndex& index = *index_;
-  const int64_t b = options_.basic_window;
-  int64_t full_lo = CeilDiv(range_start, b);
-  int64_t full_hi = std::min(range_end / b, index.num_basic_windows());
-  int64_t head_end;
-  int64_t tail_begin;
-  if (full_hi <= full_lo) {
-    // No usable full basic window: the whole range is raw.
-    full_lo = full_hi = 0;
-    head_end = range_end;
-    tail_begin = range_end;
-  } else {
-    head_end = full_lo * b;
-    tail_begin = full_hi * b;
-  }
-
-  const int64_t p = BasicWindowIndex::PairId(i, j, data_->num_series());
-  double dot = index.DotRange(p, full_lo, full_hi);
-  double sx = index.SumRange(i, full_lo, full_hi);
-  double sy = index.SumRange(j, full_lo, full_hi);
-  double sxx = index.SumSqRange(i, full_lo, full_hi);
-  double syy = index.SumSqRange(j, full_lo, full_hi);
-
-  for (const auto& [t0, t1] : {std::pair{range_start, head_end},
-                               std::pair{tail_begin, range_end}}) {
-    const PartialMoments mi = RawMoments(*data_, i, t0, t1);
-    const PartialMoments mj = RawMoments(*data_, j, t0, t1);
-    sx += mi.sum;
-    sxx += mi.sumsq;
-    sy += mj.sum;
-    syy += mj.sumsq;
-    dot += RawDot(*data_, i, j, t0, t1);
-  }
-  return PearsonFromMoments(static_cast<double>(range_end - range_start), sx,
-                            sy, sxx, syy, dot);
 }
 
 }  // namespace dangoron

@@ -39,12 +39,6 @@ class TsubasaEngine : public CorrelationEngine {
   /// out one by one; cancellation skips the remaining recombinations.
   Status QueryToSink(const SlidingQuery& query, WindowSink* sink) override;
 
-  /// TSUBASA's headline API: exact correlation of (i, j) over an arbitrary
-  /// column range [range_start, range_end), combining full basic windows
-  /// from the sketch and partial edges from raw data.
-  Result<double> PairCorrelation(int64_t i, int64_t j, int64_t range_start,
-                                 int64_t range_end) const;
-
  private:
   TsubasaOptions options_;
   const TimeSeriesMatrix* data_ = nullptr;

@@ -10,16 +10,4 @@ Status FinishCancelled(WindowSink* sink, const char* producer,
   return cancelled;
 }
 
-Status ReplayToSink(const CorrelationMatrixSeries& series, WindowSink* sink) {
-  RETURN_IF_ERROR(sink->OnBegin(series.query(), series.num_series()));
-  for (int64_t k = 0; k < series.num_windows(); ++k) {
-    const std::span<const Edge> edges = series.WindowEdges(k);
-    if (!sink->OnWindow(k, std::vector<Edge>(edges.begin(), edges.end()))) {
-      return FinishCancelled(sink, "ReplayToSink", k);
-    }
-  }
-  sink->OnFinish(Status::Ok());
-  return Status::Ok();
-}
-
 }  // namespace dangoron

@@ -82,12 +82,6 @@ class CollectingWindowSink final : public WindowSink {
   Status status_ = Status::Ok();
 };
 
-/// Replays a materialized series through `sink` window by window (edges are
-/// copied — the series keeps its windows). Bridges the pre-pipeline world
-/// into sink consumers: OnBegin / every OnWindow in order / OnFinish, with
-/// the usual cancellation semantics.
-Status ReplayToSink(const CorrelationMatrixSeries& series, WindowSink* sink);
-
 /// The shared cancellation epilogue of every bounded producer: builds the
 /// Cancelled status for `producer` stopping at `window_index` (the window
 /// whose OnWindow returned false), delivers it through OnFinish, and

@@ -79,22 +79,4 @@ std::string Table::ToString() const {
   return out;
 }
 
-std::string Table::ToCsv() const {
-  std::string out;
-  auto append_row = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) {
-        out += ',';
-      }
-      out += row[c];
-    }
-    out += '\n';
-  };
-  append_row(headers_);
-  for (const std::vector<std::string>& row : rows_) {
-    append_row(row);
-  }
-  return out;
-}
-
 }  // namespace dangoron

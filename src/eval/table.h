@@ -30,9 +30,6 @@ class Table {
   /// Renders with a header underline and 2-space column gaps.
   std::string ToString() const;
 
-  /// Renders as CSV (for piping results into plotting scripts).
-  std::string ToCsv() const;
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

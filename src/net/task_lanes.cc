@@ -5,18 +5,6 @@
 
 namespace dangoron {
 
-std::string_view TaskLaneName(TaskLane lane) {
-  switch (lane) {
-    case TaskLane::kHigh:
-      return "high";
-    case TaskLane::kMedium:
-      return "medium";
-    case TaskLane::kLow:
-      return "low";
-  }
-  return "unknown";
-}
-
 LanedTaskPool::LanedTaskPool(int32_t num_threads) {
   const int32_t threads = std::max<int32_t>(1, num_threads);
   workers_.reserve(static_cast<size_t>(threads));

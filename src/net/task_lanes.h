@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -33,8 +32,6 @@ enum class TaskLane : int8_t {
 };
 
 inline constexpr int kNumTaskLanes = 3;
-
-std::string_view TaskLaneName(TaskLane lane);
 
 /// Per-lane counters (snapshot).
 struct TaskLaneStats {

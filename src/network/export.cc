@@ -1,6 +1,5 @@
 #include "network/export.h"
 
-#include <cmath>
 #include <fstream>
 
 #include "common/strings.h"
@@ -8,13 +7,6 @@
 namespace dangoron {
 
 namespace {
-
-std::string NodeName(const std::vector<std::string>& names, int64_t v) {
-  if (static_cast<size_t>(v) < names.size() && !names[static_cast<size_t>(v)].empty()) {
-    return names[static_cast<size_t>(v)];
-  }
-  return std::to_string(v);
-}
 
 // The one row writer behind both CSV export paths (materialized and sink).
 // Values print with %.17g, enough digits to round-trip every double, so a
@@ -28,49 +20,6 @@ void WriteCsvRows(std::ofstream& out, int64_t window_index,
 }
 
 }  // namespace
-
-Status WriteEdgeList(const NetworkSnapshot& network,
-                     const std::vector<std::string>& names,
-                     const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::IoError("cannot open edge list for writing: ", path);
-  }
-  for (const Edge& edge : network.edges()) {
-    out << NodeName(names, edge.i) << '\t' << NodeName(names, edge.j) << '\t'
-        << StrFormat("%.6f", edge.value) << '\n';
-  }
-  if (!out) {
-    return Status::IoError("error writing edge list: ", path);
-  }
-  return Status::Ok();
-}
-
-Status WriteGraphviz(const NetworkSnapshot& network,
-                     const std::vector<std::string>& names,
-                     const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::IoError("cannot open DOT file for writing: ", path);
-  }
-  out << "graph correlation_network {\n";
-  out << "  layout=neato;\n  node [shape=circle, fontsize=10];\n";
-  for (int64_t v = 0; v < network.num_nodes(); ++v) {
-    out << "  \"" << NodeName(names, v) << "\";\n";
-  }
-  for (const Edge& edge : network.edges()) {
-    out << "  \"" << NodeName(names, edge.i) << "\" -- \""
-        << NodeName(names, edge.j) << "\" [weight="
-        << StrFormat("%.4f", edge.value)
-        << ", penwidth=" << StrFormat("%.2f", 0.5 + 3.0 * std::fabs(edge.value))
-        << "];\n";
-  }
-  out << "}\n";
-  if (!out) {
-    return Status::IoError("error writing DOT file: ", path);
-  }
-  return Status::Ok();
-}
 
 Status WriteSeriesCsv(const CorrelationMatrixSeries& series,
                       const std::string& path) {

@@ -7,23 +7,8 @@
 #include "common/status.h"
 #include "engine/query.h"
 #include "engine/window_sink.h"
-#include "network/network.h"
 
 namespace dangoron {
-
-/// Writes one window's network as a weighted edge list:
-/// `<name_i>\t<name_j>\t<correlation>` per line. `names` may be empty, in
-/// which case numeric node ids are written.
-Status WriteEdgeList(const NetworkSnapshot& network,
-                     const std::vector<std::string>& names,
-                     const std::string& path);
-
-/// Writes one window's network in Graphviz DOT format (undirected graph,
-/// edge weight = correlation, penwidth scaled by |correlation|), ready for
-/// `neato -Tpng`.
-Status WriteGraphviz(const NetworkSnapshot& network,
-                     const std::vector<std::string>& names,
-                     const std::string& path);
 
 /// Writes the whole query result as a long-format CSV:
 /// `window,i,j,correlation` — the exchange format for plotting the dynamic

@@ -45,10 +45,6 @@ std::span<const int32_t> NetworkSnapshot::Neighbors(int64_t v) const {
                                   static_cast<size_t>(end - begin));
 }
 
-int64_t NetworkSnapshot::Degree(int64_t v) const {
-  return static_cast<int64_t>(Neighbors(v).size());
-}
-
 double NetworkSnapshot::Density() const {
   if (num_nodes_ < 2) {
     return 0.0;
@@ -66,27 +62,6 @@ bool NetworkSnapshot::HasEdge(int64_t i, int64_t j) const {
   std::span<const int32_t> neighbors = Neighbors(i);
   return std::binary_search(neighbors.begin(), neighbors.end(),
                             static_cast<int32_t>(j));
-}
-
-DegreeStats ComputeDegreeStats(const NetworkSnapshot& network) {
-  DegreeStats stats;
-  if (network.num_nodes() == 0) {
-    return stats;
-  }
-  stats.min = network.num_nodes();
-  int64_t total = 0;
-  for (int64_t v = 0; v < network.num_nodes(); ++v) {
-    const int64_t degree = network.Degree(v);
-    stats.min = std::min(stats.min, degree);
-    stats.max = std::max(stats.max, degree);
-    total += degree;
-    if (degree == 0) {
-      ++stats.isolated;
-    }
-  }
-  stats.mean = static_cast<double>(total) /
-               static_cast<double>(network.num_nodes());
-  return stats;
 }
 
 ComponentStats ComputeComponentStats(const NetworkSnapshot& network) {

@@ -24,9 +24,6 @@ class NetworkSnapshot {
   /// Neighbors of node `v`, ascending.
   std::span<const int32_t> Neighbors(int64_t v) const;
 
-  /// Degree of node `v`.
-  int64_t Degree(int64_t v) const;
-
   /// Edge density: edges / (n choose 2).
   double Density() const;
 
@@ -40,16 +37,6 @@ class NetworkSnapshot {
   std::vector<int32_t> neighbors_;
   std::vector<int64_t> offsets_;
 };
-
-/// Degree distribution summary of a snapshot.
-struct DegreeStats {
-  int64_t min = 0;
-  int64_t max = 0;
-  double mean = 0.0;
-  /// Count of isolated nodes.
-  int64_t isolated = 0;
-};
-DegreeStats ComputeDegreeStats(const NetworkSnapshot& network);
 
 /// Connected-component summary.
 struct ComponentStats {

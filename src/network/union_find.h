@@ -40,8 +40,6 @@ class UnionFind {
     return true;
   }
 
-  bool Connected(int64_t a, int64_t b) { return Find(a) == Find(b); }
-
   /// Size of the set containing x.
   int64_t ComponentSize(int64_t x) {
     return size_[static_cast<size_t>(Find(x))];

@@ -90,11 +90,6 @@ int64_t ShardMerge::failovers() const {
   return failovers_used_;
 }
 
-int64_t ShardMerge::num_shards() const {
-  MutexLock lock(mutex_);
-  return static_cast<int64_t>(slices_.size());
-}
-
 Status ShardMerge::PrefixedStatus(int slice_index, const Status& status) const {
   const Slice& slice = *slices_[static_cast<size_t>(slice_index)];
   std::string prefix = "shard " + std::to_string(slice_index);

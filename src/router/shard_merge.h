@@ -189,8 +189,6 @@ class ShardMerge {
   /// Mid-stream failovers performed so far (shard deaths ridden out).
   int64_t failovers() const;
 
-  int64_t num_shards() const;
-
  private:
   struct Slice {
     std::unique_ptr<ShardWindowSource> source;

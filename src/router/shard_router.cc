@@ -346,11 +346,7 @@ Result<std::unique_ptr<ShardMerge>> ShardRouter::Submit(
         "shard router: the request already carries a pair-range "
         "restriction; the router owns the pair split");
   }
-  auto deadline = std::chrono::steady_clock::time_point::max();
-  if (request.options.deadline_ms.has_value()) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::milliseconds(*request.options.deadline_ms);
-  }
+  const auto deadline = RequestDeadline(request.options);
   ASSIGN_OR_RETURN(std::vector<ShardSlice> slices,
                    Place(request, num_pairs, 0, num_pairs, AdmittedShards(-1),
                          deadline));

@@ -128,10 +128,6 @@ class ShardRouter {
   Result<std::unique_ptr<ShardMerge>> Submit(const WireRequest& request,
                                              int64_t num_pairs);
 
-  int64_t num_shards() const {
-    return static_cast<int64_t>(options_.shards.size());
-  }
-
   /// The health machine's current verdict for one shard (observability +
   /// tests).
   ShardHealth health(int shard) const;

@@ -16,8 +16,7 @@ namespace dangoron {
 /// server's window cache from outside a query:
 ///
 /// - engine-driven (bounded) producers: `OnBegin` derives the window
-///   geometry from the query, so `ReplayToSink` / `QueryToSink` warm the
-///   cache directly;
+///   geometry from the query, so `QueryToSink` warms the cache directly;
 /// - open-ended producers (`StreamingNetworkBuilder::EmitTo`): no `OnBegin`
 ///   arrives, so construct with `FixedGeometry` and windows are keyed from
 ///   the stream's configuration.
@@ -82,18 +81,14 @@ class CacheWindowSink final : public WindowSink {
                         geometry_.threshold, geometry_.absolute,
                         geometry_.pair_begin, geometry_.pair_end),
         std::move(shared), bytes);
-    ++windows_published_;
     return true;
   }
-
-  int64_t windows_published() const { return windows_published_; }
 
  private:
   WindowResultCache* cache_;
   uint64_t fingerprint_;
   int64_t basic_window_;
   FixedGeometry geometry_;
-  int64_t windows_published_ = 0;
 };
 
 }  // namespace dangoron

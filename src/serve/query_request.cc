@@ -14,16 +14,6 @@ std::string_view ServeTierName(ServeTier tier) {
   return "unknown";
 }
 
-std::string_view AdmissionPolicyName(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kRefuse:
-      return "refuse";
-    case AdmissionPolicy::kQueue:
-      return "queue";
-  }
-  return "unknown";
-}
-
 Result<ServeTier> ParseServeTier(const std::string& text) {
   if (text == "exact") {
     return ServeTier::kExact;
@@ -47,16 +37,6 @@ Result<AdmissionPolicy> ParseAdmissionPolicy(const std::string& text) {
   }
   return Status::InvalidArgument("unknown admission policy '", text,
                                  "' (expected refuse or queue)");
-}
-
-std::string_view DegradePolicyName(DegradePolicy policy) {
-  switch (policy) {
-    case DegradePolicy::kOff:
-      return "off";
-    case DegradePolicy::kAuto:
-      return "auto";
-  }
-  return "unknown";
 }
 
 Result<DegradePolicy> ParseDegradePolicy(const std::string& text) {

@@ -64,8 +64,6 @@ enum class DegradePolicy : int8_t {
 };
 
 std::string_view ServeTierName(ServeTier tier);
-std::string_view AdmissionPolicyName(AdmissionPolicy policy);
-std::string_view DegradePolicyName(DegradePolicy policy);
 Result<ServeTier> ParseServeTier(const std::string& text);
 Result<AdmissionPolicy> ParseAdmissionPolicy(const std::string& text);
 Result<DegradePolicy> ParseDegradePolicy(const std::string& text);
@@ -145,13 +143,20 @@ struct QueryRequest {
 };
 
 /// The absolute deadline of `options` measured from `now`;
-/// time_point::max() when the request has none.
+/// time_point::max() when the request has none, or when `deadline_ms` lies
+/// beyond what the clock can represent (a wire client may send any
+/// positive value, and the ms -> ns conversion must not overflow).
 inline std::chrono::steady_clock::time_point RequestDeadline(
     const ServeOptions& options,
     std::chrono::steady_clock::time_point now =
         std::chrono::steady_clock::now()) {
-  if (!options.deadline_ms.has_value() || *options.deadline_ms <= 0) {
-    return std::chrono::steady_clock::time_point::max();
+  using TimePoint = std::chrono::steady_clock::time_point;
+  if (!options.deadline_ms.has_value() || *options.deadline_ms <= 0 ||
+      *options.deadline_ms >=
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              TimePoint::max() - now)
+              .count()) {
+    return TimePoint::max();
   }
   return now + std::chrono::milliseconds(*options.deadline_ms);
 }

@@ -219,14 +219,6 @@ Status DangoronServer::AddDataset(const std::string& name,
                     std::make_shared<const TimeSeriesMatrix>(std::move(data)));
 }
 
-Status DangoronServer::RemoveDataset(const std::string& name) {
-  MutexLock lock(datasets_mutex_);
-  if (datasets_.erase(name) == 0) {
-    return Status::NotFound("RemoveDataset: unknown dataset '", name, "'");
-  }
-  return Status::Ok();
-}
-
 Result<uint64_t> DangoronServer::DatasetFingerprint(
     const std::string& name) const {
   MutexLock lock(datasets_mutex_);
@@ -928,10 +920,14 @@ Status DangoronServer::RunWindowPlan(const RequestContext& ctx,
   // the cap rounds up to a multiple of kSweepWindowBand, so one engine pass
   // streams each pair's dot-prefix lines once per band. A smaller run would
   // re-stream the whole prefix block once per run — 84 passes instead of 21
-  // for a 336-window query at the default cap of 4.
+  // for a 336-window query at the default cap of 4. The cap is clamped to
+  // the query first: a run never exceeds num_windows, and a wire client's
+  // cap near INT64_MAX must not overflow the rounding.
   const int64_t run_cap =
       ctx.max_batch_windows > 0
-          ? CeilDiv(ctx.max_batch_windows, kSweepWindowBand) * kSweepWindowBand
+          ? CeilDiv(std::min(ctx.max_batch_windows, num_windows),
+                    kSweepWindowBand) *
+                kSweepWindowBand
           : num_windows;
   int64_t k = 0;
   while (k < num_windows) {

@@ -233,10 +233,6 @@ class DangoronServer {
                     std::shared_ptr<const TimeSeriesMatrix> data);
   Status AddDataset(const std::string& name, TimeSeriesMatrix data);
 
-  /// Unregisters `name`. Cached sketches/windows for the data stay until
-  /// evicted (identity is content, not name).
-  Status RemoveDataset(const std::string& name);
-
   /// Content fingerprint of a registered dataset — the key for wiring
   /// external producers (e.g. StreamingNetworkBuilder::PublishTo) to this
   /// server's window cache.

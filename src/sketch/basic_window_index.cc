@@ -230,22 +230,6 @@ void BasicWindowIndex::BuildPairSketchesBlocked(const NormalizedPanels& panels,
   });
 }
 
-double BasicWindowIndex::WindowMean(int64_t s, int64_t w) const {
-  return SumRange(s, w, w + 1) / static_cast<double>(basic_window_);
-}
-
-double BasicWindowIndex::WindowStdDev(int64_t s, int64_t w) const {
-  const double n = static_cast<double>(basic_window_);
-  const double mean = SumRange(s, w, w + 1) / n;
-  const double var = SumSqRange(s, w, w + 1) / n - mean * mean;
-  return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-double BasicWindowIndex::PairWindowCorrelation(int64_t p, int64_t w) const {
-  // Recover c_w = 1 - [prefix(w+1) - prefix(w)].
-  return 1.0 - OneMinusCorrRange(p, w, w + 1);
-}
-
 double BasicWindowIndex::PairRangeCorrelation(int64_t p, int64_t lo,
                                               int64_t hi) const {
   DCHECK_LT(lo, hi);

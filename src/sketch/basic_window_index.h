@@ -123,11 +123,6 @@ class BasicWindowIndex {
   }
   const SeriesPrefixes& series_prefixes() const { return series_; }
 
-  /// Mean of series `s` within basic window `w` (for Eq. 1).
-  double WindowMean(int64_t s, int64_t w) const;
-  /// Population standard deviation of series `s` within basic window `w`.
-  double WindowStdDev(int64_t s, int64_t w) const;
-
   // --- per-pair statistics ---
 
   /// Inner product sum_t x_t * y_t of pair `p` over basic windows [lo, hi).
@@ -143,11 +138,9 @@ class BasicWindowIndex {
     return PairDotRing{pair_dot_prefix_, pair_row_stride_, 0};
   }
 
-  /// Pearson correlation of the pair within basic window `w` (the `c_i` of
-  /// Eq. 1 / Eq. 2); 0 when either side is constant in the window.
-  double PairWindowCorrelation(int64_t p, int64_t w) const;
-
-  /// Sum over basic windows [lo, hi) of (1 - c_i): the Eq. 2 jump budget.
+  /// Sum over basic windows [lo, hi) of (1 - c_i), where c_i is the pair's
+  /// Pearson correlation within basic window i (0 when either side is
+  /// constant there): the Eq. 2 jump budget.
   /// Monotone non-negative in hi, enabling binary search.
   double OneMinusCorrRange(int64_t p, int64_t lo, int64_t hi) const {
     return pair_one_minus_corr_prefix_[Px(p, hi)] -

@@ -67,7 +67,6 @@ Status StreamingNetworkBuilder::Append(std::span<const double> column) {
     tick[s] = column[static_cast<size_t>(s)];
   }
   ++pending_ticks_;
-  ++columns_seen_;
   if (pending_ticks_ == options_.basic_window) {
     FoldBasicWindow();
     pending_ticks_ = 0;
@@ -156,50 +155,40 @@ void StreamingNetworkBuilder::FoldBasicWindow() {
   }
   ++basic_windows_seen_;
 
-  // Emit when a step boundary aligns with a full window.
-  if (basic_windows_seen_ >= ns_ &&
-      (basic_windows_seen_ - ns_) % m_ == 0) {
-    StreamSnapshot snapshot;
-    snapshot.window_index = (basic_windows_seen_ - ns_) / m_;
-    snapshot.start_column = (basic_windows_seen_ - ns_) * b;
-    const double count = static_cast<double>(options_.window);
-    int64_t p = 0;
-    for (int64_t i = 0; i < num_series_; ++i) {
-      for (int64_t j = i + 1; j < num_series_; ++j, ++p) {
-        const double c = PearsonFromMoments(
-            count, window_series_sum_[static_cast<size_t>(i)],
-            window_series_sum_[static_cast<size_t>(j)],
-            window_series_sumsq_[static_cast<size_t>(i)],
-            window_series_sumsq_[static_cast<size_t>(j)],
-            window_pair_dot_[static_cast<size_t>(p)]);
-        const bool is_edge =
-            options_.absolute
-                ? (c <= -emit_threshold_ || c >= emit_threshold_)
-                : c >= emit_threshold_;
-        if (is_edge) {
-          snapshot.edges.push_back(
-              Edge{static_cast<int32_t>(i), static_cast<int32_t>(j), c});
-        }
+  // Emit when a step boundary aligns with a full window and a sink is
+  // attached to take it.
+  if (sink_ == nullptr || basic_windows_seen_ < ns_ ||
+      (basic_windows_seen_ - ns_) % m_ != 0) {
+    return;
+  }
+  const double count = static_cast<double>(options_.window);
+  std::vector<Edge> edges;
+  int64_t p = 0;
+  for (int64_t i = 0; i < num_series_; ++i) {
+    for (int64_t j = i + 1; j < num_series_; ++j, ++p) {
+      const double c = PearsonFromMoments(
+          count, window_series_sum_[static_cast<size_t>(i)],
+          window_series_sum_[static_cast<size_t>(j)],
+          window_series_sumsq_[static_cast<size_t>(i)],
+          window_series_sumsq_[static_cast<size_t>(j)],
+          window_pair_dot_[static_cast<size_t>(p)]);
+      const bool is_edge =
+          options_.absolute
+              ? (c <= -emit_threshold_ || c >= emit_threshold_)
+              : c >= emit_threshold_;
+      if (is_edge) {
+        edges.push_back(
+            Edge{static_cast<int32_t>(i), static_cast<int32_t>(j), c});
       }
     }
-    if (sink_ != nullptr) {
-      // The emitted edge walk is (i, j) ascending — already the canonical
-      // sink order — and the edges move straight into the sink: one buffer,
-      // shared onward (e.g. into a server's window cache) without a copy.
-      // A false return detaches the sink; the window it cancelled on was
-      // consumed by the sink (same ownership rule as the engines') and is
-      // counted in sink_cancelled_window(), not requeued — zero-copy
-      // emission means the builder no longer holds those edges.
-      if (!sink_->OnWindow(snapshot.window_index,
-                           std::move(snapshot.edges))) {
-        sink_cancelled_window_ = snapshot.window_index;
-        sink_ = nullptr;  // later snapshots queue internally again
-        publish_sink_.reset();
-        emit_threshold_ = options_.threshold;  // family publishing ends too
-      }
-    } else {
-      ready_.push_back(std::move(snapshot));
-    }
+  }
+  // The emitted edge walk is (i, j) ascending — already the canonical sink
+  // order — and the edges move straight into the sink: one buffer, shared
+  // onward (e.g. into a server's window cache) without a copy. A false
+  // return detaches the sink; the window it cancelled on was consumed by
+  // the sink (the engines' ownership rule).
+  if (!sink_->OnWindow((basic_windows_seen_ - ns_) / m_, std::move(edges))) {
+    EmitTo(nullptr);  // family publishing ends too
   }
 }
 
@@ -207,7 +196,6 @@ void StreamingNetworkBuilder::EmitTo(WindowSink* sink) {
   sink_ = sink;
   publish_sink_.reset();
   emit_threshold_ = options_.threshold;
-  sink_cancelled_window_ = -1;  // a fresh sink session has lost nothing
 }
 
 void StreamingNetworkBuilder::PublishTo(WindowResultCache* cache,
@@ -233,11 +221,8 @@ Status StreamingNetworkBuilder::PublishTo(WindowResultCache* cache,
 void StreamingNetworkBuilder::AttachPublishSink(WindowResultCache* cache,
                                                 uint64_t dataset_fingerprint,
                                                 double publish_threshold) {
-  sink_cancelled_window_ = -1;  // a fresh sink session has lost nothing
   if (cache == nullptr) {
-    sink_ = nullptr;
-    publish_sink_.reset();
-    emit_threshold_ = options_.threshold;
+    EmitTo(nullptr);
     return;
   }
   CacheWindowSink::FixedGeometry geometry;
@@ -252,17 +237,6 @@ void StreamingNetworkBuilder::AttachPublishSink(WindowResultCache* cache,
   // Evaluate emitted windows at the publish threshold so the key's promise
   // — "exactly the edges clearing it" — holds (cache-key soundness).
   emit_threshold_ = publish_threshold;
-}
-
-Result<StreamSnapshot> StreamingNetworkBuilder::PopSnapshot() {
-  if (ready_.empty()) {
-    return Status::FailedPrecondition(
-        "PopSnapshot: no snapshot ready (", columns_seen_,
-        " columns seen; the first snapshot needs ", options_.window, ")");
-  }
-  StreamSnapshot snapshot = std::move(ready_.front());
-  ready_.pop_front();
-  return snapshot;
 }
 
 }  // namespace dangoron

@@ -31,29 +31,22 @@ struct StreamingOptions {
   bool absolute = false;
 };
 
-/// One emitted network snapshot: the window's index (0-based, matching the
-/// offline engines' window numbering) and its thresholded edges.
-struct StreamSnapshot {
-  int64_t window_index = 0;
-  /// First column (absolute, counted from the first appended column) the
-  /// window covers.
-  int64_t start_column = 0;
-  std::vector<Edge> edges;
-};
-
 /// Online counterpart of the offline engines: data arrives column by column
 /// (one observation per series per tick) and a thresholded correlation
-/// network is emitted every `step` columns once the first full window has
-/// been seen — the "network construction and updates ... to achieve
-/// interactivity" challenge of the paper's problem statement.
+/// network is emitted to the attached sink every `step` columns once the
+/// first full window has been seen — the "network construction and
+/// updates ... to achieve interactivity" challenge of the paper's problem
+/// statement. Window indices are 0-based and match the offline engines'
+/// numbering.
 ///
 /// Mechanics: completed basic windows are folded into rolling per-series
 /// (sum, sum-of-squares) and per-pair (inner product) accumulators over the
 /// current window, adding the entering basic window and evicting the
 /// departing one — O(N^2) work per emitted snapshot and
-/// O(N^2 * ns) memory, independent of stream length. Results are bit-exact
-/// against DangoronEngine in incremental mode on the same data (jumping
-/// needs future statistics, which a stream does not have).
+/// O(N^2 * ns) memory, independent of stream length. On the same data it
+/// emits the same edges as DangoronEngine in incremental mode, with values
+/// within 1e-9 (jumping needs future statistics, which a stream does not
+/// have).
 ///
 /// Not thread-safe; feed it from one thread.
 class StreamingNetworkBuilder {
@@ -70,43 +63,23 @@ class StreamingNetworkBuilder {
   Status AppendColumns(const TimeSeriesMatrix& matrix, int64_t start,
                        int64_t count);
 
-  /// Number of snapshots ready to be popped (always 0 while a sink is
-  /// attached — the sink is the consumer; see EmitTo).
-  int64_t ReadySnapshots() const {
-    return static_cast<int64_t>(ready_.size());
-  }
-
-  /// Pops the oldest ready snapshot; FailedPrecondition when none is ready.
-  Result<StreamSnapshot> PopSnapshot();
-
-  /// Total columns appended so far.
-  int64_t columns_seen() const { return columns_seen_; }
-
   /// Routes every window emitted from now on into `sink` — the same
-  /// `WindowSink` pipeline the offline engines drive — instead of the
-  /// internal ready queue, so live consumption never double-buffers edges.
-  /// The stream is open-ended: the builder drives `OnWindow` only (window
-  /// indices ascend with the builder's numbering; no OnBegin/OnFinish). A
-  /// false return from OnWindow detaches the sink; later snapshots queue
-  /// internally again, and the window the sink cancelled on belongs to the
-  /// sink (zero-copy emission — it is not requeued; see
-  /// sink_cancelled_window()). The sink must outlive the builder or be
-  /// detached (pass nullptr) first.
+  /// `WindowSink` pipeline the offline engines drive. The stream is
+  /// open-ended: the builder drives `OnWindow` only (window indices ascend
+  /// with the builder's numbering; no OnBegin/OnFinish). A false return
+  /// from OnWindow detaches the sink, and the window it cancelled on
+  /// belongs to the sink. With no sink attached the builder keeps folding
+  /// basic windows, so a later sink picks up the numbering, but it
+  /// evaluates and emits no window. The sink must outlive the builder or
+  /// be detached (pass nullptr) first.
   void EmitTo(WindowSink* sink);
-
-  /// Index of the window a sink consumed while cancelling (-1 if none):
-  /// the one emission that is in neither the sink's output nor the ready
-  /// queue, so fallback consumers can account for it.
-  int64_t sink_cancelled_window() const { return sink_cancelled_window_; }
 
   /// Publishes every snapshot emitted from now on into `cache` as dataset
   /// `dataset_fingerprint`, keyed at this builder's geometry and threshold —
   /// so a serving layer's historical queries reuse windows the live stream
   /// already evaluated (the stream must be fed the dataset from column 0 for
   /// the window numbering to line up). Implemented as EmitTo with an owned
-  /// CacheWindowSink: published snapshots go to the cache *instead of* the
-  /// ready queue (no double-buffering — pre-pipeline behavior kept both
-  /// copies). To interoperate with a server running threshold-family keys,
+  /// CacheWindowSink, which replaces any attached sink. To interoperate with a server running threshold-family keys,
   /// pick a stream threshold on the server's grid (see
   /// DangoronServer::CanonicalThreshold). Values agree with the server's
   /// sketch-evaluated windows up to floating-point roundoff; at an exact
@@ -137,7 +110,7 @@ class StreamingNetworkBuilder {
   StreamingNetworkBuilder() = default;
 
   // Folds the completed basic window in pending_ into the rolling state and
-  // emits a snapshot when a window boundary is crossed.
+  // emits a window to the sink when a window boundary is crossed.
   void FoldBasicWindow();
 
   // The shared attach/detach body of both PublishTo forms (threshold
@@ -169,8 +142,6 @@ class StreamingNetworkBuilder {
   std::vector<double> window_pair_dot_;
 
   int64_t basic_windows_seen_ = 0;
-  int64_t next_window_index_ = 0;
-  int64_t columns_seen_ = 0;
 
   // Threshold snapshots are currently evaluated at: the builder's own
   // threshold, except while a family-threshold publish sink is attached
@@ -181,9 +152,6 @@ class StreamingNetworkBuilder {
   // cache, publish_sink_ owns the adapter and sink_ points at it.
   WindowSink* sink_ = nullptr;
   std::unique_ptr<CacheWindowSink> publish_sink_;
-  int64_t sink_cancelled_window_ = -1;
-
-  std::deque<StreamSnapshot> ready_;
 };
 
 }  // namespace dangoron

@@ -150,150 +150,6 @@ Result<ClimateDataset> GenerateClimate(const ClimateSpec& spec) {
   return dataset;
 }
 
-Result<FmriDataset> GenerateFmri(const FmriSpec& spec) {
-  const int64_t num_voxels = spec.nx * spec.ny * spec.nz;
-  if (num_voxels <= 0 || spec.num_timepoints <= 0) {
-    return Status::InvalidArgument("GenerateFmri: empty dataset requested");
-  }
-  if (spec.num_regions <= 0 || spec.num_regions > num_voxels) {
-    return Status::InvalidArgument("GenerateFmri: num_regions must be in [1, ",
-                                   num_voxels, "]");
-  }
-  Rng rng(spec.seed);
-
-  FmriDataset dataset;
-  dataset.voxel_region.resize(static_cast<size_t>(num_voxels));
-  // Partition the grid into regions by slicing the flattened voxel order into
-  // contiguous runs — crude "parcellation" but spatially contiguous for the
-  // z-major flattening used here.
-  const int64_t voxels_per_region =
-      std::max<int64_t>(1, num_voxels / spec.num_regions);
-  for (int64_t v = 0; v < num_voxels; ++v) {
-    dataset.voxel_region[static_cast<size_t>(v)] =
-        std::min(spec.num_regions - 1, v / voxels_per_region);
-  }
-
-  // Latent BOLD signal per region: AR(1) with unit stationary variance.
-  std::vector<std::vector<double>> latent(
-      static_cast<size_t>(spec.num_regions));
-  for (auto& series : latent) {
-    series = GenerateAr1(spec.num_timepoints, spec.bold_persistence, &rng);
-  }
-
-  // Task blocks: two random distinct regions share a common additive
-  // activation signal during the block.
-  std::vector<double> activation(static_cast<size_t>(spec.num_timepoints),
-                                 0.0);
-  for (int64_t b = 0; b < spec.num_task_blocks; ++b) {
-    if (spec.task_block_length >= spec.num_timepoints) {
-      break;
-    }
-    FmriDataset::TaskBlock block;
-    block.start = rng.NextInt(0, spec.num_timepoints - spec.task_block_length);
-    block.end = block.start + spec.task_block_length;
-    block.region_a = rng.NextInt(0, spec.num_regions - 1);
-    block.region_b = rng.NextInt(0, spec.num_regions - 1);
-    while (block.region_b == block.region_a && spec.num_regions > 1) {
-      block.region_b = rng.NextInt(0, spec.num_regions - 1);
-    }
-    const std::vector<double> shared =
-        GenerateAr1(spec.task_block_length, spec.bold_persistence, &rng);
-    // The co-activation must dominate the per-region background signal for
-    // the block to register as a connectivity change at window granularity.
-    constexpr double kTaskGain = 2.0;
-    for (int64_t t = block.start; t < block.end; ++t) {
-      const double boost =
-          kTaskGain * shared[static_cast<size_t>(t - block.start)];
-      latent[static_cast<size_t>(block.region_a)][static_cast<size_t>(t)] +=
-          boost;
-      latent[static_cast<size_t>(block.region_b)][static_cast<size_t>(t)] +=
-          boost;
-      activation[static_cast<size_t>(t)] += 1.0;
-    }
-    dataset.task_blocks.push_back(block);
-  }
-
-  dataset.data = TimeSeriesMatrix(num_voxels, spec.num_timepoints);
-  for (int64_t v = 0; v < num_voxels; ++v) {
-    const int64_t region = dataset.voxel_region[static_cast<size_t>(v)];
-    // Voxel-specific coupling strength to its region's signal.
-    const double coupling = 0.7 + 0.3 * rng.NextDouble();
-    std::span<double> row = dataset.data.Row(v);
-    for (int64_t t = 0; t < spec.num_timepoints; ++t) {
-      row[static_cast<size_t>(t)] =
-          spec.signal_stddev * coupling *
-              latent[static_cast<size_t>(region)][static_cast<size_t>(t)] +
-          spec.noise_stddev * rng.NextGaussian();
-    }
-  }
-  return dataset;
-}
-
-Result<FinanceDataset> GenerateFinance(const FinanceSpec& spec) {
-  if (spec.num_assets <= 0 || spec.num_steps <= 0) {
-    return Status::InvalidArgument("GenerateFinance: empty dataset requested");
-  }
-  for (const double rho : {spec.calm_correlation, spec.crisis_correlation}) {
-    if (rho < 0.0 || rho >= 1.0) {
-      return Status::InvalidArgument(
-          "GenerateFinance: correlations must be in [0, 1)");
-    }
-  }
-  Rng rng(spec.seed);
-
-  FinanceDataset dataset;
-  dataset.returns = TimeSeriesMatrix(spec.num_assets, spec.num_steps);
-  dataset.crisis_regime.resize(static_cast<size_t>(spec.num_steps), 0);
-
-  int regime = 0;
-  for (int64_t t = 0; t < spec.num_steps; ++t) {
-    if (regime == 0 && rng.NextBernoulli(spec.crisis_entry_probability)) {
-      regime = 1;
-    } else if (regime == 1 && rng.NextBernoulli(spec.crisis_exit_probability)) {
-      regime = 0;
-    }
-    dataset.crisis_regime[static_cast<size_t>(t)] = regime;
-    const double rho =
-        regime == 1 ? spec.crisis_correlation : spec.calm_correlation;
-    // One-factor model: r_i = sqrt(rho) * market + sqrt(1 - rho) * idio.
-    const double market = rng.NextGaussian();
-    const double factor_loading = std::sqrt(rho);
-    const double idio_loading = std::sqrt(1.0 - rho);
-    for (int64_t a = 0; a < spec.num_assets; ++a) {
-      const double shock =
-          factor_loading * market + idio_loading * rng.NextGaussian();
-      dataset.returns.Set(a, t, spec.daily_volatility * shock);
-    }
-  }
-  return dataset;
-}
-
-std::vector<double> GenerateAr1(int64_t length, double phi, Rng* rng) {
-  CHECK_GE(length, 0);
-  CHECK(phi > -1.0 && phi < 1.0) << "AR(1) requires |phi| < 1";
-  std::vector<double> series(static_cast<size_t>(length));
-  if (length == 0) {
-    return series;
-  }
-  const double innovation_scale = std::sqrt(1.0 - phi * phi);
-  double state = rng->NextGaussian();  // stationary start
-  for (int64_t t = 0; t < length; ++t) {
-    series[static_cast<size_t>(t)] = state;
-    state = phi * state + innovation_scale * rng->NextGaussian();
-  }
-  return series;
-}
-
-std::vector<double> GenerateRandomWalk(int64_t length, Rng* rng) {
-  std::vector<double> series(static_cast<size_t>(length));
-  double state = 0.0;
-  for (int64_t t = 0; t < length; ++t) {
-    state += rng->NextGaussian();
-    series[static_cast<size_t>(t)] = state;
-  }
-  return series;
-}
-
 void GenerateCorrelatedPair(int64_t length, double rho, Rng* rng,
                             std::vector<double>* x, std::vector<double>* y) {
   CHECK(rho >= -1.0 && rho <= 1.0);

@@ -64,84 +64,8 @@ struct ClimateDataset {
 Result<ClimateDataset> GenerateClimate(const ClimateSpec& spec);
 
 // ---------------------------------------------------------------------------
-// fMRI voxel grid — the motivation workload of the paper's Section 1.
-// ---------------------------------------------------------------------------
-
-/// Parameters of a synthetic BOLD voxel recording.
-///
-/// Voxels live on an nx x ny x nz grid partitioned into `num_regions`
-/// contiguous regions; each region follows a smooth latent BOLD signal, and
-/// voxels observe their region's signal plus noise. During "task" intervals,
-/// pairs of regions co-activate, so the voxel-level correlation network
-/// changes across sliding windows (dynamic functional connectivity).
-struct FmriSpec {
-  int64_t nx = 6, ny = 6, nz = 4;
-  int64_t num_regions = 8;
-  int64_t num_timepoints = 1200;
-  double signal_stddev = 1.0;
-  double noise_stddev = 0.7;
-  /// AR(1) smoothness of the latent BOLD signals.
-  double bold_persistence = 0.9;
-  /// Number of task blocks in which two random regions synchronize.
-  int64_t num_task_blocks = 3;
-  int64_t task_block_length = 200;
-  uint64_t seed = 7;
-};
-
-/// A generated fMRI dataset: voxel series plus each voxel's region label.
-struct FmriDataset {
-  TimeSeriesMatrix data;
-  std::vector<int64_t> voxel_region;
-  /// (start, end, region_a, region_b) of each synchronized task block.
-  struct TaskBlock {
-    int64_t start = 0;
-    int64_t end = 0;
-    int64_t region_a = 0;
-    int64_t region_b = 0;
-  };
-  std::vector<TaskBlock> task_blocks;
-};
-
-/// Generates the synthetic fMRI dataset described by `spec`.
-Result<FmriDataset> GenerateFmri(const FmriSpec& spec);
-
-// ---------------------------------------------------------------------------
-// Finance — regime-switching one-factor returns (contagion scenario).
-// ---------------------------------------------------------------------------
-
-/// Parameters of a regime-switching one-factor return model: in the calm
-/// regime pairwise correlation is `calm_correlation`; in the crisis regime it
-/// jumps to `crisis_correlation` (correlation "contagion").
-struct FinanceSpec {
-  int64_t num_assets = 64;
-  int64_t num_steps = 2048;
-  double calm_correlation = 0.2;
-  double crisis_correlation = 0.75;
-  /// Per-step probability of entering / leaving the crisis regime.
-  double crisis_entry_probability = 0.003;
-  double crisis_exit_probability = 0.02;
-  double daily_volatility = 0.015;
-  uint64_t seed = 99;
-};
-
-/// Generated returns plus the regime indicator per step (1 = crisis).
-struct FinanceDataset {
-  TimeSeriesMatrix returns;
-  std::vector<int> crisis_regime;
-};
-
-/// Generates the regime-switching return panel described by `spec`.
-Result<FinanceDataset> GenerateFinance(const FinanceSpec& spec);
-
-// ---------------------------------------------------------------------------
 // Elementary generators (tests & microbenchmarks).
 // ---------------------------------------------------------------------------
-
-/// AR(1) series: x_t = phi * x_{t-1} + noise, unit stationary variance.
-std::vector<double> GenerateAr1(int64_t length, double phi, Rng* rng);
-
-/// Standard Gaussian random walk of `length` steps.
-std::vector<double> GenerateRandomWalk(int64_t length, Rng* rng);
 
 /// Pair of series whose population Pearson correlation is `rho`
 /// (realized sample correlation converges to rho as length grows).

@@ -1,10 +1,5 @@
 #include "ts/resample.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <vector>
-
 namespace dangoron {
 
 Status InterpolateMissing(TimeSeriesMatrix* matrix) {
@@ -50,107 +45,6 @@ Status InterpolateMissing(TimeSeriesMatrix* matrix) {
     }
   }
   return Status::Ok();
-}
-
-Result<TimeSeriesMatrix> AggregateMean(const TimeSeriesMatrix& matrix,
-                                       int64_t bucket_size) {
-  if (bucket_size <= 0) {
-    return Status::InvalidArgument("AggregateMean: bucket_size must be > 0");
-  }
-  const int64_t out_length = matrix.length() / bucket_size;
-  if (out_length == 0) {
-    return Status::InvalidArgument("AggregateMean: series shorter (",
-                                   matrix.length(), ") than one bucket (",
-                                   bucket_size, ")");
-  }
-  TimeSeriesMatrix out(matrix.num_series(), out_length);
-  for (int64_t s = 0; s < matrix.num_series(); ++s) {
-    std::span<const double> src = matrix.Row(s);
-    std::span<double> dst = out.Row(s);
-    for (int64_t b = 0; b < out_length; ++b) {
-      double sum = 0.0;
-      int64_t count = 0;
-      for (int64_t k = 0; k < bucket_size; ++k) {
-        const double v = src[static_cast<size_t>(b * bucket_size + k)];
-        if (!IsMissing(v)) {
-          sum += v;
-          ++count;
-        }
-      }
-      dst[static_cast<size_t>(b)] =
-          count > 0 ? sum / static_cast<double>(count) : MissingValue();
-    }
-  }
-  std::vector<std::string> names;
-  names.reserve(static_cast<size_t>(matrix.num_series()));
-  for (int64_t s = 0; s < matrix.num_series(); ++s) {
-    names.push_back(matrix.SeriesName(s));
-  }
-  RETURN_IF_ERROR(out.SetSeriesNames(std::move(names)));
-  return out;
-}
-
-Result<TimeSeriesMatrix> AlignOffsets(const TimeSeriesMatrix& matrix,
-                                      const std::vector<int64_t>& offsets) {
-  if (static_cast<int64_t>(offsets.size()) != matrix.num_series()) {
-    return Status::InvalidArgument("AlignOffsets: ", offsets.size(),
-                                   " offsets for ", matrix.num_series(),
-                                   " series");
-  }
-  // Series s covers absolute time [offset_s, offset_s + L); the aligned
-  // matrix covers the intersection.
-  int64_t start = std::numeric_limits<int64_t>::min();
-  int64_t end = std::numeric_limits<int64_t>::max();
-  for (const int64_t offset : offsets) {
-    start = std::max(start, offset);
-    end = std::min(end, offset + matrix.length());
-  }
-  if (end <= start) {
-    return Status::FailedPrecondition(
-        "AlignOffsets: series have no overlapping range");
-  }
-  const int64_t length = end - start;
-  TimeSeriesMatrix out(matrix.num_series(), length);
-  for (int64_t s = 0; s < matrix.num_series(); ++s) {
-    std::span<const double> src = matrix.Row(s);
-    std::span<double> dst = out.Row(s);
-    const int64_t local_start = start - offsets[static_cast<size_t>(s)];
-    for (int64_t t = 0; t < length; ++t) {
-      dst[static_cast<size_t>(t)] = src[static_cast<size_t>(local_start + t)];
-    }
-  }
-  std::vector<std::string> names;
-  names.reserve(static_cast<size_t>(matrix.num_series()));
-  for (int64_t s = 0; s < matrix.num_series(); ++s) {
-    names.push_back(matrix.SeriesName(s));
-  }
-  RETURN_IF_ERROR(out.SetSeriesNames(std::move(names)));
-  return out;
-}
-
-Result<TimeSeriesMatrix> DropSparseSeries(const TimeSeriesMatrix& matrix,
-                                          double max_missing_fraction) {
-  std::vector<int64_t> keep;
-  for (int64_t s = 0; s < matrix.num_series(); ++s) {
-    int64_t missing = 0;
-    for (const double v : matrix.Row(s)) {
-      if (IsMissing(v)) {
-        ++missing;
-      }
-    }
-    const double fraction = matrix.length() > 0
-                                ? static_cast<double>(missing) /
-                                      static_cast<double>(matrix.length())
-                                : 1.0;
-    if (fraction <= max_missing_fraction) {
-      keep.push_back(s);
-    }
-  }
-  if (keep.empty()) {
-    return Status::FailedPrecondition(
-        "DropSparseSeries: every series exceeds the missing threshold");
-  }
-  return matrix.SelectSeries(keep);
 }
 
 }  // namespace dangoron

@@ -17,24 +17,6 @@ namespace dangoron {
 /// prerequisite ("achieved through aggregation and interpolation").
 Status InterpolateMissing(TimeSeriesMatrix* matrix);
 
-/// Downsamples every series by averaging consecutive buckets of
-/// `bucket_size` values (NaN-aware: a bucket's mean ignores missing values,
-/// and a fully missing bucket stays NaN). The tail shorter than a full bucket
-/// is dropped so all series stay aligned.
-Result<TimeSeriesMatrix> AggregateMean(const TimeSeriesMatrix& matrix,
-                                       int64_t bucket_size);
-
-/// Aligns series sampled on different grids: given per-series offsets
-/// (in samples) relative to a common clock, shifts each series so column `t`
-/// means the same instant everywhere, cropping to the common covered range.
-Result<TimeSeriesMatrix> AlignOffsets(const TimeSeriesMatrix& matrix,
-                                      const std::vector<int64_t>& offsets);
-
-/// Drops series whose missing-value fraction exceeds `max_missing_fraction`.
-/// Returns the surviving sub-matrix (possibly with fewer series).
-Result<TimeSeriesMatrix> DropSparseSeries(const TimeSeriesMatrix& matrix,
-                                          double max_missing_fraction);
-
 }  // namespace dangoron
 
 #endif  // DANGORON_TS_RESAMPLE_H_

@@ -72,43 +72,6 @@ Status TimeSeriesMatrix::SetSeriesNames(std::vector<std::string> names) {
   return Status::Ok();
 }
 
-Result<TimeSeriesMatrix> TimeSeriesMatrix::SliceColumns(int64_t start,
-                                                        int64_t count) const {
-  if (start < 0 || count < 0 || start + count > length_) {
-    return Status::OutOfRange("SliceColumns: [", start, ", ", start + count,
-                              ") out of [0, ", length_, ")");
-  }
-  TimeSeriesMatrix out(num_series_, count);
-  for (int64_t i = 0; i < num_series_; ++i) {
-    std::span<const double> src = RowRange(i, start, count);
-    std::span<double> dst = out.Row(i);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  out.names_ = names_;
-  return out;
-}
-
-Result<TimeSeriesMatrix> TimeSeriesMatrix::SelectSeries(
-    const std::vector<int64_t>& indices) const {
-  for (const int64_t index : indices) {
-    if (index < 0 || index >= num_series_) {
-      return Status::OutOfRange("SelectSeries: index ", index,
-                                " out of [0, ", num_series_, ")");
-    }
-  }
-  TimeSeriesMatrix out(static_cast<int64_t>(indices.size()), length_);
-  std::vector<std::string> names;
-  names.reserve(indices.size());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    std::span<const double> src = Row(indices[i]);
-    std::span<double> dst = out.Row(static_cast<int64_t>(i));
-    std::copy(src.begin(), src.end(), dst.begin());
-    names.push_back(SeriesName(indices[i]));
-  }
-  out.names_ = std::move(names);
-  return out;
-}
-
 int64_t TimeSeriesMatrix::CountMissing() const {
   int64_t count = 0;
   for (const double v : values_) {

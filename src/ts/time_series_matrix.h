@@ -71,13 +71,6 @@ class TimeSeriesMatrix {
 
   const std::vector<std::string>& series_names() const { return names_; }
 
-  /// Returns the sub-matrix covering columns [start, start + count).
-  Result<TimeSeriesMatrix> SliceColumns(int64_t start, int64_t count) const;
-
-  /// Returns a matrix with only the selected series (rows), in order.
-  Result<TimeSeriesMatrix> SelectSeries(
-      const std::vector<int64_t>& indices) const;
-
   /// Count of missing (NaN) cells.
   int64_t CountMissing() const;
 

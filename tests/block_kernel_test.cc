@@ -258,11 +258,11 @@ TEST(BlockedIndexBuildTest, MatchesScalarPathAndPearsonNaive) {
       const auto oracle =
           ComputeBasicWindowCorrelations(data.Row(i), data.Row(j), b);
       for (int64_t w = 0; w < nb; ++w) {
-        EXPECT_NEAR(blocked_index->PairWindowCorrelation(p, w),
+        EXPECT_NEAR(1.0 - blocked_index->OneMinusCorrRange(p, w, w + 1),
                     oracle[static_cast<size_t>(w)], 1e-9)
             << "pair (" << i << ", " << j << ") window " << w;
-        EXPECT_NEAR(blocked_index->PairWindowCorrelation(p, w),
-                    scalar_index->PairWindowCorrelation(p, w), 1e-9);
+        EXPECT_NEAR(1.0 - blocked_index->OneMinusCorrRange(p, w, w + 1),
+                    1.0 - scalar_index->OneMinusCorrRange(p, w, w + 1), 1e-9);
         EXPECT_NEAR(blocked_index->DotRange(p, w, w + 1),
                     scalar_index->DotRange(p, w, w + 1), 1e-7)
             << "pair (" << i << ", " << j << ") window " << w;
@@ -303,8 +303,8 @@ TEST(BlockedIndexBuildTest, ThreadedBuildIsBitIdentical) {
       for (int64_t w = 0; w < nb; ++w) {
         EXPECT_DOUBLE_EQ(sequential->DotRange(p, w, w + 1),
                          parallel->DotRange(p, w, w + 1));
-        EXPECT_DOUBLE_EQ(sequential->PairWindowCorrelation(p, w),
-                         parallel->PairWindowCorrelation(p, w));
+        EXPECT_DOUBLE_EQ(sequential->OneMinusCorrRange(p, w, w + 1),
+                         parallel->OneMinusCorrRange(p, w, w + 1));
       }
     }
   }

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <future>
 #include <set>
 #include <thread>
@@ -43,9 +42,7 @@ TEST(StatusTest, FactoriesProduceDistinctCodes) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
   EXPECT_EQ(Status::IoError("x").code(), StatusCode::kIoError);
-  EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
   EXPECT_EQ(Status::DataLoss("x").code(), StatusCode::kDataLoss);
-  EXPECT_EQ(Status::AlreadyExists("x").code(), StatusCode::kAlreadyExists);
 }
 
 TEST(ResultTest, HoldsValue) {
@@ -109,9 +106,7 @@ TEST(StringsTest, TrimBothEnds) {
   EXPECT_EQ(Trim("abc"), "abc");
 }
 
-TEST(StringsTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("dangoron", "dan"));
-  EXPECT_FALSE(StartsWith("dan", "dangoron"));
+TEST(StringsTest, EndsWith) {
   EXPECT_TRUE(EndsWith("table.csv", ".csv"));
   EXPECT_FALSE(EndsWith("csv", "table.csv"));
 }
@@ -215,47 +210,7 @@ TEST(RngTest, NextIntCoversRangeInclusive) {
   EXPECT_EQ(seen.size(), 5u);
 }
 
-TEST(RngTest, ShuffleIsPermutation) {
-  Rng rng(29);
-  std::vector<int> values = {1, 2, 3, 4, 5, 6, 7, 8};
-  std::vector<int> shuffled = values;
-  rng.Shuffle(&shuffled);
-  std::multiset<int> a(values.begin(), values.end());
-  std::multiset<int> b(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(a, b);
-}
-
-TEST(RngTest, ForkStreamsAreIndependentlySeeded) {
-  Rng parent(31);
-  Rng child_a = parent.Fork(0);
-  Rng child_b = parent.Fork(1);
-  EXPECT_NE(child_a.NextU64(), child_b.NextU64());
-}
-
 // ------------------------------------------------------------ Math utils --
-
-TEST(MathTest, AlmostEqual) {
-  EXPECT_TRUE(AlmostEqual(1.0, 1.0 + 1e-12));
-  EXPECT_FALSE(AlmostEqual(1.0, 1.001));
-  EXPECT_TRUE(AlmostEqual(1e12, 1e12 + 1.0, 1e-9, 1e-9));
-}
-
-TEST(MathTest, MeanAndVariance) {
-  const std::vector<double> values = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(Mean(values), 2.5);
-  EXPECT_DOUBLE_EQ(PopulationVariance(values), 1.25);
-  EXPECT_DOUBLE_EQ(PopulationStdDev(values), std::sqrt(1.25));
-  EXPECT_DOUBLE_EQ(Mean(std::span<const double>()), 0.0);
-}
-
-TEST(MathTest, KahanSumSurvivesCancellation) {
-  std::vector<double> values;
-  values.push_back(1.0);
-  for (int i = 0; i < 1000; ++i) {
-    values.push_back(1e-16);
-  }
-  EXPECT_NEAR(Sum(values), 1.0 + 1000 * 1e-16, 1e-18);
-}
 
 TEST(MathTest, PowersOfTwo) {
   EXPECT_TRUE(IsPowerOfTwo(1));
@@ -377,7 +332,8 @@ TEST(DeadlineTokenTest, MaxTimePointMeansNone) {
 }
 
 TEST(DeadlineTokenTest, FutureDeadlineNotExpired) {
-  DeadlineToken token = DeadlineToken::After(60'000);
+  DeadlineToken token(std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(60'000));
   EXPECT_TRUE(token.has_deadline());
   EXPECT_FALSE(token.expired());
   EXPECT_GT(token.remaining_ms(), 0.0);

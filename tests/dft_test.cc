@@ -229,23 +229,5 @@ TEST(InverseRealDftTest, PureToneReconstruction) {
   }
 }
 
-TEST(HalfSpectrumEnergyTest, MatchesParsevalForRealSignals) {
-  Rng rng(6);
-  for (const int64_t n : {8, 9, 32, 33}) {
-    std::vector<double> input(static_cast<size_t>(n));
-    double time_energy = 0.0;
-    for (double& v : input) {
-      v = rng.NextGaussian();
-      time_energy += v * v;
-    }
-    const auto spectrum = RealDft(input);
-    ASSERT_TRUE(spectrum.ok());
-    const double freq_energy = HalfSpectrumEnergy(*spectrum, n);
-    EXPECT_NEAR(freq_energy, time_energy * static_cast<double>(n),
-                1e-6 * freq_energy)
-        << "n=" << n;
-  }
-}
-
 }  // namespace
 }  // namespace dangoron

@@ -6,7 +6,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/rng.h"
+#include "engine/naive_engine.h"
 #include "network/export.h"
+#include "ts/generators.h"
 
 namespace dangoron {
 namespace {
@@ -34,42 +37,6 @@ std::string Slurp(const std::string& path) {
   return out.str();
 }
 
-NetworkSnapshot SampleNetwork() {
-  const std::vector<Edge> edges = {{0, 1, 0.91}, {1, 2, -0.85}};
-  return NetworkSnapshot(4, edges);
-}
-
-TEST(ExportTest, EdgeListWithNames) {
-  TempDir dir;
-  const std::string path = dir.File("edges.tsv");
-  ASSERT_TRUE(
-      WriteEdgeList(SampleNetwork(), {"a", "b", "c", "d"}, path).ok());
-  const std::string content = Slurp(path);
-  EXPECT_NE(content.find("a\tb\t0.910000"), std::string::npos);
-  EXPECT_NE(content.find("b\tc\t-0.850000"), std::string::npos);
-}
-
-TEST(ExportTest, EdgeListNumericFallback) {
-  TempDir dir;
-  const std::string path = dir.File("edges_numeric.tsv");
-  ASSERT_TRUE(WriteEdgeList(SampleNetwork(), {}, path).ok());
-  const std::string content = Slurp(path);
-  EXPECT_NE(content.find("0\t1\t0.910000"), std::string::npos);
-}
-
-TEST(ExportTest, GraphvizStructure) {
-  TempDir dir;
-  const std::string path = dir.File("net.dot");
-  ASSERT_TRUE(
-      WriteGraphviz(SampleNetwork(), {"a", "b", "c", "d"}, path).ok());
-  const std::string content = Slurp(path);
-  EXPECT_NE(content.find("graph correlation_network {"), std::string::npos);
-  EXPECT_NE(content.find("\"a\" -- \"b\""), std::string::npos);
-  // Isolated node d is still declared.
-  EXPECT_NE(content.find("\"d\";"), std::string::npos);
-  EXPECT_NE(content.find("}"), std::string::npos);
-}
-
 TEST(ExportTest, SeriesCsvLongFormat) {
   SlidingQuery query;
   query.start = 0;
@@ -92,39 +59,51 @@ TEST(ExportTest, SeriesCsvLongFormat) {
 }
 
 TEST(ExportTest, UnwritablePathIsIoError) {
-  const std::string bad = "/nonexistent_dir_xyz/out.tsv";
-  EXPECT_EQ(WriteEdgeList(SampleNetwork(), {}, bad).code(),
-            StatusCode::kIoError);
-  EXPECT_EQ(WriteGraphviz(SampleNetwork(), {}, bad).code(),
+  SlidingQuery query;
+  query.start = 0;
+  query.end = 10;
+  query.window = 10;
+  query.step = 10;
+  EXPECT_EQ(WriteSeriesCsv(CorrelationMatrixSeries(query, 2),
+                           "/nonexistent_dir_xyz/out.csv")
+                .code(),
             StatusCode::kIoError);
 }
 
-CorrelationMatrixSeries SampleSeries() {
+// A dataset and a query whose windows all carry edges (threshold 0 on
+// white noise keeps about half the pairs).
+TimeSeriesMatrix SampleData() {
+  Rng rng(5);
+  return GenerateWhiteNoise(4, 40, &rng);
+}
+
+SlidingQuery SampleQuery() {
   SlidingQuery query;
   query.start = 0;
-  query.end = 30;
+  query.end = 40;
   query.window = 10;
   query.step = 10;
-  CorrelationMatrixSeries series(query, 3);
-  series.MutableWindow(0)->push_back(Edge{0, 2, 0.88});
-  series.MutableWindow(1)->push_back(Edge{1, 2, 0.93});
-  series.MutableWindow(2)->push_back(Edge{0, 1, -0.91});
-  return series;
+  query.threshold = 0.0;
+  return query;
 }
 
 // The sink-driven export path writes the identical file the materialized
 // WriteSeriesCsv writes — the same rows at window cadence, never holding
 // the series.
 TEST(ExportTest, SeriesCsvSinkMatchesMaterializedWriter) {
-  const CorrelationMatrixSeries series = SampleSeries();
+  const TimeSeriesMatrix data = SampleData();
+  NaiveEngine engine;
+  ASSERT_TRUE(engine.Prepare(data).ok());
+  const auto series = engine.Query(SampleQuery());
+  ASSERT_TRUE(series.ok());
   TempDir dir;
   const std::string materialized_path = dir.File("materialized.csv");
-  ASSERT_TRUE(WriteSeriesCsv(series, materialized_path).ok());
+  ASSERT_TRUE(WriteSeriesCsv(*series, materialized_path).ok());
 
   const std::string streamed_path = dir.File("streamed.csv");
   SeriesCsvSink sink(streamed_path);
   ASSERT_TRUE(sink.status().ok());
-  ASSERT_TRUE(ReplayToSink(series, &sink).ok());
+  ASSERT_TRUE(engine.QueryToSink(SampleQuery(), &sink).ok());
   ASSERT_TRUE(sink.status().ok());
 
   EXPECT_EQ(Slurp(streamed_path), Slurp(materialized_path));
@@ -135,7 +114,10 @@ TEST(ExportTest, SeriesCsvSinkSurfacesOpenFailureAsRootCause) {
   EXPECT_EQ(sink.status().code(), StatusCode::kIoError);
   // A bounded producer aborts at OnBegin with the IoError itself, not a
   // generic cancellation.
-  EXPECT_EQ(ReplayToSink(SampleSeries(), &sink).code(),
+  const TimeSeriesMatrix data = SampleData();
+  NaiveEngine engine;
+  ASSERT_TRUE(engine.Prepare(data).ok());
+  EXPECT_EQ(engine.QueryToSink(SampleQuery(), &sink).code(),
             StatusCode::kIoError);
   EXPECT_EQ(sink.status().code(), StatusCode::kIoError);
 }

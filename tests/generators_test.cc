@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numeric>
 
 #include "common/rng.h"
 #include "corr/pearson.h"
@@ -11,47 +10,6 @@ namespace dangoron {
 namespace {
 
 // ----------------------------------------------------------- Elementary --
-
-TEST(Ar1Test, StationaryMomentsAndAutocorrelation) {
-  Rng rng(1);
-  const double phi = 0.8;
-  const std::vector<double> series = GenerateAr1(50000, phi, &rng);
-  double mean = 0.0;
-  for (const double v : series) {
-    mean += v;
-  }
-  mean /= static_cast<double>(series.size());
-  EXPECT_NEAR(mean, 0.0, 0.05);
-
-  double var = 0.0;
-  double lag1 = 0.0;
-  for (size_t t = 0; t + 1 < series.size(); ++t) {
-    var += (series[t] - mean) * (series[t] - mean);
-    lag1 += (series[t] - mean) * (series[t + 1] - mean);
-  }
-  EXPECT_NEAR(var / static_cast<double>(series.size()), 1.0, 0.05);
-  EXPECT_NEAR(lag1 / var, phi, 0.03);
-}
-
-TEST(Ar1Test, EdgeCases) {
-  Rng rng(2);
-  EXPECT_TRUE(GenerateAr1(0, 0.5, &rng).empty());
-  const std::vector<double> one = GenerateAr1(1, 0.5, &rng);
-  EXPECT_EQ(one.size(), 1u);
-}
-
-TEST(RandomWalkTest, VarianceGrowsLinearly) {
-  Rng rng(3);
-  double sum_sq_end = 0.0;
-  const int trials = 300;
-  const int64_t length = 100;
-  for (int trial = 0; trial < trials; ++trial) {
-    const std::vector<double> walk = GenerateRandomWalk(length, &rng);
-    sum_sq_end += walk.back() * walk.back();
-  }
-  EXPECT_NEAR(sum_sq_end / trials, static_cast<double>(length),
-              15.0);  // ~3 sigma
-}
 
 TEST(CorrelatedPairTest, RealizesTargetCorrelation) {
   Rng rng(4);
@@ -185,173 +143,6 @@ TEST(ClimateTest, MissingFractionRespected) {
       static_cast<double>(dataset->data.CountMissing()) /
       static_cast<double>(spec.num_stations * spec.num_hours);
   EXPECT_NEAR(fraction, 0.1, 0.02);
-}
-
-// ------------------------------------------------------------------ fMRI --
-
-TEST(FmriTest, ShapeAndRegions) {
-  FmriSpec spec;
-  spec.nx = 4;
-  spec.ny = 4;
-  spec.nz = 2;
-  spec.num_regions = 4;
-  spec.num_timepoints = 300;
-  const auto dataset = GenerateFmri(spec);
-  ASSERT_TRUE(dataset.ok());
-  EXPECT_EQ(dataset->data.num_series(), 32);
-  EXPECT_EQ(dataset->data.length(), 300);
-  EXPECT_EQ(dataset->voxel_region.size(), 32u);
-  for (const int64_t region : dataset->voxel_region) {
-    EXPECT_GE(region, 0);
-    EXPECT_LT(region, 4);
-  }
-  EXPECT_FALSE([&] {
-    FmriSpec bad = spec;
-    bad.num_regions = 0;
-    return GenerateFmri(bad).ok();
-  }());
-}
-
-TEST(FmriTest, SameRegionVoxelsCorrelateMore) {
-  FmriSpec spec;
-  spec.nx = 4;
-  spec.ny = 4;
-  spec.nz = 2;
-  spec.num_regions = 4;
-  spec.num_timepoints = 1500;
-  spec.num_task_blocks = 0;  // isolate region structure
-  spec.seed = 5;
-  const auto dataset = GenerateFmri(spec);
-  ASSERT_TRUE(dataset.ok());
-
-  double same_sum = 0.0;
-  int64_t same_count = 0;
-  double cross_sum = 0.0;
-  int64_t cross_count = 0;
-  const int64_t n = dataset->data.num_series();
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t j = i + 1; j < n; ++j) {
-      const double c =
-          PearsonNaive(dataset->data.Row(i), dataset->data.Row(j));
-      if (dataset->voxel_region[static_cast<size_t>(i)] ==
-          dataset->voxel_region[static_cast<size_t>(j)]) {
-        same_sum += c;
-        ++same_count;
-      } else {
-        cross_sum += c;
-        ++cross_count;
-      }
-    }
-  }
-  EXPECT_GT(same_sum / same_count, cross_sum / cross_count + 0.2);
-}
-
-TEST(FmriTest, TaskBlocksCoupleRegions) {
-  FmriSpec spec;
-  spec.nx = 4;
-  spec.ny = 4;
-  spec.nz = 2;
-  spec.num_regions = 4;
-  spec.num_timepoints = 1200;
-  spec.num_task_blocks = 1;
-  spec.task_block_length = 400;
-  spec.seed = 9;
-  const auto dataset = GenerateFmri(spec);
-  ASSERT_TRUE(dataset.ok());
-  ASSERT_EQ(dataset->task_blocks.size(), 1u);
-  const auto& block = dataset->task_blocks[0];
-  ASSERT_NE(block.region_a, block.region_b);
-
-  // Pick one voxel from each coupled region and compare correlation inside
-  // vs outside the block.
-  int64_t va = -1;
-  int64_t vb = -1;
-  for (int64_t v = 0; v < dataset->data.num_series(); ++v) {
-    if (dataset->voxel_region[static_cast<size_t>(v)] == block.region_a &&
-        va < 0) {
-      va = v;
-    }
-    if (dataset->voxel_region[static_cast<size_t>(v)] == block.region_b &&
-        vb < 0) {
-      vb = v;
-    }
-  }
-  ASSERT_GE(va, 0);
-  ASSERT_GE(vb, 0);
-  const double inside = PearsonNaive(
-      dataset->data.RowRange(va, block.start, block.end - block.start),
-      dataset->data.RowRange(vb, block.start, block.end - block.start));
-  // Outside: use the longest complement segment.
-  const int64_t before = block.start;
-  const int64_t after = spec.num_timepoints - block.end;
-  const int64_t out_start = before >= after ? 0 : block.end;
-  const int64_t out_len = std::max(before, after);
-  const double outside =
-      out_len > 10 ? PearsonNaive(dataset->data.RowRange(va, out_start, out_len),
-                                  dataset->data.RowRange(vb, out_start, out_len))
-                   : 0.0;
-  EXPECT_GT(inside, outside + 0.15);
-}
-
-// --------------------------------------------------------------- Finance --
-
-TEST(FinanceTest, ShapeAndRegimes) {
-  FinanceSpec spec;
-  spec.num_assets = 8;
-  spec.num_steps = 500;
-  const auto dataset = GenerateFinance(spec);
-  ASSERT_TRUE(dataset.ok());
-  EXPECT_EQ(dataset->returns.num_series(), 8);
-  EXPECT_EQ(dataset->returns.length(), 500);
-  EXPECT_EQ(dataset->crisis_regime.size(), 500u);
-
-  FinanceSpec bad = spec;
-  bad.crisis_correlation = 1.0;
-  EXPECT_FALSE(GenerateFinance(bad).ok());
-}
-
-TEST(FinanceTest, CrisisRaisesCorrelation) {
-  FinanceSpec spec;
-  spec.num_assets = 10;
-  spec.num_steps = 20000;
-  spec.calm_correlation = 0.1;
-  spec.crisis_correlation = 0.8;
-  spec.crisis_entry_probability = 0.01;
-  spec.crisis_exit_probability = 0.01;  // roughly half the time in crisis
-  spec.seed = 3;
-  const auto dataset = GenerateFinance(spec);
-  ASSERT_TRUE(dataset.ok());
-
-  // Split columns by regime and compare pooled pair correlations.
-  std::vector<int64_t> calm_columns;
-  std::vector<int64_t> crisis_columns;
-  for (int64_t t = 0; t < spec.num_steps; ++t) {
-    (dataset->crisis_regime[static_cast<size_t>(t)] == 1 ? crisis_columns
-                                                         : calm_columns)
-        .push_back(t);
-  }
-  ASSERT_GT(calm_columns.size(), 1000u);
-  ASSERT_GT(crisis_columns.size(), 1000u);
-
-  auto pooled_corr = [&](const std::vector<int64_t>& columns) {
-    double sum = 0.0;
-    int64_t count = 0;
-    for (int64_t i = 0; i < 5; ++i) {
-      for (int64_t j = i + 1; j < 5; ++j) {
-        std::vector<double> x(columns.size());
-        std::vector<double> y(columns.size());
-        for (size_t c = 0; c < columns.size(); ++c) {
-          x[c] = dataset->returns.Get(i, columns[c]);
-          y[c] = dataset->returns.Get(j, columns[c]);
-        }
-        sum += PearsonNaive(x, y);
-        ++count;
-      }
-    }
-    return sum / static_cast<double>(count);
-  };
-  EXPECT_NEAR(pooled_corr(calm_columns), spec.calm_correlation, 0.08);
-  EXPECT_NEAR(pooled_corr(crisis_columns), spec.crisis_correlation, 0.08);
 }
 
 }  // namespace

@@ -14,12 +14,12 @@ namespace {
 
 TEST(UnionFindTest, BasicMerges) {
   UnionFind forest(5);
-  EXPECT_FALSE(forest.Connected(0, 1));
+  EXPECT_NE(forest.Find(0), forest.Find(1));
   EXPECT_TRUE(forest.Union(0, 1));
-  EXPECT_TRUE(forest.Connected(0, 1));
+  EXPECT_EQ(forest.Find(0), forest.Find(1));
   EXPECT_FALSE(forest.Union(0, 1));  // already merged
   EXPECT_TRUE(forest.Union(1, 2));
-  EXPECT_TRUE(forest.Connected(0, 2));
+  EXPECT_EQ(forest.Find(0), forest.Find(2));
   EXPECT_EQ(forest.ComponentSize(0), 3);
   EXPECT_EQ(forest.ComponentSize(4), 1);
 }
@@ -29,7 +29,7 @@ TEST(UnionFindTest, ChainsCollapse) {
   for (int64_t i = 0; i + 1 < 100; ++i) {
     forest.Union(i, i + 1);
   }
-  EXPECT_TRUE(forest.Connected(0, 99));
+  EXPECT_EQ(forest.Find(0), forest.Find(99));
   EXPECT_EQ(forest.ComponentSize(50), 100);
 }
 
@@ -45,9 +45,9 @@ TEST(SnapshotTest, AdjacencyAndDegree) {
   const NetworkSnapshot network(6, edges);
   EXPECT_EQ(network.num_nodes(), 6);
   EXPECT_EQ(network.num_edges(), 4);
-  EXPECT_EQ(network.Degree(0), 2);
-  EXPECT_EQ(network.Degree(3), 1);
-  EXPECT_EQ(network.Degree(5), 0);
+  EXPECT_EQ(network.Neighbors(0).size(), 2u);
+  EXPECT_EQ(network.Neighbors(3).size(), 1u);
+  EXPECT_TRUE(network.Neighbors(5).empty());
   EXPECT_TRUE(network.HasEdge(0, 1));
   EXPECT_TRUE(network.HasEdge(1, 0));
   EXPECT_FALSE(network.HasEdge(0, 3));
@@ -63,15 +63,6 @@ TEST(SnapshotTest, Density) {
   EXPECT_DOUBLE_EQ(network.Density(), 4.0 / 15.0);
   const NetworkSnapshot empty(1, {});
   EXPECT_DOUBLE_EQ(empty.Density(), 0.0);
-}
-
-TEST(SnapshotTest, DegreeStats) {
-  const DegreeStats stats =
-      ComputeDegreeStats(NetworkSnapshot(6, TriangleAndIsland()));
-  EXPECT_EQ(stats.min, 0);
-  EXPECT_EQ(stats.max, 2);
-  EXPECT_EQ(stats.isolated, 1);
-  EXPECT_NEAR(stats.mean, 8.0 / 6.0, 1e-12);
 }
 
 TEST(SnapshotTest, Components) {

@@ -371,7 +371,6 @@ TEST(ShardMergeTest, EmptyMergeIsAnEmptyOkStream) {
   ShardMerge merge({}, /*num_pairs=*/0);
   EXPECT_FALSE(merge.Next().has_value());
   EXPECT_TRUE(merge.status().ok());
-  EXPECT_EQ(merge.num_shards(), 0);
 }
 
 // ----------------------------------------------------- ShardMerge failover --

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +25,7 @@
 #include "sketch/basic_window_index.h"
 #include "stream/streaming_builder.h"
 #include "ts/generators.h"
+#include "wire/wire_format.h"
 
 namespace dangoron {
 namespace {
@@ -324,8 +327,6 @@ TEST(DangoronServerTest, ValidatesQueriesAndDatasetNames) {
   EXPECT_FALSE(
       server.Query(Request("d", MakeQuery(0, b * 21, b * 4, b, 0.5))).ok());
   EXPECT_FALSE(server.AddDataset("", SmallClimate(4, b * 20, 1)).ok());
-  EXPECT_EQ(server.RemoveDataset("nope").code(), StatusCode::kNotFound);
-  EXPECT_TRUE(server.RemoveDataset("d").ok());
 }
 
 TEST(DangoronServerTest, IdenticalDataSharesOnePrepareAcrossNames) {
@@ -1766,9 +1767,10 @@ TEST(WindowClaimTest, DeadlineAbandonsUnfulfilledJoinWait) {
   WindowStreamState stream(/*queue_capacity=*/1);
   bool cancelled = false;
   bool deadline_hit = false;
-  WindowEdges edges = WaitForWindowClaim(claim, &stream, &cancelled,
-                                         DeadlineToken::After(20),
-                                         &deadline_hit);
+  const DeadlineToken soon(std::chrono::steady_clock::now() +
+                           std::chrono::milliseconds(20));
+  WindowEdges edges =
+      WaitForWindowClaim(claim, &stream, &cancelled, soon, &deadline_hit);
   EXPECT_EQ(edges, nullptr);
   EXPECT_FALSE(cancelled);
   EXPECT_TRUE(deadline_hit);
@@ -1777,9 +1779,11 @@ TEST(WindowClaimTest, DeadlineAbandonsUnfulfilledJoinWait) {
   // joiner with a deadline sees the fulfilled result immediately.
   FulfillWindowClaim(claim, std::make_shared<std::vector<Edge>>());
   bool late_deadline = true;
-  EXPECT_NE(WaitForWindowClaim(claim, &stream, &cancelled,
-                               DeadlineToken::After(20), &late_deadline),
-            nullptr);
+  const DeadlineToken later(std::chrono::steady_clock::now() +
+                            std::chrono::milliseconds(20));
+  EXPECT_NE(
+      WaitForWindowClaim(claim, &stream, &cancelled, later, &late_deadline),
+      nullptr);
   EXPECT_FALSE(late_deadline);
 }
 
@@ -2224,6 +2228,98 @@ TEST_F(ServeFailpointTest, StreamingExactPlanEvaluatesWholeSweepBands) {
               CeilDiv(num_windows, kSweepWindowBand));
     EXPECT_GE(bands_at_first_window, 1);
     EXPECT_LT(bands_at_first_window, CeilDiv(num_windows, kSweepWindowBand));
+  }
+}
+
+// A wire client may send any ServeOptions value Validate accepts. A
+// deadline or a run cap of INT64_MAX must serve like no deadline and no
+// cap: the deadline's ms -> ns conversion must not overflow into the past
+// (the request would fail at once with DeadlineExceeded), and the cap's
+// rounding up to whole sweep bands must not overflow negative (every run
+// would shrink to one window, one engine pass each). The hostile values
+// travel through the wire codec, as a client's would.
+TEST_F(ServeFailpointTest, HostileInt64OptionsServeAsUnbounded) {
+  const int64_t b = 8;
+  const int64_t length = b * 55;
+  const TimeSeriesMatrix data = SmallClimate(5, length, 7011);
+  const SlidingQuery query = MakeQuery(0, length, b * 6, b, 0.6);
+  ASSERT_TRUE(
+      FailpointRegistry::Instance().Configure("sweep.band=delay:0").ok());
+  const Failpoint* band =
+      FailpointRegistry::Instance().GetOrCreate("sweep.band");
+
+  // Serves `options` on a fresh server: the windows and the engine passes.
+  auto serve = [&](const ServeOptions& options) {
+    DangoronServerOptions server_options;
+    server_options.basic_window = b;
+    DangoronServer server(server_options);
+    EXPECT_TRUE(server.AddDataset("d", data).ok());
+    const int64_t hits_before = band->hits();
+    auto result = server.Query(QueryRequest{"d", query, options});
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<std::vector<Edge>> windows;
+    if (result.ok()) {
+      for (int64_t k = 0; k < result->series.num_windows(); ++k) {
+        const auto edges = result->series.WindowEdges(k);
+        windows.emplace_back(edges.begin(), edges.end());
+      }
+    }
+    return std::pair{windows, band->hits() - hits_before};
+  };
+
+  // Byte-identical windows: the same edges with the same value bits.
+  auto same_bits = [](const std::vector<std::vector<Edge>>& a,
+                      const std::vector<std::vector<Edge>>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const std::vector<Edge>& x,
+                         const std::vector<Edge>& y) {
+                        return std::equal(
+                            x.begin(), x.end(), y.begin(), y.end(),
+                            [](const Edge& e, const Edge& f) {
+                              return e.i == f.i && e.j == f.j &&
+                                     std::bit_cast<uint64_t>(e.value) ==
+                                         std::bit_cast<uint64_t>(f.value);
+                            });
+                      });
+  };
+
+  ServeOptions unbounded;
+  unbounded.tier = ServeTier::kExact;
+  unbounded.max_batch_windows = 0;
+  const auto [expected, expected_bands] = serve(unbounded);
+  ASSERT_EQ(static_cast<int64_t>(expected.size()), query.NumWindows());
+  EXPECT_EQ(expected_bands, CeilDiv(query.NumWindows(), kSweepWindowBand));
+
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  for (const auto& [deadline_ms, max_batch] :
+       {std::pair{kMax, int64_t{0}}, std::pair{int64_t{0}, kMax},
+        std::pair{kMax, kMax}}) {
+    SCOPED_TRACE(testing::Message() << "deadline_ms " << deadline_ms
+                                    << ", max_batch_windows " << max_batch);
+    WireRequest sent;
+    sent.dataset = "d";
+    sent.query = query;
+    sent.options = unbounded;
+    if (deadline_ms > 0) {
+      sent.options.deadline_ms = deadline_ms;
+    }
+    sent.options.max_batch_windows = max_batch;
+    std::string frame;
+    EncodeRequestFrame(sent, &frame);
+    WireRequest received;
+    ASSERT_TRUE(DecodeRequestPayload(
+                    std::span<const uint8_t>(
+                        reinterpret_cast<const uint8_t*>(frame.data()),
+                        frame.size())
+                        .subspan(kFrameHeaderBytes),
+                    &received)
+                    .ok());
+    ASSERT_TRUE(
+        (QueryRequest{"d", query, received.options}).Validate().ok());
+
+    const auto [windows, bands] = serve(received.options);
+    EXPECT_TRUE(same_bits(windows, expected));
+    EXPECT_EQ(bands, expected_bands);
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <tuple>
@@ -119,7 +120,7 @@ TEST(BasicWindowIndexTest, PerSeriesPrefixSumsMatchDirect) {
   }
 }
 
-TEST(BasicWindowIndexTest, WindowMeanAndStdMatchOracle) {
+TEST(BasicWindowIndexTest, BasicWindowPrefixesMatchOracle) {
   Rng rng(4);
   TimeSeriesMatrix data = GenerateWhiteNoise(2, 64, &rng);
   BasicWindowIndexOptions options;
@@ -130,15 +131,16 @@ TEST(BasicWindowIndexTest, WindowMeanAndStdMatchOracle) {
   for (int64_t s = 0; s < 2; ++s) {
     const auto stats = ComputeBasicWindowStats(data.Row(s), 16);
     for (int64_t w = 0; w < 4; ++w) {
-      EXPECT_NEAR(index->WindowMean(s, w), stats[static_cast<size_t>(w)].mean,
-                  1e-10);
-      EXPECT_NEAR(index->WindowStdDev(s, w),
+      const double mean = index->SumRange(s, w, w + 1) / 16.0;
+      const double var = index->SumSqRange(s, w, w + 1) / 16.0 - mean * mean;
+      EXPECT_NEAR(mean, stats[static_cast<size_t>(w)].mean, 1e-10);
+      EXPECT_NEAR(std::sqrt(std::max(var, 0.0)),
                   stats[static_cast<size_t>(w)].stddev, 1e-10);
     }
   }
 }
 
-TEST(BasicWindowIndexTest, PairWindowCorrelationMatchesOracle) {
+TEST(BasicWindowIndexTest, BasicWindowCorrelationMatchesOracle) {
   Rng rng(5);
   std::vector<double> x, y;
   GenerateCorrelatedPair(120, 0.7, &rng, &x, &y);
@@ -151,7 +153,7 @@ TEST(BasicWindowIndexTest, PairWindowCorrelationMatchesOracle) {
 
   const std::vector<double> oracle = ComputeBasicWindowCorrelations(x, y, 12);
   for (int64_t w = 0; w < 10; ++w) {
-    EXPECT_NEAR(index->PairWindowCorrelation(0, w),
+    EXPECT_NEAR(1.0 - index->OneMinusCorrRange(0, w, w + 1),
                 oracle[static_cast<size_t>(w)], 1e-9)
         << "w=" << w;
   }
@@ -225,8 +227,8 @@ TEST(BasicWindowIndexTest, ParallelBuildMatchesSequential) {
     for (int64_t w = 0; w < sequential->num_basic_windows(); ++w) {
       EXPECT_DOUBLE_EQ(sequential->DotRange(p, w, w + 1),
                        parallel->DotRange(p, w, w + 1));
-      EXPECT_DOUBLE_EQ(sequential->PairWindowCorrelation(p, w),
-                       parallel->PairWindowCorrelation(p, w));
+      EXPECT_DOUBLE_EQ(sequential->OneMinusCorrRange(p, w, w + 1),
+                       parallel->OneMinusCorrRange(p, w, w + 1));
     }
   }
 }

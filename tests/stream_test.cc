@@ -11,6 +11,19 @@
 namespace dangoron {
 namespace {
 
+// Collects the windows the open-ended (no OnBegin) stream producer emits.
+class CollectingSink : public WindowSink {
+ public:
+  bool OnWindow(int64_t window_index, std::vector<Edge> edges) override {
+    indices.push_back(window_index);
+    windows.push_back(std::move(edges));
+    return accept;
+  }
+  bool accept = true;
+  std::vector<int64_t> indices;
+  std::vector<std::vector<Edge>> windows;
+};
+
 StreamingOptions SmallOptions() {
   StreamingOptions options;
   options.basic_window = 8;
@@ -47,12 +60,13 @@ TEST(StreamingBuilderTest, AppendValidation) {
   EXPECT_FALSE(builder->Append(with_nan).ok());
   const std::vector<double> good = {1.0, 2.0, 3.0};
   EXPECT_TRUE(builder->Append(good).ok());
-  EXPECT_EQ(builder->columns_seen(), 1);
 }
 
 TEST(StreamingBuilderTest, NoSnapshotBeforeFirstFullWindow) {
   auto builder = StreamingNetworkBuilder::Create(2, SmallOptions());
   ASSERT_TRUE(builder.ok());
+  CollectingSink sink;
+  builder->EmitTo(&sink);
   Rng rng(1);
   std::vector<double> column(2);
   for (int64_t t = 0; t < 31; ++t) {  // one short of the window
@@ -60,13 +74,12 @@ TEST(StreamingBuilderTest, NoSnapshotBeforeFirstFullWindow) {
     column[1] = rng.NextGaussian();
     ASSERT_TRUE(builder->Append(column).ok());
   }
-  EXPECT_EQ(builder->ReadySnapshots(), 0);
-  EXPECT_FALSE(builder->PopSnapshot().ok());
+  EXPECT_TRUE(sink.indices.empty());
 
   column[0] = rng.NextGaussian();
   column[1] = rng.NextGaussian();
   ASSERT_TRUE(builder->Append(column).ok());
-  EXPECT_EQ(builder->ReadySnapshots(), 1);
+  EXPECT_EQ(sink.indices, std::vector<int64_t>{0});
 }
 
 TEST(StreamingBuilderTest, SnapshotIndexingAndCadence) {
@@ -74,6 +87,8 @@ TEST(StreamingBuilderTest, SnapshotIndexingAndCadence) {
   options.step = 16;  // m = 2
   auto builder = StreamingNetworkBuilder::Create(2, options);
   ASSERT_TRUE(builder.ok());
+  CollectingSink sink;
+  builder->EmitTo(&sink);
   Rng rng(2);
   std::vector<double> column(2);
   // 96 columns: windows at bw counts 4, 6, 8, ... -> columns 32, 48, ... 96.
@@ -82,14 +97,8 @@ TEST(StreamingBuilderTest, SnapshotIndexingAndCadence) {
     column[1] = rng.NextGaussian();
     ASSERT_TRUE(builder->Append(column).ok());
   }
-  EXPECT_EQ(builder->ReadySnapshots(), 5);  // at columns 32,48,64,80,96
-  for (int64_t expected = 0; expected < 5; ++expected) {
-    auto snapshot = builder->PopSnapshot();
-    ASSERT_TRUE(snapshot.ok());
-    EXPECT_EQ(snapshot->window_index, expected);
-    EXPECT_EQ(snapshot->start_column, expected * options.step);
-  }
-  EXPECT_EQ(builder->ReadySnapshots(), 0);
+  // At columns 32, 48, 64, 80 and 96.
+  EXPECT_EQ(sink.indices, (std::vector<int64_t>{0, 1, 2, 3, 4}));
 }
 
 // The load-bearing property: streaming output == offline exact engine.
@@ -110,6 +119,8 @@ TEST(StreamingBuilderTest, MatchesOfflineEngineExactly) {
 
   auto builder = StreamingNetworkBuilder::Create(data.num_series(), options);
   ASSERT_TRUE(builder.ok());
+  CollectingSink sink;
+  builder->EmitTo(&sink);
   ASSERT_TRUE(builder->AppendColumns(data, 0, data.length()).ok());
 
   DangoronOptions engine_options;
@@ -126,18 +137,17 @@ TEST(StreamingBuilderTest, MatchesOfflineEngineExactly) {
   auto offline = engine.Query(query);
   ASSERT_TRUE(offline.ok());
 
-  ASSERT_EQ(builder->ReadySnapshots(), offline->num_windows());
+  ASSERT_EQ(static_cast<int64_t>(sink.indices.size()),
+            offline->num_windows());
   for (int64_t k = 0; k < offline->num_windows(); ++k) {
-    auto snapshot = builder->PopSnapshot();
-    ASSERT_TRUE(snapshot.ok());
-    EXPECT_EQ(snapshot->window_index, k);
+    EXPECT_EQ(sink.indices[static_cast<size_t>(k)], k);
+    const std::vector<Edge>& edges = sink.windows[static_cast<size_t>(k)];
     const auto expected = offline->WindowEdges(k);
-    ASSERT_EQ(snapshot->edges.size(), expected.size()) << "window " << k;
+    ASSERT_EQ(edges.size(), expected.size()) << "window " << k;
     for (size_t e = 0; e < expected.size(); ++e) {
-      EXPECT_EQ(snapshot->edges[e].i, expected[e].i);
-      EXPECT_EQ(snapshot->edges[e].j, expected[e].j);
-      EXPECT_NEAR(snapshot->edges[e].value, expected[e].value, 1e-9)
-          << "window " << k;
+      EXPECT_EQ(edges[e].i, expected[e].i);
+      EXPECT_EQ(edges[e].j, expected[e].j);
+      EXPECT_NEAR(edges[e].value, expected[e].value, 1e-9) << "window " << k;
     }
   }
 }
@@ -154,10 +164,14 @@ TEST(StreamingBuilderTest, IncrementalFeedMatchesBulkFeed) {
 
   auto bulk = StreamingNetworkBuilder::Create(6, options);
   ASSERT_TRUE(bulk.ok());
+  CollectingSink bulk_sink;
+  bulk->EmitTo(&bulk_sink);
   ASSERT_TRUE(bulk->AppendColumns(data, 0, data.length()).ok());
 
   auto piecewise = StreamingNetworkBuilder::Create(6, options);
   ASSERT_TRUE(piecewise.ok());
+  CollectingSink piecewise_sink;
+  piecewise->EmitTo(&piecewise_sink);
   int64_t position = 0;
   Rng chunk_rng(9);
   while (position < data.length()) {
@@ -167,65 +181,47 @@ TEST(StreamingBuilderTest, IncrementalFeedMatchesBulkFeed) {
     position += chunk;
   }
 
-  ASSERT_EQ(bulk->ReadySnapshots(), piecewise->ReadySnapshots());
-  while (bulk->ReadySnapshots() > 0) {
-    auto a = bulk->PopSnapshot();
-    auto b = piecewise->PopSnapshot();
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->edges.size(), b->edges.size());
-    for (size_t e = 0; e < a->edges.size(); ++e) {
-      EXPECT_DOUBLE_EQ(a->edges[e].value, b->edges[e].value);
-    }
-  }
+  ASSERT_FALSE(bulk_sink.windows.empty());
+  EXPECT_EQ(bulk_sink.indices, piecewise_sink.indices);
+  EXPECT_EQ(bulk_sink.windows, piecewise_sink.windows);
 }
 
-// Counts sink deliveries from the open-ended (no OnBegin) stream producer.
-class CountingSink : public WindowSink {
- public:
-  bool OnWindow(int64_t window_index, std::vector<Edge> edges) override {
-    indices.push_back(window_index);
-    edge_counts.push_back(static_cast<int64_t>(edges.size()));
-    return accept;
-  }
-  bool accept = true;
-  std::vector<int64_t> indices;
-  std::vector<int64_t> edge_counts;
-};
-
-// EmitTo routes snapshots through the window pipeline instead of the
-// internal ready queue: one buffer, no PopSnapshot double-buffering.
-TEST(StreamingBuilderTest, EmitToStreamsWindowsWithoutQueueing) {
+// With no sink attached the builder folds basic windows but emits nothing;
+// a sink attached mid-stream receives the next due window under the
+// builder's own numbering, with the same edges an always-attached sink got.
+TEST(StreamingBuilderTest, SinkAttachedMidStreamContinuesNumbering) {
   Rng rng(7);
   TimeSeriesMatrix data = GenerateWhiteNoise(4, 32 * 4, &rng);
   StreamingOptions options = SmallOptions();
-  options.threshold = 0.0;  // dense: every pair is an edge
+  options.threshold = 0.0;
 
-  auto queued = StreamingNetworkBuilder::Create(4, options);
-  ASSERT_TRUE(queued.ok());
-  ASSERT_TRUE(queued->AppendColumns(data, 0, data.length()).ok());
-  const int64_t expected_snapshots = queued->ReadySnapshots();
-  ASSERT_GT(expected_snapshots, 2);
+  auto always = StreamingNetworkBuilder::Create(4, options);
+  ASSERT_TRUE(always.ok());
+  CollectingSink always_sink;
+  always->EmitTo(&always_sink);
+  ASSERT_TRUE(always->AppendColumns(data, 0, data.length()).ok());
+  ASSERT_GT(always_sink.indices.size(), 4u);
 
-  auto streamed = StreamingNetworkBuilder::Create(4, options);
-  ASSERT_TRUE(streamed.ok());
-  CountingSink sink;
-  streamed->EmitTo(&sink);
-  ASSERT_TRUE(streamed->AppendColumns(data, 0, data.length()).ok());
+  auto late = StreamingNetworkBuilder::Create(4, options);
+  ASSERT_TRUE(late.ok());
+  ASSERT_TRUE(late->AppendColumns(data, 0, 64).ok());  // windows 0..4, unseen
+  CollectingSink late_sink;
+  late->EmitTo(&late_sink);
+  ASSERT_TRUE(late->AppendColumns(data, 64, data.length() - 64).ok());
 
-  EXPECT_EQ(streamed->ReadySnapshots(), 0);  // the sink is the consumer
-  ASSERT_EQ(static_cast<int64_t>(sink.indices.size()), expected_snapshots);
-  for (int64_t k = 0; k < expected_snapshots; ++k) {
-    auto snapshot = queued->PopSnapshot();
-    ASSERT_TRUE(snapshot.ok());
-    EXPECT_EQ(sink.indices[static_cast<size_t>(k)], snapshot->window_index);
-    EXPECT_EQ(sink.edge_counts[static_cast<size_t>(k)],
-              static_cast<int64_t>(snapshot->edges.size()));
+  ASSERT_FALSE(late_sink.indices.empty());
+  EXPECT_EQ(late_sink.indices.front(), 5);
+  const size_t skipped = always_sink.indices.size() - late_sink.indices.size();
+  EXPECT_EQ(skipped, 5u);
+  for (size_t k = 0; k < late_sink.indices.size(); ++k) {
+    EXPECT_EQ(late_sink.indices[k], always_sink.indices[k + skipped]);
+    EXPECT_EQ(late_sink.windows[k], always_sink.windows[k + skipped]);
   }
 }
 
-// A sink that cancels detaches: later snapshots queue internally again.
-TEST(StreamingBuilderTest, CancellingSinkDetachesAndRequeues) {
+// A sink that cancels detaches: it keeps the window it cancelled on and
+// receives nothing after it.
+TEST(StreamingBuilderTest, CancellingSinkDetaches) {
   Rng rng(8);
   TimeSeriesMatrix data = GenerateWhiteNoise(3, 32 * 4, &rng);
   StreamingOptions options = SmallOptions();
@@ -233,24 +229,19 @@ TEST(StreamingBuilderTest, CancellingSinkDetachesAndRequeues) {
 
   auto builder = StreamingNetworkBuilder::Create(3, options);
   ASSERT_TRUE(builder.ok());
-  CountingSink sink;
+  CollectingSink sink;
   sink.accept = false;  // cancel at the first delivery
   builder->EmitTo(&sink);
   ASSERT_TRUE(builder->AppendColumns(data, 0, data.length()).ok());
-
-  EXPECT_EQ(sink.indices.size(), 1u);
-  // The cancelled window belongs to the sink and is accounted for; every
-  // snapshot after the detach is queued for PopSnapshot again.
-  EXPECT_EQ(builder->sink_cancelled_window(), sink.indices[0]);
-  EXPECT_GT(builder->ReadySnapshots(), 0);
-  auto next = builder->PopSnapshot();
-  ASSERT_TRUE(next.ok());
-  EXPECT_EQ(next->window_index, sink.indices[0] + 1);
+  EXPECT_EQ(sink.indices, std::vector<int64_t>{0});
+  EXPECT_FALSE(sink.windows[0].empty());
 }
 
 TEST(StreamingBuilderTest, PartialTailIsBuffered) {
   auto builder = StreamingNetworkBuilder::Create(2, SmallOptions());
   ASSERT_TRUE(builder.ok());
+  CollectingSink sink;
+  builder->EmitTo(&sink);
   Rng rng(11);
   std::vector<double> column(2);
   // 35 columns = 4 full basic windows + 3 buffered ticks.
@@ -259,8 +250,7 @@ TEST(StreamingBuilderTest, PartialTailIsBuffered) {
     column[1] = rng.NextGaussian();
     ASSERT_TRUE(builder->Append(column).ok());
   }
-  EXPECT_EQ(builder->columns_seen(), 35);
-  EXPECT_EQ(builder->ReadySnapshots(), 1);  // only the window at column 32
+  EXPECT_EQ(sink.indices, std::vector<int64_t>{0});  // only column 32's
 }
 
 TEST(StreamingBuilderTest, FamilyPublishThresholdValidatedAndResetOnDetach) {
@@ -274,8 +264,13 @@ TEST(StreamingBuilderTest, FamilyPublishThresholdValidatedAndResetOnDetach) {
   WindowResultCache cache(int64_t{1} << 20);
 
   // Out-of-range publish thresholds are rejected without touching the sink.
-  EXPECT_FALSE(builder->PublishTo(&cache, 1, 1.5).ok());
-  EXPECT_EQ(builder->ReadySnapshots(), 0);
+  auto probe = StreamingNetworkBuilder::Create(3, options);
+  ASSERT_TRUE(probe.ok());
+  CollectingSink sink;
+  probe->EmitTo(&sink);
+  EXPECT_FALSE(probe->PublishTo(&cache, 1, 1.5).ok());
+  ASSERT_TRUE(probe->AppendColumns(data, 0, 32).ok());
+  EXPECT_EQ(sink.indices, std::vector<int64_t>{0});
 
   // Publish at the family grid value below the alert threshold: published
   // windows are evaluated at it (supersets of the alert edges).
@@ -287,17 +282,17 @@ TEST(StreamingBuilderTest, FamilyPublishThresholdValidatedAndResetOnDetach) {
     EXPECT_GE(edge.value, 0.7);
   }
 
-  // Detaching restores the builder's own threshold for queued snapshots.
+  // Detaching restores the builder's own threshold: a sink attached after
+  // it continues the builder's numbering, and every edge it receives
+  // clears the alert threshold 0.73 again.
   builder->PublishTo(nullptr, 1);
+  CollectingSink after;
+  builder->EmitTo(&after);
   ASSERT_TRUE(builder->AppendColumns(data, 0, data.length()).ok());
-  ASSERT_GT(builder->ReadySnapshots(), 0);
-  // Continue the detached builder's own numbering; its snapshots threshold
-  // at 0.73 again: every reported edge clears the alert threshold.
-  while (builder->ReadySnapshots() > 0) {
-    auto snapshot = builder->PopSnapshot();
-    ASSERT_TRUE(snapshot.ok());
-    for (const Edge& edge : snapshot->edges) {
-      EXPECT_TRUE(edge.value >= 0.73 || edge.value <= -0.73);
+  ASSERT_FALSE(after.windows.empty());
+  for (const std::vector<Edge>& window : after.windows) {
+    for (const Edge& edge : window) {
+      EXPECT_GE(edge.value, 0.73);
     }
   }
 }

@@ -33,13 +33,6 @@ TEST(TableTest, FormatsNumbers) {
   EXPECT_NE(text.find("5.0 us"), std::string::npos);
 }
 
-TEST(TableTest, CsvOutput) {
-  Table table({"x", "y"});
-  table.AddRow().Add("1").Add("2");
-  table.AddRow().Add("3").Add("4");
-  EXPECT_EQ(table.ToCsv(), "x,y\n1,2\n3,4\n");
-}
-
 TEST(WorkloadTest, ClimateWorkloadGeneratesAndRuns) {
   ClimateWorkload workload;
   workload.num_stations = 6;

@@ -60,33 +60,6 @@ TEST(TimeSeriesMatrixTest, NamesDefaultAndCustom) {
   EXPECT_EQ(matrix.SeriesName(1), "beta");
 }
 
-TEST(TimeSeriesMatrixTest, SliceColumns) {
-  TimeSeriesMatrix matrix(2, 6);
-  for (int64_t t = 0; t < 6; ++t) {
-    matrix.Set(0, t, static_cast<double>(t));
-    matrix.Set(1, t, static_cast<double>(10 * t));
-  }
-  const auto slice = matrix.SliceColumns(2, 3);
-  ASSERT_TRUE(slice.ok());
-  EXPECT_EQ(slice->length(), 3);
-  EXPECT_DOUBLE_EQ(slice->Get(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(slice->Get(1, 2), 40.0);
-  EXPECT_FALSE(matrix.SliceColumns(4, 5).ok());
-  EXPECT_FALSE(matrix.SliceColumns(-1, 2).ok());
-}
-
-TEST(TimeSeriesMatrixTest, SelectSeries) {
-  TimeSeriesMatrix matrix(3, 2);
-  matrix.Set(2, 0, 7.0);
-  ASSERT_TRUE(matrix.SetSeriesNames({"a", "b", "c"}).ok());
-  const auto selected = matrix.SelectSeries({2, 0});
-  ASSERT_TRUE(selected.ok());
-  EXPECT_EQ(selected->num_series(), 2);
-  EXPECT_DOUBLE_EQ(selected->Get(0, 0), 7.0);
-  EXPECT_EQ(selected->SeriesName(0), "c");
-  EXPECT_FALSE(matrix.SelectSeries({3}).ok());
-}
-
 TEST(TimeSeriesMatrixTest, MissingValues) {
   TimeSeriesMatrix matrix(1, 4);
   EXPECT_EQ(matrix.CountMissing(), 0);
@@ -185,75 +158,6 @@ TEST(InterpolateTest, AllMissingSeriesIsError) {
     matrix.Set(0, t, MissingValue());
   }
   EXPECT_FALSE(InterpolateMissing(&matrix).ok());
-}
-
-TEST(AggregateTest, MeanBuckets) {
-  TimeSeriesMatrix matrix(1, 7);
-  for (int64_t t = 0; t < 7; ++t) {
-    matrix.Set(0, t, static_cast<double>(t));
-  }
-  const auto aggregated = AggregateMean(matrix, 3);
-  ASSERT_TRUE(aggregated.ok());
-  EXPECT_EQ(aggregated->length(), 2);  // tail dropped
-  EXPECT_DOUBLE_EQ(aggregated->Get(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(aggregated->Get(0, 1), 4.0);
-}
-
-TEST(AggregateTest, NanAwareBuckets) {
-  TimeSeriesMatrix matrix(1, 4);
-  matrix.Set(0, 0, 2.0);
-  matrix.Set(0, 1, MissingValue());
-  matrix.Set(0, 2, MissingValue());
-  matrix.Set(0, 3, MissingValue());
-  const auto aggregated = AggregateMean(matrix, 2);
-  ASSERT_TRUE(aggregated.ok());
-  EXPECT_DOUBLE_EQ(aggregated->Get(0, 0), 2.0);     // single observed value
-  EXPECT_TRUE(IsMissing(aggregated->Get(0, 1)));    // all-missing bucket
-}
-
-TEST(AggregateTest, Errors) {
-  TimeSeriesMatrix matrix(1, 4);
-  EXPECT_FALSE(AggregateMean(matrix, 0).ok());
-  EXPECT_FALSE(AggregateMean(matrix, 5).ok());
-}
-
-TEST(AlignOffsetsTest, ShiftsToCommonRange) {
-  // Series 0 starts at t=0, series 1 at t=2 (its column 0 is instant 2).
-  TimeSeriesMatrix matrix(2, 6);
-  for (int64_t t = 0; t < 6; ++t) {
-    matrix.Set(0, t, static_cast<double>(t));        // value = instant
-    matrix.Set(1, t, static_cast<double>(t) + 2.0);  // value = instant
-  }
-  const auto aligned = AlignOffsets(matrix, {0, 2});
-  ASSERT_TRUE(aligned.ok());
-  EXPECT_EQ(aligned->length(), 4);  // overlap [2, 6)
-  // After alignment both rows should report the same instants.
-  for (int64_t t = 0; t < 4; ++t) {
-    EXPECT_DOUBLE_EQ(aligned->Get(0, t), aligned->Get(1, t));
-  }
-}
-
-TEST(AlignOffsetsTest, Errors) {
-  TimeSeriesMatrix matrix(2, 4);
-  EXPECT_FALSE(AlignOffsets(matrix, {0}).ok());
-  EXPECT_FALSE(AlignOffsets(matrix, {0, 100}).ok());  // no overlap
-}
-
-TEST(DropSparseTest, DropsBeyondThreshold) {
-  TimeSeriesMatrix matrix(3, 4);
-  matrix.Set(1, 0, MissingValue());
-  matrix.Set(1, 1, MissingValue());
-  matrix.Set(1, 2, MissingValue());
-  matrix.Set(2, 0, MissingValue());
-  const auto kept = DropSparseSeries(matrix, 0.3);
-  ASSERT_TRUE(kept.ok());
-  EXPECT_EQ(kept->num_series(), 2);  // series 1 (75% missing) dropped
-
-  // Dropping everything is an error.
-  TimeSeriesMatrix all_missing(1, 2);
-  all_missing.Set(0, 0, MissingValue());
-  all_missing.Set(0, 1, MissingValue());
-  EXPECT_FALSE(DropSparseSeries(all_missing, 0.5).ok());
 }
 
 }  // namespace

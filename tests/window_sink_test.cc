@@ -167,50 +167,5 @@ TEST(WindowSinkTest, CancellationSavesWorkOnWindowMajorEngines) {
   EXPECT_EQ((*engine)->stats().cells_evaluated, pairs);
 }
 
-TEST(WindowSinkTest, CollectingSinkRoundTripsThroughReplay) {
-  const int64_t length = 8 * 24;
-  TimeSeriesMatrix data = SmallClimate(5, length, 9004);
-  const SlidingQuery query = TestQuery(length);
-
-  DangoronOptions options;
-  options.basic_window = 8;
-  options.enable_jumping = false;
-  DangoronEngine engine(options);
-  ASSERT_TRUE(engine.Prepare(data).ok());
-  auto original = engine.Query(query);
-  ASSERT_TRUE(original.ok());
-
-  CollectingWindowSink collector;
-  ASSERT_TRUE(ReplayToSink(*original, &collector).ok());
-  EXPECT_TRUE(collector.status().ok());
-  const CorrelationMatrixSeries replayed = collector.TakeSeries();
-  ASSERT_EQ(replayed.num_windows(), original->num_windows());
-  for (int64_t k = 0; k < original->num_windows(); ++k) {
-    const auto a = original->WindowEdges(k);
-    const auto b = replayed.WindowEdges(k);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t e = 0; e < a.size(); ++e) {
-      EXPECT_EQ(a[e], b[e]);
-    }
-  }
-}
-
-TEST(WindowSinkTest, ReplayHonoursCancellation) {
-  SlidingQuery query;
-  query.start = 0;
-  query.end = 40;
-  query.window = 10;
-  query.step = 10;
-  CorrelationMatrixSeries series(query, 3);
-  series.MutableWindow(0)->push_back(Edge{0, 1, 0.9});
-  series.MutableWindow(2)->push_back(Edge{1, 2, 0.95});
-
-  RecordingSink sink;
-  sink.cancel_after = 1;
-  EXPECT_EQ(ReplayToSink(series, &sink).code(), StatusCode::kCancelled);
-  EXPECT_EQ(sink.windows.size(), 2u);
-  EXPECT_EQ(sink.final_status.code(), StatusCode::kCancelled);
-}
-
 }  // namespace
 }  // namespace dangoron
