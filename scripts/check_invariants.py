@@ -110,6 +110,9 @@ QUICKSTART_END = "// README quickstart end\n"
 PROGRAM_DIRS = ("src", "examples", "bench", "perfbench")
 NAME_RE = re.compile(r"\b[A-Za-z_]\w*\b")
 OPEN_PAREN_RE = re.compile(r"\s*\(")
+CALLED_NAME_RE = re.compile(r"\b[A-Za-z_]\w*(?=\s*\()")
+BRACE_RE = re.compile(r"[{}]")
+BRACE_OR_SEMICOLON_RE = re.compile(r"[{};]")
 # Words that may stand before `(` without naming a function, and words
 # after which a name followed by `(` is called, not declared.
 NOT_FUNCTION_NAMES = frozenset((
@@ -529,31 +532,101 @@ def referenced_names(text):
                     is_declaration(text, match.start()))}
 
 
+def matching_brace(text, open_at):
+    """Index of the `}` closing the `{` at `open_at` (or the text's end)."""
+    depth = 0
+    for match in BRACE_RE.finditer(text, open_at):
+        depth += 1 if match.group(0) == "{" else -1
+        if depth == 0:
+            return match.start()
+    return len(text)
+
+
+def body_owner(head):
+    """The function whose body a `{` after `head` opens: the first name the
+    head calls (`Status Foo::Bar(...) const`, `Foo::Foo(...) : a_(x)`), or
+    None when it calls none (a lambda, an operator, an initializer)."""
+    for match in CALLED_NAME_RE.finditer(head):
+        name = match.group(0)
+        if name not in NOT_FUNCTION_NAMES and not name.startswith("__"):
+            return name
+    return None
+
+
+def split_function_bodies(text):
+    """Splits code into the bodies of the functions it defines at namespace
+    or class scope and the text outside them: ({name: [body, ...]},
+    outside). Braces at that scope that open no function stay outside."""
+    bodies = {}
+    outside = []
+    out_start = 0
+    pos = 0
+    while match := BRACE_OR_SEMICOLON_RE.search(text, pos):
+        at = match.start()
+        head = text[pos:at]
+        pos = at + 1
+        if match.group(0) != "{" or scope_opened(head):
+            continue
+        end = matching_brace(text, at)
+        owner = body_owner(head)
+        if owner is not None:
+            outside.append(text[out_start:at])
+            bodies.setdefault(owner, []).append(text[at + 1:end])
+            out_start = end + 1
+        pos = end + 1
+    outside.append(text[out_start:])
+    return bodies, "".join(outside)
+
+
+def reach(roots, uses):
+    """Every name reachable from `roots` through the names the bodies of
+    each reached name's functions use."""
+    reached = set(roots)
+    frontier = list(reached)
+    while frontier:
+        for name in uses.get(frontier.pop(), ()):
+            if name not in reached:
+                reached.add(name)
+                frontier.append(name)
+    return reached
+
+
 def check_program_reached(root, errors):
     """A function only tests call is code to keep in step for nothing:
-    every function a src/ header declares is used by program code."""
+    every function a src/ header declares is reached from a program. Reach
+    is a fixed point over function bodies, seeded from every `main`, the
+    allowlist and the code outside function bodies (declarations and
+    initializers): a reached name reaches every name the bodies of its
+    functions use. So a dead call chain is reported whole in one run."""
     declared = {}  # name -> first declaring header
-    referenced = set()
+    uses = {}  # function name -> names its bodies use
+    roots = {"main"}
     for path in source_files(root, PROGRAM_DIRS):
         rel = os.path.relpath(path, root)
         text = strip_code(read(path))
-        referenced |= referenced_names(text)
+        bodies, outside = split_function_bodies(text)
+        roots |= referenced_names(outside)
+        for name, texts in bodies.items():
+            for body in texts:
+                uses.setdefault(name, set()).update(referenced_names(body))
         if rel.endswith(".h") and len(rel.split(os.sep)) == 3 and \
                 rel.startswith("src" + os.sep):
             for name in declared_functions(text):
                 declared.setdefault(name, rel)
-    unreached = {name: header for name, header in declared.items()
-                 if name not in referenced}
-    for name in sorted(unreached, key=lambda n: (unreached[n], n)):
-        if name not in PROGRAM_REACHED_ALLOWLIST:
-            errors.append(
-                f"program-reached: {name} ({unreached[name]}) is used by no "
-                f"program in {'/, '.join(PROGRAM_DIRS)}/ — delete it with "
-                f"its tests, or allowlist it with a reason")
-    for name in sorted(set(PROGRAM_REACHED_ALLOWLIST) - set(unreached)):
+    reached = reach(roots | set(PROGRAM_REACHED_ALLOWLIST), uses)
+    for name in sorted(set(declared) - reached,
+                       key=lambda n: (declared[n], n)):
         errors.append(
-            f"program-reached: allowlist entry {name} names no unreached "
-            f"function in a src/ header — drop the stale entry")
+            f"program-reached: {name} ({declared[name]}) is reached by no "
+            f"program in {'/, '.join(PROGRAM_DIRS)}/ — delete it with "
+            f"its tests, or allowlist it with a reason")
+    reached_by_programs = reach(roots, uses)
+    for name in sorted(PROGRAM_REACHED_ALLOWLIST):
+        if name not in declared or name in reached_by_programs:
+            errors.append(
+                f"program-reached: allowlist entry {name} names no "
+                f"unreached function in a src/ header — drop the stale "
+                f"entry")
 
 
 CHECKS = (

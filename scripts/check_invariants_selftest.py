@@ -21,8 +21,9 @@ message pointing at the actual drift:
     only names in a comment, and a committed BENCH_*.json baseline the
     regression gate is not given,
   - a function a src/ header declares that only tests/ call, or that
-    program code only declares, defines or mentions in prose, and a stale
-    allowlist entry.
+    program code only declares, defines or mentions in prose, a dead call
+    chain (each of its three names in the one run), and a stale allowlist
+    entry.
 
 Exit 0 when every case behaves, 1 otherwise.
 """
@@ -69,6 +70,13 @@ int Run(std::string_view command) {
   }
   return 2;
 }
+
+int RunRoute() {
+  ShardRouter router;
+  return router.Place(0).ok() ? 0 : 1;
+}
+
+int main(int argc, char** argv) { return Run(argv[1]); }
 """
 
 CLEAN_CMAKE = """
@@ -187,6 +195,19 @@ Result<int> Shard::Probe(int attempt) const {
 }
 """
 
+CHAIN_H = """
+/// Top() = Middle() + 1.
+int Top();
+int Middle();
+int Bottom();
+"""
+
+CHAIN_CC = """
+int Top() { return Middle() + 1; }
+int Middle() { return Bottom() + 1; }
+int Bottom() { return 1; }
+"""
+
 HELPER_TEST_CC = """
 TEST(HelperTest, Doubles) {
   EXPECT_EQ(Helper(2), 4);
@@ -225,6 +246,13 @@ jobs:
       - name: Check links
         run: python3 scripts/check_docs_links.py BENCH_orphan.json
 """
+
+
+def write_chain(root):
+    write(root, "src/serve/chain.h", CHAIN_H)
+    write(root, "src/serve/chain.cc", CHAIN_CC)
+    write(root, "tests/chain_test.cc",
+          "TEST(ChainTest, Top) { EXPECT_EQ(Top(), 3); }\n")
 
 
 def write(root, rel, content):
@@ -455,8 +483,15 @@ def main():
             "member-call-through-a-pointer-is-a-use",
             lambda root: write_helper(
                 root, "src/net",
-                "int Run(const Shard* shard) {\n"
-                "  return Helper(shard->Probe(0).value());\n}\n")),
+                "int ProbeOnce(const Shard* shard) {\n"
+                "  return Helper(shard->Probe(0).value());\n}\n"
+                "int main() {\n  Shard shard;\n"
+                "  return ProbeOnce(&shard);\n}\n")),
+        run_case(
+            "dead-call-chain-is-reported-whole",
+            write_chain,
+            "program-reached", "Top (src/serve/chain.h)",
+            "Middle (src/serve/chain.h)", "Bottom (src/serve/chain.h)"),
         run_case(
             "declared-but-only-defined-in-a-program",
             lambda root: write_helper(

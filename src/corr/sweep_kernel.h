@@ -30,18 +30,17 @@ inline constexpr int64_t kSweepTilePairs = 1024;
 /// small-N regime (band 1: ~1.3x over scalar at N=256; band 16: ~2.8x).
 inline constexpr int64_t kSweepWindowBand = 16;
 
-/// Immutable per-query view the exact sweep kernel reads: pair dot-prefix
-/// rows plus the engine's hoisted range moments (see
-/// DangoronEngine::QueryPreparedToSink). Column c of pair p's row sits at
-/// `dot_prefix[(p - first_pair) * row_stride + c]` — a resident index's
-/// block or a band-streamed ring slab (sketch/'s PairDotRing);
+/// Immutable per-query view the exact sweep kernels read: the engine's
+/// hoisted range moments (see DangoronEngine::QueryPreparedToSink) and,
+/// for the pair-row kernel, a resident index's pair-major dot-prefix rows —
+/// slot s of pair p at `dot_prefix[p * row_stride + s]`, the index's
+/// kPairRowPad offset folded into the caller's base slot.
 /// `range_sum` / `range_inv_css` are window-major `[k * num_series + s]` —
 /// the query-range sum and reciprocal centered root-sum-of-squares (0 for
 /// degenerate series) of series s in window k.
 struct SweepView {
   const double* dot_prefix = nullptr;
   int64_t row_stride = 0;
-  int64_t first_pair = 0;
   const double* range_sum = nullptr;
   const double* range_inv_css = nullptr;
   int64_t num_series = 0;
@@ -51,47 +50,62 @@ struct SweepView {
   bool absolute = false;
 };
 
-/// The banded window-major exact sweep: computes the correlations of the
-/// contiguous pair-id range [pair_begin, pair_end) for windows
-/// [k_begin, k_end) — window k reading row columns lo = base_w0 + k*m and
-/// hi = lo + ns (ns may be negative: see SweepWindowBandRing) — and
-/// appends the edges clearing the
-/// threshold to `out_windows[k - k_begin]`, each window's survivors in
-/// ascending pair-id order (== the canonical (i, j) edge order, so
-/// concatenating tile outputs in tile order yields sorted windows with no
-/// sort pass).
+/// Read view of a slot-major ring slab (sketch/'s BandStreamedSketch):
+/// `ring_slots` rows of `row_width` doubles, prefix slot s of pair (i, j)
+/// at Row(s)[Column(i, j)]. Columns advance with j, so a fixed-i run of
+/// pairs is contiguous within every row.
+struct SlotRingView {
+  const double* slab = nullptr;
+  int64_t ring_slots = 0;
+  int64_t row_width = 0;
+  /// Column of pair (i, 0): series_col[i] + j is pair (i, j)'s.
+  const int64_t* series_col = nullptr;
+
+  const double* Row(int64_t slot) const {
+    return slab + slot % ring_slots * row_width;
+  }
+  int64_t Column(int64_t i, int64_t j) const { return series_col[i] + j; }
+};
+
+/// The banded window-major exact sweep over a resident index's pair rows:
+/// computes the correlations of the contiguous pair-id range
+/// [pair_begin, pair_end) for windows [k_begin, k_end) — window k reading
+/// row columns lo = base_w0 + k*m and hi = lo + ns — and appends the edges
+/// clearing the threshold to `out_windows[k - k_begin]`, each window's
+/// survivors in ascending pair-id order (== the canonical (i, j) edge
+/// order, so concatenating tile outputs in tile order yields sorted
+/// windows with no sort pass).
 ///
 /// `i0` / `j0` are the series ids of `pair_begin` (callers already know
 /// them from BasicWindowIndex::PairFromId; corr/ stays below sketch/ in the
 /// layering). Within a fixed-i run the pair ids — and with them the dot
 /// prefix rows — advance contiguously and the j-side moments are contiguous
-/// loads, so the run vectorizes: two strided prefix loads, one fused
-/// subtract, two multiplies and a clamp per lane, then one branch-free
-/// threshold compare per 8-lane group. The window loop sits *inside* the
-/// 8-pair group so the group's prefix lines are reused across the whole
-/// band. Per-cell arithmetic is the exact operation sequence of the scalar
-/// cell of DangoronEngine's tile walk, so the two paths produce
-/// bit-identical edges.
+/// loads, so the run vectorizes: 16 strided prefix loads per 8-lane group
+/// and window, then the shared lane arithmetic (one fused subtract, two
+/// multiplies, a clamp and one branch-free threshold compare). The window
+/// loop sits *inside* the 8-pair group so the group's prefix lines are
+/// reused across the whole band. Per-cell arithmetic is the exact
+/// operation sequence of the scalar cell of DangoronEngine's tile walk, so
+/// the two paths produce bit-identical edges.
 void SweepWindowBandPairRange(const SweepView& view, int64_t base_w0,
                               int64_t ns, int64_t m, int64_t k_begin,
                               int64_t k_end, int64_t pair_begin,
                               int64_t pair_end, int64_t i0, int64_t j0,
                               std::vector<Edge>* out_windows);
 
-/// SweepWindowBandPairRange over rows in ring addressing: prefix slot s of
-/// each pair sits at column (s + slot_offset) mod view.row_stride. Window k
-/// covers slots [base_w0 + k*m, base_w0 + k*m + ns). The band is cut where
-/// its lo or hi column wraps — at most twice, since one band's slots fit
-/// the ring — and each piece runs the unchanged kernel with
-/// base_w0' = base_w0 + slot_offset − a·R and ns' = ns − (c − a)·R, where a
-/// and c count the wraps of the piece's lo and hi slots. A resident
-/// index's block is the ring as long as its stride, which never wraps:
-/// one piece, the plain kernel call.
-void SweepWindowBandRing(const SweepView& view, int64_t slot_offset,
-                         int64_t base_w0, int64_t ns, int64_t m,
-                         int64_t k_begin, int64_t k_end, int64_t pair_begin,
-                         int64_t pair_end, int64_t i0, int64_t j0,
-                         std::vector<Edge>* out_windows);
+/// SweepWindowBandPairRange over a slot-major ring: window k reads slot
+/// rows lo = base_w0 + k*m and hi = lo + ns of `ring` (wrapping is the
+/// per-slot modulo of SlotRingView::Row), so each 8-pair group's lo and hi
+/// prefixes are two contiguous vector loads. Windows run outer: each
+/// window streams its two rows' stretch of the pair range front to back,
+/// which the hardware prefetchers follow (pairs outer would walk 4 x band
+/// streams at once). Same lane arithmetic, same edges, same order: a
+/// band-streamed query emits bit for bit what a resident one does.
+void SweepWindowBandSlotRows(const SweepView& view, const SlotRingView& ring,
+                             int64_t base_w0, int64_t ns, int64_t m,
+                             int64_t k_begin, int64_t k_end,
+                             int64_t pair_begin, int64_t pair_end, int64_t i0,
+                             int64_t j0, std::vector<Edge>* out_windows);
 
 /// The survivor arena of the banded window-major sweep: one edge buffer per
 /// (row, band window), cleared — not deallocated — between bands,

@@ -340,11 +340,10 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
     }
   };
 
-  const PairDotRing ring =
-      stream != nullptr ? stream->DotRing() : index->DotRing();
-  const SweepView view{.dot_prefix = ring.rows,
-                       .row_stride = ring.ring_slots,
-                       .first_pair = ring.first_pair,
+  const PairDotRows rows =
+      index != nullptr ? index->DotRows() : PairDotRows{};
+  const SweepView view{.dot_prefix = rows.rows,
+                       .row_stride = rows.row_stride,
                        .range_sum = in.range_sum.data(),
                        .range_inv_css = in.range_inv_css.data(),
                        .num_series = n,
@@ -387,8 +386,15 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
                  pair_begin, pair_end, i, j, out_windows, local);
         return;
       }
-      SweepWindowBandRing(view, kPairRowPad, base_w0, ns, m, band_begin,
-                          band_end, pair_begin, pair_end, i, j, out_windows);
+      if (stream != nullptr) {
+        SweepWindowBandSlotRows(view, stream->Slots(), base_w0, ns, m,
+                                band_begin, band_end, pair_begin, pair_end, i,
+                                j, out_windows);
+      } else {
+        SweepWindowBandPairRange(view, base_w0 + kPairRowPad, ns, m,
+                                 band_begin, band_end, pair_begin, pair_end,
+                                 i, j, out_windows);
+      }
       local->cells_evaluated +=
           (pair_end - pair_begin) * (band_end - band_begin);
     };

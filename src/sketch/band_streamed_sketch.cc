@@ -9,8 +9,6 @@ namespace dangoron {
 
 namespace {
 
-int64_t RoundUp8(int64_t x) { return (x + 7) / 8 * 8; }
-
 Status ValidateStream(int64_t num_series, int64_t length,
                       const BandStreamOptions& options) {
   if (num_series <= 0) {
@@ -76,13 +74,13 @@ Result<BandStreamedSketch> BandStreamedSketch::Create(
   stream.tiles_ = MakeTilePairs(stream.num_series_, options.pair_begin,
                                 options.pair_end, /*with_omc=*/false);
   stream.ring_slots_ = RingSlots(nb, options.band_slots);
-  stream.ring_ = SketchBlock(static_cast<size_t>(
-      (options.pair_end - options.pair_begin) * stream.ring_slots_));
-  const PairPrefixRing out{stream.ring_.data(), nullptr, stream.ring_slots_,
-                           options.pair_begin, options.pair_end};
-  for (const TilePairState& tile : stream.tiles_) {
-    WriteTilePairSlotZero(stream.num_series_, tile, out);
-  }
+  stream.row_width_ =
+      SlotRowColumns(stream.num_series_, options.pair_begin, options.pair_end,
+                     &stream.series_col_);
+  stream.ring_ =
+      SketchBlock(static_cast<size_t>(stream.row_width_ * stream.ring_slots_));
+  // Slot 0 (all zeros) is ring row 0.
+  std::fill_n(stream.ring_.data(), stream.row_width_, 0.0);
   return stream;
 }
 
@@ -103,13 +101,15 @@ int64_t BandStreamedSketch::EstimateMemoryBytes(
                         : 0;
     }
   }
+  std::vector<int64_t> series_col;
+  const int64_t row_width = SlotRowColumns(num_series, options.pair_begin,
+                                           options.pair_end, &series_col);
   const int64_t doubles =
       folded * num_tiles * options.basic_window * kCorrTile  // panels
-      + 2 * folded * num_series                 // window means, std-devs
-      + 2 * num_series * (folded + 1)           // series prefixes
-      + tile_pairs * kCorrTile * kCorrTile      // accumulators
-      + (options.pair_end - options.pair_begin) *
-            RingSlots(nb, options.band_slots);  // ring slab
+      + 2 * folded * num_series                          // window means, std-devs
+      + 2 * num_series * (folded + 1)                    // series prefixes
+      + tile_pairs * kCorrTile * kCorrTile               // accumulators
+      + row_width * RingSlots(nb, options.band_slots);  // ring slab
   return doubles * static_cast<int64_t>(sizeof(double));
 }
 
@@ -129,7 +129,8 @@ void BandStreamedSketch::AdvanceTo(int64_t slot, ThreadPool* pool) {
   if (w_end <= windows_folded_) {
     return;
   }
-  const PairPrefixRing out{ring_.data(), nullptr, ring_slots_,
+  const SlotPrefixRing out{ring_.data(),        ring_slots_,
+                           row_width_,          series_col_.data(),
                            options_.pair_begin, options_.pair_end};
   ForEachTask(pool, static_cast<int64_t>(tiles_.size()), [&](int64_t t) {
     AdvanceTilePair(panels_, w_end, &tiles_[static_cast<size_t>(t)], out);

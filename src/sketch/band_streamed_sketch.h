@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "corr/block_kernel.h"
+#include "corr/sweep_kernel.h"
 #include "sketch/basic_window_index.h"
 #include "sketch/pair_prefix_build.h"
 #include "ts/time_series_matrix.h"
@@ -31,24 +32,30 @@ struct BandStreamOptions {
 /// one exact query instead of materialized whole (TSUBASA's real-time mode
 /// keeps basic-window statistics only for the live window; this keeps the
 /// live band's). It holds the NormalizedPanels, the per-series prefixes,
-/// one running dot accumulator block per series-tile pair, and a *ring
-/// slab* of R slots per stored pair:
+/// one running dot accumulator block per series-tile pair, and a
+/// slot-major *ring slab* of R slot rows:
 ///
 ///   R = roundup8(band_slots + 8), capped at the full row stride,
 ///
 /// so one band's slots plus the 8-slot batch the build advances in always
-/// fit. Slot s of pair p sits at column (s + kPairRowPad) mod R of row
-/// p − pair_begin (DotRing). AdvanceTo(slot) folds whole 8-window batches —
-/// on the full build's global batch grid, from window 0 — until `slot` is
-/// written, overwriting the ring's oldest slots; the fold is the full
-/// build's own (AdvanceTilePair), so every slot is bit-identical to the
-/// resident index's. The Eq. 2 budget is never computed: only exact sweeps
-/// read a stream.
+/// fit. Prefix slot s of stored pair (i, j) sits in ring row s mod R, at
+/// column series_col[i] + j of that row (Slots(); SlotRowColumns lays the
+/// columns out over [pair_begin, pair_end): column ≡ j mod 8, and each
+/// series' segment owns its cache lines). The sweep reads a window's lo and
+/// hi slots of 8 adjacent pairs as two contiguous vector loads, and the
+/// build writes every slot-row line whole, as a non-temporal store.
+/// AdvanceTo(slot) folds whole 8-window batches — on the full build's
+/// global batch grid, from window 0 — until `slot` is written, overwriting
+/// the ring's oldest rows; the fold is the full build's own
+/// (AdvanceTilePair), so every slot is bit-identical to the resident
+/// index's. The Eq. 2 budget is never computed: only exact sweeps read a
+/// stream.
 ///
 /// At N = 256 over a year (366 slots, 30-window queries sliding by one)
-/// R = 56: the slab is 14.6 MB against the index's 2 x 95 MB. The slab is
-/// SketchBlock storage, recycled across queries. Not thread-safe:
-/// AdvanceTo must not race a reader.
+/// R = 56: the slab's rows are 33,536 doubles for 32,640 pairs, 15.0 MB
+/// against the index's 2 x 95 MB. The slab is SketchBlock storage,
+/// recycled across queries. Not thread-safe: AdvanceTo must not race a
+/// reader.
 class BandStreamedSketch {
  public:
   /// Builds the panels and series prefixes and writes slot 0. Fails like
@@ -81,9 +88,11 @@ class BandStreamedSketch {
   /// Valid for slots [0, options().last_slot].
   const SeriesPrefixes& series_prefixes() const { return series_; }
 
-  /// The slab; slots [oldest_slot(), newest_slot()] are readable.
-  PairDotRing DotRing() const {
-    return PairDotRing{ring_.data(), ring_slots_, options_.pair_begin};
+  /// The slab; slots [oldest_slot(), newest_slot()] of the stored pairs
+  /// are readable.
+  SlotRingView Slots() const {
+    return SlotRingView{ring_.data(), ring_slots_, row_width_,
+                        series_col_.data()};
   }
   int64_t newest_slot() const { return windows_folded_; }
   int64_t oldest_slot() const {
@@ -102,6 +111,8 @@ class BandStreamedSketch {
   std::vector<TilePairState> tiles_;
   SketchBlock ring_;
   int64_t ring_slots_ = 0;
+  int64_t row_width_ = 0;
+  std::vector<int64_t> series_col_;  // see SlotRowColumns
   int64_t windows_folded_ = 0;
 };
 

@@ -219,8 +219,8 @@ void BasicWindowIndex::BuildPairSketchesBlocked(const NormalizedPanels& panels,
   // (see AdvanceTilePair). Every (pair, window) slot is written by exactly
   // one task and the per-cell arithmetic is independent of the
   // decomposition, so any thread count produces bit-identical sketches.
-  const PairPrefixRing out{pair_dot_prefix_, pair_one_minus_corr_prefix_,
-                           pair_row_stride_, 0, num_pairs_};
+  const PairPrefixRows out{pair_dot_prefix_, pair_one_minus_corr_prefix_,
+                           pair_row_stride_};
   std::vector<TilePairState> tiles =
       MakeTilePairs(num_series_, 0, num_pairs_, /*with_omc=*/true);
   ForEachTask(pool, static_cast<int64_t>(tiles.size()), [&](int64_t t) {

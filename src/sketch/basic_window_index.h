@@ -66,15 +66,11 @@ struct SeriesPrefixes {
   }
 };
 
-/// Read view of pair dot-prefix rows in ring addressing: prefix slot s of
-/// pair p sits at `rows[(p - first_pair) * ring_slots +
-/// (s + kPairRowPad) % ring_slots]`. A resident index's block is the ring
-/// as long as its row stride — it never wraps — while a BandStreamedSketch
-/// slab holds only the newest ring_slots slots of each row.
-struct PairDotRing {
+/// Read view of the resident pair dot-prefix block: prefix slot s of pair
+/// p sits at `rows[p * row_stride + s + kPairRowPad]`.
+struct PairDotRows {
   const double* rows = nullptr;
-  int64_t ring_slots = 0;
-  int64_t first_pair = 0;
+  int64_t row_stride = 0;
 };
 
 /// The basic-window sketch of the paper (Section 3): per-series and per-pair
@@ -130,12 +126,11 @@ class BasicWindowIndex {
     return pair_dot_prefix_[Px(p, hi)] - pair_dot_prefix_[Px(p, lo)];
   }
 
-  /// Ring view of the pair dot-prefix block for the window-major sweep
-  /// (corr/sweep_kernel.h): the ring is the whole row stride, so it never
-  /// wraps, and DotRange(p, lo, hi) is the hi/lo slot difference. Requires
-  /// pair sketches; valid while the index is alive.
-  PairDotRing DotRing() const {
-    return PairDotRing{pair_dot_prefix_, pair_row_stride_, 0};
+  /// The pair dot-prefix block for the window-major sweep
+  /// (corr/sweep_kernel.h): DotRange(p, lo, hi) is the hi/lo slot
+  /// difference. Valid while the index is alive.
+  PairDotRows DotRows() const {
+    return PairDotRows{pair_dot_prefix_, pair_row_stride_};
   }
 
   /// Sum over basic windows [lo, hi) of (1 - c_i), where c_i is the pair's

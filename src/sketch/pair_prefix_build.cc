@@ -1,6 +1,7 @@
 #include "sketch/pair_prefix_build.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -27,11 +28,39 @@ bool TileRowPairs(int64_t num_series, int64_t ti, int64_t tj, int64_t i,
   return true;
 }
 
-// The batch fold of one tile pair, `kWithOmc` selecting whether the Eq. 2
-// budget prefix is carried too. See AdvanceTilePair.
-template <bool kWithOmc>
+// Doubles of one staged slot row: a tile row's kCorrTile columns after a
+// head of up to 7 that aligns them with the slot row's cache lines.
+constexpr int64_t kStageWidth = kCorrTile + 8;
+
+// Writes the staged slots of one series row to the batch's `wc` slot rows:
+// stage[k][(slot_col & 7) + u] holds slot k's value of the row's pair u,
+// which belongs at column slot_col + u, and pairs u in [u_begin, u_end)
+// are stored. Every line holding a stored pair leaves whole, as one
+// non-temporal store: the row's segment owns its lines (SlotRowColumns),
+// so their other lanes are padding or unstored pairs no reader asks for.
+void FlushStagedRow(const double (*stage)[kStageWidth], int64_t wc,
+                    double* const* slot_rows, int64_t slot_col,
+                    int64_t u_begin, int64_t u_end) {
+  if (u_begin >= u_end) {
+    return;  // the stored range skips this row
+  }
+  const int64_t head = slot_col & 7;
+  for (int64_t line = (head + u_begin) & ~int64_t{7}; line < head + u_end;
+       line += 8) {
+    const int64_t col = slot_col - head + line;
+    for (int64_t k = 0; k < wc; ++k) {
+      StreamVec8(slot_rows[k] + col, LoadVec8(stage[k] + line));
+    }
+  }
+}
+
+// The batch fold of one tile pair into `Out`: PairPrefixRows (the
+// resident index, which also carries the Eq. 2 budget prefix) or
+// SlotPrefixRing (a band stream, dot only). See AdvanceTilePair.
+template <typename Out>
 void AdvanceTilePairImpl(const NormalizedPanels& panels, int64_t w_end,
-                         TilePairState* state, const PairPrefixRing& out) {
+                         TilePairState* state, const Out& out) {
+  constexpr bool kPairRows = std::is_same_v<Out, PairPrefixRows>;
   const int64_t nb = panels.num_windows;
   const int64_t b = panels.basic_window;
   const int64_t n = panels.num_series;
@@ -44,20 +73,16 @@ void AdvanceTilePairImpl(const NormalizedPanels& panels, int64_t w_end,
   const int64_t nrows = row_end - row_begin;
   const double bw = static_cast<double>(b);
   double* acc_dot = state->acc_dot.data();
-  double* acc_omc = kWithOmc ? state->acc_omc.data() : nullptr;
-  const int64_t ring = out.ring_slots;
-  auto stored = [&](int64_t p) {
-    return p >= out.first_pair && p < out.end_pair;
-  };
+  double* acc_omc = kPairRows ? state->acc_omc.data() : nullptr;
 
   // For each basic window, the tile pair's block of the N x N correlation
   // tile is the Gram matrix of the window's z panels — a blocked rank-b
   // update. Windows are processed in batches of kPairWinBatch: the batch's
   // Gram planes are computed first (window-major staging, plane k holding
   // window wb + k's tile, read by the flush as parallel sequential
-  // streams), then each pair's batch of prefix slots leaves as one
-  // contiguous (single cache line) write through an in-register 8x8
-  // transpose.
+  // streams), then each 8-pair group's batch of prefix slots leaves as
+  // whole cache lines: through an in-register 8x8 transpose into the
+  // group's pair rows, or straight into the batch's slot rows.
   // The staging buffer is per thread and reused across calls: a streamed
   // build calls this once per tile pair per band, and a fresh zeroed
   // buffer each time would cost more memset than the batch's flush. Every
@@ -73,6 +98,11 @@ void AdvanceTilePairImpl(const NormalizedPanels& panels, int64_t w_end,
   double row_bm[kCorrTile * kPairWinBatch];
   double col_sd[kPairWinBatch * kCorrTile];
   double col_m[kPairWinBatch * kCorrTile];
+  // The slot ring's row of each slot of the batch, and the staging of one
+  // series row's slots (see FlushStagedRow; zeroed once so the padding
+  // lanes it writes are never indeterminate).
+  double* slot_rows[kPairWinBatch] = {};
+  alignas(64) double stage[kPairWinBatch][kStageWidth] = {};
 
   for (int64_t wb = state->windows_folded; wb < w_end; wb += kPairWinBatch) {
     const int64_t wc = std::min<int64_t>(kPairWinBatch, nb - wb);
@@ -93,22 +123,27 @@ void AdvanceTilePairImpl(const NormalizedPanels& panels, int64_t w_end,
         col_sd[k * kCorrTile + u] = stddevs[col_begin + u];
         col_m[k * kCorrTile + u] = means[col_begin + u];
       }
+      if constexpr (!kPairRows) {
+        slot_rows[k] = out.slab + (w + 1) % out.ring_slots * out.row_width;
+      }
     }
 
     // Flush: fold the batch into each pair's running prefixes and write
-    // the wc slots [wb + 1, wb + wc] of each stored pair in one contiguous
-    // run at ring column `col` (a multiple of 8: the run never wraps). The
-    // raw inner product the sketch stores is reconstructed as
+    // the wc slots [wb + 1, wb + wc] of each stored pair. The raw inner
+    // product the sketch stores is reconstructed as
     // sum x*y = b * (sd_x sd_y c + mean_x mean_y) — algebraically exact;
     // the clamped correlation feeds the Eq. 2 jump budget.
     //
     // Vectorized over 8 adjacent pairs (contiguous in the Gram planes, the
     // accumulators, and the column stats): the k recursion is a serial
     // dependence per pair, so running it 8 pairs wide is what hides its
-    // latency. The per-window Vec8 snapshots are transposed in registers so
-    // each pair's prefix run leaves as one full-width store; a scalar loop
-    // finishes ragged pair tails and ragged final batches.
-    const int64_t col = (wb + 1 + kPairRowPad) % ring;
+    // latency. Pair rows take the per-window Vec8 snapshots transposed in
+    // registers, so each pair's 8-slot run (ring column `col`, a multiple
+    // of 8) leaves as one full-line store. Slot rows take each snapshot as
+    // it is, with no transpose: window k's 8 values of the group belong in
+    // slot row k, side by side. A scalar loop finishes ragged pair tails
+    // and ragged final batches.
+    const int64_t col = kPairRows ? wb + 1 + kPairRowPad : 0;
     for (int64_t i = row_begin; i < row_end; ++i) {
       int64_t p0 = 0;
       int64_t p_last = 0;
@@ -121,6 +156,26 @@ void AdvanceTilePairImpl(const NormalizedPanels& panels, int64_t w_end,
       const double* rbm = row_bm + (i - row_begin) * kPairWinBatch;
       const size_t idx0 = static_cast<size_t>((i - row_begin) * kCorrTile +
                                               (j0 - col_begin));
+      // Slot rows: where column u of the row (pair j0 + u) goes for each
+      // slot of the batch. A row off the diagonal tile, of whole 8-pair
+      // groups, all stored, starts its groups on cache lines (j0 =
+      // col_begin is a multiple of 8), so each group's snapshots stream
+      // straight into the slot rows. Any other row (the diagonal tile's,
+      // whose groups start at j = i + 1, one with a scalar tail, or one the
+      // stored range cuts) is staged and leaves as whole lines afterwards
+      // (FlushStagedRow).
+      int64_t slot_col = 0;
+      bool direct = true;
+      double* row_out[kPairWinBatch] = {};
+      if constexpr (!kPairRows) {
+        slot_col = out.series_col[i] + j0;
+        direct = tj != ti && njs % 8 == 0 && p0 >= out.first_pair &&
+                 p_last < out.end_pair;
+        for (int64_t k = 0; k < wc; ++k) {
+          row_out[k] = direct ? slot_rows[k] + slot_col
+                              : stage[k] + (slot_col & 7);
+        }
+      }
       int64_t u = 0;
       if (wc == kPairWinBatch) {
         const Vec8 kOne = SplatVec8(1.0);
@@ -129,7 +184,7 @@ void AdvanceTilePairImpl(const NormalizedPanels& panels, int64_t w_end,
           const size_t idx = idx0 + static_cast<size_t>(u);
           Vec8 dacc = LoadVec8(acc_dot + idx);
           Vec8 oacc;
-          if constexpr (kWithOmc) {
+          if constexpr (kPairRows) {
             oacc = LoadVec8(acc_omc + idx);
           }
           Vec8 dsnap[kPairWinBatch];
@@ -141,7 +196,7 @@ void AdvanceTilePairImpl(const NormalizedPanels& panels, int64_t w_end,
                         LoadVec8(col_sd + k * kCorrTile + uc) * raw +
                     SplatVec8(rbm[k]) * LoadVec8(col_m + k * kCorrTile + uc);
             dsnap[k] = dacc;
-            if constexpr (kWithOmc) {
+            if constexpr (kPairRows) {
               const Vec8 hi = raw > kOne ? kOne : raw;
               const Vec8 clamped = hi < kNegOne ? kNegOne : hi;
               oacc += kOne - clamped;
@@ -149,20 +204,22 @@ void AdvanceTilePairImpl(const NormalizedPanels& panels, int64_t w_end,
             }
           }
           StoreVec8(acc_dot + idx, dacc);
-          Transpose8x8(dsnap);
-          if constexpr (kWithOmc) {
+          if constexpr (kPairRows) {
             StoreVec8(acc_omc + idx, oacc);
+            Transpose8x8(dsnap);
             Transpose8x8(osnap);
-          }
-          for (int64_t v = 0; v < 8; ++v) {
-            const int64_t p = p0 + u + v;
-            if (!stored(p)) {
-              continue;
-            }
-            const int64_t cell = (p - out.first_pair) * ring + col;
-            StreamVec8(out.dot + cell, dsnap[v]);
-            if constexpr (kWithOmc) {
+            for (int64_t v = 0; v < 8; ++v) {
+              const int64_t cell = (p0 + u + v) * out.row_stride + col;
+              StreamVec8(out.dot + cell, dsnap[v]);
               StreamVec8(out.omc + cell, osnap[v]);
+            }
+          } else if (direct) {
+            for (int64_t k = 0; k < kPairWinBatch; ++k) {
+              StreamVec8(row_out[k] + u, dsnap[k]);
+            }
+          } else {
+            for (int64_t k = 0; k < kPairWinBatch; ++k) {
+              StoreVec8(row_out[k] + u, dsnap[k]);
             }
           }
         }
@@ -172,28 +229,34 @@ void AdvanceTilePairImpl(const NormalizedPanels& panels, int64_t w_end,
         const double* g = gram_batch.data() + idx;
         const double* csd = col_sd + (j0 - col_begin) + u;
         const double* cm = col_m + (j0 - col_begin) + u;
-        const int64_t p = p0 + u;
-        const int64_t cell = (p - out.first_pair) * ring + col;
-        double* dot_out = stored(p) ? out.dot + cell : nullptr;
+        int64_t cell = u;
+        if constexpr (kPairRows) {
+          cell = (p0 + u) * out.row_stride + col;
+        }
         double dacc = acc_dot[idx];
-        double oacc = kWithOmc ? acc_omc[idx] : 0.0;
+        double oacc = kPairRows ? acc_omc[idx] : 0.0;
         for (int64_t k = 0; k < wc; ++k) {
           const double raw = g[k * plane];
           dacc +=
               rbsd[k] * csd[k * kCorrTile] * raw + rbm[k] * cm[k * kCorrTile];
-          if (dot_out != nullptr) {
-            dot_out[k] = dacc;
-          }
-          if constexpr (kWithOmc) {
+          if constexpr (kPairRows) {
+            out.dot[cell + k] = dacc;
             oacc += 1.0 - ClampCorrelation(raw);
-            if (dot_out != nullptr) {
-              out.omc[cell + k] = oacc;
-            }
+            out.omc[cell + k] = oacc;
+          } else {
+            row_out[k][cell] = dacc;
           }
         }
         acc_dot[idx] = dacc;
-        if constexpr (kWithOmc) {
+        if constexpr (kPairRows) {
           acc_omc[idx] = oacc;
+        }
+      }
+      if constexpr (!kPairRows) {
+        if (!direct) {
+          FlushStagedRow(stage, wc, slot_rows, slot_col,
+                         std::max<int64_t>(0, out.first_pair - p0),
+                         std::min(njs, out.end_pair - p0));
         }
       }
     }
@@ -242,37 +305,65 @@ std::vector<TilePairState> MakeTilePairs(int64_t num_series, int64_t pair_begin,
   return states;
 }
 
+int64_t SlotRowColumns(int64_t num_series, int64_t pair_begin,
+                       int64_t pair_end, std::vector<int64_t>* series_col) {
+  series_col->assign(static_cast<size_t>(num_series), 0);
+  if (pair_begin >= pair_end) {
+    return 0;
+  }
+  // Series i's segment holds columns off_i + j for j in (i, N), off_i a
+  // multiple of 8. The next segment's first line, which starts at
+  // off_{i+1} + rounddown8(i + 2), lies past this one's last column.
+  int64_t off = 0;
+  for (int64_t i = 0; i < num_series; ++i) {
+    (*series_col)[static_cast<size_t>(i)] = off;
+    off += RoundUp8(std::max<int64_t>(0, num_series - (i + 2) / 8 * 8));
+  }
+  int64_t i_first = 0;
+  int64_t j_first = 0;
+  int64_t i_last = 0;
+  int64_t j_last = 0;
+  BasicWindowIndex::PairFromId(pair_begin, num_series, &i_first, &j_first);
+  BasicWindowIndex::PairFromId(pair_end - 1, num_series, &i_last, &j_last);
+  const int64_t base =
+      (*series_col)[static_cast<size_t>(i_first)] + j_first / 8 * 8;
+  for (int64_t& c : *series_col) {
+    c -= base;
+  }
+  return RoundUp8((*series_col)[static_cast<size_t>(i_last)] + j_last + 1);
+}
+
 void WriteTilePairSlotZero(int64_t num_series, const TilePairState& state,
-                           const PairPrefixRing& out) {
+                           const PairPrefixRows& out) {
   const int64_t row_end = std::min(num_series, (state.ti + 1) * kCorrTile);
-  const int64_t col = kPairRowPad % out.ring_slots;
   for (int64_t i = state.ti * kCorrTile; i < row_end; ++i) {
     int64_t first = 0;
     int64_t last = 0;
     if (!TileRowPairs(num_series, state.ti, state.tj, i, &first, &last)) {
       continue;
     }
-    for (int64_t p = std::max(first, out.first_pair);
-         p <= std::min(last, out.end_pair - 1); ++p) {
-      const int64_t cell = (p - out.first_pair) * out.ring_slots + col;
+    for (int64_t p = first; p <= last; ++p) {
+      const int64_t cell = p * out.row_stride + kPairRowPad;
       out.dot[cell] = 0.0;
-      if (out.omc != nullptr) {
-        out.omc[cell] = 0.0;
-      }
+      out.omc[cell] = 0.0;
     }
   }
 }
 
 void AdvanceTilePair(const NormalizedPanels& panels, int64_t w_end,
-                     TilePairState* state, const PairPrefixRing& out) {
+                     TilePairState* state, const PairPrefixRows& out) {
   DCHECK(w_end % kPairWinBatch == 0 || w_end == panels.num_windows);
   DCHECK_LE(w_end, panels.num_windows);
-  DCHECK_EQ(out.ring_slots % 8, 0);
-  if (out.omc != nullptr) {
-    AdvanceTilePairImpl<true>(panels, w_end, state, out);
-  } else {
-    AdvanceTilePairImpl<false>(panels, w_end, state, out);
-  }
+  DCHECK_EQ(out.row_stride % 8, 0);
+  AdvanceTilePairImpl(panels, w_end, state, out);
+}
+
+void AdvanceTilePair(const NormalizedPanels& panels, int64_t w_end,
+                     TilePairState* state, const SlotPrefixRing& out) {
+  DCHECK(w_end % kPairWinBatch == 0 || w_end == panels.num_windows);
+  DCHECK_LE(w_end, panels.num_windows);
+  DCHECK_EQ(out.row_width % 8, 0);
+  AdvanceTilePairImpl(panels, w_end, state, out);
 }
 
 void ForEachTask(ThreadPool* pool, int64_t count,

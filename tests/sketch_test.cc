@@ -253,11 +253,14 @@ TEST(BasicWindowIndexTest, MemoryAccounting) {
 // MemoryBytes is the closed-form estimate.
 // Also over series counts whose last tile is ragged (50, 97) and a pair
 // range that starts mid-tile, so the diagonal and partial-column Gram
-// blocks feed the stream as they feed the index.
+// blocks feed the stream as they feed the index, and over N = 9, whose one
+// tile is diagonal and whose rows hold at most one 8-pair vector. The slab
+// is read through its slot accessor (Slots()), so the test follows the
+// slot-major layout rather than restating it.
 TEST(BandStreamedSketchTest, RingSlotsAreTheIndexSlotsBitForBit) {
   const int64_t b = 4;
   const int64_t nb = 61;
-  for (const int64_t n : {70, 50, 97}) {
+  for (const int64_t n : {70, 50, 97, 9}) {
     Rng rng(4242 + static_cast<uint64_t>(n));
     TimeSeriesMatrix data(n, nb * b + 2);
     for (int64_t s = 0; s < n; ++s) {
@@ -271,7 +274,7 @@ TEST(BandStreamedSketchTest, RingSlotsAreTheIndexSlotsBitForBit) {
     index_options.basic_window = b;
     auto index = BasicWindowIndex::Build(data, index_options);
     ASSERT_TRUE(index.ok());
-    const PairDotRing full = index->DotRing();
+    const PairDotRows full = index->DotRows();
     const int64_t num_pairs = n * (n - 1) / 2;
     std::vector<std::pair<int64_t, int64_t>> ranges{
         {0, num_pairs}, {num_pairs / 3 + 1, 2 * num_pairs / 3}};
@@ -296,19 +299,20 @@ TEST(BandStreamedSketchTest, RingSlotsAreTheIndexSlotsBitForBit) {
         EXPECT_EQ(stream->MemoryBytes(),
                   BandStreamedSketch::EstimateMemoryBytes(n, data.length(),
                                                           options));
-        ASSERT_EQ(stream->DotRing().ring_slots, 24);
-        const PairDotRing ring = stream->DotRing();
+        const SlotRingView ring = stream->Slots();
+        ASSERT_EQ(ring.ring_slots, 24);
         for (int64_t slot = 0; slot <= nb; ++slot) {
           stream->AdvanceTo(slot, &pool);
           ASSERT_GE(stream->newest_slot(), slot);
           for (int64_t s = stream->oldest_slot(); s <= stream->newest_slot();
                ++s) {
             for (int64_t p = pair_begin; p < pair_end; ++p) {
-              const double got =
-                  ring.rows[(p - ring.first_pair) * ring.ring_slots +
-                            (s + kPairRowPad) % ring.ring_slots];
+              int64_t i = 0;
+              int64_t j = 0;
+              BasicWindowIndex::PairFromId(p, n, &i, &j);
+              const double got = ring.Row(s)[ring.Column(i, j)];
               const double want =
-                  full.rows[p * full.ring_slots + s + kPairRowPad];
+                  full.rows[p * full.row_stride + s + kPairRowPad];
               ASSERT_EQ(std::bit_cast<uint64_t>(got),
                         std::bit_cast<uint64_t>(want))
                   << "slot " << s << " pair " << p;

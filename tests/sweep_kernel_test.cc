@@ -371,51 +371,61 @@ void ExpectSameBits(const CorrelationMatrixSeries& got,
 // many times (nb = 157 basic windows against rings of 32-104 slots), ends
 // the data on a ragged 5-window batch, starts off the 8-window batch grid,
 // and cuts pair ranges through tile pairs (N = 100 is three series tiles).
+// N = 57 gives ragged rows (a 9-column last tile), and N = 9 rows no
+// longer than one 8-pair vector, so sub-vector rows cross the wraps too.
 TEST(SweepKernelTest, BandStreamedQueriesAreBitIdenticalToResident) {
   constexpr int64_t kStreamBasicWindow = 4;
-  const int64_t n = 100;
   const int64_t nb = 157;
-  const TimeSeriesMatrix data =
-      RandomWalkData(n, kStreamBasicWindow * nb + 3, 71010);
-  const int64_t num_pairs = n * (n - 1) / 2;
-  DangoronOptions options;
-  options.basic_window = kStreamBasicWindow;
-  options.enable_jumping = false;
-  auto index = DangoronEngine::BuildIndex(data, options, nullptr);
-  ASSERT_TRUE(index.ok());
+  for (const int64_t n : {100, 57, 9}) {
+    const TimeSeriesMatrix data = RandomWalkData(
+        n, kStreamBasicWindow * nb + 3, n == 100 ? 71010 : 71010 + n);
+    const int64_t num_pairs = n * (n - 1) / 2;
+    const std::vector<std::pair<int64_t, int64_t>> pair_ranges =
+        n == 100 ? std::vector<std::pair<int64_t, int64_t>>{{0, 0},
+                                                            {1000, 3333},
+                                                            {4700, num_pairs}}
+                 : std::vector<std::pair<int64_t, int64_t>>{
+                       {0, 0},
+                       {num_pairs / 3 + 1, 2 * num_pairs / 3},
+                       {num_pairs / 2 + 3, num_pairs}};
+    DangoronOptions options;
+    options.basic_window = kStreamBasicWindow;
+    options.enable_jumping = false;
+    auto index = DangoronEngine::BuildIndex(data, options, nullptr);
+    ASSERT_TRUE(index.ok());
 
-  for (const int threads : {1, 4}) {
-    ThreadPool pool(threads);
-    ThreadPool* pool_arg = threads > 1 ? &pool : nullptr;
-    for (const int64_t m : {1, 3}) {
-      for (const int64_t ns : {5, 30, 45}) {
-        for (const bool absolute : {false, true}) {
-          SlidingQuery query;
-          query.start = 11 * kStreamBasicWindow;  // neither 0 nor 8-aligned
-          query.window = ns * kStreamBasicWindow;
-          query.step = m * kStreamBasicWindow;
-          query.end = nb * kStreamBasicWindow;  // reaches the ragged batch
-          query.threshold = absolute ? 0.5 : 0.6;
-          query.absolute = absolute;
-          for (const auto& [pb, pe] :
-               std::vector<std::pair<int64_t, int64_t>>{
-                   {0, 0}, {1000, 3333}, {4700, num_pairs}}) {
-            SCOPED_TRACE(testing::Message()
-                         << "threads=" << threads << " m=" << m
-                         << " ns=" << ns << " absolute=" << absolute
-                         << " pairs=[" << pb << ", " << pe << ")");
-            query.pair_begin = pb;
-            query.pair_end = pe;
-            auto resident = DangoronEngine::QueryPrepared(
-                options, *index, query, pool_arg, nullptr);
-            ASSERT_TRUE(resident.ok());
-            CollectingWindowSink sink;
-            ASSERT_TRUE(DangoronEngine::QueryStreamedToSink(
-                            options, data, query, pool_arg, nullptr, &sink)
-                            .ok());
-            ExpectSameBits(sink.TakeSeries(), *resident);
-            if (threads == 1 && !absolute && pb == 0 && pe == 0) {
-              ExpectMatchesNaive(*resident, data, query);
+    for (const int threads : {1, 4}) {
+      ThreadPool pool(threads);
+      ThreadPool* pool_arg = threads > 1 ? &pool : nullptr;
+      for (const int64_t m : {1, 3}) {
+        for (const int64_t ns : {5, 30, 45}) {
+          for (const bool absolute : {false, true}) {
+            SlidingQuery query;
+            query.start = 11 * kStreamBasicWindow;  // neither 0 nor 8-aligned
+            query.window = ns * kStreamBasicWindow;
+            query.step = m * kStreamBasicWindow;
+            query.end = nb * kStreamBasicWindow;  // reaches the ragged batch
+            query.threshold = absolute ? 0.5 : 0.6;
+            query.absolute = absolute;
+            for (const auto& [pb, pe] : pair_ranges) {
+              SCOPED_TRACE(testing::Message()
+                           << "n=" << n << " threads=" << threads
+                           << " m=" << m << " ns=" << ns
+                           << " absolute=" << absolute << " pairs=[" << pb
+                           << ", " << pe << ")");
+              query.pair_begin = pb;
+              query.pair_end = pe;
+              auto resident = DangoronEngine::QueryPrepared(
+                  options, *index, query, pool_arg, nullptr);
+              ASSERT_TRUE(resident.ok());
+              CollectingWindowSink sink;
+              ASSERT_TRUE(DangoronEngine::QueryStreamedToSink(
+                              options, data, query, pool_arg, nullptr, &sink)
+                              .ok());
+              ExpectSameBits(sink.TakeSeries(), *resident);
+              if (threads == 1 && !absolute && pb == 0 && pe == 0) {
+                ExpectMatchesNaive(*resident, data, query);
+              }
             }
           }
         }
@@ -449,7 +459,7 @@ TEST(SweepKernelTest, OneStreamServesForwardRunsOfAQuery) {
   EXPECT_EQ(stream->MemoryBytes(),
             DangoronEngine::EstimateStreamBytes(n, data.length(), options,
                                                 query));
-  EXPECT_LT(stream->DotRing().ring_slots, nb);  // the ring really wraps
+  EXPECT_LT(stream->Slots().ring_slots, nb);  // the ring really wraps
 
   // Runs [0, 5), [5, 21), window 30 alone, then the rest.
   const int64_t num_windows = query.NumWindows();
