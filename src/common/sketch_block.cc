@@ -19,12 +19,10 @@
 
 namespace dangoron {
 
-namespace {
-
 // Maps `doubles` doubles plus one spare page. ASan builds poison everything
 // past the block, so a kernel overrunning it reports as a heap overflow
 // would instead of silently writing into a neighbouring mapping.
-PageStorage MapPages(size_t doubles) {
+PageStorage MapPageStorage(size_t doubles) {
   static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
   const size_t used = doubles * sizeof(double);
   const size_t bytes = (used + page - 1) / page * page + page;
@@ -37,17 +35,18 @@ PageStorage MapPages(size_t doubles) {
   return PageStorage(static_cast<double*>(pages), PageUnmapper{bytes});
 }
 
-// Process-wide recycler for the big sketch and panel blocks. Every page of
+namespace {
+
+// Process-wide recycler for the big sketch blocks. Every page of
 // a fresh block costs a fault plus kernel zeroing on first touch — for
 // production-scale sketches that is a full extra sweep of memory bandwidth
 // per rebuild, larger than the build's own arithmetic. Keeping a handful of retired blocks warm turns
 // rebuilds into pure overwrites. Thread-safe; exact-size matching.
 class SketchStorageRecycler {
  public:
-  static SketchStorageRecycler& Instance(BlockPool pool) {
-    static SketchStorageRecycler* sketch = new SketchStorageRecycler();
-    static SketchStorageRecycler* panels = new SketchStorageRecycler();
-    return pool == BlockPool::kSketch ? *sketch : *panels;
+  static SketchStorageRecycler& Instance() {
+    static SketchStorageRecycler* recycler = new SketchStorageRecycler();
+    return *recycler;
   }
 
   PageStorage Acquire(size_t size) {
@@ -62,7 +61,7 @@ class SketchStorageRecycler {
         }
       }
     }
-    return MapPages(size);
+    return MapPageStorage(size);
   }
 
   void Release(PageStorage block, size_t size) {
@@ -112,44 +111,33 @@ void PageUnmapper::operator()(double* pages) const {
   munmap(pages, bytes);
 }
 
-int64_t SketchRecyclerRetainedBytes(BlockPool pool) {
+int64_t SketchRecyclerRetainedBytes() {
   return static_cast<int64_t>(
-      SketchStorageRecycler::Instance(pool).retained_bytes());
+      SketchStorageRecycler::Instance().retained_bytes());
 }
 
-void TrimSketchRecycler() {
-  SketchStorageRecycler::Instance(BlockPool::kSketch).Trim();
-  SketchStorageRecycler::Instance(BlockPool::kPanels).Trim();
-}
+void TrimSketchRecycler() { SketchStorageRecycler::Instance().Trim(); }
 
-SketchBlock::SketchBlock(size_t doubles, BlockPool pool)
-    : storage_(SketchStorageRecycler::Instance(pool).Acquire(doubles)),
-      size_(doubles),
-      pool_(pool) {}
+SketchBlock::SketchBlock(size_t doubles)
+    : storage_(SketchStorageRecycler::Instance().Acquire(doubles)),
+      size_(doubles) {}
 
 SketchBlock::~SketchBlock() {
-  SketchStorageRecycler::Instance(pool_).Release(std::move(storage_), size_);
-}
-
-void SketchBlock::Discard() {
-  storage_.reset();
-  size_ = 0;
+  SketchStorageRecycler::Instance().Release(std::move(storage_), size_);
 }
 
 SketchBlock::SketchBlock(SketchBlock&& other) noexcept
     : storage_(std::move(other.storage_)),
-      size_(std::exchange(other.size_, 0)),
-      pool_(other.pool_) {}
+      size_(std::exchange(other.size_, 0)) {}
 
 SketchBlock& SketchBlock::operator=(SketchBlock&& other) noexcept {
   if (this != &other) {
     // Retire this block through the recycler before taking over `other`'s:
     // a plain unique_ptr move would free it, bypassing the recycler in the
     // rebuild loops it exists for.
-    SketchStorageRecycler::Instance(pool_).Release(std::move(storage_), size_);
+    SketchStorageRecycler::Instance().Release(std::move(storage_), size_);
     storage_ = std::move(other.storage_);
     size_ = std::exchange(other.size_, 0);
-    pool_ = other.pool_;
   }
   return *this;
 }

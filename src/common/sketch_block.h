@@ -7,12 +7,6 @@
 
 namespace dangoron {
 
-/// Which process-wide recycler a SketchBlock draws from and returns to.
-/// Sketch storage is what a built sketch holds (pair-prefix blocks, ring
-/// slabs); panel storage is the z-normalized panels a build reads
-/// (corr/block_kernel.h's NormalizedPanels), recycled across band streams.
-enum class BlockPool { kSketch, kPanels };
-
 /// Unmaps a SketchBlock's pages.
 struct PageUnmapper {
   size_t bytes = 0;
@@ -20,8 +14,14 @@ struct PageUnmapper {
 };
 using PageStorage = std::unique_ptr<double, PageUnmapper>;
 
+/// A fresh, page-aligned anonymous mapping of `doubles` doubles, unmapped
+/// when the storage is destroyed: for a big block no later build asks for
+/// again (the z-normalized panels a build reads), which would only crowd
+/// the recycler below.
+PageStorage MapPageStorage(size_t doubles);
+
 /// A page-aligned, uninitialized block of doubles drawn from — and on
-/// destruction or reassignment returned to — a process-wide storage
+/// destruction or reassignment returned to — the process-wide storage
 /// recycler (see SketchRecyclerRetainedBytes): a rebuild-heavy workload
 /// re-faulting hundreds of MB of freshly mapped pages per build would
 /// otherwise spend more time in the kernel's page zeroing than in the
@@ -33,7 +33,7 @@ using PageStorage = std::unique_ptr<double, PageUnmapper>;
 class SketchBlock {
  public:
   SketchBlock() = default;
-  explicit SketchBlock(size_t doubles, BlockPool pool = BlockPool::kSketch);
+  explicit SketchBlock(size_t doubles);
   ~SketchBlock();
   SketchBlock(SketchBlock&& other) noexcept;
   SketchBlock& operator=(SketchBlock&& other) noexcept;
@@ -41,24 +41,18 @@ class SketchBlock {
   double* data() const { return storage_.get(); }
   size_t size() const { return size_; }
 
-  /// Unmaps the storage, bypassing the recycler, and leaves the block
-  /// empty: for a block no later build will ask for.
-  void Discard();
-
  private:
   PageStorage storage_;
   size_t size_ = 0;
-  BlockPool pool_ = BlockPool::kSketch;
 };
 
-/// Bytes currently parked in one process-wide recycler: by default the
-/// sketch storage (the retired pair-prefix blocks and ring slabs destroyed
-/// sketches leave behind for the next build). Observability hook for the
-/// serving layer's cache accounting and for tests of the eviction →
-/// recycler → rebuild composition.
-int64_t SketchRecyclerRetainedBytes(BlockPool pool = BlockPool::kSketch);
+/// Bytes currently parked in the recycler: the retired pair-prefix blocks
+/// and ring slabs destroyed sketches leave behind for the next build.
+/// Observability hook for the serving layer's cache accounting and for
+/// tests of the eviction → recycler → rebuild composition.
+int64_t SketchRecyclerRetainedBytes();
 
-/// Drops every block both recyclers retain, returning the memory to the
+/// Drops every block the recycler retains, returning the memory to the
 /// kernel — e.g. after a serving layer mass-evicts sketches it does not
 /// expect to rebuild.
 void TrimSketchRecycler();

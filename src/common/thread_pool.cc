@@ -130,4 +130,15 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+void ForEachTask(ThreadPool* pool, int64_t count,
+                 const std::function<void(int64_t)>& body) {
+  if (pool != nullptr) {
+    pool->ParallelFor(count, body);
+    return;
+  }
+  for (int64_t i = 0; i < count; ++i) {
+    body(i);
+  }
+}
+
 }  // namespace dangoron

@@ -77,6 +77,11 @@ class ThreadPool {
   bool shutting_down_ GUARDED_BY(mutex_) = false;
 };
 
+/// Runs `body(i)` for i in [0, count): through `pool`'s ParallelFor, or
+/// inline when there is no pool.
+void ForEachTask(ThreadPool* pool, int64_t count,
+                 const std::function<void(int64_t)>& body);
+
 }  // namespace dangoron
 
 #endif  // DANGORON_COMMON_THREAD_POOL_H_

@@ -10,104 +10,216 @@ namespace dangoron {
 
 namespace {
 
-// Stats of one series within one basic window, in the forms the panel
-// builder needs. The degenerate-window guard compares the same centered sum
-// of squares against the same kMomentVarianceEps as the scalar moment
-// kernels, so the two build paths agree on which windows are dead.
-struct WindowZStats {
-  double mean = 0.0;
-  double stddev = 0.0;  // population; 0 for a degenerate window
-  double scale = 0.0;   // 1 / sqrt(centered sum of squares); 0 if degenerate
-};
+// Lane-wise comparison result of two Vec8s: all-ones where true.
+typedef int64_t Mask8 __attribute__((vector_size(64), aligned(8)));
 
-inline WindowZStats ComputeWindowZStats(const double* x, int64_t b) {
-  double sum = 0.0;
-  double sumsq = 0.0;
-  for (int64_t t = 0; t < b; ++t) {
-    sum += x[t];
-    sumsq += x[t] * x[t];
-  }
-  WindowZStats stats;
-  stats.mean = sum / static_cast<double>(b);
-  // Centered sum of squares (b * population variance), the exact quantity
-  // PearsonFromMoments guards on. A degenerate window keeps stddev and
-  // scale at 0: the zero scale zeroes the z row, making its correlations 0.
-  const double var_b = sumsq - sum * sum / static_cast<double>(b);
-  if (var_b > kMomentVarianceEps) {
-    stats.stddev = std::sqrt(var_b / static_cast<double>(b));
-    stats.scale = 1.0 / std::sqrt(var_b);
-  }
-  return stats;
+// x * x, rounded before it reaches any add: the empty asm hides the product
+// from the compiler, which would otherwise fuse it into the following
+// `sumsq += ` (one FMA rounding instead of two, a last-bit change in the
+// window's std-dev). Without FMA hardware there is nothing to fuse.
+inline Vec8 SquareRounded(Vec8 x) {
+  Vec8 sq = x * x;
+#if defined(__AVX512F__)
+  __asm__("" : "+v"(sq));
+#elif defined(__FMA__) || defined(__FMA4__) || defined(__aarch64__)
+  __asm__("" : "+m"(sq));
+#endif
+  return sq;
 }
+
+// Lane-wise IEEE square root (correctly rounded, like std::sqrt).
+inline Vec8 SqrtVec8(Vec8 x) {
+#if defined(__AVX512F__)
+  // The zero-masked form: GCC 12's plain _mm512_sqrt_pd trips
+  // -Wmaybe-uninitialized inside its own header.
+  return reinterpret_cast<Vec8>(
+      _mm512_maskz_sqrt_pd(0xFF, reinterpret_cast<__m512d>(x)));
+#else
+  for (int v = 0; v < 8; ++v) {
+    x[v] = std::sqrt(x[v]);
+  }
+  return x;
+#endif
+}
+
+// Eight series rows read side by side: lane v is series s0 + v, and lanes
+// past the last series read as zeros.
+struct SeriesGroup {
+  const double* rows[8] = {};
+  int lanes = 0;
+
+  SeriesGroup(const TimeSeriesMatrix& data, int64_t s0) {
+    lanes = static_cast<int>(std::min<int64_t>(8, data.num_series() - s0));
+    for (int v = 0; v < lanes; ++v) {
+      rows[v] = data.Row(s0 + v).data();
+    }
+  }
+
+  // Calls `f(x)` for t = t0, ..., t0 + count - 1 in order, x holding
+  // sample t of every lane: 8x8 transposes of whole 8-sample runs, then a
+  // per-lane gather for the last count mod 8.
+  template <typename F>
+  [[gnu::always_inline]] void ForEachStep(int64_t t0, int64_t count,
+                                          F&& f) const {
+    int64_t t = 0;
+    for (; t + 8 <= count; t += 8) {
+      Vec8 r[8];
+      for (int v = 0; v < 8; ++v) {
+        r[v] = v < lanes ? LoadVec8(rows[v] + t0 + t) : SplatVec8(0.0);
+      }
+      Transpose8x8(r);
+      for (int k = 0; k < 8; ++k) {
+        f(r[k]);
+      }
+    }
+    for (; t < count; ++t) {
+      Vec8 x = SplatVec8(0.0);
+      for (int v = 0; v < lanes; ++v) {
+        x[v] = rows[v][t0 + t];
+      }
+      f(x);
+    }
+  }
+
+  // The group's lanes of a window-major stats row; zero past the last lane.
+  Vec8 Load(const double* p) const {
+    if (lanes == 8) {
+      return LoadVec8(p);
+    }
+    Vec8 x = SplatVec8(0.0);
+    for (int v = 0; v < lanes; ++v) {
+      x[v] = p[v];
+    }
+    return x;
+  }
+  void Store(double* p, Vec8 x) const {
+    if (lanes == 8) {
+      StoreVec8(p, x);
+      return;
+    }
+    for (int v = 0; v < lanes; ++v) {
+      p[v] = x[v];
+    }
+  }
+};
 
 }  // namespace
 
-NormalizedPanels BuildNormalizedPanels(const TimeSeriesMatrix& data,
-                                       int64_t basic_window,
-                                       ThreadPool* pool,
-                                       int64_t num_windows) {
+Result<NormalizedPanels> ComputePanelStats(const TimeSeriesMatrix& data,
+                                           int64_t basic_window,
+                                           int64_t num_windows,
+                                           ThreadPool* pool) {
   CHECK_GT(basic_window, 0);
+  CHECK_LE(num_windows * basic_window, data.length());
   NormalizedPanels panels;
   panels.num_series = data.num_series();
   panels.basic_window = basic_window;
-  panels.num_windows = data.length() / basic_window;
-  if (num_windows >= 0) {
-    CHECK_LE(num_windows, panels.num_windows);
-    panels.num_windows = num_windows;
-  }
+  panels.num_windows = num_windows;
   panels.num_tiles = CeilDiv(panels.num_series, kCorrTile);
-
   const int64_t n = panels.num_series;
   const int64_t b = basic_window;
-  const int64_t nb = panels.num_windows;
-  // Drawn from the recycler, not zero-filled: fill_tile writes every cell.
-  panels.values = SketchBlock(
-      static_cast<size_t>(nb * panels.num_tiles * b * kCorrTile),
-      BlockPool::kPanels);
-  panels.mean.assign(static_cast<size_t>(nb * n), 0.0);
-  panels.stddev.assign(static_cast<size_t>(nb * n), 0.0);
+  const size_t stats_size = static_cast<size_t>(num_windows * n);
+  panels.mean.resize(stats_size);
+  panels.stddev.resize(stats_size);
+  panels.scale.resize(stats_size);
 
-  // One task per series tile: window stats per series, then the transposing
-  // fill of the tile's panels — contiguous kCorrTile-wide writes, with the
-  // tile's raw row segments cache-hot. Columns past num_series (the last
-  // tile's padding) are zeroed here.
-  auto fill_tile = [&](int64_t tile) {
-    const int64_t s_begin = tile * kCorrTile;
-    const int64_t s_end = std::min(n, s_begin + kCorrTile);
-    double mean_c[kCorrTile];
-    double scale_c[kCorrTile];
-    for (int64_t w = 0; w < nb; ++w) {
-      for (int64_t s = s_begin; s < s_end; ++s) {
-        const WindowZStats stats =
-            ComputeWindowZStats(data.Row(s).data() + w * b, b);
-        panels.mean[static_cast<size_t>(w * n + s)] = stats.mean;
-        panels.stddev[static_cast<size_t>(w * n + s)] = stats.stddev;
-        mean_c[s - s_begin] = stats.mean;
-        scale_c[s - s_begin] = stats.scale;
-      }
-      double* panel = panels.values.data() +
-                      static_cast<size_t>((w * panels.num_tiles + tile) * b *
-                                          kCorrTile);
-      for (int64_t t = 0; t < b; ++t) {
-        double* zrow = panel + t * kCorrTile;
-        for (int64_t s = s_begin; s < s_end; ++s) {
-          zrow[s - s_begin] = (data.Row(s)[static_cast<size_t>(w * b + t)] -
-                               mean_c[s - s_begin]) *
-                              scale_c[s - s_begin];
-        }
-        std::fill(zrow + (s_end - s_begin), zrow + kCorrTile, 0.0);
-      }
+  // One task per 8-series group, walking its rows front to back: window
+  // stats, a NaN flag over every sample the stats read, and a plain scan
+  // of the samples past the last window.
+  const int64_t num_groups = CeilDiv(n, int64_t{8});
+  std::vector<char> missing(static_cast<size_t>(num_groups), 0);
+  const Vec8 bw = SplatVec8(static_cast<double>(b));
+  const Vec8 eps = SplatVec8(kMomentVarianceEps);
+  const Vec8 zero = SplatVec8(0.0);
+  ForEachTask(pool, num_groups, [&](int64_t g) {
+    const SeriesGroup group(data, g * 8);
+    Mask8 nan = {};
+    for (int64_t w = 0; w < num_windows; ++w) {
+      Vec8 sum = zero;
+      Vec8 sumsq = zero;
+      group.ForEachStep(w * b, b, [&](Vec8 x) {
+        sum += x;
+        sumsq += SquareRounded(x);
+        nan |= x != x;
+      });
+      // Centered sum of squares (b * population variance), the exact
+      // quantity PearsonFromMoments guards on. A degenerate window keeps
+      // std-dev and scale at 0: the zero scale zeroes its z row, making
+      // its correlations 0.
+      const Vec8 var_b = sumsq - sum * sum / bw;
+      const Mask8 live = var_b > eps;
+      const size_t at = static_cast<size_t>(w * n + g * 8);
+      group.Store(panels.mean.data() + at, sum / bw);
+      group.Store(panels.stddev.data() + at,
+                  live ? SqrtVec8(var_b / bw) : zero);
+      group.Store(panels.scale.data() + at,
+                  live ? SplatVec8(1.0) / SqrtVec8(var_b) : zero);
     }
-  };
-
-  if (pool != nullptr && pool->num_threads() > 1 && panels.num_tiles > 1) {
-    pool->ParallelFor(panels.num_tiles, fill_tile);
-  } else {
-    for (int64_t tile = 0; tile < panels.num_tiles; ++tile) {
-      fill_tile(tile);
+    bool any = false;
+    for (int v = 0; v < 8; ++v) {
+      any = any || nan[v] != 0;
     }
+    for (int v = 0; v < group.lanes; ++v) {
+      const double* row = group.rows[v];
+      any = any || std::any_of(row + num_windows * b, row + data.length(),
+                               IsMissing);
+    }
+    missing[static_cast<size_t>(g)] = any ? 1 : 0;
+  });
+  if (std::find(missing.begin(), missing.end(), 1) != missing.end()) {
+    return Status::FailedPrecondition(
+        "data contains missing values; run InterpolateMissing first");
   }
   return panels;
+}
+
+void FillPanels(const TimeSeriesMatrix& data, int64_t w_begin, int64_t w_end,
+                NormalizedPanels* panels, ThreadPool* pool) {
+  CHECK_LE(0, w_begin);
+  CHECK_LE(w_end, panels->num_windows);
+  CHECK_LE(w_end - w_begin, panels->panel_windows);
+  panels->first_window = w_begin;
+  const int64_t n = panels->num_series;
+  const int64_t b = panels->basic_window;
+  // One task per block of kFillBlock windows, whose panels are contiguous
+  // and small enough to stay in L2 while they are written: blocks leave
+  // front to back. Within a block each 8-series group walks its rows'
+  // samples for all the block's windows in one ascending run, which the
+  // hardware prefetcher follows; a window-by-window walk would read every
+  // series' row at once, more streams than it tracks.
+  constexpr int64_t kFillBlock = 16;
+  constexpr int64_t kTileGroups = kCorrTile / 8;
+  const int64_t panel_size = b * kCorrTile;
+  const int64_t num_groups = panels->num_tiles * kTileGroups;
+  ForEachTask(pool, CeilDiv(w_end - w_begin, kFillBlock), [&](int64_t blk) {
+    const int64_t k_begin = blk * kFillBlock;
+    const int64_t k_end = std::min(w_end - w_begin, k_begin + kFillBlock);
+    for (int64_t g = 0; g < num_groups; ++g) {
+      const int64_t tile = g / kTileGroups;
+      const int64_t s0 = g * 8;
+      for (int64_t k = k_begin; k < k_end; ++k) {
+        const int64_t w = w_begin + k;
+        // Lanes s0 .. s0 + 7 are columns (g mod kTileGroups) * 8 .. + 7.
+        double* out = panels->values +
+                      (k * panels->num_tiles + tile) * panel_size +
+                      g % kTileGroups * 8;
+        if (s0 >= n) {
+          for (int64_t t = 0; t < b; ++t) {
+            StoreVec8(out + t * kCorrTile, SplatVec8(0.0));
+          }
+          continue;
+        }
+        const SeriesGroup group(data, s0);
+        const size_t at = static_cast<size_t>(w * n + s0);
+        const Vec8 mean = group.Load(panels->mean.data() + at);
+        const Vec8 scale = group.Load(panels->scale.data() + at);
+        group.ForEachStep(w * b, b, [&](Vec8 x) {
+          StoreVec8(out, (x - mean) * scale);
+          out += kCorrTile;
+        });
+      }
+    }
+  });
 }
 
 namespace {
@@ -322,13 +434,7 @@ void GramUpperTriangle(const double* zt, int64_t num_series, int64_t t_begin,
                          num_series);
     }
   };
-  if (pool != nullptr && pool->num_threads() > 1 && num_row_tiles > 1) {
-    pool->ParallelFor(num_row_tiles, run_row_tile);
-  } else {
-    for (int64_t ti = 0; ti < num_row_tiles; ++ti) {
-      run_row_tile(ti);
-    }
-  }
+  ForEachTask(pool, num_row_tiles, run_row_tile);
 }
 
 }  // namespace dangoron

@@ -9,7 +9,7 @@
 #include <immintrin.h>
 #endif
 
-#include "common/sketch_block.h"
+#include "common/status.h"
 #include "common/thread_pool.h"
 #include "ts/time_series_matrix.h"
 
@@ -130,36 +130,73 @@ inline void Transpose8x8(Vec8 r[8]) {
 /// tile-wide slivers out of rows num_series * 8 bytes apart, which is the
 /// difference between prefetchable streams and latency-bound cache misses
 /// on large N.
+///
+/// Built in two steps: ComputePanelStats derives every window's statistics
+/// in one pass over the raw rows, then FillPanels normalizes any range of
+/// windows into the panel storage. A full index build fills every window at
+/// once; a band stream holds a few windows of panels at a time and refills
+/// them as it folds.
 struct NormalizedPanels {
   int64_t num_series = 0;
   int64_t basic_window = 0;
+  /// Windows with statistics: [0, num_windows).
   int64_t num_windows = 0;
   int64_t num_tiles = 0;
 
-  /// Panels, [(w * num_tiles + tile) * basic_window + t] * kCorrTile + s':
-  /// recycled panel storage, every cell written by the build.
-  SketchBlock values;
-  /// Window-major per-series window mean / population std-dev within the
-  /// window (0 for degenerate windows), size num_windows * num_series.
+  /// Window-major per-series statistics, size num_windows * num_series:
+  /// the window mean, its population std-dev and its z scale
+  /// 1 / sqrt(centered sum of squares) — std-dev and scale 0 for a
+  /// degenerate window.
   std::vector<double> mean;
   std::vector<double> stddev;
+  std::vector<double> scale;
 
+  /// Panels of windows [first_window, first_window + panel_windows), at
+  /// [((w - first_window) * num_tiles + tile) * basic_window + t] *
+  /// kCorrTile + s'. Not owned: the caller points it at PanelDoubles()
+  /// doubles of 64-byte-aligned storage, and FillPanels writes every cell
+  /// of the windows it fills.
+  double* values = nullptr;
+  int64_t panel_windows = 0;
+  int64_t first_window = 0;
+
+  /// Doubles of panel storage for panel_windows windows.
+  int64_t PanelDoubles() const {
+    return panel_windows * num_tiles * basic_window * kCorrTile;
+  }
   const double* Panel(int64_t w, int64_t tile) const {
-    return values.data() +
-           static_cast<size_t>(((w * num_tiles + tile) * basic_window) *
+    return values +
+           static_cast<size_t>((((w - first_window) * num_tiles + tile) *
+                                basic_window) *
                                kCorrTile);
   }
 };
 
-/// Builds the panel form of the per-basic-window normalization over the
-/// first `num_windows` basic windows (-1: every full one). Parallel over
-/// series tiles when a pool is given; identical results for any thread
-/// count, and for any window count — a window's panel depends on that
-/// window alone.
-NormalizedPanels BuildNormalizedPanels(const TimeSeriesMatrix& data,
-                                       int64_t basic_window,
-                                       ThreadPool* pool = nullptr,
-                                       int64_t num_windows = -1);
+/// The statistics pass of the panel build over basic windows
+/// [0, num_windows) of `data`; the caller then provides panel storage
+/// (values, panel_windows) and fills it. Reads the raw rows once, 8 series
+/// per Vec8 through 8x8 transposes; each lane sums its series' samples in
+/// ascending t, with every square rounded before it is added, exactly like
+/// the scalar loop `sum += x; sumsq += x * x` compiled without
+/// contraction. Parallel over 8-series groups when a pool is given;
+/// identical results for any thread count.
+///
+/// Fails with FailedPrecondition when any sample of `data` is NaN: the
+/// pass flags those it reads, and scans the samples past the last window.
+Result<NormalizedPanels> ComputePanelStats(const TimeSeriesMatrix& data,
+                                           int64_t basic_window,
+                                           int64_t num_windows,
+                                           ThreadPool* pool = nullptr);
+
+/// Normalizes basic windows [w_begin, w_end) of `data` into `panels`'
+/// storage, which then holds exactly those windows (first_window =
+/// w_begin; w_end - w_begin <= panel_windows). Every cell of the range is
+/// written, the zero padding past num_series included, in blocks of 16
+/// windows front to back. A window's panels depend on that window alone,
+/// so any range, and any thread count (the pool splits the blocks), gives
+/// the same values.
+void FillPanels(const TimeSeriesMatrix& data, int64_t w_begin, int64_t w_end,
+                NormalizedPanels* panels, ThreadPool* pool = nullptr);
 
 /// Core blocked kernel: computes the Gram (pairwise dot product) tile of a
 /// time-major buffer `zt` (rows = time steps, each a contiguous vector of

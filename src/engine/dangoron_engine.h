@@ -140,8 +140,9 @@ class DangoronEngine : public CorrelationEngine {
 
   /// The stream `query` (and any later, forward part of it) runs against:
   /// its ring sized for the query's band span, its build bounded by the
-  /// query's last slot and its pair range. The stream keeps its own
-  /// normalized copy of `data`, which it does not borrow.
+  /// query's last slot and its pair range. The stream borrows `data`, which
+  /// must outlive it: it normalizes each chunk of basic windows from the
+  /// raw rows as it folds them.
   static Result<BandStreamedSketch> CreateStream(const TimeSeriesMatrix& data,
                                                  const DangoronOptions& options,
                                                  const SlidingQuery& query,

@@ -49,38 +49,45 @@ int64_t RingSlots(int64_t nb, int64_t band_slots) {
   return std::min(FullPairRowStride(nb), RoundUp8(band_slots + kPairWinBatch));
 }
 
+// Windows of panels a stream holds at a time.
+int64_t PanelWindows(int64_t folded) {
+  return std::min(folded, kStreamPanelWindows);
+}
+
 }  // namespace
 
 Result<BandStreamedSketch> BandStreamedSketch::Create(
     const TimeSeriesMatrix& data, const BandStreamOptions& options,
     ThreadPool* pool) {
   RETURN_IF_ERROR(ValidateStream(data.num_series(), data.length(), options));
-  if (data.CountMissing() > 0) {
-    return Status::FailedPrecondition(
-        "BandStreamedSketch: data contains missing values; run "
-        "InterpolateMissing first");
-  }
   BandStreamedSketch stream;
   stream.options_ = options;
-  stream.num_series_ = data.num_series();
-  stream.length_ = data.length();
+  stream.data_ = &data;
   const int64_t nb = data.length() / options.basic_window;
   const int64_t folded = FoldedWindows(nb, options.last_slot);
-  stream.panels_ =
-      BuildNormalizedPanels(data, options.basic_window, pool, folded);
+  // Only the statistics up front (and the NaN check over the whole
+  // matrix); AdvanceTo normalizes the panels a chunk at a time.
+  ASSIGN_OR_RETURN(stream.panels_, ComputePanelStats(data, options.basic_window,
+                                                    folded, pool));
+  stream.panels_.panel_windows = PanelWindows(folded);
   // The blocked index build's fold: the range moments a streamed query
   // hoists round exactly like a resident index's.
   stream.series_ = SeriesPrefixes::FromPanels(stream.panels_, pool);
-  stream.tiles_ = MakeTilePairs(stream.num_series_, options.pair_begin,
+  stream.tiles_ = MakeTilePairs(data.num_series(), options.pair_begin,
                                 options.pair_end, /*with_omc=*/false);
   stream.ring_slots_ = RingSlots(nb, options.band_slots);
   stream.row_width_ =
-      SlotRowColumns(stream.num_series_, options.pair_begin, options.pair_end,
+      SlotRowColumns(data.num_series(), options.pair_begin, options.pair_end,
                      &stream.series_col_);
-  stream.ring_ =
-      SketchBlock(static_cast<size_t>(stream.row_width_ * stream.ring_slots_));
+  // One recycled block: the ring slab, then the panel chunk (64-byte
+  // aligned: row_width_ is a multiple of 8). A cold query's working set
+  // then reuses warm pages instead of faulting in a fresh chunk.
+  const int64_t slab = stream.row_width_ * stream.ring_slots_;
+  stream.storage_ =
+      SketchBlock(static_cast<size_t>(slab + stream.panels_.PanelDoubles()));
+  stream.panels_.values = stream.storage_.data() + slab;
   // Slot 0 (all zeros) is ring row 0.
-  std::fill_n(stream.ring_.data(), stream.row_width_, 0.0);
+  std::fill_n(stream.storage_.data(), stream.row_width_, 0.0);
   return stream;
 }
 
@@ -105,17 +112,18 @@ int64_t BandStreamedSketch::EstimateMemoryBytes(
   const int64_t row_width = SlotRowColumns(num_series, options.pair_begin,
                                            options.pair_end, &series_col);
   const int64_t doubles =
-      folded * num_tiles * options.basic_window * kCorrTile  // panels
-      + 2 * folded * num_series                          // window means, std-devs
-      + 2 * num_series * (folded + 1)                    // series prefixes
-      + tile_pairs * kCorrTile * kCorrTile               // accumulators
+      PanelWindows(folded) * num_tiles * options.basic_window *
+          kCorrTile                                     // panels
+      + 3 * folded * num_series                         // window stats
+      + 2 * num_series * (folded + 1)                   // series prefixes
+      + tile_pairs * kCorrTile * kCorrTile              // accumulators
       + row_width * RingSlots(nb, options.band_slots);  // ring slab
   return doubles * static_cast<int64_t>(sizeof(double));
 }
 
 int64_t BandStreamedSketch::MemoryBytes() const {
-  size_t doubles = panels_.values.size() + panels_.mean.size() +
-                   panels_.stddev.size() + ring_.size();
+  size_t doubles = storage_.size() + panels_.mean.size() +
+                   panels_.stddev.size() + panels_.scale.size();
   for (const TilePairState& tile : tiles_) {
     doubles += tile.acc_dot.size() + tile.acc_omc.size();
   }
@@ -126,16 +134,25 @@ int64_t BandStreamedSketch::MemoryBytes() const {
 void BandStreamedSketch::AdvanceTo(int64_t slot, ThreadPool* pool) {
   DCHECK_LE(slot, options_.last_slot);
   const int64_t w_end = std::min(panels_.num_windows, RoundUp8(slot));
-  if (w_end <= windows_folded_) {
-    return;
-  }
-  const SlotPrefixRing out{ring_.data(),        ring_slots_,
+  const SlotPrefixRing out{storage_.data(),     ring_slots_,
                            row_width_,          series_col_.data(),
                            options_.pair_begin, options_.pair_end};
-  ForEachTask(pool, static_cast<int64_t>(tiles_.size()), [&](int64_t t) {
-    AdvanceTilePair(panels_, w_end, &tiles_[static_cast<size_t>(t)], out);
-  });
-  windows_folded_ = w_end;
+  while (windows_folded_ < w_end) {
+    // Panels hold [first_window, filled_end_): refill from the next
+    // window to fold once they run out. Chunks start on the batch grid,
+    // so each fold below ends on it too.
+    if (windows_folded_ == filled_end_) {
+      filled_end_ = std::min(panels_.num_windows,
+                             windows_folded_ + panels_.panel_windows);
+      FillPanels(*data_, windows_folded_, filled_end_, &panels_, pool);
+    }
+    const int64_t fold_end = std::min(w_end, filled_end_);
+    ForEachTask(pool, static_cast<int64_t>(tiles_.size()), [&](int64_t t) {
+      AdvanceTilePair(panels_, fold_end, &tiles_[static_cast<size_t>(t)],
+                      out);
+    });
+    windows_folded_ = fold_end;
+  }
 }
 
 }  // namespace dangoron

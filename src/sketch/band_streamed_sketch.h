@@ -28,12 +28,21 @@ struct BandStreamOptions {
   int64_t pair_end = 0;
 };
 
+/// Windows of normalized panels a BandStreamedSketch holds at a time: two
+/// fold batches, 0.9 MB at N = 256 and basic_window = 24, so the chunk
+/// AdvanceTo fills is still in L2 when the fold reads it.
+inline constexpr int64_t kStreamPanelWindows = 16;
+static_assert(kStreamPanelWindows % kPairWinBatch == 0,
+              "a panel chunk holds whole fold batches");
+
 /// The dot-prefix half of a BasicWindowIndex, produced band by band for
 /// one exact query instead of materialized whole (TSUBASA's real-time mode
 /// keeps basic-window statistics only for the live window; this keeps the
-/// live band's). It holds the NormalizedPanels, the per-series prefixes,
-/// one running dot accumulator block per series-tile pair, and a
-/// slot-major *ring slab* of R slot rows:
+/// live band's). It borrows `data`, which must outlive it, like a
+/// BasicWindowIndex. It holds every folded window's statistics, a rolling
+/// chunk of kStreamPanelWindows windows of NormalizedPanels, the
+/// per-series prefixes, one running dot accumulator block per series-tile
+/// pair, and a slot-major *ring slab* of R slot rows:
 ///
 ///   R = roundup8(band_slots + 8), capped at the full row stride,
 ///
@@ -44,23 +53,28 @@ struct BandStreamOptions {
 /// series' segment owns its cache lines). The sweep reads a window's lo and
 /// hi slots of 8 adjacent pairs as two contiguous vector loads, and the
 /// build writes every slot-row line whole, as a non-temporal store.
-/// AdvanceTo(slot) folds whole 8-window batches — on the full build's
-/// global batch grid, from window 0 — until `slot` is written, overwriting
-/// the ring's oldest rows; the fold is the full build's own
-/// (AdvanceTilePair), so every slot is bit-identical to the resident
-/// index's. The Eq. 2 budget is never computed: only exact sweeps read a
-/// stream.
+/// AdvanceTo(slot) normalizes the next chunk of windows into the panels
+/// whenever the fold has used up the last one, and folds whole 8-window
+/// batches — on the full build's global batch grid, from window 0 — until
+/// `slot` is written, overwriting the ring's oldest rows; the fold is the
+/// full build's own (AdvanceTilePair), so every slot is bit-identical to
+/// the resident index's. The Eq. 2 budget is never computed: only exact
+/// sweeps read a stream.
 ///
-/// At N = 256 over a year (366 slots, 30-window queries sliding by one)
-/// R = 56: the slab's rows are 33,536 doubles for 32,640 pairs, 15.0 MB
-/// against the index's 2 x 95 MB. The slab is SketchBlock storage,
-/// recycled across queries. Not thread-safe: AdvanceTo must not race a
-/// reader.
+/// At N = 256 over a year (365 windows of 24 steps, 30-window queries
+/// sliding by one) R = 56: the slab's rows are 33,536 doubles for 32,640
+/// pairs, 15.0 MB against the index's 2 x 95 MB. With the 0.9 MB panel
+/// chunk, 2.2 MB of window statistics and 1.5 MB of series prefixes the
+/// stream holds 20.0 MB. The slab and the panel chunk share one
+/// SketchBlock, recycled across queries. Not thread-safe: AdvanceTo must
+/// not race a reader.
 class BandStreamedSketch {
  public:
-  /// Builds the panels and series prefixes and writes slot 0. Fails like
-  /// BasicWindowIndex::Build on empty, short or NaN-bearing data, and with
-  /// OutOfRange when `last_slot` lies past the indexed basic windows.
+  /// Computes the window statistics and series prefixes and writes slot 0;
+  /// no panel is normalized yet. Fails like BasicWindowIndex::Build on
+  /// empty, short or NaN-bearing data (a NaN anywhere in `data`, past
+  /// `last_slot` too), and with OutOfRange when `last_slot` lies past the
+  /// indexed basic windows.
   static Result<BandStreamedSketch> Create(const TimeSeriesMatrix& data,
                                            const BandStreamOptions& options,
                                            ThreadPool* pool = nullptr);
@@ -70,19 +84,21 @@ class BandStreamedSketch {
   /// reservation. Matches MemoryBytes() of the created stream exactly.
   static int64_t EstimateMemoryBytes(int64_t num_series, int64_t length,
                                      const BandStreamOptions& options);
-  /// Panels, series prefixes, accumulators and ring slab.
+  /// Panel chunk, window statistics, series prefixes, accumulators and
+  /// ring slab (not the borrowed matrix).
   int64_t MemoryBytes() const;
 
   /// Folds basic windows until prefix slot `slot` is in the ring (no-op
-  /// when it already is). Monotone: slots older than oldest_slot() are
-  /// gone for good. Parallel over tile pairs when a pool is given;
-  /// identical slots for any thread count.
+  /// when it already is), normalizing each panel chunk just before its
+  /// first batch is folded. Monotone: slots older than oldest_slot() are
+  /// gone for good. Parallel over panel windows and tile pairs when a pool
+  /// is given; identical slots for any thread count.
   void AdvanceTo(int64_t slot, ThreadPool* pool = nullptr);
 
   int64_t basic_window() const { return options_.basic_window; }
-  int64_t num_series() const { return num_series_; }
+  int64_t num_series() const { return data_->num_series(); }
   /// Columns of the streamed matrix.
-  int64_t length() const { return length_; }
+  int64_t length() const { return data_->length(); }
   const BandStreamOptions& options() const { return options_; }
 
   /// Valid for slots [0, options().last_slot].
@@ -91,7 +107,7 @@ class BandStreamedSketch {
   /// The slab; slots [oldest_slot(), newest_slot()] of the stored pairs
   /// are readable.
   SlotRingView Slots() const {
-    return SlotRingView{ring_.data(), ring_slots_, row_width_,
+    return SlotRingView{storage_.data(), ring_slots_, row_width_,
                         series_col_.data()};
   }
   int64_t newest_slot() const { return windows_folded_; }
@@ -104,12 +120,12 @@ class BandStreamedSketch {
   BandStreamedSketch() = default;
 
   BandStreamOptions options_;
-  int64_t num_series_ = 0;
-  int64_t length_ = 0;
-  NormalizedPanels panels_;
+  const TimeSeriesMatrix* data_ = nullptr;
+  NormalizedPanels panels_;  // windows [first_window, filled_end_)
+  int64_t filled_end_ = 0;
   SeriesPrefixes series_;
   std::vector<TilePairState> tiles_;
-  SketchBlock ring_;
+  SketchBlock storage_;  // the ring slab, then the panel chunk
   int64_t ring_slots_ = 0;
   int64_t row_width_ = 0;
   std::vector<int64_t> series_col_;  // see SlotRowColumns

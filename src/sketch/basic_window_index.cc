@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "common/logging.h"
+#include "common/sketch_block.h"
 #include "corr/block_kernel.h"
 #include "corr/pearson.h"
 
@@ -58,7 +59,15 @@ Result<BasicWindowIndex> BasicWindowIndex::Build(
                                    " shorter than one basic window of ",
                                    options.basic_window);
   }
-  if (data.CountMissing() > 0) {
+  const int64_t nb = data.length() / options.basic_window;
+  const int64_t b = options.basic_window;
+  const bool blocked = options.use_blocked_kernel;
+  // The blocked build's stats pass rejects NaN data; the scalar reference
+  // path scans for it.
+  std::optional<NormalizedPanels> panels;
+  if (blocked) {
+    ASSIGN_OR_RETURN(panels, ComputePanelStats(data, b, nb, pool));
+  } else if (data.CountMissing() > 0) {
     return Status::FailedPrecondition(
         "BasicWindowIndex: data contains missing values; run "
         "InterpolateMissing first");
@@ -67,20 +76,22 @@ Result<BasicWindowIndex> BasicWindowIndex::Build(
   BasicWindowIndex index;
   index.data_ = &data;
   index.basic_window_ = options.basic_window;
-  index.num_basic_windows_ = data.length() / options.basic_window;
+  index.num_basic_windows_ = nb;
   index.num_series_ = data.num_series();
   index.num_pairs_ = data.num_series() * (data.num_series() - 1) / 2;
 
-  const int64_t nb = index.num_basic_windows_;
-  const int64_t b = index.basic_window_;
-  const bool blocked = options.use_blocked_kernel;
-
   // Per-series prefixes.
-  std::optional<NormalizedPanels> panels;
+  PageStorage panel_storage;
   if (blocked) {
-    // The panel normalization already computed every window's mean and
-    // std-dev; the prefixes fold from those stats.
-    panels = BuildNormalizedPanels(data, b, pool);
+    // The stats pass already computed every window's mean and std-dev; the
+    // prefixes fold from those stats. The panels hold every window at once
+    // (the fold below runs tile pair by tile pair over all of them), in a
+    // mapping of their own that nothing reuses: no recycler holds it.
+    panels->panel_windows = nb;
+    panel_storage =
+        MapPageStorage(static_cast<size_t>(panels->PanelDoubles()));
+    panels->values = panel_storage.get();
+    FillPanels(data, 0, nb, &*panels, pool);
     index.series_ = SeriesPrefixes::FromPanels(*panels, pool);
   } else {
     index.series_ = SeriesPrefixes::FromRaw(data, b, pool);
@@ -99,9 +110,6 @@ Result<BasicWindowIndex> BasicWindowIndex::Build(
 
   if (blocked) {
     index.BuildPairSketchesBlocked(*panels, pool);
-    // Only band streams ask for panel blocks again; parked in the recycler,
-    // a full build's panels would pin tens of MB that nothing reuses.
-    panels->values.Discard();
   } else {
     // Seed-faithful reference baseline, including the seed's
     // zero-initialized allocation of the sketch arrays.

@@ -13,10 +13,10 @@ namespace dangoron {
 
 namespace {
 
-// Pair ids [first, last] that row i of tile pair (ti, tj) owns, or false
-// when the row owns none (the diagonal tile's last row).
-bool TileRowPairs(int64_t num_series, int64_t ti, int64_t tj, int64_t i,
-                  int64_t* first, int64_t* last) {
+// Pair ids [first, last] that row i owns in column tile tj, or false when
+// the row owns none there (the diagonal tile's last row).
+bool TileRowPairs(int64_t num_series, int64_t tj, int64_t i, int64_t* first,
+                  int64_t* last) {
   const int64_t col_begin = tj * kCorrTile;
   const int64_t col_end = std::min(num_series, col_begin + kCorrTile);
   const int64_t j0 = std::max(col_begin, i + 1);
@@ -147,7 +147,7 @@ void AdvanceTilePairImpl(const NormalizedPanels& panels, int64_t w_end,
     for (int64_t i = row_begin; i < row_end; ++i) {
       int64_t p0 = 0;
       int64_t p_last = 0;
-      if (!TileRowPairs(n, ti, tj, i, &p0, &p_last)) {
+      if (!TileRowPairs(n, tj, i, &p0, &p_last)) {
         continue;
       }
       const int64_t j0 = std::max(col_begin, i + 1);
@@ -275,7 +275,7 @@ bool TilePairOwns(int64_t num_series, int64_t ti, int64_t tj,
   for (int64_t i = ti * kCorrTile; i < row_end; ++i) {
     int64_t first = 0;
     int64_t last = 0;
-    if (TileRowPairs(num_series, ti, tj, i, &first, &last) &&
+    if (TileRowPairs(num_series, tj, i, &first, &last) &&
         first < pair_end && last >= pair_begin) {
       return true;
     }
@@ -339,7 +339,7 @@ void WriteTilePairSlotZero(int64_t num_series, const TilePairState& state,
   for (int64_t i = state.ti * kCorrTile; i < row_end; ++i) {
     int64_t first = 0;
     int64_t last = 0;
-    if (!TileRowPairs(num_series, state.ti, state.tj, i, &first, &last)) {
+    if (!TileRowPairs(num_series, state.tj, i, &first, &last)) {
       continue;
     }
     for (int64_t p = first; p <= last; ++p) {
@@ -353,7 +353,9 @@ void WriteTilePairSlotZero(int64_t num_series, const TilePairState& state,
 void AdvanceTilePair(const NormalizedPanels& panels, int64_t w_end,
                      TilePairState* state, const PairPrefixRows& out) {
   DCHECK(w_end % kPairWinBatch == 0 || w_end == panels.num_windows);
-  DCHECK_LE(w_end, panels.num_windows);
+  DCHECK_GE(state->windows_folded, panels.first_window);
+  DCHECK_LE(w_end, std::min(panels.num_windows,
+                            panels.first_window + panels.panel_windows));
   DCHECK_EQ(out.row_stride % 8, 0);
   AdvanceTilePairImpl(panels, w_end, state, out);
 }
@@ -361,20 +363,11 @@ void AdvanceTilePair(const NormalizedPanels& panels, int64_t w_end,
 void AdvanceTilePair(const NormalizedPanels& panels, int64_t w_end,
                      TilePairState* state, const SlotPrefixRing& out) {
   DCHECK(w_end % kPairWinBatch == 0 || w_end == panels.num_windows);
-  DCHECK_LE(w_end, panels.num_windows);
+  DCHECK_GE(state->windows_folded, panels.first_window);
+  DCHECK_LE(w_end, std::min(panels.num_windows,
+                            panels.first_window + panels.panel_windows));
   DCHECK_EQ(out.row_width % 8, 0);
   AdvanceTilePairImpl(panels, w_end, state, out);
-}
-
-void ForEachTask(ThreadPool* pool, int64_t count,
-                 const std::function<void(int64_t)>& body) {
-  if (pool != nullptr && pool->num_threads() > 1 && count > 1) {
-    pool->ParallelFor(count, body);
-  } else {
-    for (int64_t t = 0; t < count; ++t) {
-      body(t);
-    }
-  }
 }
 
 }  // namespace dangoron

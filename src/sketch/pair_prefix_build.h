@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/sketch_block.h"
@@ -104,7 +103,8 @@ void WriteTilePairSlotZero(int64_t num_series, const TilePairState& state,
 /// tile pair's accumulators and writes their slots to `out`, in the
 /// global batches [0, 8), [8, 16), ... (the last one ragged at
 /// panels.num_windows). `w_end` must end a batch: a multiple of 8 or
-/// panels.num_windows. Every slot takes the flush path its batch shape
+/// panels.num_windows, and the panels must hold every window folded.
+/// Every slot takes the flush path its batch shape
 /// selects — the 8-pair vector path for full batches, the scalar path for
 /// ragged ones and pair tails — whatever the caller's stopping points or
 /// target, so a build advanced in steps into a slot ring is bit-identical
@@ -114,11 +114,6 @@ void AdvanceTilePair(const NormalizedPanels& panels, int64_t w_end,
                      TilePairState* state, const PairPrefixRows& out);
 void AdvanceTilePair(const NormalizedPanels& panels, int64_t w_end,
                      TilePairState* state, const SlotPrefixRing& out);
-
-/// Runs `body(t)` for t in [0, count), across `pool` when it has more than
-/// one thread.
-void ForEachTask(ThreadPool* pool, int64_t count,
-                 const std::function<void(int64_t)>& body);
 
 }  // namespace dangoron
 

@@ -30,8 +30,10 @@ TimeSeriesMatrix HostileData(int64_t n, int64_t length, int64_t b,
   TimeSeriesMatrix data = GenerateWhiteNoise(n, length, &rng);
   for (int64_t t = 0; t < length; ++t) {
     data.Set(0, t, 42.0);                    // dead sensor
-    data.Set(2, t, data.Get(1, t));          // exact duplicate of series 1
-    if ((t / b) % 3 == 1) {
+    if (n > 2) {
+      data.Set(2, t, data.Get(1, t));        // exact duplicate of series 1
+    }
+    if (n > 3 && (t / b) % 3 == 1) {
       data.Set(3, t, -7.5);                  // flatlines every third window
     }
   }
@@ -167,69 +169,131 @@ TEST(GramPanelTileTest, MatchesPlainLoopBitForBitOverShapes) {
   }
 }
 
-TEST(NormalizedPanelsTest, MatchesWindowStatsAndZeroesDegenerates) {
-  const int64_t n = 61;  // not a multiple of kCorrTile: real padding
-  const int64_t b = 16;
-  const int64_t nb = 7;
-  TimeSeriesMatrix data = HostileData(n, nb * b, b, 17);
-  {
-    // Park a NaN-filled block of the panels' size in the recycler: the
-    // build takes it and must overwrite every cell, padding included.
-    const int64_t tiles = (n + kCorrTile - 1) / kCorrTile;
-    SketchBlock garbage(static_cast<size_t>(nb * tiles * b * kCorrTile),
-                        BlockPool::kPanels);
-    std::fill_n(garbage.data(), garbage.size(),
-                std::numeric_limits<double>::quiet_NaN());
-  }
-  const NormalizedPanels panels = BuildNormalizedPanels(data, b);
-  ASSERT_EQ(panels.num_windows, nb);
-  ASSERT_EQ(panels.num_tiles, (n + kCorrTile - 1) / kCorrTile);
+// The scalar window statistics the vector stats pass replaced, kept as its
+// oracle. Each square is rounded before it is added (the volatile keeps
+// the compiler from fusing the two into one FMA), which is the pass's
+// contract for every basic window length.
+struct ScalarZStats {
+  double mean = 0.0;
+  double stddev = 0.0;
+  double scale = 0.0;
+};
 
-  for (int64_t s = 0; s < n; ++s) {
-    const auto stats = ComputeBasicWindowStats(data.Row(s), b);
-    const int64_t tile = s / kCorrTile;
-    const int64_t sp = s % kCorrTile;
-    for (int64_t w = 0; w < nb; ++w) {
-      const double mean = panels.mean[static_cast<size_t>(w * n + s)];
-      const double sd = panels.stddev[static_cast<size_t>(w * n + s)];
-      EXPECT_NEAR(mean, stats[static_cast<size_t>(w)].mean, 1e-10);
-      EXPECT_NEAR(sd, stats[static_cast<size_t>(w)].stddev, 1e-10);
-      const double* panel = panels.Panel(w, tile);
-      double sum = 0.0;
-      double sumsq = 0.0;
-      for (int64_t t = 0; t < b; ++t) {
-        const double z = panel[t * kCorrTile + sp];
-        sum += z;
-        sumsq += z * z;
+ScalarZStats ScalarWindowZStats(const double* x, int64_t b) {
+  double sum = 0.0;
+  double sumsq = 0.0;
+  for (int64_t t = 0; t < b; ++t) {
+    sum += x[t];
+    volatile double sq = x[t] * x[t];
+    sumsq += sq;
+  }
+  ScalarZStats stats;
+  stats.mean = sum / static_cast<double>(b);
+  const double var_b = sumsq - sum * sum / static_cast<double>(b);
+  if (var_b > kMomentVarianceEps) {
+    stats.stddev = std::sqrt(var_b / static_cast<double>(b));
+    stats.scale = 1.0 / std::sqrt(var_b);
+  }
+  return stats;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Gives `panels` storage for `windows` windows, poisoned so that a fill
+// that skips a cell leaves a NaN behind.
+void PoisonedStorage(int64_t windows, NormalizedPanels* panels,
+                     std::vector<double>* storage) {
+  panels->panel_windows = windows;
+  storage->assign(static_cast<size_t>(panels->PanelDoubles()),
+                  std::numeric_limits<double>::quiet_NaN());
+  panels->values = storage->data();
+}
+
+// The two-step panel build against the scalar oracle, over series counts
+// around the 8-lane groups and the 48-series tile and basic windows
+// around the 8-sample transposes, with a ragged tail after the last full
+// window.
+TEST(NormalizedPanelsTest, MatchesScalarStatsAndZeroesDegenerates) {
+  ThreadPool pool(3);
+  const int64_t nb = 11;
+  for (const int64_t n : {1, 7, 8, 9, 61, 97}) {
+    for (const int64_t b : {1, 5, 8, 16, 24, 25}) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " b=" << b);
+      const TimeSeriesMatrix data =
+          HostileData(n, nb * b + 3, b, 17 + static_cast<uint64_t>(n * b));
+      auto built = ComputePanelStats(data, b, nb);
+      ASSERT_TRUE(built.ok());
+      NormalizedPanels panels = std::move(*built);
+      ASSERT_EQ(panels.num_windows, nb);
+      ASSERT_EQ(panels.num_tiles, (n + kCorrTile - 1) / kCorrTile);
+      std::vector<double> storage;
+      PoisonedStorage(nb, &panels, &storage);
+      FillPanels(data, 0, nb, &panels);
+
+      for (int64_t s = 0; s < n; ++s) {
+        const double* row = data.Row(s).data();
+        const int64_t tile = s / kCorrTile;
+        const int64_t sp = s % kCorrTile;
+        for (int64_t w = 0; w < nb; ++w) {
+          const ScalarZStats want = ScalarWindowZStats(row + w * b, b);
+          const size_t at = static_cast<size_t>(w * n + s);
+          ASSERT_EQ(Bits(panels.mean[at]), Bits(want.mean)) << s << " " << w;
+          ASSERT_EQ(Bits(panels.stddev[at]), Bits(want.stddev));
+          ASSERT_EQ(Bits(panels.scale[at]), Bits(want.scale));
+          const double* panel = panels.Panel(w, tile);
+          double sum = 0.0;
+          double sumsq = 0.0;
+          for (int64_t t = 0; t < b; ++t) {
+            const double z = panel[t * kCorrTile + sp];
+            ASSERT_EQ(Bits(z), Bits((row[w * b + t] - want.mean) * want.scale));
+            sum += z;
+            sumsq += z * z;
+          }
+          if (want.stddev == 0.0) {
+            // Degenerate window: the z row must be exactly zero.
+            EXPECT_EQ(sum, 0.0) << "s=" << s << " w=" << w;
+            EXPECT_EQ(sumsq, 0.0);
+          } else {
+            EXPECT_NEAR(sum, 0.0, 1e-9);
+            EXPECT_NEAR(sumsq, 1.0, 1e-9);  // unit centered sum of squares
+          }
+        }
       }
-      if (sd == 0.0) {
-        // Degenerate window: the z row must be exactly zero.
-        EXPECT_EQ(sum, 0.0) << "s=" << s << " w=" << w;
-        EXPECT_EQ(sumsq, 0.0);
-      } else {
-        EXPECT_NEAR(sum, 0.0, 1e-9);
-        EXPECT_NEAR(sumsq, 1.0, 1e-9);  // unit centered sum of squares
+
+      // Padding columns past num_series are written, as +0.0.
+      const int64_t last_tile = panels.num_tiles - 1;
+      for (int64_t w = 0; w < nb; ++w) {
+        const double* panel = panels.Panel(w, last_tile);
+        for (int64_t t = 0; t < b; ++t) {
+          for (int64_t sp = n - last_tile * kCorrTile; sp < kCorrTile; ++sp) {
+            ASSERT_EQ(Bits(panel[t * kCorrTile + sp]), Bits(0.0))
+                << "w=" << w << " t=" << t;
+          }
+        }
+      }
+
+      // A five-window chunk filled on a pool holds exactly those windows
+      // of the whole fill, and its statistics are the serial pass's.
+      auto chunk = ComputePanelStats(data, b, nb, &pool);
+      ASSERT_TRUE(chunk.ok());
+      EXPECT_EQ(chunk->mean, panels.mean);
+      EXPECT_EQ(chunk->stddev, panels.stddev);
+      EXPECT_EQ(chunk->scale, panels.scale);
+      std::vector<double> chunk_storage;
+      PoisonedStorage(5, &*chunk, &chunk_storage);
+      FillPanels(data, 3, 8, &*chunk, &pool);
+      EXPECT_EQ(chunk->first_window, 3);
+      for (int64_t w = 3; w < 8; ++w) {
+        for (int64_t tile = 0; tile < panels.num_tiles; ++tile) {
+          const double* got = chunk->Panel(w, tile);
+          const double* want = panels.Panel(w, tile);
+          for (int64_t c = 0; c < b * kCorrTile; ++c) {
+            ASSERT_EQ(Bits(got[c]), Bits(want[c]))
+                << "w=" << w << " tile=" << tile << " cell " << c;
+          }
+        }
       }
     }
-  }
-
-  // Padding columns past num_series stay exactly zero.
-  const int64_t last_tile = panels.num_tiles - 1;
-  for (int64_t w = 0; w < nb; ++w) {
-    const double* panel = panels.Panel(w, last_tile);
-    for (int64_t t = 0; t < b; ++t) {
-      for (int64_t sp = n - last_tile * kCorrTile; sp < kCorrTile; ++sp) {
-        EXPECT_EQ(panel[t * kCorrTile + sp], 0.0) << "w=" << w << " t=" << t;
-      }
-    }
-  }
-
-  // Parallel build is bit-identical.
-  ThreadPool pool(4);
-  const NormalizedPanels parallel = BuildNormalizedPanels(data, b, &pool);
-  ASSERT_EQ(panels.values.size(), parallel.values.size());
-  for (size_t v = 0; v < panels.values.size(); ++v) {
-    EXPECT_EQ(panels.values.data()[v], parallel.values.data()[v]);
   }
 }
 

@@ -82,6 +82,50 @@ TEST(BasicWindowIndexTest, RejectsBadInput) {
   EXPECT_FALSE(BasicWindowIndex::Build(data, options).ok());
 }
 
+// Both sketch producers refuse NaN data wherever it sits: in the first
+// sample, inside the last window the stream folds (and the last full
+// window the index folds), in a window past the stream's last slot, and in
+// the ragged tail past the last full basic window.
+TEST(BasicWindowIndexTest, BuildAndStreamRejectNaNAnywhere) {
+  const int64_t n = 10;
+  const int64_t b = 8;
+  const int64_t nb = 30;
+  Rng rng(11);
+  const TimeSeriesMatrix clean = GenerateWhiteNoise(n, nb * b + 5, &rng);
+  BasicWindowIndexOptions index_options;
+  index_options.basic_window = b;
+  BasicWindowIndexOptions scalar_options = index_options;
+  scalar_options.use_blocked_kernel = false;
+  BandStreamOptions stream_options;
+  stream_options.basic_window = b;
+  stream_options.band_slots = 8;
+  stream_options.last_slot = 12;  // folds windows [0, 16)
+  stream_options.pair_begin = 0;
+  stream_options.pair_end = n * (n - 1) / 2;
+  ASSERT_TRUE(BasicWindowIndex::Build(clean, index_options).ok());
+  ASSERT_TRUE(BandStreamedSketch::Create(clean, stream_options).ok());
+
+  const std::pair<int64_t, int64_t> places[] = {
+      {0, 0},                   // the first sample
+      {n - 1, 15 * b + 3},      // inside the stream's last folded window
+      {3, (nb - 1) * b + 7},    // the last sample of the last full window
+      {4, 20 * b + 1},          // a window past the stream's last slot
+      {7, nb * b + 2},          // the ragged tail
+  };
+  for (const auto& [series, t] : places) {
+    SCOPED_TRACE(testing::Message() << "NaN at series " << series << " t "
+                                    << t);
+    TimeSeriesMatrix data = clean;
+    data.Set(series, t, MissingValue());
+    EXPECT_EQ(BasicWindowIndex::Build(data, index_options).status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(BasicWindowIndex::Build(data, scalar_options).status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(BandStreamedSketch::Create(data, stream_options).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
+}
+
 TEST(BasicWindowIndexTest, RaggedTailIsTruncated) {
   Rng rng(2);
   TimeSeriesMatrix data = GenerateWhiteNoise(2, 103, &rng);
@@ -294,65 +338,91 @@ TEST(BandStreamedSketchTest, RingSlotsAreTheIndexSlotsBitForBit) {
         options.last_slot = nb;
         options.pair_begin = pair_begin;
         options.pair_end = pair_end;
-        auto stream = BandStreamedSketch::Create(data, options, &pool);
-        ASSERT_TRUE(stream.ok());
-        EXPECT_EQ(stream->MemoryBytes(),
-                  BandStreamedSketch::EstimateMemoryBytes(n, data.length(),
-                                                          options));
-        const SlotRingView ring = stream->Slots();
-        ASSERT_EQ(ring.ring_slots, 24);
+        // Every slot in turn, then targets that stop inside a panel chunk
+        // and later jump across chunk and ring boundaries.
+        std::vector<int64_t> every_slot;
         for (int64_t slot = 0; slot <= nb; ++slot) {
-          stream->AdvanceTo(slot, &pool);
-          ASSERT_GE(stream->newest_slot(), slot);
-          for (int64_t s = stream->oldest_slot(); s <= stream->newest_slot();
-               ++s) {
-            for (int64_t p = pair_begin; p < pair_end; ++p) {
-              int64_t i = 0;
-              int64_t j = 0;
-              BasicWindowIndex::PairFromId(p, n, &i, &j);
-              const double got = ring.Row(s)[ring.Column(i, j)];
-              const double want =
-                  full.rows[p * full.row_stride + s + kPairRowPad];
-              ASSERT_EQ(std::bit_cast<uint64_t>(got),
-                        std::bit_cast<uint64_t>(want))
-                  << "slot " << s << " pair " << p;
+          every_slot.push_back(slot);
+        }
+        const std::vector<int64_t> jumps{1, 9, 17, 41, nb};
+        for (const std::vector<int64_t>& targets : {every_slot, jumps}) {
+          auto stream = BandStreamedSketch::Create(data, options, &pool);
+          ASSERT_TRUE(stream.ok());
+          EXPECT_EQ(stream->MemoryBytes(),
+                    BandStreamedSketch::EstimateMemoryBytes(n, data.length(),
+                                                            options));
+          const SlotRingView ring = stream->Slots();
+          ASSERT_EQ(ring.ring_slots, 24);
+          for (const int64_t slot : targets) {
+            stream->AdvanceTo(slot, &pool);
+            ASSERT_GE(stream->newest_slot(), slot);
+            for (int64_t s = stream->oldest_slot();
+                 s <= stream->newest_slot(); ++s) {
+              for (int64_t p = pair_begin; p < pair_end; ++p) {
+                int64_t i = 0;
+                int64_t j = 0;
+                BasicWindowIndex::PairFromId(p, n, &i, &j);
+                const double got = ring.Row(s)[ring.Column(i, j)];
+                const double want =
+                    full.rows[p * full.row_stride + s + kPairRowPad];
+                ASSERT_EQ(std::bit_cast<uint64_t>(got),
+                          std::bit_cast<uint64_t>(want))
+                    << "target " << slot << " slot " << s << " pair " << p;
+              }
             }
           }
-        }
-        for (int64_t s = 0; s <= nb; s += 7) {
-          EXPECT_EQ(std::bit_cast<uint64_t>(
-                        stream->series_prefixes().SumRange(5, 0, s)),
-                    std::bit_cast<uint64_t>(index->SumRange(5, 0, s)));
+          for (int64_t s = 0; s <= nb; s += 7) {
+            EXPECT_EQ(std::bit_cast<uint64_t>(
+                          stream->series_prefixes().SumRange(5, 0, s)),
+                      std::bit_cast<uint64_t>(index->SumRange(5, 0, s)));
+          }
         }
       }
     }
   }
 }
 
-// Panel blocks are recycled only where they are asked for again: a full
-// index build frees its panels to the allocator, while a destroyed band
-// stream parks its panels for the next stream.
-TEST(BandStreamedSketchTest, OnlyStreamsRecycleTheirPanels) {
+// A full index build maps its panels for itself and unmaps them when done,
+// so the recycler keeps only the index's two pair blocks. A band stream's
+// panel chunk shares one recycled block with its ring slab, which the next
+// stream of the same geometry takes back whole.
+TEST(BandStreamedSketchTest, StreamPanelsShareTheRecycledRingBlock) {
   Rng rng(77);
-  const TimeSeriesMatrix data = GenerateWhiteNoise(40, 8 * 30, &rng);
+  const int64_t n = 40;
+  const int64_t b = 8;
+  const int64_t nb = 30;
+  const TimeSeriesMatrix data = GenerateWhiteNoise(n, b * nb, &rng);
   TrimSketchRecycler();
   BasicWindowIndexOptions index_options;
-  index_options.basic_window = 8;
+  index_options.basic_window = b;
   ASSERT_TRUE(BasicWindowIndex::Build(data, index_options).ok());
-  EXPECT_EQ(SketchRecyclerRetainedBytes(BlockPool::kPanels), 0);
+  const int64_t pair_block_bytes = n * (n - 1) / 2 * FullPairRowStride(nb) *
+                                   static_cast<int64_t>(sizeof(double));
+  EXPECT_EQ(SketchRecyclerRetainedBytes(), 2 * pair_block_bytes);
 
   BandStreamOptions options;
-  options.basic_window = 8;
+  options.basic_window = b;
   options.band_slots = 8;
-  options.last_slot = 30;
+  options.last_slot = nb;
   options.pair_begin = 0;
-  options.pair_end = 40 * 39 / 2;
+  options.pair_end = n * (n - 1) / 2;
+  int64_t block_bytes = 0;
   {
     auto stream = BandStreamedSketch::Create(data, options, /*pool=*/nullptr);
     ASSERT_TRUE(stream.ok());
-    EXPECT_EQ(SketchRecyclerRetainedBytes(BlockPool::kPanels), 0);
+    stream->AdvanceTo(nb);
+    const SlotRingView ring = stream->Slots();
+    // One tile of kStreamPanelWindows panels after the slab.
+    block_bytes = (ring.ring_slots * ring.row_width +
+                   kStreamPanelWindows * b * kCorrTile) *
+                  static_cast<int64_t>(sizeof(double));
   }
-  EXPECT_GT(SketchRecyclerRetainedBytes(BlockPool::kPanels), 0);
+  EXPECT_EQ(SketchRecyclerRetainedBytes(), 2 * pair_block_bytes + block_bytes);
+  {
+    auto stream = BandStreamedSketch::Create(data, options, /*pool=*/nullptr);
+    ASSERT_TRUE(stream.ok());
+    EXPECT_EQ(SketchRecyclerRetainedBytes(), 2 * pair_block_bytes);
+  }
   TrimSketchRecycler();
 }
 
