@@ -50,6 +50,10 @@ Checks:
      deleted with its tests, or named in PROGRAM_REACHED_ALLOWLIST with
      the reason it stays; an allowlist entry that names no unreached
      function is stale.
+ 13. one-page-mapper: no `mmap(`, `munmap(` or `madvise(` in program code
+     (src/, examples/, bench/, perfbench/) outside
+     src/common/sketch_block.cc — every large buffer is mapped by
+     MapPageStorage, which aligns it to and advises it for huge pages.
 
 Exit 0 when every invariant holds, 1 otherwise (one pointed line each).
 
@@ -82,6 +86,9 @@ MUTEX_ALLOWED = os.path.join("src", "common", "sync.h")
 
 FRONT_END_RE = re.compile(r"\b(?:listen|accept4?|epoll_create1?)\s*\(")
 FRONT_END_ALLOWED = os.path.join("src", "net", "wire_server.cc")
+
+PAGE_MAPPER_RE = re.compile(r"\b(?:mmap|munmap|madvise)\s*\(")
+PAGE_MAPPER_ALLOWED = os.path.join("src", "common", "sketch_block.cc")
 
 SHARD_CONNECT_RE = re.compile(r"\bConnectWithRetry\s*\(")
 SHARD_DISPATCH_DIR = os.path.join("src", "router")
@@ -309,6 +316,21 @@ def check_one_front_end(root, errors):
                 errors.append(
                     f"one-front-end: {rel}:{i} calls {match.group(0)} — "
                     f"serve through WireServer (a WindowSource) instead")
+
+
+def check_one_page_mapper(root, errors):
+    """MapPageStorage maps every large buffer on 2 MB huge-page boundaries;
+    a second mmap site would hand a hot block 4 KB pages again."""
+    for path in source_files(root, PROGRAM_DIRS):
+        rel = os.path.relpath(path, root)
+        if rel == PAGE_MAPPER_ALLOWED:
+            continue
+        for i, line in enumerate(strip_comments(read(path)).splitlines(), 1):
+            match = PAGE_MAPPER_RE.search(line)
+            if match:
+                errors.append(
+                    f"one-page-mapper: {rel}:{i} calls {match.group(0)} — "
+                    f"map through MapPageStorage (src/common/sketch_block.h)")
 
 
 def is_call(text, pos):
@@ -642,6 +664,7 @@ CHECKS = (
     check_readme_quickstart,
     check_bench_gated,
     check_program_reached,
+    check_one_page_mapper,
 )
 
 

@@ -12,6 +12,7 @@ message pointing at the actual drift:
   - a subsystem directory with no README,
   - a stray raw std::mutex outside src/common/sync.h,
   - a listener or epoll loop outside src/net/wire_server.cc,
+  - a second mmap site outside src/common/sketch_block.cc,
   - a second ConnectWithRetry( call site under src/router/,
   - a second OnWindow( call site in src/engine/dangoron_engine.cc,
   - an example no add_test or test script runs, and a dangoron_serverd
@@ -375,6 +376,22 @@ def main():
                 root, "src/net/wire_server.cc",
                 "void Start(int fd) {\n  listen(fd, 128);\n"
                 "  accept4(fd, nullptr, nullptr, 0);\n}\n")),
+        run_case(
+            "second-mmap-site",
+            lambda root: write(
+                root, "src/serve/mapped_file.cc",
+                "// mmap( in a comment is fine\n"
+                "void* Map(size_t n) {\n"
+                "  return mmap(nullptr, n, PROT_READ, MAP_PRIVATE, -1, 0);\n"
+                "}\n"),
+            "one-page-mapper", "src/serve/mapped_file.cc:3", "mmap("),
+        run_case(
+            "sketch-block-mmap-is-fine",
+            lambda root: write(
+                root, "src/common/sketch_block.cc",
+                "void Map(size_t n) {\n"
+                "  void* p = mmap(nullptr, n, 0, 0, -1, 0);\n"
+                "  madvise(p, n, MADV_HUGEPAGE);\n  munmap(p, n);\n}\n")),
         run_case(
             "second-shard-connect-site",
             lambda root: write(

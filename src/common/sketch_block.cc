@@ -22,17 +22,38 @@ namespace dangoron {
 // Maps `doubles` doubles plus one spare page. ASan builds poison everything
 // past the block, so a kernel overrunning it reports as a heap overflow
 // would instead of silently writing into a neighbouring mapping.
+//
+// A block of kHugePageBytes or more is mapped kHugePageBytes longer, the
+// misaligned head and the unused tail are unmapped again, and the rest is
+// advised MADV_HUGEPAGE: a pair row of a few KB then shares its TLB entry
+// with the 2 MB around it instead of owning a 4 KB page, and a build faults
+// the block in 2 MB at a time. Where transparent huge pages are off
+// (`never`, or a kernel without them) the advice fails and is ignored; the
+// block is then an ordinary 4 KB-page mapping, only aligned.
 PageStorage MapPageStorage(size_t doubles) {
   static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
   const size_t used = doubles * sizeof(double);
   const size_t bytes = (used + page - 1) / page * page + page;
-  void* pages = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (pages == MAP_FAILED) {
+  const size_t slack = used >= kHugePageBytes ? kHugePageBytes : 0;
+  void* mapped = mmap(nullptr, bytes + slack, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mapped == MAP_FAILED) {
     throw std::bad_alloc();
   }
-  ASAN_POISON_MEMORY_REGION(static_cast<char*>(pages) + used, bytes - used);
-  return PageStorage(static_cast<double*>(pages), PageUnmapper{bytes});
+  char* pages = static_cast<char*>(mapped);
+  if (slack != 0) {
+    const uintptr_t start = reinterpret_cast<uintptr_t>(mapped);
+    const size_t head = (kHugePageBytes - start % kHugePageBytes) %
+                        kHugePageBytes;
+    if (head != 0) {
+      munmap(mapped, head);
+    }
+    munmap(pages + head + bytes, slack - head);
+    pages += head;
+    (void)madvise(pages, bytes, MADV_HUGEPAGE);
+  }
+  ASAN_POISON_MEMORY_REGION(pages + used, bytes - used);
+  return PageStorage(reinterpret_cast<double*>(pages), PageUnmapper{bytes});
 }
 
 namespace {

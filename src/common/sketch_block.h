@@ -14,14 +14,22 @@ struct PageUnmapper {
 };
 using PageStorage = std::unique_ptr<double, PageUnmapper>;
 
+/// The transparent huge page size MapPageStorage aligns large blocks to.
+inline constexpr size_t kHugePageBytes = size_t{2} << 20;
+
 /// A fresh, page-aligned anonymous mapping of `doubles` doubles, unmapped
 /// when the storage is destroyed: for a big block no later build asks for
 /// again (the z-normalized panels a build reads), which would only crowd
-/// the recycler below.
+/// the recycler below. A block of kHugePageBytes or more starts on a
+/// kHugePageBytes boundary and is advised MADV_HUGEPAGE, so the kernel
+/// backs it with 2 MB pages wherever transparent huge pages are `always`
+/// or `madvise`; where they are off, the advice is ignored and the block
+/// stays on 4 KB pages. Every SketchBlock is mapped here.
 PageStorage MapPageStorage(size_t doubles);
 
-/// A page-aligned, uninitialized block of doubles drawn from — and on
-/// destruction or reassignment returned to — the process-wide storage
+/// An uninitialized block of doubles mapped by MapPageStorage (so 2 MB
+/// aligned and huge-page-backed from kHugePageBytes up), drawn from — and
+/// on destruction or reassignment returned to — the process-wide storage
 /// recycler (see SketchRecyclerRetainedBytes): a rebuild-heavy workload
 /// re-faulting hundreds of MB of freshly mapped pages per build would
 /// otherwise spend more time in the kernel's page zeroing than in the

@@ -197,8 +197,12 @@ inline bool HorizontallyPruned(const double* pc_base, int64_t P, int64_t n,
 // ascending pair order. A jump never leaves the band. Past L2 the search's
 // dependent probes into a pair's prefix rows miss one at a time, so a
 // jumping walk prefetches the rows kJumpPrefetchPairs pairs ahead, across
-// tile ends. The query's constants are copied into locals, which the
-// loop's edge appends and counter stores cannot alias.
+// tile ends. The index blocks sit on 2 MB pages (MapPageStorage), so a
+// pair's rows no longer cost a page walk of their own; what the walk still
+// pays per pair is TLB and DRAM latency on the rows' first lines, which a
+// deeper prefetch (2-16 pairs) did not hide any better. The query's
+// constants are copied into locals, which the loop's edge appends and
+// counter stores cannot alias.
 void WalkTile(const DangoronOptions& options, const BasicWindowIndex& index,
               const SlidingQuery& query, const QueryShape& shape,
               const WindowInputs& in, int64_t n, int64_t band_begin,

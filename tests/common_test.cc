@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,9 +20,14 @@
 #include "common/failpoint.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
+#include "common/sketch_block.h"
 #include "common/status.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace dangoron {
 namespace {
@@ -346,6 +360,89 @@ TEST(DeadlineTokenTest, PastDeadlineExpired) {
   EXPECT_TRUE(token.has_deadline());
   EXPECT_TRUE(token.expired());
   EXPECT_LT(token.remaining_ms(), 0.0);
+}
+
+// ----------------------------------------------------------- SketchBlock --
+
+bool IsAligned(const double* data, size_t alignment) {
+  return reinterpret_cast<uintptr_t>(data) % alignment == 0;
+}
+
+// The AnonHugePages of the /proc/self/smaps mapping that holds `address`,
+// in kB; -1 when no mapping holds it.
+int64_t AnonHugePagesKbAt(const void* address) {
+  const uintptr_t at = reinterpret_cast<uintptr_t>(address);
+  std::ifstream smaps("/proc/self/smaps");
+  bool inside = false;
+  std::string line;
+  while (std::getline(smaps, line)) {
+    uintptr_t begin = 0;
+    uintptr_t end = 0;
+    if (std::sscanf(line.c_str(), "%" SCNxPTR "-%" SCNxPTR, &begin, &end) ==
+        2) {
+      inside = begin <= at && at < end;
+      continue;
+    }
+    long long kb = 0;
+    if (inside &&
+        std::sscanf(line.c_str(), "AnonHugePages: %lld kB", &kb) == 1) {
+      return kb;
+    }
+  }
+  return -1;
+}
+
+constexpr size_t kHugePageDoubles = kHugePageBytes / sizeof(double);
+
+TEST(SketchBlockTest, LargeBlocksStartOnAHugePageBoundary) {
+  TrimSketchRecycler();
+  for (const size_t doubles : {kHugePageDoubles, 4 * kHugePageDoubles + 3}) {
+    const double* first = nullptr;
+    {
+      SketchBlock fresh(doubles);
+      first = fresh.data();
+      EXPECT_TRUE(IsAligned(first, kHugePageBytes)) << doubles;
+    }
+    SketchBlock recycled(doubles);
+    EXPECT_EQ(recycled.data(), first) << doubles;
+    EXPECT_TRUE(IsAligned(recycled.data(), kHugePageBytes)) << doubles;
+  }
+  TrimSketchRecycler();
+}
+
+TEST(SketchBlockTest, SmallBlocksStayPageAligned) {
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  for (const size_t doubles : {size_t{3}, kHugePageDoubles - 1}) {
+    const PageStorage storage = MapPageStorage(doubles);
+    EXPECT_TRUE(IsAligned(storage.get(), page)) << doubles;
+  }
+}
+
+TEST(SketchBlockTest, LastDoubleIsWritableAndTheByteAfterIsPoisoned) {
+  for (const size_t doubles : {size_t{3}, kHugePageDoubles - 1,
+                               kHugePageDoubles, 4 * kHugePageDoubles + 3}) {
+    const PageStorage storage = MapPageStorage(doubles);
+    double* last = storage.get() + doubles - 1;
+    *last = 42.0;
+    EXPECT_EQ(*last, 42.0) << doubles;
+#if defined(__SANITIZE_ADDRESS__)
+    EXPECT_TRUE(__asan_address_is_poisoned(last + 1)) << doubles;
+#endif
+  }
+}
+
+TEST(SketchBlockTest, TouchedLargeBlockIsBackedByHugePages) {
+  std::ifstream mode_file("/sys/kernel/mm/transparent_hugepage/enabled");
+  const std::string mode((std::istreambuf_iterator<char>(mode_file)),
+                         std::istreambuf_iterator<char>());
+  if (mode.find("[always]") == std::string::npos &&
+      mode.find("[madvise]") == std::string::npos) {
+    GTEST_SKIP() << "transparent huge pages are off: '" << mode << "'";
+  }
+  const size_t doubles = 4 * kHugePageDoubles;
+  const PageStorage storage = MapPageStorage(doubles);
+  std::fill(storage.get(), storage.get() + doubles, 1.0);
+  EXPECT_GT(AnonHugePagesKbAt(storage.get()), 0);
 }
 
 // -------------------------------------------------------------- Failpoint --
