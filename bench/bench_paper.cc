@@ -7,7 +7,6 @@
 //   e5   scaling in the number of series N
 //   e6   query-window geometry and the basic-window ablation
 //   e7   the Tomborg robustness grid (contribution 2)
-//   e8   horizontal (pivot) pruning ablation
 //   e9   ParCorr accuracy/time frontier over the sketch dimension
 //   ex1  extension: the absolute-threshold mode on a signed workload
 //
@@ -518,55 +517,6 @@ Status E7() {
   return Status::Ok();
 }
 
-// -------------------------------------------------------------------- E8 --
-
-// Each pivot costs an exact pivot-to-all scan per window (P*N cells); a
-// pair whose intersected triangle-inequality bound falls below beta is
-// pruned. The bound is a theorem, so results stay exact; the ablation asks
-// whether the pruned cells pay for the scans. Pivots inside a block
-// certify that cross-block pairs cannot clear the threshold.
-Status E8Rows(const char* workload, const TimeSeriesMatrix& data,
-              Table* table) {
-  const SlidingQuery query = Query(data.length(), 0.85);
-  for (const int32_t pivots : {0, 2, 4, 8, 16}) {
-    // Jumping off isolates the horizontal effect.
-    std::string spec = "dangoron:jump=off,pivots=" + std::to_string(pivots);
-    spec += pivots > 0 ? ",horizontal=on" : ",horizontal=off";
-    ASSIGN_OR_RETURN(const EngineRun run, Run(spec, data, query));
-    table->AddRow()
-        .Add(workload)
-        .AddInt(pivots)
-        .AddTime(run.query_seconds)
-        .AddPercent(Fraction(run.stats.cells_horizontal_pruned,
-                             run.stats.cells_total))
-        .AddInt(run.stats.pivot_evaluations)
-        .AddInt(run.result.TotalEdges());
-  }
-  return Status::Ok();
-}
-
-Status E8() {
-  std::printf("E8: horizontal pruning ablation (jumping disabled; exact "
-              "results by construction)\n\n");
-  Table table({"workload", "pivots", "query", "pruned cells",
-               "pivot evals", "edges"});
-  ASSIGN_OR_RETURN(const TimeSeriesMatrix climate, Climate(64, 24 * 182));
-  RETURN_IF_ERROR(E8Rows("climate", climate, &table));
-  ASSIGN_OR_RETURN(
-      const TomborgDataset block,
-      GenerateTomborg({.num_series = 64,
-                       .length = 24 * 182,
-                       .correlation = {.family = CorrelationFamily::kBlock,
-                                       .a = 0.9,
-                                       .b = 0.1,
-                                       .blocks = 8}}));
-  RETURN_IF_ERROR(E8Rows("block(8)", block.data, &table));
-  Print(table);
-  std::printf("expected shape: pruned fraction rises with pivots, strongest "
-              "on block-structured data; edges identical in every row\n");
-  return Status::Ok();
-}
-
 // -------------------------------------------------------------------- E9 --
 
 // ParCorr's one knob is d, the number of random projections: estimate
@@ -680,7 +630,7 @@ struct Experiment {
 };
 constexpr Experiment kExperiments[] = {
     {"e1", E1}, {"e2", E2}, {"e3", E3}, {"e4", E4}, {"e5", E5},
-    {"e6", E6}, {"e7", E7}, {"e8", E8}, {"e9", E9}, {"ex1", EX1}};
+    {"e6", E6}, {"e7", E7}, {"e9", E9}, {"ex1", EX1}};
 
 }  // namespace
 }  // namespace dangoron

@@ -193,7 +193,6 @@ bool WriteQueryComparisonJson(const char* path) {
     DangoronOptions exact;
     exact.basic_window = kBasicWindow;
     exact.enable_jumping = false;
-    exact.horizontal_pruning = false;
     DangoronOptions approx = exact;
     approx.enable_jumping = true;
     auto index = DangoronEngine::BuildIndex(data, exact, /*pool=*/nullptr);

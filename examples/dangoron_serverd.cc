@@ -946,14 +946,13 @@ int RunEngine(int argc, char** argv) {
 
   const EngineStats& stats = (*engine)->stats();
   std::printf("prepare %.3f s, query %.3f s; %lld windows, %lld edges "
-              "(%lld/%lld cells evaluated, %lld jumped, %lld pruned)\n",
+              "(%lld/%lld cells evaluated, %lld jumped)\n",
               prepare_seconds, query_seconds,
               static_cast<long long>(result->num_windows()),
               static_cast<long long>(result->TotalEdges()),
               static_cast<long long>(stats.cells_evaluated),
               static_cast<long long>(stats.cells_total),
-              static_cast<long long>(stats.cells_jumped),
-              static_cast<long long>(stats.cells_horizontal_pruned));
+              static_cast<long long>(stats.cells_jumped));
 
   if (!out_path.empty()) {
     if (Status status = WriteSeriesCsv(*result, out_path); !status.ok()) {

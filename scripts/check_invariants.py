@@ -30,8 +30,8 @@ Checks:
      and mid-stream failover place pair ranges on shards by one rule.
   8. one-engine-pass: `OnWindow(` has exactly one call site in
      src/engine/dangoron_engine.cc (RunWindowMajorSweep's band loop) —
-     every Dangoron query, exact, jumping or pruned, emits its windows
-     from one pass.
+     every Dangoron query, exact or jumping, resident or band-streamed,
+     emits its windows from one pass.
   9. examples-exercised: every examples/*.cc program, and every
      dangoron_serverd subcommand, runs somewhere: named as an add_test
      COMMAND in CMakeLists.txt, or invoked by a script that an add_test
@@ -54,6 +54,12 @@ Checks:
      (src/, examples/, bench/, perfbench/) outside
      src/common/sketch_block.cc — every large buffer is mapped by
      MapPageStorage, which aligns it to and advises it for huge pages.
+ 14. engine-option-catalog: the option keys src/engine/factory.h documents
+     above CreateEngine (per engine; `common:` keys count for every
+     engine) and above CreateServer match the keys src/engine/factory.cc
+     consumes in each engine's branch and in CreateServer, both ways — a
+     documented key the factory rejects, or an accepted key no doc names,
+     is drift.
 
 Exit 0 when every invariant holds, 1 otherwise (one pointed line each).
 
@@ -95,6 +101,18 @@ SHARD_DISPATCH_DIR = os.path.join("src", "router")
 
 WINDOW_EMIT_RE = re.compile(r"\bOnWindow\s*\(")
 ENGINE_PASS_FILE = os.path.join("src", "engine", "dangoron_engine.cc")
+
+FACTORY_HEADER = os.path.join("src", "engine", "factory.h")
+FACTORY_SOURCE = os.path.join("src", "engine", "factory.cc")
+# `Consume*(&options, "key", ...)` pops one option key.
+CONSUMED_KEY_RE = re.compile(r'\bConsume\w*\(\s*&options\s*,\s*"(\w+)"')
+ENGINE_BRANCH_RE = re.compile(r'\bname\s*==\s*"(\w+)"')
+# CreateEngine's doc lists `///   engine:  key=<...>, ...`, continued on
+# deeper-indented `///` lines; CreateServer's lists `///   key=<...>  text`.
+DOC_ENGINE_LINE_RE = re.compile(r"^///\s{2,}(\w+):\s*(.*)$")
+DOC_CONTINUATION_RE = re.compile(r"^///\s{4,}\S")
+DOC_KEY_RE = re.compile(r"\b(\w+)=<")
+DOC_SERVER_KEY_RE = re.compile(r"^///\s{2,}(\w+)=<")
 
 CLI_FILE = os.path.join("examples", "dangoron_serverd.cc")
 ADD_TEST_RE = re.compile(r"\badd_test\s*\(([^)]*)\)")
@@ -378,6 +396,101 @@ def check_one_engine_pass(root, errors):
             f"{ENGINE_PASS_FILE} (lines "
             f"{', '.join(map(str, sites)) or 'none'}) — expected exactly "
             f"one, in RunWindowMajorSweep's band loop")
+
+
+def doc_comment_before(text, name):
+    """The `///` lines directly above the declaration of `name`."""
+    match = re.search(rf"^[^/\s][^\n]*\b{name}\(", text, re.MULTILINE)
+    if match is None:
+        return None
+    lines = text[:match.start()].splitlines()
+    block = []
+    while lines and lines[-1].startswith("///"):
+        block.insert(0, lines.pop())
+    return block
+
+
+def function_body(text, name):
+    """The braced body of `name`'s definition in `text`, or None."""
+    for match in re.finditer(rf"\b{name}\s*\(", text):
+        end = BRACE_OR_SEMICOLON_RE.search(text, match.end())
+        if (not is_call(text, match.start()) and end is not None
+                and end.group(0) == "{"):
+            return text[end.start():matching_brace(text, end.start()) + 1]
+    return None
+
+
+def documented_engine_keys(block):
+    """{engine: documented keys}; `common:` keys join every engine's."""
+    sections = {}
+    current = None
+    for line in block:
+        head = DOC_ENGINE_LINE_RE.match(line)
+        if head:
+            current = sections.setdefault(head.group(1), set())
+            current.update(DOC_KEY_RE.findall(head.group(2)))
+        elif current is not None and DOC_CONTINUATION_RE.match(line):
+            current.update(DOC_KEY_RE.findall(line))
+        else:
+            current = None
+    return sections.pop("common", set()), sections
+
+
+def consumed_engine_keys(body):
+    """{engine: keys its `name == "engine"` branch consumes}."""
+    branches = list(ENGINE_BRANCH_RE.finditer(body))
+    keys = {}
+    for branch, following in zip(branches, branches[1:] + [None]):
+        end = following.start() if following is not None else len(body)
+        keys.setdefault(branch.group(1), set()).update(
+            CONSUMED_KEY_RE.findall(body, branch.end(), end))
+    return keys
+
+
+def compare_option_keys(owner, consumed, documented, errors):
+    for key in sorted(consumed - documented):
+        errors.append(
+            f"engine-option-catalog: {owner} consumes '{key}' in "
+            f"{FACTORY_SOURCE} but {FACTORY_HEADER} does not document it")
+    for key in sorted(documented - consumed):
+        errors.append(
+            f"engine-option-catalog: {FACTORY_HEADER} documents '{key}' for "
+            f"{owner} but {FACTORY_SOURCE} does not consume it (the key is "
+            f"rejected as unknown)")
+
+
+def check_engine_option_catalog(root, errors):
+    """The factory's doc comments are the option reference CLI users read;
+    a key they list that the factory rejects, or one it accepts that they
+    omit, misleads every `engine:options` and `server=` spec."""
+    header_path = os.path.join(root, FACTORY_HEADER)
+    source_path = os.path.join(root, FACTORY_SOURCE)
+    if not (os.path.exists(header_path) and os.path.exists(source_path)):
+        errors.append(f"engine-option-catalog: {FACTORY_HEADER} or "
+                      f"{FACTORY_SOURCE} is missing")
+        return
+    header = read(header_path)
+    source = strip_comments(read(source_path))
+    docs = {f: doc_comment_before(header, f)
+            for f in ("CreateEngine", "CreateServer")}
+    bodies = {f: function_body(source, f) for f in docs}
+    for function in docs:
+        if docs[function] is None or bodies[function] is None:
+            errors.append(
+                f"engine-option-catalog: no documented {function} in "
+                f"{FACTORY_HEADER} or no definition in {FACTORY_SOURCE}")
+            return
+    common, documented = documented_engine_keys(docs["CreateEngine"])
+    consumed = consumed_engine_keys(bodies["CreateEngine"])
+    for engine in sorted(set(documented) | set(consumed)):
+        compare_option_keys(f"engine '{engine}'",
+                            consumed.get(engine, set()),
+                            documented.get(engine, set()) | common, errors)
+    server_doc = {match.group(1) for line in docs["CreateServer"]
+                  if (match := DOC_SERVER_KEY_RE.match(line))}
+    compare_option_keys(
+        "CreateServer", set(CONSUMED_KEY_RE.findall(bodies["CreateServer"])),
+        server_doc, errors)
 
 
 def check_examples_exercised(root, errors):
@@ -665,6 +778,7 @@ CHECKS = (
     check_bench_gated,
     check_program_reached,
     check_one_page_mapper,
+    check_engine_option_catalog,
 )
 
 

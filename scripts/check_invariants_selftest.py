@@ -24,7 +24,11 @@ message pointing at the actual drift:
   - a function a src/ header declares that only tests/ call, or that
     program code only declares, defines or mentions in prose, a dead call
     chain (each of its three names in the one run), and a stale allowlist
-    entry.
+    entry,
+  - a factory option key src/engine/factory.cc consumes that the
+    factory.h doc omits (for an engine and for CreateServer), a documented
+    key the factory does not consume, and a `common:` key an engine
+    rejects.
 
 Exit 0 when every case behaves, 1 otherwise.
 """
@@ -70,6 +74,10 @@ int Run(std::string_view command) {
     return RunRoute();
   }
   return 2;
+}
+
+int RunEngine() {
+  return CreateEngine("naive").ok() && CreateServer().ok() ? 0 : 1;
 }
 
 int RunRoute() {
@@ -173,6 +181,51 @@ Status RunWindowMajorSweep(WindowSink* sink) {
 }
 """
 
+CLEAN_FACTORY_H = """
+/// Constructs an engine by name.
+///
+/// Options (comma separated):
+///   naive:     (none)
+///   dangoron:  jump=<on|off>,
+///              threads=<int>
+///
+/// Example: CreateEngine("dangoron", "jump=on").
+Result<std::unique_ptr<CorrelationEngine>> CreateEngine(
+    const std::string& name, const std::string& options_text = "");
+
+/// Constructs a server.
+///
+///   threads=<int>            worker threads
+///   degrade=<off|auto>       default degradation policy
+Result<std::unique_ptr<DangoronServer>> CreateServer(
+    const std::string& options_text = "");
+"""
+
+CLEAN_FACTORY_CC = """
+Result<std::unique_ptr<CorrelationEngine>> CreateEngine(
+    const std::string& name, const std::string& options_text) {
+  if (name == "naive") {
+    RETURN_IF_ERROR(RejectLeftovers(options, name));
+    return std::unique_ptr<CorrelationEngine>(new NaiveEngine());
+  }
+  if (name == "dangoron") {
+    RETURN_IF_ERROR(ConsumeBool(&options, "jump", &jump));
+    RETURN_IF_ERROR(ConsumeInt(&options, "threads", 0, kInt32Max, &threads));
+    // Prose naming ConsumeInt(&options, "pivots", ...) consumes nothing.
+    return MakeDangoron(jump, threads);
+  }
+  return Status::NotFound("unknown engine");
+}
+
+Result<std::unique_ptr<DangoronServer>> CreateServer(
+    const std::string& options_text) {
+  RETURN_IF_ERROR(ConsumeInt(&options, "threads", 0, kInt32Max, &threads));
+  RETURN_IF_ERROR(Consume(&options, "degrade", [&](const std::string& v) {
+    return ParseDegrade(v);
+  }));
+  return MakeServer(threads);
+}
+"""
 
 CLEAN_BENCH_CC = "int main() { return 0; }\n"
 
@@ -275,6 +328,8 @@ def make_clean_tree(root):
     write(root, "src/serve/server.cc", CLEAN_SERVER_CC)
     write(root, "src/engine/README.md", "# engine/\n")
     write(root, "src/engine/dangoron_engine.cc", CLEAN_ENGINE_CC)
+    write(root, "src/engine/factory.h", CLEAN_FACTORY_H)
+    write(root, "src/engine/factory.cc", CLEAN_FACTORY_CC)
     write(root, "docs/WIRE_PROTOCOL.md", CLEAN_WIRE_DOC)
     write(root, "docs/ARCHITECTURE.md", CLEAN_ARCH_DOC)
     write(root, "examples/dangoron_serverd.cc", CLEAN_CLI_CC)
@@ -527,6 +582,41 @@ def main():
             lambda root: None,
             "program-reached", "Retired", "stale",
             allowlist={"Retired": "deleted long ago"}),
+        run_case(
+            "undocumented-engine-key",
+            lambda root: write(
+                root, "src/engine/factory.cc",
+                CLEAN_FACTORY_CC.replace(
+                    "    return MakeDangoron",
+                    "    RETURN_IF_ERROR(ConsumeInt(&options, \"max_jump\", "
+                    "0, kInt64Max, &max_jump));\n    return MakeDangoron")),
+            "engine-option-catalog", "engine 'dangoron' consumes 'max_jump'"),
+        run_case(
+            "undocumented-server-key",
+            lambda root: write(
+                root, "src/engine/factory.h",
+                CLEAN_FACTORY_H.replace(
+                    "///   degrade=<off|auto>       default degradation "
+                    "policy\n", "")),
+            "engine-option-catalog", "CreateServer consumes 'degrade'"),
+        run_case(
+            "documented-key-the-factory-rejects",
+            lambda root: write(
+                root, "src/engine/factory.h",
+                CLEAN_FACTORY_H.replace(
+                    "///              threads=<int>\n",
+                    "///              threads=<int>, pivots=<int>\n")),
+            "engine-option-catalog", "documents 'pivots' for engine "
+                                     "'dangoron'"),
+        run_case(
+            "common-key-an-engine-rejects",
+            lambda root: write(
+                root, "src/engine/factory.h",
+                CLEAN_FACTORY_H.replace(
+                    "///   naive:     (none)\n",
+                    "///   common:    threads=<int>\n")),
+            "engine-option-catalog", "documents 'threads' for engine "
+                                     "'naive'"),
         run_case(
             "commented-mutex-is-fine",
             lambda root: write(

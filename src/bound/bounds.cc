@@ -1,8 +1,5 @@
 #include "bound/bounds.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace dangoron {
 
 int64_t TemporalBound::MaxSkippableBelow(int64_t pair_id, int64_t w0,
@@ -68,29 +65,6 @@ int64_t TemporalBound::MaxSkippableWithin(int64_t pair_id, int64_t w0,
     }
   }
   return ok;
-}
-
-HorizontalBound HorizontalBoundFromPivot(double c_xz, double c_yz) {
-  const double product = c_xz * c_yz;
-  const double slack_x = std::max(0.0, 1.0 - c_xz * c_xz);
-  const double slack_y = std::max(0.0, 1.0 - c_yz * c_yz);
-  const double radius = std::sqrt(slack_x * slack_y);
-  HorizontalBound bound;
-  bound.lower = std::max(-1.0, product - radius);
-  bound.upper = std::min(1.0, product + radius);
-  return bound;
-}
-
-HorizontalBound HorizontalBoundFromPivots(std::span<const double> c_xz,
-                                          std::span<const double> c_yz) {
-  HorizontalBound best;
-  const size_t count = std::min(c_xz.size(), c_yz.size());
-  for (size_t p = 0; p < count; ++p) {
-    const HorizontalBound bound = HorizontalBoundFromPivot(c_xz[p], c_yz[p]);
-    best.lower = std::max(best.lower, bound.lower);
-    best.upper = std::min(best.upper, bound.upper);
-  }
-  return best;
 }
 
 }  // namespace dangoron

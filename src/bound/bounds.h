@@ -75,28 +75,6 @@ class TemporalBound {
   int64_t m_;
 };
 
-/// Horizontal (cross-series) bound: for any three series within one window,
-/// the correlation matrix of (x, y, z) is positive semidefinite, which
-/// confines c_xy given c_xz and c_yz:
-///
-///   c_xz*c_yz - sqrt((1-c_xz^2)(1-c_yz^2))
-///     <= c_xy <=
-///   c_xz*c_yz + sqrt((1-c_xz^2)(1-c_yz^2))
-///
-/// Unlike Eq. 2 this is a theorem — no distributional assumption.
-struct HorizontalBound {
-  double lower = -1.0;
-  double upper = 1.0;
-};
-
-/// Computes the bound interval for c_xy from pivot correlations.
-HorizontalBound HorizontalBoundFromPivot(double c_xz, double c_yz);
-
-/// Tightest interval across several pivots: intersection of the per-pivot
-/// intervals (spans are parallel arrays of c_xz / c_yz).
-HorizontalBound HorizontalBoundFromPivots(std::span<const double> c_xz,
-                                          std::span<const double> c_yz);
-
 }  // namespace dangoron
 
 #endif  // DANGORON_BOUND_BOUNDS_H_

@@ -81,29 +81,22 @@ QueryShape ShapeOf(const DangoronOptions& options, const SlidingQuery& query,
 // divides or square-roots: the query-range sum and the reciprocal of the
 // centered root sum of squares, [k * n + s] (0 for a degenerate series,
 // making every correlation with it exactly 0, the PearsonFromMoments
-// guard), and each series' exact correlation with each pivot of a pruned
-// query, [(k * P + p) * n + s].
+// guard).
 struct WindowInputs {
   std::vector<double> range_sum;
   std::vector<double> range_inv_css;
-  std::vector<double> pivot_corrs;
 };
 
 // Fills the inputs in parallel over windows; identical for any thread
-// count. Pivot correlations read the pair sketches of a resident `index`
-// (null when `pivots` is empty).
+// count.
 WindowInputs HoistWindowInputs(const SeriesPrefixes& prefixes,
-                               const BasicWindowIndex* index,
-                               const std::vector<int64_t>& pivots,
                                const SlidingQuery& query,
                                const QueryShape& shape, int64_t n,
                                ThreadPool* pool) {
   const double window_count = static_cast<double>(query.window);
-  const int64_t P = static_cast<int64_t>(pivots.size());
   WindowInputs in;
   in.range_sum.resize(static_cast<size_t>(shape.num_windows * n));
   in.range_inv_css.resize(in.range_sum.size());
-  in.pivot_corrs.assign(static_cast<size_t>(shape.num_windows * P * n), 1.0);
   auto fill_window = [&](int64_t k) {
     const int64_t lo = shape.base_w0 + k * shape.m;
     const int64_t hi = lo + shape.ns;
@@ -115,18 +108,6 @@ WindowInputs HoistWindowInputs(const SeriesPrefixes& prefixes,
           prefixes.SumSqRange(s, lo, hi) - sum * sum / window_count;
       sums[s] = sum;
       invs[s] = css > kMomentVarianceEps ? 1.0 / std::sqrt(css) : 0.0;
-    }
-    for (int64_t p = 0; p < P; ++p) {
-      const int64_t z = pivots[static_cast<size_t>(p)];
-      double* out = in.pivot_corrs.data() + (k * P + p) * n;
-      for (int64_t s = 0; s < n; ++s) {
-        if (s != z) {  // a pivot's own entry stays 1.0
-          const double cov =
-              index->DotRange(BasicWindowIndex::PairId(z, s, n), lo, hi) -
-              sums[z] * sums[s] / window_count;
-          out[s] = ClampCorrelation(cov * invs[z] * invs[s]);
-        }
-      }
     }
   };
   if (pool != nullptr && pool->num_threads() > 1 && shape.num_windows > 1) {
@@ -167,42 +148,19 @@ inline double ExactCellCorrelation(const BasicWindowIndex& index, int64_t pair,
   return ClampCorrelation(cov * invs[i] * invs[j]);
 }
 
-// Horizontal pruning decision for one cell: intersect the
-// triangle-inequality intervals across pivots; the cell is pruned when the
-// intersected interval cannot contain an edge value (in absolute mode that
-// requires the whole interval inside (-beta, beta)). `pc_base` points at
-// the window's pivot-correlation block [p * n + s].
-inline bool HorizontallyPruned(const double* pc_base, int64_t P, int64_t n,
-                               double beta, bool absolute, int64_t i,
-                               int64_t j) {
-  double upper = 1.0;
-  double lower = -1.0;
-  const double* pc = pc_base;
-  for (int64_t p = 0; p < P; ++p, pc += n) {
-    const HorizontalBound hb = HorizontalBoundFromPivot(pc[i], pc[j]);
-    upper = std::min(upper, hb.upper);
-    lower = std::max(lower, hb.lower);
-    if (upper < beta && (!absolute || lower > -beta)) {
-      break;
-    }
-  }
-  return upper < beta && (!absolute || lower > -beta);
-}
-
-// The scalar tile walk of jumping and pivot-pruned queries: each pair of
-// [pair_begin, pair_end), (i, j) first, walks windows [band_begin,
-// band_end) in turn — the pivot check, the exact cell, then the Eq. 2
-// search for how many of its next windows may be skipped — appending its
-// edges to out_windows[k - band_begin], so each window's part stays in
-// ascending pair order. A jump never leaves the band. Past L2 the search's
-// dependent probes into a pair's prefix rows miss one at a time, so a
-// jumping walk prefetches the rows kJumpPrefetchPairs pairs ahead, across
-// tile ends. The index blocks sit on 2 MB pages (MapPageStorage), so a
-// pair's rows no longer cost a page walk of their own; what the walk still
-// pays per pair is TLB and DRAM latency on the rows' first lines, which a
-// deeper prefetch (2-16 pairs) did not hide any better. The query's
-// constants are copied into locals, which the loop's edge appends and
-// counter stores cannot alias.
+// The scalar tile walk of jumping queries: each pair of [pair_begin,
+// pair_end), (i, j) first, walks windows [band_begin, band_end) in turn —
+// the exact cell, then the Eq. 2 search for how many of its next windows
+// may be skipped — appending its edges to out_windows[k - band_begin], so
+// each window's part stays in ascending pair order. A jump never leaves the
+// band. Past L2 the search's dependent probes into a pair's prefix rows
+// miss one at a time, so the walk prefetches the rows kJumpPrefetchPairs
+// pairs ahead, across tile ends. The index blocks sit on 2 MB pages
+// (MapPageStorage), so a pair's rows no longer cost a page walk of their
+// own; what the walk still pays per pair is TLB and DRAM latency on the
+// rows' first lines, which a deeper prefetch (2-16 pairs) did not hide any
+// better. The query's constants are copied into locals, which the loop's
+// edge appends and counter stores cannot alias.
 void WalkTile(const DangoronOptions& options, const BasicWindowIndex& index,
               const SlidingQuery& query, const QueryShape& shape,
               const WindowInputs& in, int64_t n, int64_t band_begin,
@@ -213,22 +171,15 @@ void WalkTile(const DangoronOptions& options, const BasicWindowIndex& index,
       shape;
   const double beta = query.threshold;
   const double inv_count = 1.0 / static_cast<double>(query.window);
-  const int64_t P = options.horizontal_pruning ? options.num_pivots : 0;
   const TemporalBound bound(&index, ns, m);
   const int64_t omc_hi = base_w0 + (band_end - 1) * m;
   for (int64_t pair = pair_begin; pair < pair_end; ++pair) {
-    if (options.enable_jumping && pair + kJumpPrefetchPairs < pair_hi) {
+    if (pair + kJumpPrefetchPairs < pair_hi) {
       index.PrefetchPairRows(pair + kJumpPrefetchPairs,
                              base_w0 + band_begin * m, omc_hi + ns, omc_hi);
     }
     int64_t k = band_begin;
     while (k < band_end) {
-      if (P > 0 && HorizontallyPruned(in.pivot_corrs.data() + k * P * n, P,
-                                      n, beta, query.absolute, i, j)) {
-        ++local->cells_horizontal_pruned;
-        ++k;
-        continue;
-      }
       const int64_t w0 = base_w0 + k * m;
       const double corr = ExactCellCorrelation(
           index, pair, w0, ns, in.range_sum.data() + k * n,
@@ -236,7 +187,7 @@ void WalkTile(const DangoronOptions& options, const BasicWindowIndex& index,
       ++local->cells_evaluated;
       const bool edge = query.IsEdge(corr);
       int64_t skip = 0;
-      if (options.enable_jumping && (!edge || options.enable_above_jumping)) {
+      if (!edge || options.enable_above_jumping) {
         int64_t max_steps = band_end - 1 - k;
         if (options.max_jump_steps > 0) {
           max_steps = std::min(max_steps, options.max_jump_steps);
@@ -287,8 +238,8 @@ void WalkTile(const DangoronOptions& options, const BasicWindowIndex& index,
 // Pairs split into fixed kSweepTilePairs tiles and windows advance in
 // bands; within a band the tiles run in parallel, then each of the band's
 // windows is assembled flat — already sorted — and emitted in order. A
-// tile of an exact query runs the vectorized sweep kernel; jumping or
-// pivot pruning run the scalar tile walk instead.
+// tile of an exact query runs the vectorized sweep kernel; a jumping query
+// runs the scalar tile walk instead.
 //
 // Exact bands are kSweepWindowBand windows: OnWindow(0) leaves after
 // band/num_windows of the sweep, while the band keeps each pair's
@@ -314,8 +265,6 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
   const int64_t num_tiles =
       std::max<int64_t>(int64_t{1}, CeilDiv(pair_hi - pair_lo, kSweepTilePairs));
   const int num_pool_threads = pool != nullptr ? pool->num_threads() : 1;
-  const bool scalar_walk =
-      options.enable_jumping || options.horizontal_pruning;
   const int64_t band =
       options.enable_jumping ? num_windows : kSweepWindowBand;
 
@@ -339,7 +288,6 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
     for (const EngineStats& s : tile_stats) {
       stats->cells_evaluated += s.cells_evaluated;
       stats->cells_jumped += s.cells_jumped;
-      stats->cells_horizontal_pruned += s.cells_horizontal_pruned;
       stats->jumps += s.jumps;
     }
   };
@@ -385,7 +333,7 @@ Status RunWindowMajorSweep(const DangoronOptions& options,
       int64_t j = 0;
       BasicWindowIndex::PairFromId(pair_begin, n, &i, &j);
       EngineStats* local = &tile_stats[static_cast<size_t>(t)];
-      if (scalar_walk) {
+      if (options.enable_jumping) {
         WalkTile(options, *index, query, shape, in, n, band_begin, band_end,
                  pair_begin, pair_end, i, j, out_windows, local);
         return;
@@ -447,10 +395,6 @@ Result<BasicWindowIndex> DangoronEngine::BuildIndex(
 }
 
 Status DangoronEngine::Prepare(const TimeSeriesMatrix& data) {
-  if (options_.horizontal_pruning && options_.num_pivots <= 0) {
-    return Status::InvalidArgument(
-        "DangoronEngine: horizontal pruning needs num_pivots > 0");
-  }
   if (options_.num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   } else {
@@ -470,29 +414,24 @@ Status DangoronEngine::QueryToSink(const SlidingQuery& query,
   }
   stats_.Reset();
   return QueryPreparedToSink(options_, *index_, query, pool_.get(), &stats_,
-                             sink, &pivots_);
+                             sink);
 }
 
 Result<CorrelationMatrixSeries> DangoronEngine::QueryPrepared(
     const DangoronOptions& options, const BasicWindowIndex& index,
-    const SlidingQuery& query, ThreadPool* pool, EngineStats* stats,
-    std::vector<int64_t>* pivots_out) {
+    const SlidingQuery& query, ThreadPool* pool, EngineStats* stats) {
   CollectingWindowSink sink;
-  RETURN_IF_ERROR(QueryPreparedToSink(options, index, query, pool, stats,
-                                      &sink, pivots_out));
+  RETURN_IF_ERROR(
+      QueryPreparedToSink(options, index, query, pool, stats, &sink));
   return sink.TakeSeries();
 }
 
 Status DangoronEngine::QueryPreparedToSink(
     const DangoronOptions& options, const BasicWindowIndex& index,
     const SlidingQuery& query, ThreadPool* pool, EngineStats* stats,
-    WindowSink* sink, std::vector<int64_t>* pivots_out) {
+    WindowSink* sink) {
   RETURN_IF_ERROR(CheckQueryGeometry(options, index.basic_window(),
                                      index.data().length(), query));
-  if (options.horizontal_pruning && options.num_pivots <= 0) {
-    return Status::InvalidArgument(
-        "DangoronEngine: horizontal pruning needs num_pivots > 0");
-  }
   EngineStats local_stats;
   if (stats == nullptr) {
     stats = &local_stats;
@@ -508,18 +447,8 @@ Status DangoronEngine::QueryPreparedToSink(
   }
   RETURN_IF_ERROR(sink->OnBegin(query, n));
 
-  std::vector<int64_t> pivots;  // evenly spaced, deterministic
-  for (int64_t p = 0; options.horizontal_pruning && p < options.num_pivots;
-       ++p) {
-    pivots.push_back(p * n / options.num_pivots);
-  }
-  stats->pivot_evaluations +=
-      shape.num_windows * static_cast<int64_t>(pivots.size()) * (n - 1);
-  if (pivots_out != nullptr) {
-    *pivots_out = pivots;
-  }
-  const WindowInputs inputs = HoistWindowInputs(
-      index.series_prefixes(), &index, pivots, query, shape, n, pool);
+  const WindowInputs inputs =
+      HoistWindowInputs(index.series_prefixes(), query, shape, n, pool);
   return RunWindowMajorSweep(options, &index, nullptr, n, query, shape,
                              inputs, pool, stats, sink);
 }
@@ -550,10 +479,10 @@ Status DangoronEngine::QueryStreamedToSink(const DangoronOptions& options,
                                            ThreadPool* pool,
                                            EngineStats* stats,
                                            WindowSink* sink) {
-  if (options.enable_jumping || options.horizontal_pruning) {
+  if (options.enable_jumping) {
     return Status::InvalidArgument(
         "DangoronEngine: a band-streamed query runs the exact sweep only "
-        "(jumping and horizontal pruning need a resident index)");
+        "(jumping needs a resident index)");
   }
   RETURN_IF_ERROR(CheckQueryGeometry(options, stream->basic_window(),
                                      stream->length(), query));
@@ -579,8 +508,8 @@ Status DangoronEngine::QueryStreamedToSink(const DangoronOptions& options,
         " (streams only move forward)");
   }
   RETURN_IF_ERROR(sink->OnBegin(query, n));
-  const WindowInputs inputs = HoistWindowInputs(
-      stream->series_prefixes(), nullptr, {}, query, shape, n, pool);
+  const WindowInputs inputs =
+      HoistWindowInputs(stream->series_prefixes(), query, shape, n, pool);
   return RunWindowMajorSweep(options, nullptr, stream, n, query, shape,
                              inputs, pool, stats, sink);
 }

@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "bound/bounds.h"
 #include "common/thread_pool.h"
@@ -48,10 +47,11 @@ struct DangoronOptions {
   /// of an Eq. 2 violation on non-stationary data.
   int64_t max_jump_steps = 0;
 
-  /// Horizontal (pivot / triangle-inequality) pruning.
+  /// Unread: pivot (horizontal) pruning was deleted because every pivot
+  /// count ran slower than the O(1) exact cells it skipped. The field stays
+  /// only while perfbench still assigns it; ROADMAP item 9 removes that
+  /// line and then this field.
   bool horizontal_pruning = false;
-  /// Number of pivot series when horizontal pruning is on.
-  int32_t num_pivots = 8;
 
   /// Worker threads (pair-tile parallelism; results are deterministic and
   /// identical to the single-threaded run).
@@ -60,8 +60,7 @@ struct DangoronOptions {
 
 /// The paper's contribution: sliding-window correlation-matrix construction
 /// with basic-window sketches, O(1) aligned-window evaluation via prefix
-/// sums, Eq. 2 bound-driven jumping across windows, and optional horizontal
-/// pruning via pivot series.
+/// sums, and Eq. 2 bound-driven jumping across windows.
 ///
 /// Exactness: with `enable_jumping == false` results are exact (identical to
 /// NaiveEngine / TsubasaEngine up to floating-point roundoff). With jumping
@@ -86,9 +85,6 @@ class DangoronEngine : public CorrelationEngine {
 
   const DangoronOptions& options() const { return options_; }
 
-  /// The pivot series indices used by the last horizontally pruned query.
-  const std::vector<int64_t>& pivots() const { return pivots_; }
-
   /// The build half of Prepare as a pure function of (data, options): the
   /// index a serving layer constructs once and shares read-only. `pool` may
   /// be null (serial build).
@@ -100,11 +96,10 @@ class DangoronEngine : public CorrelationEngine {
   /// const-correct shared path of the serving layer. Touches only local
   /// state, so any number of concurrent calls may share one `index` (and one
   /// reentrant `pool`). `options.basic_window` must match the index's.
-  /// `stats` and `pivots_out` are optional outputs; `pool` may be null.
+  /// `stats` is an optional output; `pool` may be null.
   static Result<CorrelationMatrixSeries> QueryPrepared(
       const DangoronOptions& options, const BasicWindowIndex& index,
-      const SlidingQuery& query, ThreadPool* pool, EngineStats* stats,
-      std::vector<int64_t>* pivots_out = nullptr);
+      const SlidingQuery& query, ThreadPool* pool, EngineStats* stats);
 
   /// Sink-driving form of QueryPrepared: same computation, windows emitted
   /// to `sink` in ascending order at band cadence (see QueryToSink).
@@ -113,15 +108,14 @@ class DangoronEngine : public CorrelationEngine {
                                     const BasicWindowIndex& index,
                                     const SlidingQuery& query,
                                     ThreadPool* pool, EngineStats* stats,
-                                    WindowSink* sink,
-                                    std::vector<int64_t>* pivots_out = nullptr);
+                                    WindowSink* sink);
 
-  /// Band-streamed exact evaluation (jumping off, sweep kernel, no
-  /// horizontal pruning): the same window-major sweep, range-moment hoist
-  /// and emission as QueryPreparedToSink, but each band first advances
-  /// `stream`'s blocked build just far enough and reads the band's slots
-  /// from its cache-sized ring slab — no full pair block is ever
-  /// materialized, and the Eq. 2 budget is never computed. Edges are
+  /// Band-streamed exact evaluation (jumping off, sweep kernel): the same
+  /// window-major sweep, range-moment hoist and emission as
+  /// QueryPreparedToSink, but each band first advances `stream`'s blocked
+  /// build just far enough and reads the band's slots from its cache-sized
+  /// ring slab — no full pair block is ever materialized, and the Eq. 2
+  /// budget is never computed. Edges are
   /// bit-identical to QueryPreparedToSink against a blocked index of the
   /// same data. One stream may serve several calls (the serving layer's
   /// claimed runs) as long as their windows move forward and stay inside
@@ -158,7 +152,6 @@ class DangoronEngine : public CorrelationEngine {
   const TimeSeriesMatrix* data_ = nullptr;
   std::optional<BasicWindowIndex> index_;
   std::unique_ptr<ThreadPool> pool_;
-  std::vector<int64_t> pivots_;
 };
 
 }  // namespace dangoron

@@ -1,5 +1,7 @@
 #include "engine/factory.h"
 
+#include <cstdint>
+#include <limits>
 #include <map>
 
 #include "common/strings.h"
@@ -54,10 +56,24 @@ Status Consume(std::map<std::string, std::string>* options,
   return Status::Ok();
 }
 
+constexpr int64_t kInt32Max = std::numeric_limits<int32_t>::max();
+constexpr int64_t kInt64Min = std::numeric_limits<int64_t>::min();
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+// Largest cache budget in MiB whose byte count (mb << 20) fits in int64.
+constexpr int64_t kMaxCacheMb = kInt64Max >> 20;
+
+// Pops `key` as an integer in [lo, hi] into `out`; a value outside the
+// range is an error rather than a truncation. The range must fit `Int`.
+template <typename Int>
 Status ConsumeInt(std::map<std::string, std::string>* options,
-                  const std::string& key, int64_t* out) {
-  return Consume(options, key, [&](const std::string& value) {
-    ASSIGN_OR_RETURN(*out, ParseInt64(value));
+                  const std::string& key, int64_t lo, int64_t hi, Int* out) {
+  return Consume(options, key, [&](const std::string& value) -> Status {
+    ASSIGN_OR_RETURN(const int64_t parsed, ParseInt64(value));
+    if (parsed < lo || parsed > hi) {
+      return Status::InvalidArgument("option '", key, "' must be in [", lo,
+                                     ", ", hi, "], got ", parsed);
+    }
+    *out = static_cast<Int>(parsed);
     return Status::Ok();
   });
 }
@@ -97,48 +113,38 @@ Result<std::unique_ptr<CorrelationEngine>> CreateEngine(
 
   if (name == "tsubasa") {
     TsubasaOptions engine_options;
-    int64_t basic_window = engine_options.basic_window;
-    int64_t threads = engine_options.num_threads;
-    RETURN_IF_ERROR(ConsumeInt(&options, "basic_window", &basic_window));
-    RETURN_IF_ERROR(ConsumeInt(&options, "threads", &threads));
+    RETURN_IF_ERROR(ConsumeInt(&options, "basic_window", 1, kInt64Max,
+                               &engine_options.basic_window));
+    RETURN_IF_ERROR(ConsumeInt(&options, "threads", 0, kInt32Max,
+                               &engine_options.num_threads));
     RETURN_IF_ERROR(RejectLeftovers(options, name));
-    engine_options.basic_window = basic_window;
-    engine_options.num_threads = static_cast<int>(threads);
     return std::unique_ptr<CorrelationEngine>(
         new TsubasaEngine(engine_options));
   }
 
   if (name == "dangoron") {
     DangoronOptions engine_options;
-    int64_t basic_window = engine_options.basic_window;
-    int64_t max_jump = engine_options.max_jump_steps;
-    int64_t pivots = engine_options.num_pivots;
-    int64_t threads = engine_options.num_threads;
-    RETURN_IF_ERROR(ConsumeInt(&options, "basic_window", &basic_window));
+    RETURN_IF_ERROR(ConsumeInt(&options, "basic_window", 1, kInt64Max,
+                               &engine_options.basic_window));
     RETURN_IF_ERROR(ConsumeBool(&options, "jump",
                                 &engine_options.enable_jumping));
     RETURN_IF_ERROR(ConsumeBool(&options, "above_jump",
                                 &engine_options.enable_above_jumping));
-    RETURN_IF_ERROR(ConsumeInt(&options, "max_jump", &max_jump));
-    RETURN_IF_ERROR(ConsumeBool(&options, "horizontal",
-                                &engine_options.horizontal_pruning));
-    RETURN_IF_ERROR(ConsumeInt(&options, "pivots", &pivots));
-    RETURN_IF_ERROR(ConsumeInt(&options, "threads", &threads));
+    RETURN_IF_ERROR(ConsumeInt(&options, "max_jump", 0, kInt64Max,
+                               &engine_options.max_jump_steps));
+    RETURN_IF_ERROR(ConsumeInt(&options, "threads", 0, kInt32Max,
+                               &engine_options.num_threads));
     RETURN_IF_ERROR(RejectLeftovers(options, name));
-    engine_options.basic_window = basic_window;
-    engine_options.max_jump_steps = max_jump;
-    engine_options.num_pivots = static_cast<int32_t>(pivots);
-    engine_options.num_threads = static_cast<int32_t>(threads);
     return std::unique_ptr<CorrelationEngine>(
         new DangoronEngine(engine_options));
   }
 
   if (name == "parcorr") {
     ParCorrOptions engine_options;
-    int64_t dim = engine_options.sketch_dim;
     int64_t seed = static_cast<int64_t>(engine_options.seed);
-    RETURN_IF_ERROR(ConsumeInt(&options, "dim", &dim));
-    RETURN_IF_ERROR(ConsumeInt(&options, "seed", &seed));
+    RETURN_IF_ERROR(ConsumeInt(&options, "dim", 1, kInt32Max,
+                               &engine_options.sketch_dim));
+    RETURN_IF_ERROR(ConsumeInt(&options, "seed", kInt64Min, kInt64Max, &seed));
     RETURN_IF_ERROR(ConsumeBool(&options, "verify",
                                 &engine_options.verify_candidates));
     RETURN_IF_ERROR(Consume(&options, "margin", [&](const std::string& v) {
@@ -146,7 +152,6 @@ Result<std::unique_ptr<CorrelationEngine>> CreateEngine(
       return Status::Ok();
     }));
     RETURN_IF_ERROR(RejectLeftovers(options, name));
-    engine_options.sketch_dim = static_cast<int32_t>(dim);
     engine_options.seed = static_cast<uint64_t>(seed);
     return std::unique_ptr<CorrelationEngine>(
         new ParCorrEngine(engine_options));
@@ -167,25 +172,28 @@ Result<std::unique_ptr<DangoronServer>> CreateServer(
   std::map<std::string, std::string> options = std::move(*options_or);
 
   DangoronServerOptions server_options;
-  int64_t threads = server_options.num_threads;
   int64_t sketch_cache_mb = server_options.sketch_cache_bytes >> 20;
   int64_t result_cache_mb = server_options.result_cache_bytes >> 20;
-  RETURN_IF_ERROR(ConsumeInt(&options, "threads", &threads));
-  RETURN_IF_ERROR(
-      ConsumeInt(&options, "basic_window", &server_options.basic_window));
-  RETURN_IF_ERROR(ConsumeInt(&options, "sketch_cache_mb", &sketch_cache_mb));
-  RETURN_IF_ERROR(ConsumeInt(&options, "result_cache_mb", &result_cache_mb));
+  RETURN_IF_ERROR(ConsumeInt(&options, "threads", 0, kInt32Max,
+                             &server_options.num_threads));
+  RETURN_IF_ERROR(ConsumeInt(&options, "basic_window", 1, kInt64Max,
+                             &server_options.basic_window));
+  RETURN_IF_ERROR(ConsumeInt(&options, "sketch_cache_mb", 0, kMaxCacheMb,
+                             &sketch_cache_mb));
+  RETURN_IF_ERROR(ConsumeInt(&options, "result_cache_mb", 0, kMaxCacheMb,
+                             &result_cache_mb));
   RETURN_IF_ERROR(ConsumeBool(&options, "refuse_oversized",
                               &server_options.refuse_oversized_prepares));
-  RETURN_IF_ERROR(ConsumeInt(&options, "threshold_steps",
+  // 0 disables threshold-family cache keys.
+  RETURN_IF_ERROR(ConsumeInt(&options, "threshold_steps", 0, kInt64Max,
                              &server_options.threshold_family_steps));
-  RETURN_IF_ERROR(ConsumeInt(&options, "max_streams",
+  RETURN_IF_ERROR(ConsumeInt(&options, "max_streams", 1, kInt64Max,
                              &server_options.max_concurrent_streams));
   RETURN_IF_ERROR(Consume(&options, "admission", [&](const std::string& v) {
     ASSIGN_OR_RETURN(server_options.admission, ParseAdmissionPolicy(v));
     return Status::Ok();
   }));
-  RETURN_IF_ERROR(ConsumeInt(&options, "admission_queue",
+  RETURN_IF_ERROR(ConsumeInt(&options, "admission_queue", 1, kInt64Max,
                              &server_options.admission_queue_limit));
   RETURN_IF_ERROR(Consume(&options, "default_tier", [&](const std::string& v) {
     ASSIGN_OR_RETURN(server_options.default_tier, ParseServeTier(v));
@@ -196,32 +204,6 @@ Result<std::unique_ptr<DangoronServer>> CreateServer(
     return Status::Ok();
   }));
   RETURN_IF_ERROR(RejectLeftovers(options, "server"));
-  if (threads < 0) {
-    return Status::InvalidArgument("server: threads must be >= 0, got ",
-                                   threads);
-  }
-  if (server_options.basic_window <= 0) {
-    return Status::InvalidArgument("server: basic_window must be > 0, got ",
-                                   server_options.basic_window);
-  }
-  if (sketch_cache_mb < 0 || result_cache_mb < 0) {
-    return Status::InvalidArgument("server: cache budgets must be >= 0");
-  }
-  if (server_options.threshold_family_steps < 0) {
-    return Status::InvalidArgument(
-        "server: threshold_steps must be >= 0 (0 disables family keys), got ",
-        server_options.threshold_family_steps);
-  }
-  if (server_options.max_concurrent_streams <= 0) {
-    return Status::InvalidArgument("server: max_streams must be > 0, got ",
-                                   server_options.max_concurrent_streams);
-  }
-  if (server_options.admission_queue_limit <= 0) {
-    return Status::InvalidArgument(
-        "server: admission_queue must be > 0, got ",
-        server_options.admission_queue_limit);
-  }
-  server_options.num_threads = static_cast<int32_t>(threads);
   server_options.sketch_cache_bytes = sketch_cache_mb << 20;
   server_options.result_cache_bytes = result_cache_mb << 20;
   return std::make_unique<DangoronServer>(server_options);

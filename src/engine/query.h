@@ -133,12 +133,8 @@ struct EngineStats {
   int64_t cells_evaluated = 0;
   /// cells skipped by temporal jumps.
   int64_t cells_jumped = 0;
-  /// cells skipped by the horizontal bound.
-  int64_t cells_horizontal_pruned = 0;
   /// number of jump decisions taken.
   int64_t jumps = 0;
-  /// exact evaluations spent on pivot columns (horizontal pruning overhead).
-  int64_t pivot_evaluations = 0;
 
   void Reset() { *this = EngineStats(); }
 };

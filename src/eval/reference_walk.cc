@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <vector>
 
 #include "bound/bounds.h"
@@ -30,13 +29,9 @@ Result<CorrelationMatrixSeries> ReferenceWalk(const DangoronOptions& options,
   const double inv_count = 1.0 / window_count;
 
   // Per window: each series' range sum and reciprocal centered root sum of
-  // squares (0 for a degenerate series), [k * n + s], then its correlation
-  // with each of P evenly spaced pivots, [(k * n + s) * P + p] (1 for the
-  // pivot itself).
-  const int64_t P = options.horizontal_pruning ? options.num_pivots : 0;
+  // squares (0 for a degenerate series), [k * n + s].
   std::vector<double> sums(static_cast<size_t>(num_windows * n));
   std::vector<double> invs(sums.size());
-  std::vector<double> pivot_corrs(sums.size() * static_cast<size_t>(P), 1.0);
   for (int64_t k = 0; k < num_windows; ++k) {
     const int64_t w0 = base_w0 + k * m;
     double* sum = sums.data() + k * n;
@@ -46,18 +41,6 @@ Result<CorrelationMatrixSeries> ReferenceWalk(const DangoronOptions& options,
       const double css =
           index.SumSqRange(s, w0, w0 + ns) - sum[s] * sum[s] / window_count;
       inv[s] = css > kMomentVarianceEps ? 1.0 / std::sqrt(css) : 0.0;
-    }
-    for (int64_t p = 0; p < P; ++p) {
-      const int64_t z = p * n / P;
-      for (int64_t s = 0; s < n; ++s) {
-        if (s != z) {
-          const double cov =
-              index.DotRange(BasicWindowIndex::PairId(z, s, n), w0, w0 + ns) -
-              sum[z] * sum[s] / window_count;
-          pivot_corrs[static_cast<size_t>((k * n + s) * P + p)] =
-              ClampCorrelation(cov * inv[z] * inv[s]);
-        }
-      }
     }
   }
 
@@ -77,16 +60,6 @@ Result<CorrelationMatrixSeries> ReferenceWalk(const DangoronOptions& options,
                              omc_hi);
     }
     for (int64_t k = 0; k < num_windows; ++k) {
-      if (P > 0) {
-        const double* pc = pivot_corrs.data() + k * n * P;
-        const HorizontalBound hb = HorizontalBoundFromPivots(
-            std::span<const double>(pc + i * P, static_cast<size_t>(P)),
-            std::span<const double>(pc + j * P, static_cast<size_t>(P)));
-        if (hb.upper < beta && (!query.absolute || hb.lower > -beta)) {
-          ++counts.cells_horizontal_pruned;
-          continue;
-        }
-      }
       const int64_t w0 = base_w0 + k * m;
       const double* sum = sums.data() + k * n;
       const double* inv = invs.data() + k * n;

@@ -97,7 +97,6 @@ DangoronOptions ServingEngineOptions(int64_t basic_window) {
   DangoronOptions options;
   options.basic_window = basic_window;
   options.enable_jumping = false;
-  options.horizontal_pruning = false;
   return options;
 }
 

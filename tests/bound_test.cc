@@ -1,85 +1,16 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <optional>
 #include <vector>
 
 #include "bound/bounds.h"
 #include "common/logging.h"
 #include "common/rng.h"
-#include "corr/pearson.h"
 #include "sketch/basic_window_index.h"
 #include "ts/generators.h"
 
 namespace dangoron {
 namespace {
-
-// ------------------------------------------------------ Horizontal bound --
-
-// The horizontal bound is a theorem (PSD-ness of the 3x3 correlation
-// matrix): generate arbitrary triples and verify containment.
-TEST(HorizontalBoundTest, AlwaysContainsTrueCorrelation) {
-  Rng rng(1);
-  for (int trial = 0; trial < 500; ++trial) {
-    const int64_t length = 64;
-    // Three series with random mutual structure: z arbitrary, x and y are
-    // mixtures of z and noise.
-    std::vector<double> z(length);
-    std::vector<double> x(length);
-    std::vector<double> y(length);
-    const double ax = rng.NextUniform(-1.0, 1.0);
-    const double ay = rng.NextUniform(-1.0, 1.0);
-    for (int64_t t = 0; t < length; ++t) {
-      z[static_cast<size_t>(t)] = rng.NextGaussian();
-      x[static_cast<size_t>(t)] = ax * z[static_cast<size_t>(t)] +
-                                  std::sqrt(1 - ax * ax) * rng.NextGaussian();
-      y[static_cast<size_t>(t)] = ay * z[static_cast<size_t>(t)] +
-                                  std::sqrt(1 - ay * ay) * rng.NextGaussian();
-    }
-    const double c_xz = PearsonNaive(x, z);
-    const double c_yz = PearsonNaive(y, z);
-    const double c_xy = PearsonNaive(x, y);
-    const HorizontalBound bound = HorizontalBoundFromPivot(c_xz, c_yz);
-    EXPECT_GE(c_xy, bound.lower - 1e-9) << "trial " << trial;
-    EXPECT_LE(c_xy, bound.upper + 1e-9) << "trial " << trial;
-  }
-}
-
-TEST(HorizontalBoundTest, DegenerateCases) {
-  // Perfectly correlated pivot: c_xy must equal c_yz.
-  const HorizontalBound tight = HorizontalBoundFromPivot(1.0, 0.6);
-  EXPECT_NEAR(tight.lower, 0.6, 1e-12);
-  EXPECT_NEAR(tight.upper, 0.6, 1e-12);
-
-  // Uninformative pivot: full interval.
-  const HorizontalBound loose = HorizontalBoundFromPivot(0.0, 0.0);
-  EXPECT_NEAR(loose.lower, -1.0, 1e-12);
-  EXPECT_NEAR(loose.upper, 1.0, 1e-12);
-}
-
-TEST(HorizontalBoundTest, IntervalIsValidAndClamped) {
-  Rng rng(2);
-  for (int trial = 0; trial < 200; ++trial) {
-    const double a = rng.NextUniform(-1.0, 1.0);
-    const double b = rng.NextUniform(-1.0, 1.0);
-    const HorizontalBound bound = HorizontalBoundFromPivot(a, b);
-    EXPECT_LE(bound.lower, bound.upper + 1e-12);
-    EXPECT_GE(bound.lower, -1.0 - 1e-12);
-    EXPECT_LE(bound.upper, 1.0 + 1e-12);
-  }
-}
-
-TEST(HorizontalBoundTest, MultiplePivotsTighten) {
-  // Intersection across pivots is at least as tight as any single pivot.
-  const std::vector<double> c_xz = {0.9, 0.2, -0.5};
-  const std::vector<double> c_yz = {0.8, 0.1, -0.4};
-  const HorizontalBound multi = HorizontalBoundFromPivots(c_xz, c_yz);
-  for (size_t p = 0; p < c_xz.size(); ++p) {
-    const HorizontalBound single = HorizontalBoundFromPivot(c_xz[p], c_yz[p]);
-    EXPECT_GE(multi.lower, single.lower - 1e-12);
-    EXPECT_LE(multi.upper, single.upper + 1e-12);
-  }
-}
 
 // -------------------------------------------------------- Temporal bound --
 

@@ -455,41 +455,6 @@ TEST(DangoronThreadingTest, JumpWalkIsDeterministicAtScale) {
   }
 }
 
-// ----------------------------------------------------- Horizontal pruning --
-
-TEST(DangoronHorizontalTest, PruningPreservesExactness) {
-  // The horizontal bound is a theorem: with jumping off, turning pruning on
-  // must not change the result at all.
-  TimeSeriesMatrix data = SmallClimate(12, 24 * 40, 17);
-  SlidingQuery query;
-  query.start = 0;
-  query.end = data.length();
-  query.window = 24 * 8;
-  query.step = 24;
-  query.threshold = 0.85;
-
-  DangoronOptions plain;
-  plain.enable_jumping = false;
-  DangoronEngine engine_plain(plain);
-  ASSERT_TRUE(engine_plain.Prepare(data).ok());
-  auto result_plain = engine_plain.Query(query);
-  ASSERT_TRUE(result_plain.ok());
-
-  DangoronOptions pruned;
-  pruned.enable_jumping = false;
-  pruned.horizontal_pruning = true;
-  pruned.num_pivots = 4;
-  DangoronEngine engine_pruned(pruned);
-  ASSERT_TRUE(engine_pruned.Prepare(data).ok());
-  auto result_pruned = engine_pruned.Query(query);
-  ASSERT_TRUE(result_pruned.ok());
-
-  ExpectSeriesEqual(*result_plain, *result_pruned, 0.0);
-  // And it must have pruned something on a threshold this high.
-  EXPECT_GT(engine_pruned.stats().cells_horizontal_pruned, 0);
-  EXPECT_GT(engine_pruned.stats().pivot_evaluations, 0);
-}
-
 // ------------------------------------------------------------- Above jump --
 
 TEST(DangoronAboveJumpTest, PersistentEdgesSurvive) {

@@ -3,6 +3,7 @@
 #include "common/rng.h"
 #include "engine/dangoron_engine.h"
 #include "engine/factory.h"
+#include "serve/server.h"
 #include "ts/generators.h"
 
 namespace dangoron {
@@ -25,13 +26,13 @@ TEST(FactoryTest, UnknownEngineIsNotFound) {
 TEST(FactoryTest, OptionParsing) {
   EXPECT_TRUE(CreateEngine("dangoron",
                            "basic_window=12,jump=off,above_jump=on,"
-                           "max_jump=5,horizontal=on,pivots=3,threads=2")
+                           "max_jump=5,threads=2")
                   .ok());
   EXPECT_TRUE(CreateEngine("tsubasa", "basic_window=48,threads=4").ok());
   EXPECT_TRUE(
       CreateEngine("parcorr", "dim=32,seed=7,verify=on,margin=0.2").ok());
   // Whitespace tolerated.
-  EXPECT_TRUE(CreateEngine("dangoron", " jump = on , pivots = 2 ").ok());
+  EXPECT_TRUE(CreateEngine("dangoron", " jump = on , max_jump = 2 ").ok());
 }
 
 TEST(FactoryTest, BadOptionsRejected) {
@@ -42,6 +43,45 @@ TEST(FactoryTest, BadOptionsRejected) {
   EXPECT_FALSE(CreateEngine("dangoron", "jump=sideways").ok());
   EXPECT_FALSE(CreateEngine("dangoron", "jump").ok());  // not key=value
   EXPECT_FALSE(CreateEngine("parcorr", "dim=notanumber").ok());
+  // Pivot pruning has no keys.
+  EXPECT_FALSE(CreateEngine("dangoron", "horizontal=on").ok());
+  EXPECT_FALSE(CreateEngine("dangoron", "pivots=3").ok());
+  EXPECT_FALSE(CreateEngine("dangoron", "pivots=4").ok());
+}
+
+// Integers outside a key's range are rejected, never truncated or read as
+// another setting. Every value here is rejected before any engine or
+// server is constructed.
+TEST(FactoryTest, OutOfRangeIntegersRejected) {
+  // Not 2 threads (2^32 + 2 cast to int32), not a 1-wide sketch (2^32 + 1).
+  EXPECT_FALSE(CreateEngine("dangoron", "threads=4294967298").ok());
+  EXPECT_FALSE(CreateEngine("dangoron", "threads=2147483648").ok());
+  EXPECT_FALSE(CreateEngine("dangoron", "threads=-1").ok());
+  EXPECT_FALSE(CreateEngine("tsubasa", "threads=-7").ok());
+  EXPECT_FALSE(CreateEngine("tsubasa", "threads=4294967298").ok());
+  EXPECT_FALSE(CreateEngine("parcorr", "dim=4294967297").ok());
+  EXPECT_FALSE(CreateEngine("parcorr", "dim=0").ok());
+  // Not "unbounded", which is max_jump=0.
+  EXPECT_FALSE(CreateEngine("dangoron", "max_jump=-3").ok());
+  EXPECT_FALSE(CreateEngine("dangoron", "basic_window=0").ok());
+  EXPECT_FALSE(CreateEngine("tsubasa", "basic_window=-24").ok());
+
+  const auto status = CreateEngine("dangoron", "threads=4294967298").status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("threads"), std::string::npos)
+      << status.ToString();
+
+  // The server's integers: 2^32 threads is not 0 (hardware concurrency),
+  // and a 2^43 MiB budget would overflow `mb << 20`.
+  EXPECT_FALSE(CreateServer("threads=4294967296").ok());
+  EXPECT_FALSE(CreateServer("threads=-1").ok());
+  EXPECT_FALSE(CreateServer("sketch_cache_mb=8796093022208").ok());
+  EXPECT_FALSE(CreateServer("result_cache_mb=8796093022208").ok());
+  EXPECT_FALSE(CreateServer("sketch_cache_mb=-1").ok());
+  EXPECT_FALSE(CreateServer("basic_window=0").ok());
+  EXPECT_FALSE(CreateServer("threshold_steps=-1").ok());
+  EXPECT_FALSE(CreateServer("max_streams=0").ok());
+  EXPECT_FALSE(CreateServer("admission_queue=0").ok());
 }
 
 TEST(FactoryTest, OptionsReachTheEngine) {

@@ -1,10 +1,10 @@
-// Pins DangoronEngine's scalar tile walk — the jumping and pivot-pruned legs
-// of its window-major pass — byte for byte to the pair-major reference walk
+// Pins DangoronEngine's scalar tile walk — the jumping leg of its
+// window-major pass — byte for byte to the pair-major reference walk
 // (eval/reference_walk.h): emitted edges, anchor values of above-jumps and
-// the evaluated/jumped/pruned counters, across threshold modes, jump
-// settings, pivots, thread counts and pair-range slices that cut sweep
-// tiles. Also checks that a jumping query runs through the `sweep.band`
-// failpoint of the one pass.
+// the evaluated/jumped counters, across threshold modes, jump settings,
+// thread counts and pair-range slices that cut sweep tiles. Also checks
+// that a jumping query runs through the `sweep.band` failpoint of the one
+// pass.
 
 #include <gtest/gtest.h>
 
@@ -89,61 +89,48 @@ TEST(JumpWalkTest, EngineMatchesReferenceWalkAcrossTheJumpMatrix) {
   for (const bool absolute : {false, true}) {
     for (const bool above : {false, true}) {
       for (const int64_t max_jump : {0, 1, 4}) {
-        for (const int32_t pivots : {0, 4}) {
-          DangoronOptions options = build;
-          options.enable_jumping = true;
-          options.enable_above_jumping = above;
-          options.max_jump_steps = max_jump;
-          options.horizontal_pruning = pivots > 0;
-          if (pivots > 0) {
-            options.num_pivots = pivots;
-          }
-          for (const int threads : {1, 3}) {
-            ThreadPool pool(threads);
-            ThreadPool* pool_arg = threads > 1 ? &pool : nullptr;
-            for (const auto& [pb, pe] : slices) {
-              SCOPED_TRACE(testing::Message()
-                           << "absolute=" << absolute << " above=" << above
-                           << " max_jump=" << max_jump << " pivots="
-                           << pivots << " threads=" << threads << " pairs=["
-                           << pb << ", " << pe << ")");
-              SlidingQuery query = base;
-              query.threshold = absolute ? 0.45 : 0.35;
-              query.absolute = absolute;
-              query.pair_begin = pb;
-              query.pair_end = pe;
-              EngineStats engine_stats;
-              auto engine = DangoronEngine::QueryPrepared(
-                  options, *index, query, pool_arg, &engine_stats);
-              ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-              EngineStats reference_stats;
-              auto reference =
-                  ReferenceWalk(options, *index, query, &reference_stats);
-              ASSERT_TRUE(reference.ok());
-              ExpectSameBytes(*engine, *reference);
-              EXPECT_EQ(engine_stats.cells_evaluated,
-                        reference_stats.cells_evaluated);
-              EXPECT_EQ(engine_stats.cells_jumped,
-                        reference_stats.cells_jumped);
-              EXPECT_EQ(engine_stats.jumps, reference_stats.jumps);
-              EXPECT_EQ(engine_stats.cells_horizontal_pruned,
-                        reference_stats.cells_horizontal_pruned);
-              totals.cells_evaluated += reference_stats.cells_evaluated;
-              totals.cells_jumped += reference_stats.cells_jumped;
-              totals.cells_horizontal_pruned +=
-                  reference_stats.cells_horizontal_pruned;
-              jumps_by_above[above] += reference_stats.jumps;
-            }
+        DangoronOptions options = build;
+        options.enable_jumping = true;
+        options.enable_above_jumping = above;
+        options.max_jump_steps = max_jump;
+        for (const int threads : {1, 3}) {
+          ThreadPool pool(threads);
+          ThreadPool* pool_arg = threads > 1 ? &pool : nullptr;
+          for (const auto& [pb, pe] : slices) {
+            SCOPED_TRACE(testing::Message()
+                         << "absolute=" << absolute << " above=" << above
+                         << " max_jump=" << max_jump << " threads=" << threads
+                         << " pairs=[" << pb << ", " << pe << ")");
+            SlidingQuery query = base;
+            query.threshold = absolute ? 0.45 : 0.35;
+            query.absolute = absolute;
+            query.pair_begin = pb;
+            query.pair_end = pe;
+            EngineStats engine_stats;
+            auto engine = DangoronEngine::QueryPrepared(
+                options, *index, query, pool_arg, &engine_stats);
+            ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+            EngineStats reference_stats;
+            auto reference =
+                ReferenceWalk(options, *index, query, &reference_stats);
+            ASSERT_TRUE(reference.ok());
+            ExpectSameBytes(*engine, *reference);
+            EXPECT_EQ(engine_stats.cells_evaluated,
+                      reference_stats.cells_evaluated);
+            EXPECT_EQ(engine_stats.cells_jumped, reference_stats.cells_jumped);
+            EXPECT_EQ(engine_stats.jumps, reference_stats.jumps);
+            totals.cells_evaluated += reference_stats.cells_evaluated;
+            totals.cells_jumped += reference_stats.cells_jumped;
+            jumps_by_above[above] += reference_stats.jumps;
           }
         }
       }
     }
   }
-  // The matrix must exercise every leg: evaluated, jumped and pruned cells,
-  // and above-jumps (re-reported anchor values) on top of the others.
+  // The matrix must exercise every leg: evaluated and jumped cells, and
+  // above-jumps (re-reported anchor values) on top of the others.
   EXPECT_GT(totals.cells_evaluated, 0);
   EXPECT_GT(totals.cells_jumped, 0);
-  EXPECT_GT(totals.cells_horizontal_pruned, 0);
   EXPECT_GT(jumps_by_above[1], jumps_by_above[0]);
 }
 

@@ -76,11 +76,10 @@ CorrelationMatrixSeries RunDangoron(const TimeSeriesMatrix& data,
 // The scalar pair-major oracle over the same sketch the engine builds.
 CorrelationMatrixSeries RunReference(const TimeSeriesMatrix& data,
                                      const SlidingQuery& query,
-                                     const DangoronOptions& options,
-                                     EngineStats* stats = nullptr) {
+                                     const DangoronOptions& options) {
   auto index = DangoronEngine::BuildIndex(data, options, nullptr);
   CHECK(index.ok());
-  auto result = ReferenceWalk(options, *index, query, stats);
+  auto result = ReferenceWalk(options, *index, query);
   CHECK(result.ok());
   return std::move(*result);
 }
@@ -251,31 +250,6 @@ TEST(SweepKernelTest, PairRangeRestrictionsAreBitIdentical) {
       }
     }
   }
-}
-
-TEST(SweepKernelTest, WindowMajorPruningMatchesPairMajorDecisions) {
-  const int64_t length = kBasicWindow * 20;
-  const TimeSeriesMatrix data = RandomWalkData(16, length, 71005);
-  SlidingQuery query = SweepQuery(length, 0.75, /*absolute=*/false);
-
-  DangoronOptions options = ExactOptions();
-  options.horizontal_pruning = true;
-  options.num_pivots = 4;
-
-  DangoronEngine window_major(options);
-  ASSERT_TRUE(window_major.Prepare(data).ok());
-  auto sweep = window_major.Query(query);
-  ASSERT_TRUE(sweep.ok());
-
-  EngineStats pair_major;
-  const auto scalar = RunReference(data, query, options, &pair_major);
-
-  ExpectBitIdentical(*sweep, scalar);
-  // Same per-cell pruning decisions, just visited in window-major order.
-  EXPECT_GT(pair_major.cells_horizontal_pruned, 0);
-  EXPECT_EQ(window_major.stats().cells_horizontal_pruned,
-            pair_major.cells_horizontal_pruned);
-  EXPECT_EQ(window_major.stats().cells_evaluated, pair_major.cells_evaluated);
 }
 
 TEST(SweepKernelTest, SingleSeriesDataYieldsEmptyWindows) {

@@ -82,7 +82,6 @@ TEST(WindowSinkTest, EmissionMatchesMaterializedQueryForAllEngines) {
       {"dangoron", "basic_window=8,jump=off"},
       {"dangoron", "basic_window=8,jump=on"},
       {"dangoron", "basic_window=8,jump=on,threads=3"},
-      {"dangoron", "basic_window=8,horizontal=on,pivots=3"},
       {"parcorr", "dim=32"},
       {"parcorr", "dim=32,verify=on,margin=0.2"},
   };
